@@ -6,7 +6,7 @@
 use cuszi_bench::timing::{section, Bench};
 use cuszi_datagen::{generate, DatasetKind, Scale};
 use cuszi_gpu_sim::A100;
-use cuszi_huffman::{decode_gpu, encode_gpu, histogram_gpu, Codebook};
+use cuszi_huffman::{decode_gpu, decode_gpu_serial, encode_gpu, histogram_gpu, Codebook};
 use cuszi_predict::tuning::InterpConfig;
 use cuszi_predict::{ginterp, lorenzo};
 use cuszi_tensor::stats::ValueRange;
@@ -54,8 +54,21 @@ fn main() {
     b.run("codebook_build_cpu", bytes, || Codebook::from_histogram(&hist));
     b.run("huffman_encode", bytes, || encode_gpu(&gi.codes, &book, &A100));
     let (stream, _) = encode_gpu(&gi.codes, &book, &A100);
-    b.run("huffman_decode_gap", bytes, || decode_gpu(&stream, &book, &A100));
-    b.run("huffman_decode_serial", bytes, || cuszi_huffman::decode_gpu_serial(&stream, &book, &A100));
+    // Both decoders at the loose and the tight bound (short and long
+    // codewords), with the symbol loop's cost per symbol.
+    let tight = ginterp::compress(field, 1e-5 * range, 512, &cfg, &A100);
+    let (tight_hist, _) = histogram_gpu(&tight.codes, 1024, 512, 32, &A100);
+    let tight_book = Codebook::from_histogram(&tight_hist).unwrap();
+    let (tight_stream, _) = encode_gpu(&tight.codes, &tight_book, &A100);
+    for (eb, stream, book) in [("1e-3", &stream, &book), ("1e-5", &tight_stream, &tight_book)] {
+        let per_symbol = |m: cuszi_bench::timing::Measurement| {
+            println!("{:<36} {:>10.2} ns/symbol", "", m.min_s * 1e9 / stream.n as f64);
+        };
+        per_symbol(b.run(&format!("huffman_decode_gap/{eb}"), bytes, || decode_gpu(stream, book, &A100)));
+        per_symbol(b.run(&format!("huffman_decode_serial/{eb}"), bytes, || {
+            decode_gpu_serial(stream, book, &A100)
+        }));
+    }
     let payload = stream.to_bytes();
     b.run("bitcomp_compress", bytes, || cuszi_bitcomp::compress(&payload, &A100));
     let (packed, _) = cuszi_bitcomp::compress(&payload, &A100);

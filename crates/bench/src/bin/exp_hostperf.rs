@@ -273,7 +273,7 @@ fn decompress_json(b: &Bench, ds: &cuszi_datagen::Dataset, n: usize) -> String {
     let (_, srep1) = decompress_slabs_streams(&slabs, cfg, 1, |_, _| {}).unwrap();
     let (_, srepn) = decompress_slabs_streams(&slabs, cfg, n, |_, _| {}).unwrap();
 
-    // Gap-decode accounting on the representative field's code plane.
+    // Gap-array accounting on the representative field's code plane.
     let range = ValueRange::of(field.as_slice()).unwrap().range() as f64;
     let eb = REL_EB * range;
     let icfg = InterpConfig::untuned(shape.rank().min(3));
@@ -282,7 +282,6 @@ fn decompress_json(b: &Bench, ds: &cuszi_datagen::Dataset, n: usize) -> String {
     let book = Codebook::from_histogram(&hist).unwrap();
     let (stream, _) = encode_gpu(&gi.codes, &book, &A100);
     let dec = decode_gpu(&stream, &book, &A100).unwrap();
-    let g = dec.report;
 
     // Modelled (roofline) end-to-end throughput, both directions.
     let codec = cuszi_core::CuszI::new(cfg);
@@ -294,8 +293,7 @@ fn decompress_json(b: &Bench, ds: &cuszi_datagen::Dataset, n: usize) -> String {
 
     format!(
         "{{\"streams\":{n},{},{},\
-         \"gap\":{{\"sectors\":{},\"synced\":{},\"redecoded\":{},\"redecode_rate\":{:.4},\
-         \"bridge_syms\":{},\"fallback_chunks\":{}}},\
+         \"gap\":{{\"sectors\":{},\"launches\":{},\"gap_bytes\":{},\"gap_share\":{:.5}}},\
          \"modelled\":{{\"compress_gbps\":{compress_gbps:.3},\
          \"decompress_gbps\":{decompress_gbps:.3}}}}}",
         overlap_pair_json(
@@ -314,12 +312,10 @@ fn decompress_json(b: &Bench, ds: &cuszi_datagen::Dataset, n: usize) -> String {
             &srep1,
             &srepn
         ),
-        g.sectors,
-        g.synced,
-        g.redecoded,
-        g.redecoded as f64 / (g.sectors.max(1)) as f64,
-        g.bridge_syms,
-        g.fallback_chunks,
+        dec.report.sectors,
+        dec.kernels.len(),
+        stream.gaps.len(),
+        stream.gaps.len() as f64 / stream.serialized_len() as f64,
     )
 }
 

@@ -9,12 +9,26 @@
 //! │ payload (Bitcomp-compressed when flags.BITCOMP):            │
 //! │   [anchors f32⋯][codebook][huffman stream][outlier idx u64⋯]│
 //! │   [outlier val f32⋯]                                        │
+//! │                                                             │
+//! │   huffman stream (`cuszi_huffman::EncodedStream`):          │
+//! │     n u64 · chunk size u32 · chunk count u64                │
+//! │     chunk byte offsets u64⋯                                 │
+//! │     gap count u64 · gap array u8⋯ (one per 256-byte sector  │
+//! │       of each chunk: bit offset of the first codeword       │
+//! │       starting in it, 0xFF for none)                        │
+//! │     chunk bitstreams, byte-aligned                          │
 //! └─────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! Everything little-endian. Section lengths describe the payload
 //! *before* the Bitcomp pass, so the decoder can split it after
 //! undoing that pass.
+//!
+//! **Version 2 is a breaking change.** It added the gap array inside
+//! the Huffman section (the five-section layout and [`HEADER_LEN`] are
+//! as in version 1). The decoder needs the gap array, so version-1
+//! archives are refused with [`CuszError::VersionMismatch`]; there is
+//! no reader for them.
 
 use cuszi_predict::splines::CubicVariant;
 use cuszi_predict::tuning::InterpConfig;
@@ -24,8 +38,9 @@ use crate::error::CuszError;
 
 /// Archive magic bytes.
 pub const MAGIC: [u8; 4] = *b"CSZI";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Current format version (2: the Huffman section carries the gap
+/// array; version-1 archives do not decode).
+pub const VERSION: u16 = 2;
 
 /// Header flag: payload is Bitcomp-compressed.
 pub const FLAG_BITCOMP: u8 = 1 << 0;

@@ -978,8 +978,8 @@ mod tests {
         let out = d.output.into_decompressed().unwrap();
         assert_eq!(out.data.shape(), data.shape());
         // Engine decompress runs the gap-array decode path: bitcomp +
-        // gap decode (+ data-dependent fix pass) + interp.
-        assert!((3..=4).contains(&out.kernels.len()), "{}", out.kernels.len());
+        // gap decode + interp.
+        assert_eq!(out.kernels.len(), 3);
     }
 
     #[test]

@@ -766,9 +766,6 @@ impl<'a> DecompressJob<'a> {
         let stream = missing(self.stream.as_ref(), "huffman-decode", "huffman stream")?;
         let decoded = decode_gpu(stream, book, &self.cfg.device)?;
         cuszi_profile::count("huffman_decode.sectors", decoded.report.sectors);
-        cuszi_profile::count("huffman_decode.redecoded_sectors", decoded.report.redecoded);
-        cuszi_profile::count("huffman_decode.bridge_syms", decoded.report.bridge_syms);
-        cuszi_profile::count("huffman_decode.fallback_chunks", decoded.report.fallback_chunks);
         self.kernels.extend(decoded.kernels);
         self.codes = Some(decoded.syms);
         Ok(())

@@ -33,6 +33,14 @@
 //! on freshly scoped pool worker threads every launch; the device
 //! binding is what gets forwarded to those workers.
 //!
+//! Several host threads (stream workers, engine workers) can share one
+//! domain, and each checks for errors at its own stage boundaries. A
+//! thread that has had a launch dropped therefore remembers the fault
+//! itself until *its* next [`take_sticky`]: another thread draining the
+//! domain's sticky fault in between must not let this one run later
+//! kernels against buffers the dropped launch never wrote, nor leave it
+//! without an error to report.
+//!
 //! # Determinism
 //!
 //! All three fault kinds are deterministic given a deterministic
@@ -57,6 +65,7 @@
 //! domain; without it the spec arms device 0 (where all single-device
 //! work runs).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
 
@@ -171,6 +180,29 @@ impl Domain {
 static DOMAINS: [Domain; MAX_DEVICES] = [const { Domain::new() }; MAX_DEVICES];
 /// One-shot `CUSZI_FAULT` parse, folded into the first armed() check.
 static ENV_INIT: Once = Once::new();
+/// Bumped by every arm and disarm, so a thread's remembered drop from
+/// an earlier experiment is never mistaken for a live one.
+static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The fault behind the launches this host thread has had dropped
+    /// since its last [`take_sticky`], keyed by the `(epoch, device)` it
+    /// was recorded under.
+    static DROPPED: RefCell<((u64, usize), Option<Fault>)> = const { RefCell::new(((0, 0), None)) };
+}
+
+/// Run `f` on this thread's remembered drop, first forgetting one left
+/// over from another epoch or device binding.
+fn with_dropped<R>(f: impl FnOnce(&mut Option<Fault>) -> R) -> R {
+    let live = (EPOCH.load(Ordering::Acquire), current_device());
+    DROPPED.with(|d| {
+        let mut d = d.borrow_mut();
+        if d.0 != live {
+            *d = (live, None);
+        }
+        f(&mut d.1)
+    })
+}
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // A panic while holding these tiny critical sections cannot leave
@@ -202,6 +234,7 @@ fn arm_spec(dev: usize, spec: FaultSpec) {
     *lock(&d.spec) = Some(spec);
     *lock(&d.sticky) = None;
     d.alloc_seen.store(0, Ordering::Relaxed);
+    EPOCH.fetch_add(1, Ordering::AcqRel);
     d.armed.store(true, Ordering::Release);
     crate::hook::flight(crate::hook::FlightSignal::FaultArmed { site: &site });
 }
@@ -229,6 +262,7 @@ pub fn arm_on(dev: usize, spec: FaultSpec) {
 /// the cleanup call tests and experiments use between scenarios.)
 pub fn disarm() {
     env_init();
+    EPOCH.fetch_add(1, Ordering::AcqRel);
     for d in &DOMAINS {
         d.armed.store(false, Ordering::Release);
         *lock(&d.spec) = None;
@@ -243,14 +277,27 @@ pub fn armed() -> bool {
     DOMAINS[current_device()].armed.load(Ordering::Acquire)
 }
 
-/// Drain the pending sticky fault of the calling thread's device
-/// domain, if any. The pipeline calls this at every stage boundary
-/// (the `cudaGetLastError` analogue); returns `None` when disarmed.
+/// Drain the pending fault of the calling thread's device domain, if
+/// any: the one behind this thread's own dropped launches first, else
+/// the domain's sticky fault. The pipeline calls this at every stage
+/// boundary (the `cudaGetLastError` analogue); returns `None` when
+/// disarmed.
 pub fn take_sticky() -> Option<Fault> {
     if !armed() {
         return None;
     }
-    lock(&DOMAINS[current_device()].sticky).take()
+    let mut sticky = lock(&DOMAINS[current_device()].sticky);
+    match with_dropped(Option::take) {
+        Some(mine) => {
+            // Reported here; don't hand the same fault to the next
+            // thread that checks.
+            if sticky.as_ref() == Some(&mine) {
+                *sticky = None;
+            }
+            Some(mine)
+        }
+        None => sticky.take(),
+    }
 }
 
 /// Record a fault in `dev`'s domain; first writer wins (matching CUDA,
@@ -298,22 +345,31 @@ pub fn on_alloc() {
 /// error is consumed — a kernel must never run against buffers a
 /// failed predecessor left unwritten (that is how a real context
 /// behaves, and it is what keeps downstream device code panic-free
-/// between the fault and the next check). Launches on *other* devices
-/// are unaffected: fault domains are per device.
+/// between the fault and the next check). A thread whose launch was
+/// dropped keeps dropping until its *own* next [`take_sticky`], whoever
+/// drains the domain meanwhile. Launches on *other* devices are
+/// unaffected: fault domains are per device.
 pub(crate) fn launch_should_fail(name: &str) -> bool {
     if !armed() {
         return false;
     }
-    let dev = current_device();
-    let d = &DOMAINS[dev];
-    if lock(&d.sticky).is_some() {
+    if with_dropped(|d| d.is_some()) {
         return true;
     }
-    let hit = matches!(&*lock(&d.spec), Some(FaultSpec::LaunchNamed(n)) if n == name);
-    if hit {
-        set_sticky(dev, Fault { kind: FaultKind::Launch, site: name.to_string() });
-    }
-    hit
+    let dev = current_device();
+    let d = &DOMAINS[dev];
+    let pending = lock(&d.sticky).clone();
+    let fault = match pending {
+        Some(f) => f,
+        None if matches!(&*lock(&d.spec), Some(FaultSpec::LaunchNamed(n)) if n == name) => {
+            let f = Fault { kind: FaultKind::Launch, site: name.to_string() };
+            set_sticky(dev, f.clone());
+            f
+        }
+        None => return false,
+    };
+    with_dropped(|d| *d = Some(fault));
+    true
 }
 
 /// Whether the stream with this id is poisoned in the calling thread's
@@ -405,6 +461,35 @@ mod tests {
         assert_eq!((f.kind, f.site.as_str()), (FaultKind::Launch, "k"));
         assert!(!launch_should_fail("other"), "draining the fault unblocks launches");
         assert!(launch_should_fail("k"), "every matching launch is dropped");
+        disarm();
+    }
+
+    #[test]
+    fn a_drain_by_another_thread_does_not_reopen_this_threads_launches() {
+        use std::sync::mpsc::channel;
+        let _g = lock(&GUARD);
+        arm(FaultSpec::LaunchNamed("k".into()));
+        let (dropped_tx, dropped_rx) = channel();
+        let (drained_tx, drained_rx) = channel();
+        std::thread::scope(|s| {
+            // Job A: its launch of `k` is dropped; job B then checks
+            // for errors first and drains the domain.
+            s.spawn(move || {
+                assert!(launch_should_fail("k"));
+                dropped_tx.send(()).unwrap();
+                drained_rx.recv().unwrap();
+                assert!(launch_should_fail("other"), "A must not run on what `k` never wrote");
+                let f = take_sticky().expect("A still has its fault to report");
+                assert_eq!((f.kind, f.site.as_str()), (FaultKind::Launch, "k"));
+                assert!(!launch_should_fail("other"), "A's own check reopens A");
+            });
+            s.spawn(move || {
+                dropped_rx.recv().unwrap();
+                assert!(take_sticky().is_some(), "B sees the domain's pending fault");
+                assert!(!launch_should_fail("other"), "B had nothing dropped");
+                drained_tx.send(()).unwrap();
+            });
+        });
         disarm();
     }
 

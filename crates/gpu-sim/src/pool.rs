@@ -98,7 +98,13 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|w| s.spawn(move || crate::multi::on_device(dev, || worker(w))))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect::<Vec<A>>()
+        // Re-raise a worker's panic with its own payload, so a kernel
+        // body's message reaches the launch's caller (and the flight
+        // recorder) exactly as it does on the inline single-thread path.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect::<Vec<A>>()
     });
     let mut acc = parts.remove(0);
     for p in parts {
@@ -164,6 +170,20 @@ mod tests {
             })
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn worker_panic_keeps_its_message() {
+        for threads in [2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    par_for_each_index(64, |i| assert!(i != 40, "kernel body failed at item {i}"))
+                })
+            });
+            let payload = caught.expect_err("the item panic must propagate");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert_eq!(msg, "kernel body failed at item 40", "threads={threads}");
+        }
     }
 
     #[test]

@@ -189,27 +189,23 @@ impl Codebook {
         Some(((e >> 8) as u16, (e & 0xFF) as u8))
     }
 
-    /// Decode one symbol from a bit reader: `peek(l)` returns the next
-    /// `l` bits MSB-first. Returns `(symbol, length)` or `None` if no
-    /// code matches (corrupt stream).
+    /// Canonical decode of the codeword at the top of `window` (the next
+    /// 64 stream bits MSB-first, zero-padded past the end of stream):
+    /// one `first_code` compare per length. The complete decoder — the
+    /// hot loop only lands here after a [`Codebook::decode_lut`] miss.
+    /// Returns `(symbol, length)` or `None` if no code matches (corrupt
+    /// stream).
     #[inline]
-    pub fn decode_one(&self, peek: impl Fn(u8) -> u64) -> Option<(u16, u8)> {
-        let mut code = 0u64;
-        let mut read = 0u8;
-        for l in 1..=self.max_len {
-            code = peek(l);
-            read = l;
-            let lc = l as usize;
-            let count_at_l = self.first_index[lc + 1] - self.first_index[lc];
-            if count_at_l > 0 {
-                let off = code.wrapping_sub(self.first_code[lc]);
-                if code >= self.first_code[lc] && off < count_at_l as u64 {
-                    let sym = self.sorted_symbols[(self.first_index[lc] + off as u32) as usize];
-                    return Some((sym, read));
-                }
+    pub fn decode_one(&self, window: u64) -> Option<(u16, u8)> {
+        for l in 1..=self.max_len as usize {
+            let code = window >> (64 - l);
+            let count_at_l = (self.first_index[l + 1] - self.first_index[l]) as u64;
+            let off = code.wrapping_sub(self.first_code[l]);
+            if code >= self.first_code[l] && off < count_at_l {
+                let sym = self.sorted_symbols[self.first_index[l] as usize + off as usize];
+                return Some((sym, l as u8));
             }
         }
-        let _ = (code, read);
         None
     }
 
@@ -288,16 +284,6 @@ fn build_lengths(counts: &[u32], live: &[usize], lengths: &mut [u8]) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn peeker(bits: &[u8]) -> impl Fn(u8) -> u64 + '_ {
-        move |l| {
-            let mut v = 0u64;
-            for i in 0..l as usize {
-                v = (v << 1) | (*bits.get(i).unwrap_or(&0) as u64);
-            }
-            v
-        }
-    }
 
     #[test]
     fn prefix_free_property() {
@@ -379,10 +365,11 @@ mod tests {
         let cb = Codebook::from_histogram(&counts).unwrap();
         for s in 0..100u16 {
             let (code, len) = cb.code_of(s);
-            // Materialise the code MSB-first as bits.
-            let bits: Vec<u8> = (0..len).map(|i| ((code >> (len - 1 - i)) & 1) as u8).collect();
-            let (sym, l) = cb.decode_one(peeker(&bits)).unwrap();
-            assert_eq!((sym, l), (s, len));
+            // The code at the top of the window; ones below it must not
+            // change the match (prefix-free).
+            let window = code << (64 - len);
+            assert_eq!(cb.decode_one(window), Some((s, len)));
+            assert_eq!(cb.decode_one(window | (u64::MAX >> len)), Some((s, len)));
         }
     }
 

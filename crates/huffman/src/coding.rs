@@ -5,6 +5,13 @@
 //! assigns byte-aligned output offsets, and pass 2 writes the bits —
 //! every chunk independent, so both passes (and decoding) are
 //! block-parallel.
+//!
+//! Pass 2 also records the *gap array*: for every
+//! [`GAP_SECTOR_BYTES`]-byte sector of a chunk, the bit offset of the
+//! first codeword that starts in it. With those starts stored,
+//! [`decode_gpu`] decodes every sector of every chunk in one launch,
+//! each exactly once, and the host only has to check that the sectors
+//! agree with each other before gathering them (DESIGN.md §14).
 
 use cuszi_gpu_sim::{launch_named, BlockSlots, DeviceSpec, GlobalRead, GlobalWrite, Grid, KernelStats};
 
@@ -15,6 +22,19 @@ use crate::codebook::{Codebook, LUT_BITS};
 /// block-level parallelism.
 pub const ENC_CHUNK: usize = 1 << 14;
 
+/// Bytes per gap-array sector. 256 B (2048 bits) keeps per-sector work
+/// well above the longest codeword (63 bits) — so every sector before a
+/// chunk's last symbol has a codeword starting within its first 63 bits
+/// and one byte holds the offset — while giving ~64 sectors of
+/// intra-chunk parallelism per full [`ENC_CHUNK`] and costing 1/256 of
+/// the bitstream.
+pub const GAP_SECTOR_BYTES: usize = 256;
+const SECTOR_BITS: u64 = GAP_SECTOR_BYTES as u64 * 8;
+
+/// Gap byte of a sector no codeword starts in: the chunk's last symbol
+/// began in an earlier sector.
+pub const GAP_NONE: u8 = u8::MAX;
+
 /// A chunk-parallel Huffman bitstream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EncodedStream {
@@ -24,9 +44,18 @@ pub struct EncodedStream {
     pub chunk_size: u32,
     /// Byte offset of each chunk in `bits` (ascending; one per chunk).
     pub offsets: Vec<u64>,
+    /// The gap array: one byte per [`GAP_SECTOR_BYTES`] sector of each
+    /// chunk's bytes, chunks back to back. The byte is the bit offset,
+    /// from the sector's first bit, of the first codeword that starts in
+    /// the sector (at most 62), or [`GAP_NONE`].
+    pub gaps: Vec<u8>,
     /// The concatenated, byte-aligned per-chunk bitstreams.
     pub bits: Vec<u8>,
 }
+
+/// Serialized bytes ahead of the chunk table: `n`, `chunk_size`, chunk
+/// count.
+const STREAM_HEAD: usize = 8 + 4 + 8;
 
 impl EncodedStream {
     /// Total encoded payload size in bytes (excluding metadata).
@@ -34,12 +63,14 @@ impl EncodedStream {
         self.bits.len()
     }
 
-    /// Serialized size in bytes including chunk metadata.
+    /// Serialized size in bytes including chunk and gap metadata.
     pub fn serialized_len(&self) -> usize {
-        8 + 4 + 8 + self.offsets.len() * 8 + self.bits.len()
+        STREAM_HEAD + self.offsets.len() * 8 + 8 + self.gaps.len() + self.bits.len()
     }
 
-    /// Flatten to bytes (little-endian, length-prefixed sections).
+    /// Flatten to bytes (little-endian, length-prefixed sections):
+    /// `n u64 · chunk_size u32 · chunks u64 · offsets u64⋯ · gaps u64 ·
+    /// gap bytes · bits`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_len());
         out.extend_from_slice(&self.n.to_le_bytes());
@@ -48,45 +79,52 @@ impl EncodedStream {
         for &o in &self.offsets {
             out.extend_from_slice(&o.to_le_bytes());
         }
+        out.extend_from_slice(&(self.gaps.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.gaps);
         out.extend_from_slice(&self.bits);
         out
     }
 
     /// Inverse of [`EncodedStream::to_bytes`]. Returns `None` on any
-    /// structural inconsistency (truncation, non-monotone offsets).
+    /// structural inconsistency (truncation, a chunk count that does not
+    /// follow from `n`, non-monotone offsets). Both counts are bounded
+    /// by `data.len()` before anything is allocated, so a crafted header
+    /// costs nothing.
     pub fn from_bytes(data: &[u8]) -> Option<EncodedStream> {
-        if data.len() < 20 {
+        let (head, rest) = data.split_first_chunk::<STREAM_HEAD>()?;
+        let n = u64::from_le_bytes(head[0..8].try_into().ok()?);
+        let chunk_size = u32::from_le_bytes(head[8..12].try_into().ok()?);
+        let nch = u64::from_le_bytes(head[12..20].try_into().ok()?);
+        let want = match (n, chunk_size) {
+            (0, _) => 0,
+            (_, 0) => return None,
+            _ => n.div_ceil(chunk_size as u64),
+        };
+        if nch != want {
             return None;
         }
-        let n = u64::from_le_bytes(data[0..8].try_into().unwrap());
-        let chunk_size = u32::from_le_bytes(data[8..12].try_into().unwrap());
-        let nch = u64::from_le_bytes(data[12..20].try_into().unwrap()) as usize;
-        if chunk_size == 0 || nch != (n as usize).div_ceil(chunk_size as usize).max(usize::from(n == 0)) {
-            // Chunk count must match n (0 symbols -> 0 chunks).
-            if !(n == 0 && nch == 0) {
-                return None;
-            }
+        let table = usize::try_from(nch).ok()?.checked_mul(8)?;
+        let (table, rest) = rest.split_at_checked(table)?;
+        let (ngaps, rest) = rest.split_first_chunk::<8>()?;
+        let ngaps = usize::try_from(u64::from_le_bytes(*ngaps)).ok()?;
+        let (gaps, bits) = rest.split_at_checked(ngaps)?;
+
+        let mut offsets = Vec::with_capacity(table.len() / 8);
+        for o in table.chunks_exact(8) {
+            offsets.push(u64::from_le_bytes(o.try_into().ok()?));
         }
-        let off_end = 20 + nch * 8;
-        if data.len() < off_end {
-            return None;
-        }
-        let mut offsets = Vec::with_capacity(nch);
-        for i in 0..nch {
-            offsets.push(u64::from_le_bytes(data[20 + i * 8..28 + i * 8].try_into().unwrap()));
-        }
-        let bits = data[off_end..].to_vec();
         if offsets.windows(2).any(|w| w[0] > w[1]) {
             return None;
         }
-        if offsets.last().is_some_and(|&o| o as usize > bits.len()) {
+        if offsets.last().is_some_and(|&o| o > bits.len() as u64) {
             return None;
         }
-        Some(EncodedStream { n, chunk_size, offsets, bits })
+        Some(EncodedStream { n, chunk_size, offsets, gaps: gaps.to_vec(), bits: bits.to_vec() })
     }
 }
 
-/// Encode a quant-code plane with a codebook.
+/// Encode a quant-code plane with a codebook, recording the gap array
+/// ([`EncodedStream::gaps`]) as the bits are emitted.
 ///
 /// Every symbol must have a non-zero code length (guaranteed when the
 /// codebook was built from this plane's histogram); symbols without a
@@ -121,21 +159,29 @@ pub fn encode_gpu(
         }));
     }
 
-    // Prefix sum -> byte-aligned chunk offsets (host side, as in cuSZ's
-    // coarse pipeline; its cost is in the kernels' launch overhead).
+    // Prefix sum -> byte-aligned chunk offsets and each chunk's first
+    // gap-array slot (host side, as in cuSZ's coarse pipeline; its cost
+    // is in the kernels' launch overhead).
     let mut offsets = vec![0u64; nchunks];
+    let mut gap_at = vec![0usize; nchunks];
     let mut acc = 0u64;
+    let mut nsectors = 0usize;
     for (i, &bl) in bitlens.iter().enumerate() {
+        let nbytes = bl.div_ceil(8);
         offsets[i] = acc;
-        acc += bl.div_ceil(8);
+        gap_at[i] = nsectors;
+        acc += nbytes;
+        nsectors += (nbytes as usize).div_ceil(GAP_SECTOR_BYTES);
     }
     let total_bytes = acc as usize;
 
-    // Pass 2: emit bits.
+    // Pass 2: emit bits and the gap array.
     let mut bits = vec![0u8; total_bytes];
+    let mut gaps = vec![GAP_NONE; nsectors];
     if nchunks > 0 {
         let src = GlobalRead::new(codes);
         let dst = GlobalWrite::new(&mut bits);
+        let gap_dst = GlobalWrite::new(&mut gaps);
         stats.push(launch_named(device, Grid::linear(nchunks as u32, 256), "huffman-emit", |ctx| {
             let b = ctx.block_linear() as usize;
             let start = b * ENC_CHUNK;
@@ -144,12 +190,25 @@ pub fn encode_gpu(
             ctx.read_span(&src, start, &mut buf);
 
             // Chunk byte length is known from pass 1, so the output
-            // buffer comes from the worker pool at its exact size.
-            let mut out = ctx.scratch(bitlens[b].div_ceil(8) as usize, 0u8);
+            // buffers come from the worker pool at their exact size.
+            let nbytes = bitlens[b].div_ceil(8) as usize;
+            let mut out = ctx.scratch(nbytes, 0u8);
+            let mut sector_gaps = ctx.scratch(nbytes.div_ceil(GAP_SECTOR_BYTES), GAP_NONE);
             let mut w = 0usize;
             let mut bitbuf = 0u64;
             let mut nbits = 0u8;
+            // The first sector still waiting for its gap, and its first
+            // byte. The next codeword starts at bit `8 * w + nbits` with
+            // `nbits < 8`, so it is past that byte exactly when `w` is.
+            // Codewords are under 64 bits: starts never skip a sector.
+            let mut sector = 0usize;
+            let mut sector_byte = 0usize;
             for &c in buf.iter() {
+                if w >= sector_byte {
+                    sector_gaps[sector] = ((w - sector_byte) * 8) as u8 + nbits;
+                    sector += 1;
+                    sector_byte += GAP_SECTOR_BYTES;
+                }
                 let (code, len) = book.code_of(c);
                 bitbuf = (bitbuf << len) | code;
                 nbits += len;
@@ -166,11 +225,12 @@ pub fn encode_gpu(
             debug_assert_eq!(w, out.len());
             ctx.add_flops(buf.len() as u64 * 2);
             ctx.write_span(&dst, offsets[b] as usize, &out);
+            ctx.write_span(&gap_dst, gap_at[b], &sector_gaps);
         }));
     }
 
     (
-        EncodedStream { n: codes.len() as u64, chunk_size: ENC_CHUNK as u32, offsets, bits },
+        EncodedStream { n: codes.len() as u64, chunk_size: ENC_CHUNK as u32, offsets, gaps, bits },
         stats,
     )
 }
@@ -218,125 +278,165 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Decode one symbol at chunk-relative bit position `pos`. `buf` holds
-/// the chunk bytes starting at bit `base` (so `buf[0]` is bit `base`);
-/// reads past the end of `buf` see zeros, matching the encoder's
-/// zero-padded tail. Returns `None` when no code matches.
-#[inline]
-fn decode_symbol(book: &Codebook, buf: &[u8], base: u64, pos: u64) -> Option<(u16, u8)> {
-    let rel = (pos - base) as usize;
-    let byte = rel / 8;
-    let off = rel % 8;
-    // Primary table first (one load for short codes), then the
-    // canonical walk for the long tail.
-    let mut v = 0u32;
-    for k in 0..4 {
-        v = (v << 8) | *buf.get(byte + k).unwrap_or(&0) as u32;
-    }
-    let prefix = ((v >> (32 - LUT_BITS as usize - off)) & ((1 << LUT_BITS) - 1)) as u64;
-    if let Some(hit) = book.decode_lut(prefix) {
-        return Some(hit);
-    }
-    let peek = |l: u8| -> u64 {
-        let mut v = 0u64;
-        for i in 0..l as usize {
-            let p = rel + i;
-            let bit = if p / 8 < buf.len() { (buf[p / 8] >> (7 - (p % 8))) & 1 } else { 0 };
-            v = (v << 1) | bit as u64;
-        }
-        v
-    };
-    book.decode_one(peek)
+/// Where a [`decode_run`] stopped.
+struct Run {
+    /// Symbols written to the front of `out`.
+    count: usize,
+    /// Bit position just past the last symbol written.
+    pos: u64,
+    /// Why the run stopped before reaching its end, when it did.
+    fail: Option<&'static str>,
 }
 
-/// Validate the encoder's zero-fill contract for a chunk whose last
-/// symbol ends at bit `final_pos` of `total_bits`: fewer than 8 pad
-/// bits remain and all of them are zero.
-fn validate_pad(last_byte: u8, total_bits: u64, final_pos: u64, c: usize) -> Result<(), DecodeError> {
+/// Zero bytes a decode buffer carries past its stream bytes, so that the
+/// nine-byte window load at the last stream byte stays inside it.
+const WINDOW_SLACK: usize = 8;
+
+/// The 64 stream bits from bit `pos` of `buf`, MSB-first.
+#[inline]
+fn window_at(buf: &[u8], pos: u64) -> u64 {
+    let byte = (pos / 8) as usize;
+    let off = (pos % 8) as u32;
+    let head: [u8; 8] = buf[byte..byte + 8].try_into().expect("an 8-byte slice");
+    // The ninth byte fills the low `off` bits (none when `off` is 0).
+    u64::from_be_bytes(head) << off | (buf[byte + 8] as u64) >> (8 - off)
+}
+
+/// The symbol loop both decoders share: decode the codewords that start
+/// in bits `pos..end` of `buf` into `out`, stopping early only when
+/// `out` is full. `buf` is the stream bytes from bit 0 of the caller's
+/// frame followed by [`WINDOW_SLACK`] zero bytes; `limit` is the last
+/// real stream bit, so bits past it read as the encoder's zero pad and a
+/// codeword reaching past it is an underrun.
+///
+/// The window holds the stream from `pos` in its top `avail` bits and is
+/// reloaded by byte offset only when fewer than a table probe's worth
+/// remain, so the per-symbol chain is probe, shift, probe.
+#[inline]
+fn decode_run(book: &Codebook, buf: &[u8], mut pos: u64, end: u64, limit: u64, out: &mut [u16]) -> Run {
+    let mut count = 0usize;
+    let mut fail = None;
+    let mut window = 0u64;
+    let mut avail = 0u32;
+    while pos < end && count < out.len() {
+        if avail < LUT_BITS as u32 {
+            window = window_at(buf, pos);
+            avail = 64;
+        }
+        let hit = match book.decode_lut(window >> (64 - LUT_BITS as u32)) {
+            Some(hit) => Some(hit),
+            // Longer than the table: the canonical compare needs up to
+            // 63 real bits, which only a fresh window guarantees.
+            None => {
+                window = window_at(buf, pos);
+                avail = 64;
+                book.decode_one(window)
+            }
+        };
+        let Some((sym, len)) = hit else {
+            fail = Some("no code matches bitstream");
+            break;
+        };
+        if pos + len as u64 > limit {
+            fail = Some("bitstream underrun");
+            break;
+        }
+        out[count] = sym;
+        count += 1;
+        pos += len as u64;
+        window <<= len;
+        avail -= len as u32;
+    }
+    Run { count, pos, fail }
+}
+
+/// The encoder's zero-fill contract for a chunk of `total_bits` whose
+/// last symbol ends at bit `final_pos`: fewer than 8 pad bits remain and
+/// all of them are zero. Returns what is wrong, if anything.
+fn pad_fault(last_byte: u8, total_bits: u64, final_pos: u64) -> Option<&'static str> {
     let rem = total_bits - final_pos;
     if rem >= 8 {
-        return Err(DecodeError::at_chunk("trailing garbage after final symbol", c));
+        return Some("trailing garbage after final symbol");
     }
     // MSB-first packing: the pad occupies the low `rem` bits.
     if rem > 0 && last_byte & ((1u8 << rem) - 1) != 0 {
-        return Err(DecodeError::at_chunk("nonzero pad bits", c));
+        return Some("nonzero pad bits");
     }
-    Ok(())
+    None
+}
+
+/// Validate the chunk table and return each chunk's byte span in
+/// `stream.bits`, in the u64 domain before any cast can truncate.
+fn chunk_spans(stream: &EncodedStream) -> Result<Vec<(usize, usize)>, DecodeError> {
+    let blen = stream.bits.len() as u64;
+    let nchunks = match (stream.n, stream.chunk_size) {
+        (0, _) => 0,
+        (_, 0) => return Err(DecodeError::new("zero chunk size")),
+        (n, chunk) => n.div_ceil(chunk as u64),
+    };
+    if stream.offsets.len() as u64 != nchunks {
+        return Err(DecodeError::new("chunk table length mismatch"));
+    }
+    // Every symbol takes at least one bit: a count the bits cannot hold
+    // is rejected before the decoders size the plane by it.
+    if stream.n > blen * 8 {
+        return Err(DecodeError::new("bitstream underrun"));
+    }
+    let mut spans = Vec::with_capacity(stream.offsets.len());
+    for (c, &start) in stream.offsets.iter().enumerate() {
+        let end = stream.offsets.get(c + 1).copied().unwrap_or(blen);
+        if start > end || end > blen {
+            return Err(DecodeError::at_chunk("chunk offsets out of range", c));
+        }
+        spans.push((start as usize, end as usize));
+    }
+    Ok(spans)
 }
 
 /// Serial-within-chunk decode: one simulated thread walks each chunk's
-/// whole bitstream. Kept as the oracle the gap-array decoder
-/// ([`decode_gpu`]) must match bit-for-bit, and used by the baseline
+/// whole bitstream and never reads the gap array. Kept as the oracle
+/// [`decode_gpu`] must match bit-for-bit, and used by the baseline
 /// codecs.
 pub fn decode_gpu_serial(
     stream: &EncodedStream,
     book: &Codebook,
     device: &DeviceSpec,
 ) -> Result<(Vec<u16>, KernelStats), DecodeError> {
+    let spans = chunk_spans(stream)?;
     let n = stream.n as usize;
     let chunk = stream.chunk_size as usize;
-    if chunk == 0 && n > 0 {
-        return Err(DecodeError::new("zero chunk size"));
-    }
-    let nchunks = if n == 0 { 0 } else { n.div_ceil(chunk) };
-    if stream.offsets.len() != nchunks {
-        return Err(DecodeError::new("chunk table length mismatch"));
-    }
     let mut out = vec![0u16; n];
     if n == 0 {
         return Ok((out, KernelStats::default()));
     }
     // One failure slot per chunk, written disjointly; the lowest failed
     // chunk wins deterministically after the launch.
-    let failed: BlockSlots<&'static str> = BlockSlots::new(nchunks);
+    let failed: BlockSlots<&'static str> = BlockSlots::new(spans.len());
     let stats = {
         let src = GlobalRead::new(&stream.bits);
         let dst = GlobalWrite::new(&mut out);
-        launch_named(device, Grid::linear(nchunks as u32, 256), "huffman-decode", |ctx| {
+        launch_named(device, Grid::linear(spans.len() as u32, 256), "huffman-decode", |ctx| {
             let b = ctx.block_linear() as usize;
             let start_sym = b * chunk;
-            let nsyms = chunk.min(n - start_sym);
-            let byte_start = stream.offsets[b] as usize;
-            let byte_end =
-                if b + 1 < nchunks { stream.offsets[b + 1] as usize } else { stream.bits.len() };
-            if byte_start > byte_end || byte_end > stream.bits.len() {
-                failed.put(b, "chunk offsets out of range");
-                return;
-            }
-            let mut buf = ctx.scratch(byte_end - byte_start, 0u8);
-            ctx.read_span(&src, byte_start, &mut buf);
+            let (bs, be) = spans[b];
+            let mut buf = ctx.scratch(be - bs + WINDOW_SLACK, 0u8);
+            ctx.read_span(&src, bs, &mut buf[..be - bs]);
 
-            let mut syms = ctx.scratch(nsyms, 0u16);
-            let mut pos = 0u64;
-            let total_bits = buf.len() as u64 * 8;
-            for s in syms.iter_mut() {
-                match decode_symbol(book, &buf, 0, pos) {
-                    Some((sym, len)) => {
-                        if pos + len as u64 > total_bits {
-                            failed.put(b, "bitstream underrun");
-                            return;
-                        }
-                        *s = sym;
-                        pos += len as u64;
-                    }
-                    None => {
-                        failed.put(b, "no code matches bitstream");
-                        return;
-                    }
-                }
-            }
-            // The encoder zero-fills the final partial byte; anything
-            // else in the tail is corruption and must be reported.
-            let rem = total_bits - pos;
-            if rem >= 8 {
-                failed.put(b, "trailing garbage after final symbol");
+            let mut syms = ctx.scratch(chunk.min(n - start_sym), 0u16);
+            let total_bits = (be - bs) as u64 * 8;
+            let run = decode_run(book, &buf, 0, total_bits, total_bits, &mut syms);
+            let fault = if run.count < syms.len() {
+                Some(run.fail.unwrap_or("bitstream underrun"))
+            } else {
+                // The encoder zero-fills the final partial byte; anything
+                // else in the tail is corruption and must be reported.
+                pad_fault(stream.bits[be - 1], total_bits, run.pos)
+            };
+            if let Some(msg) = fault {
+                failed.put(b, msg);
                 return;
             }
-            if rem > 0 && buf[buf.len() - 1] & ((1u8 << rem) - 1) != 0 {
-                failed.put(b, "nonzero pad bits");
-                return;
-            }
-            ctx.add_flops(nsyms as u64 * 2);
+            ctx.add_flops(syms.len() as u64 * 2);
             ctx.write_span(&dst, start_sym, &syms);
         })
     };
@@ -346,44 +446,22 @@ pub fn decode_gpu_serial(
     Ok((out, stats))
 }
 
-/// Bytes per gap-array sector: pass 1 starts a speculative decode at
-/// every `GAP_SECTOR_BYTES` boundary of each chunk. 256 B (2048 bits)
-/// keeps per-sector work well above the max code length (64 bits) while
-/// giving ~64 sectors of intra-chunk parallelism per full `ENC_CHUNK`.
-pub const GAP_SECTOR_BYTES: usize = 256;
-
-/// Gap-array decode statistics: how much of the stream self-synchronized
-/// in pass 1 and how much pass 2 had to re-decode.
+/// Gap-array decode statistics. `redecoded` and `fallback_chunks` are
+/// what the self-synchronising decoder this one replaced paid per
+/// stream; with stored starts both are 0 by construction, and they stay
+/// so the benchmark's ledger keeps reading them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GapReport {
-    /// Total sectors across all chunks.
+    /// Total sectors across all chunks (one decode block each).
     pub sectors: u64,
-    /// Sectors whose speculative pass-1 decode joined the true chain.
-    pub synced: u64,
-    /// Sectors whose prefix was re-decoded by the pass-2 fix kernel.
+    /// Sectors decoded a second time: always 0.
     pub redecoded: u64,
-    /// Symbols decoded by pass-2 bridges.
-    pub bridge_syms: u64,
-    /// Chunks that fell back to a full host-serial decode (pathological
-    /// non-merging bridges; counted, never silent).
+    /// Chunks decoded serially on the host: always 0.
     pub fallback_chunks: u64,
 }
 
-impl GapReport {
-    /// Fraction of sectors the fix pass re-decoded (the paper's "gap"
-    /// cost; ~1 - 1/avg-code-length of sector boundaries land
-    /// mid-codeword).
-    pub fn redecode_rate(&self) -> f64 {
-        if self.sectors == 0 {
-            0.0
-        } else {
-            self.redecoded as f64 / self.sectors as f64
-        }
-    }
-}
-
 /// Result of a gap-array decode: the symbol plane, the kernel stats of
-/// each pass that launched, and the synchronization report.
+/// the launch, and the sector count.
 #[derive(Clone, Debug)]
 pub struct Decoded {
     pub syms: Vec<u16>,
@@ -391,214 +469,92 @@ pub struct Decoded {
     pub report: GapReport,
 }
 
-/// Pass-1 record for one sector: `bounds[k]` is the chunk-relative bit
-/// position where `syms[k]` starts; the final entry is the exit
-/// position (first codeword start at or past the sector end) or, when
-/// `fail` is set, the position the speculative decode died at.
-#[derive(Clone, Debug)]
+/// What one sector's block publishes: the symbols whose codewords start
+/// in the sector, and the chunk-relative bit its run stopped at — the
+/// first codeword start past the sector's end, or where `fail` struck.
 struct SectorRec {
-    bounds: Vec<u64>,
     syms: Vec<u16>,
+    exit: u64,
     fail: Option<&'static str>,
 }
 
-/// How many sectors past its own a pass-2 bridge may decode through
-/// before giving up. Huffman chains resynchronize in tens of codewords
-/// on average, but the tail is long; four extra sectors (8 KiB of
-/// lookahead at the default size) makes an unmerged bridge — and the
-/// host-serial chunk fallback it triggers — vanishingly rare.
-const GAP_FIX_LOOKAHEAD: usize = 4;
-
-/// Pass-2 record for one mis-synchronized sector: the bridge decoded
-/// from `entry` until it merged into a speculative chain (`merged` =
-/// (sector, index) within the chunk), ran off its lookahead window, or
-/// failed. Same `bounds`/`syms` invariant as [`SectorRec`].
-#[derive(Clone, Debug)]
-struct FixRec {
-    entry: u64,
-    bounds: Vec<u64>,
-    syms: Vec<u16>,
-    merged: Option<(usize, usize)>,
-    fail: Option<&'static str>,
-}
-
-/// What consuming a (possibly partial) sector chain produced.
-enum Consume {
-    /// The chunk's symbol budget was met; the last symbol ends here.
-    Done(u64),
-    /// Chain exhausted; continue at this chunk-relative bit position.
-    More(u64),
-    /// Chain ran into a recorded speculative failure still short of the
-    /// symbol budget.
-    Fail(&'static str),
-}
-
-/// Splice `rec.syms[i..]` into `out` up to `limit` total symbols.
-fn consume_chain(rec: &SectorRec, i: usize, out: &mut Vec<u16>, limit: usize) -> Consume {
-    let take = (rec.syms.len() - i).min(limit - out.len());
-    out.extend_from_slice(&rec.syms[i..i + take]);
-    if out.len() == limit {
-        return Consume::Done(rec.bounds[i + take]);
-    }
-    match rec.fail {
-        Some(msg) => Consume::Fail(msg),
-        None => Consume::More(rec.bounds[rec.syms.len()]),
-    }
-}
-
-/// Full host-serial decode of one chunk (fallback for chunks whose
-/// bridges failed to merge). Bit-identical to the kernel decoders by
-/// construction: same `decode_symbol` walk from bit 0.
-fn host_decode_chunk(
-    book: &Codebook,
-    bits: &[u8],
-    nsyms: usize,
-    c: usize,
-    out: &mut Vec<u16>,
-) -> Result<u64, DecodeError> {
-    let total_bits = bits.len() as u64 * 8;
-    let mut pos = 0u64;
-    for _ in 0..nsyms {
-        match decode_symbol(book, bits, 0, pos) {
-            Some((sym, len)) if pos + len as u64 <= total_bits => {
-                out.push(sym);
-                pos += len as u64;
-            }
-            Some(_) => return Err(DecodeError::at_chunk("bitstream underrun", c)),
-            None => return Err(DecodeError::at_chunk("no code matches bitstream", c)),
-        }
-    }
-    Ok(pos)
-}
-
-/// Chunk-parallel gap-array decode (default sector size). See
-/// [`decode_gpu_gap`].
+/// Chunk-parallel, sector-parallel decode from the stored gap array.
+///
+/// One launch (`huffman-decode-gap`), one block per sector: each block
+/// decodes from its sector's stored start to the sector's end — every
+/// codeword exactly once — into pooled scratch and publishes its symbols
+/// and exit bit. The host then walks each chunk's sectors in order and
+/// accepts the stream only if every exit equals the next sector's stored
+/// start, the chunk yields exactly its symbol count, and the pad after
+/// its last symbol is zero; anything else is a [`DecodeError`] naming
+/// the chunk and sector. Those three checks tie the sector runs to the
+/// one chain [`decode_gpu_serial`] follows from bit 0, so an accepted
+/// plane is bit-identical to the oracle's.
 pub fn decode_gpu(
     stream: &EncodedStream,
     book: &Codebook,
     device: &DeviceSpec,
 ) -> Result<Decoded, DecodeError> {
-    decode_gpu_gap(stream, book, device, GAP_SECTOR_BYTES)
-}
-
-/// Gap-array self-synchronizing decode with intra-chunk parallelism.
-///
-/// Pass 1 (`huffman-decode-gap`) decodes every `sector_bytes`-aligned
-/// sector of every chunk speculatively, recording each codeword-start
-/// position. Huffman codes self-synchronize, so a speculative chain
-/// started mid-codeword usually merges with the true chain within a few
-/// symbols; sector `s+1` is synchronized iff sector `s`'s exit position
-/// appears among its recorded starts. Pass 2 (`huffman-decode-gap-fix`)
-/// re-decodes only the mis-synchronized prefixes — one launch, since
-/// all entry positions are known from pass 1 alone (sector 0 starts the
-/// true chain at bit 0, and each fix bridges from its predecessor's
-/// speculative exit). A host stitch splices the chains, enforces the
-/// per-chunk symbol count, and validates the zero-pad tail.
-///
-/// Output is bit-identical to [`decode_gpu_serial`] for every sector
-/// size: decoding is a deterministic function of bit position, and the
-/// stitch reconstructs exactly the chain the serial walk follows.
-pub fn decode_gpu_gap(
-    stream: &EncodedStream,
-    book: &Codebook,
-    device: &DeviceSpec,
-    sector_bytes: usize,
-) -> Result<Decoded, DecodeError> {
+    let spans = chunk_spans(stream)?;
     let n = stream.n as usize;
     let chunk = stream.chunk_size as usize;
-    if chunk == 0 && n > 0 {
-        return Err(DecodeError::new("zero chunk size"));
+
+    // Flatten (chunk, sector) onto a linear grid, in gap-array order.
+    let sectors_of = |&(bs, be): &(usize, usize)| (be - bs).div_ceil(GAP_SECTOR_BYTES);
+    let sec_map: Vec<(usize, usize)> = spans
+        .iter()
+        .enumerate()
+        .flat_map(|(c, span)| (0..sectors_of(span)).map(move |s| (c, s)))
+        .collect();
+    let total_sectors = sec_map.len();
+    if total_sectors > u32::MAX as usize {
+        return Err(DecodeError::new("stream too large for the decode grid"));
     }
-    let nchunks = if n == 0 { 0 } else { n.div_ceil(chunk) };
-    if stream.offsets.len() != nchunks {
-        return Err(DecodeError::new("chunk table length mismatch"));
+    if stream.gaps.len() != total_sectors {
+        return Err(match sec_map.get(stream.gaps.len()) {
+            Some(&(c, s)) => DecodeError::at_sector("gap table truncated", c, s),
+            None => DecodeError::new("gap table longer than the stream's sectors"),
+        });
     }
     if n == 0 {
         return Ok(Decoded { syms: Vec::new(), kernels: Vec::new(), report: GapReport::default() });
     }
-    let sector_bytes = sector_bytes.max(1);
-    let sb_bits = sector_bytes as u64 * 8;
 
-    // Host-side chunk-table validation, in the u64 domain before any
-    // cast can truncate.
-    let blen = stream.bits.len() as u64;
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(nchunks);
-    for c in 0..nchunks {
-        let start = stream.offsets[c];
-        let end = if c + 1 < nchunks { stream.offsets[c + 1] } else { blen };
-        if start > end || end > blen {
-            return Err(DecodeError::at_chunk("chunk offsets out of range", c));
-        }
-        spans.push((start as usize, end as usize));
-    }
-
-    // Flatten (chunk, sector) onto a linear grid.
-    let mut sec_map: Vec<(u32, u32)> = Vec::new();
-    let mut first_sec: Vec<usize> = Vec::with_capacity(nchunks);
-    for (c, &(bs, be)) in spans.iter().enumerate() {
-        first_sec.push(sec_map.len());
-        let nsec = (be - bs).div_ceil(sector_bytes).max(1);
-        for s in 0..nsec {
-            sec_map.push((c as u32, s as u32));
-        }
-    }
-    let total_sectors = sec_map.len();
-    if total_sectors > u32::MAX as usize || nchunks > u32::MAX as usize {
-        return Err(DecodeError::new("stream too large for the decode grid"));
-    }
-
-    let mut kernels = Vec::with_capacity(2);
-
-    // Pass 1: speculative per-sector decode. Each block reads its
-    // sector plus an 8-byte spill (max code length is 64 bits, so any
-    // codeword starting inside the sector ends inside the window).
+    // Each block reads its sector plus an 8-byte spill (a codeword that
+    // starts inside the sector ends inside the window).
     let rec_slots: BlockSlots<SectorRec> = BlockSlots::new(total_sectors);
-    {
+    let kernel = {
         let src = GlobalRead::new(&stream.bits);
-        kernels.push(launch_named(
-            device,
-            Grid::linear(total_sectors as u32, 256),
-            "huffman-decode-gap",
-            |ctx| {
-                let g = ctx.block_linear() as usize;
-                let (c, s) = sec_map[g];
-                let (c, s) = (c as usize, s as usize);
-                let (bs, be) = spans[c];
-                let total_bits = (be - bs) as u64 * 8;
-                let base = s as u64 * sb_bits;
-                let se_end = (base + sb_bits).min(total_bits);
-                let wstart = bs + s * sector_bytes;
-                let wend = (bs + (s + 1) * sector_bytes + 8).min(be);
-                let mut buf = ctx.scratch(wend - wstart, 0u8);
-                ctx.read_span(&src, wstart, &mut buf);
+        let gaps = GlobalRead::new(&stream.gaps);
+        launch_named(device, Grid::linear(total_sectors as u32, 256), "huffman-decode-gap", |ctx| {
+            let g = ctx.block_linear() as usize;
+            let (c, s) = sec_map[g];
+            let (bs, be) = spans[c];
+            let base = s as u64 * SECTOR_BITS;
+            // Bits of the chunk from this sector's first bit on, and
+            // how many of them are the sector's own.
+            let left = (be - bs) as u64 * 8 - base;
+            let own = left.min(SECTOR_BITS);
+            let gap = ctx.read_one(&gaps, g);
+            if gap == GAP_NONE {
+                rec_slots.put(g, SectorRec { syms: Vec::new(), exit: base, fail: None });
+                return;
+            }
+            let wstart = bs + s * GAP_SECTOR_BYTES;
+            let wlen = (GAP_SECTOR_BYTES + 8).min(be - wstart);
+            let mut buf = ctx.scratch(wlen + WINDOW_SLACK, 0u8);
+            ctx.read_span(&src, wstart, &mut buf[..wlen]);
 
-                let mut bounds = Vec::new();
-                let mut syms = Vec::new();
-                let mut fail = None;
-                let mut pos = base;
-                while pos < se_end {
-                    match decode_symbol(book, &buf, base, pos) {
-                        Some((sym, len)) if pos + len as u64 <= total_bits => {
-                            bounds.push(pos);
-                            syms.push(sym);
-                            pos += len as u64;
-                        }
-                        Some(_) => {
-                            fail = Some("bitstream underrun");
-                            break;
-                        }
-                        None => {
-                            fail = Some("no code matches bitstream");
-                            break;
-                        }
-                    }
-                }
-                bounds.push(pos);
-                ctx.add_flops(syms.len() as u64 * 2);
-                rec_slots.put(g, SectorRec { bounds, syms, fail });
-            },
-        ));
-    }
+            // A symbol takes at least one bit, so `own` bounds the run.
+            let mut syms = ctx.scratch(own as usize, 0u16);
+            let run = decode_run(book, &buf, gap as u64, own, left, &mut syms);
+            ctx.add_flops(run.count as u64 * 2);
+            rec_slots.put(
+                g,
+                SectorRec { syms: syms[..run.count].to_vec(), exit: base + run.pos, fail: run.fail },
+            );
+        })
+    };
     let recs: Vec<SectorRec> = rec_slots.into_compact();
     if recs.len() != total_sectors {
         // A dropped launch (fault injection) leaves the slots empty;
@@ -607,184 +563,56 @@ pub fn decode_gpu_gap(
         return Err(DecodeError::new("decode pass produced no sector records"));
     }
 
-    // Sync check: sector s+1 joined the true chain iff sector s's exit
-    // lands on one of its recorded codeword starts. All entries are
-    // known now, so the mis-synchronized prefixes re-decode in a single
-    // second launch.
-    #[derive(Clone, Copy)]
-    struct FixItem {
-        c: usize,
-        s: usize,
-        entry: u64,
-    }
-    let mut items: Vec<FixItem> = Vec::new();
-    for (c, &(bs, be)) in spans.iter().enumerate() {
-        let total_bits = (be - bs) as u64 * 8;
-        let fs = first_sec[c];
-        let nsec = if c + 1 < nchunks { first_sec[c + 1] - fs } else { total_sectors - fs };
-        for s in 1..nsec {
-            let e = recs[fs + s - 1].bounds[recs[fs + s - 1].syms.len()];
-            let se_start = s as u64 * sb_bits;
-            let se_end = (se_start + sb_bits).min(total_bits);
-            // e < se_start only after a speculative failure upstream
-            // (the stitch will surface it); e >= se_end means one
-            // codeword spans the whole sector.
-            if e < se_start || e >= se_end {
-                continue;
-            }
-            if recs[fs + s].bounds.binary_search(&e).is_err() {
-                items.push(FixItem { c, s, entry: e });
-            }
-        }
-    }
-
-    // Pass 2: bridge each mis-synchronized sector from its true entry
-    // until it merges with the speculative chain.
-    let fix_slots: BlockSlots<FixRec> = BlockSlots::new(items.len());
-    if !items.is_empty() {
-        let src = GlobalRead::new(&stream.bits);
-        kernels.push(launch_named(
-            device,
-            Grid::linear(items.len() as u32, 256),
-            "huffman-decode-gap-fix",
-            |ctx| {
-                let g = ctx.block_linear() as usize;
-                let FixItem { c, s, entry } = items[g];
-                let (bs, be) = spans[c];
-                let total_bits = (be - bs) as u64 * 8;
-                let fs = first_sec[c];
-                let nsec = if c + 1 < nchunks { first_sec[c + 1] - fs } else { total_sectors - fs };
-                let base = s as u64 * sb_bits;
-                let look_end = (base + (1 + GAP_FIX_LOOKAHEAD as u64) * sb_bits).min(total_bits);
-                let wstart = bs + s * sector_bytes;
-                let wend = (bs + (s + 1 + GAP_FIX_LOOKAHEAD) * sector_bytes + 8).min(be);
-                let mut buf = ctx.scratch(wend - wstart, 0u8);
-                ctx.read_span(&src, wstart, &mut buf);
-
-                let mut bounds = Vec::new();
-                let mut syms = Vec::new();
-                let mut fail = None;
-                let mut merged = None;
-                let mut pos = entry;
-                while pos < look_end {
-                    let t = ((pos / sb_bits) as usize).min(nsec - 1);
-                    if let Ok(i) = recs[fs + t].bounds.binary_search(&pos) {
-                        merged = Some((t, i));
-                        break;
-                    }
-                    match decode_symbol(book, &buf, base, pos) {
-                        Some((sym, len)) if pos + len as u64 <= total_bits => {
-                            bounds.push(pos);
-                            syms.push(sym);
-                            pos += len as u64;
-                        }
-                        Some(_) => {
-                            fail = Some("bitstream underrun");
-                            break;
-                        }
-                        None => {
-                            fail = Some("no code matches bitstream");
-                            break;
-                        }
-                    }
-                }
-                bounds.push(pos);
-                ctx.add_flops(syms.len() as u64 * 2);
-                fix_slots.put(g, FixRec { entry, bounds, syms, merged, fail });
-            },
-        ));
-    }
-    let mut fix_map: std::collections::HashMap<(usize, usize), FixRec> =
-        std::collections::HashMap::with_capacity(items.len());
-    for (g, fr) in fix_slots.into_indexed() {
-        fix_map.insert((items[g].c, items[g].s), fr);
-    }
-    let fix_dropped = !items.is_empty() && fix_map.is_empty();
-
-    // Host stitch: walk each chunk's sectors along the true chain,
-    // splicing speculative chains at sync points and bridges at gaps.
+    // Host check and gather: follow each chunk's chain of codeword
+    // starts through its sectors, appending their symbols to the plane.
+    const DISAGREES: &str = "gap array disagrees with the bitstream";
     let mut out: Vec<u16> = Vec::with_capacity(n);
-    let mut report =
-        GapReport { sectors: total_sectors as u64, ..GapReport::default() };
-    for (c, &(bs, be)) in spans.iter().enumerate() {
-        let nsyms = chunk.min(n - c * chunk);
-        let total_bits = (be - bs) as u64 * 8;
-        let fs = first_sec[c];
-        let nsec = if c + 1 < nchunks { first_sec[c + 1] - fs } else { total_sectors - fs };
-        let chunk_recs = &recs[fs..fs + nsec];
-        let limit = out.len() + nsyms;
-
-        let mut fallback = false;
-        let mut final_pos = 0u64;
-        let mut e = 0u64;
-        let mut s = 0usize;
-        while out.len() < limit {
-            if s >= nsec {
-                return Err(DecodeError::at_chunk("bitstream underrun", c));
+    let mut sectors = stream.gaps.iter().zip(&recs);
+    for (c, span) in spans.iter().enumerate() {
+        let total_bits = (span.1 - span.0) as u64 * 8;
+        // Plane length once this chunk is complete.
+        let done = out.len() + chunk.min(n - c * chunk);
+        // Where the chain so far says the next codeword starts; once the
+        // chunk is complete, where its last symbol ended.
+        let mut chain = 0u64;
+        for (s, (&gap, rec)) in sectors.by_ref().take(sectors_of(span)).enumerate() {
+            let complete = out.len() == done;
+            // A sector has no stored start exactly when the chunk's
+            // last symbol began before it.
+            if complete != (gap == GAP_NONE) {
+                return Err(DecodeError::at_sector(DISAGREES, c, s));
             }
-            let se_end = ((s as u64 + 1) * sb_bits).min(total_bits);
-            if e >= se_end {
-                s += 1;
+            if complete {
                 continue;
             }
-            let rec = &chunk_recs[s];
-            if let Ok(i) = rec.bounds.binary_search(&e) {
-                match consume_chain(rec, i, &mut out, limit) {
-                    Consume::Done(p) => final_pos = p,
-                    Consume::More(exit) => {
-                        e = exit;
-                        s += 1;
-                    }
-                    Consume::Fail(msg) => return Err(DecodeError::at_sector(msg, c, s)),
-                }
-                continue;
+            if s as u64 * SECTOR_BITS + gap as u64 != chain {
+                return Err(DecodeError::at_sector(DISAGREES, c, s));
             }
-            let Some(f) = fix_map.get(&(c, s)).filter(|f| f.entry == e) else {
-                if fix_dropped {
-                    return Err(DecodeError::new("gap fix pass produced no bridge records"));
+            let need = done - out.len();
+            if rec.syms.len() < need {
+                if let Some(msg) = rec.fail {
+                    return Err(DecodeError::at_sector(msg, c, s));
                 }
-                fallback = true;
-                break;
-            };
-            report.redecoded += 1;
-            report.bridge_syms += f.syms.len() as u64;
-            let take = f.syms.len().min(limit - out.len());
-            out.extend_from_slice(&f.syms[..take]);
-            if out.len() == limit {
-                final_pos = f.bounds[take];
-                continue;
-            }
-            if let Some((t, i)) = f.merged {
-                match consume_chain(&chunk_recs[t], i, &mut out, limit) {
-                    Consume::Done(p) => final_pos = p,
-                    Consume::More(exit) => {
-                        e = exit;
-                        s = t + 1;
-                    }
-                    Consume::Fail(msg) => return Err(DecodeError::at_sector(msg, c, t)),
-                }
-            } else if let Some(msg) = f.fail {
-                return Err(DecodeError::at_sector(msg, c, s));
+                out.extend_from_slice(&rec.syms);
+                chain = rec.exit;
             } else {
-                // The bridge ran off the sector end without merging;
-                // keep walking — the next sector may still sync.
-                e = f.bounds[f.syms.len()];
-                s += 1;
+                // The chunk ends in this sector. The run knew no symbol
+                // budget, so whatever it decoded (or failed on) past the
+                // last symbol came out of the pad: step back over it.
+                out.extend_from_slice(&rec.syms[..need]);
+                let over: u64 = rec.syms[need..].iter().map(|&y| book.len_of(y) as u64).sum();
+                chain = rec.exit - over;
             }
         }
-        if fallback {
-            // Pathological non-merging bridge: re-decode the whole
-            // chunk serially on the host. Correct by construction,
-            // counted in the report.
-            out.truncate(limit - nsyms);
-            final_pos = host_decode_chunk(book, &stream.bits[bs..be], nsyms, c, &mut out)?;
-            report.fallback_chunks += 1;
+        if out.len() != done {
+            return Err(DecodeError::at_chunk("bitstream underrun", c));
         }
-        let last_byte = if be > bs { stream.bits[be - 1] } else { 0 };
-        validate_pad(last_byte, total_bits, final_pos, c)?;
+        if let Some(msg) = pad_fault(stream.bits[span.1 - 1], total_bits, chain) {
+            return Err(DecodeError::at_chunk(msg, c));
+        }
     }
-    report.synced = report.sectors - report.redecoded;
-    Ok(Decoded { syms: out, kernels, report })
+    let report = GapReport { sectors: total_sectors as u64, ..GapReport::default() };
+    Ok(Decoded { syms: out, kernels: vec![kernel], report })
 }
 
 #[cfg(test)]
@@ -834,44 +662,37 @@ mod tests {
     }
 
     #[test]
-    fn gap_decode_matches_serial_at_every_sector_size() {
-        // Three distribution shapes x five sector sizes, multi-chunk:
-        // the gap-array decode must be bit-identical to the serial
-        // oracle everywhere, including sectors smaller than a spill.
-        let planes: Vec<(Vec<u16>, usize)> = vec![
-            ((0..40_000).map(|i| ((i * 31 + i / 7) % 600) as u16).collect(), 1024),
-            ((0..20_000).map(|i| if i % 64 == 0 { 511 } else { 512 }).collect(), 1024),
-            (vec![7u16; 33_000], 16),
-        ];
-        for (codes, alphabet) in &planes {
-            let book = book_for(codes, *alphabet);
-            let (stream, _) = encode_gpu(codes, &book, &A100);
-            let (serial, _) = decode_gpu_serial(&stream, &book, &A100).unwrap();
-            assert_eq!(&serial, codes);
-            for sector in [8usize, 32, 64, 256, 1024, 4096] {
-                let gap = decode_gpu_gap(&stream, &book, &A100, sector).unwrap();
-                assert_eq!(gap.syms, serial, "sector {sector}");
-                assert!(gap.report.sectors > 0);
-                assert_eq!(gap.report.synced + gap.report.redecoded, gap.report.sectors);
-            }
-        }
-    }
-
-    #[test]
-    fn gap_report_tracks_resynchronization() {
+    fn gap_decode_is_one_launch_over_every_sector() {
         let codes: Vec<u16> = (0..60_000).map(|i| ((i * 31 + i / 7) % 600) as u16).collect();
         let book = book_for(&codes, 1024);
         let (stream, _) = encode_gpu(&codes, &book, &A100);
         let d = decode_gpu(&stream, &book, &A100).unwrap();
-        // Multi-bit codes rarely land a codeword start exactly on a
-        // sector boundary, so the fix pass must have run (two kernels)
-        // and re-decoded a nonzero fraction of sectors.
-        assert_eq!(d.kernels.len(), 2);
-        assert!(d.report.redecoded > 0, "{:?}", d.report);
-        assert!(d.report.bridge_syms > 0);
-        let rate = d.report.redecode_rate();
-        assert!(rate > 0.0 && rate <= 1.0, "rate {rate}");
-        assert_eq!(d.report.fallback_chunks, 0);
+        assert_eq!(d.kernels.len(), 1);
+        assert_eq!(d.kernels[0].blocks, stream.gaps.len() as u64);
+        assert_eq!(
+            d.report,
+            GapReport { sectors: stream.gaps.len() as u64, redecoded: 0, fallback_chunks: 0 }
+        );
+    }
+
+    #[test]
+    fn gap_array_has_one_small_offset_per_sector() {
+        let codes: Vec<u16> = (0..60_000).map(|i| ((i * 31 + i / 7) % 600) as u16).collect();
+        let book = book_for(&codes, 1024);
+        let (stream, _) = encode_gpu(&codes, &book, &A100);
+        let chunk_bytes = |c: usize| {
+            let end = stream.offsets.get(c + 1).map_or(stream.bits.len(), |&o| o as usize);
+            end - stream.offsets[c] as usize
+        };
+        let sectors: usize =
+            (0..stream.offsets.len()).map(|c| chunk_bytes(c).div_ceil(GAP_SECTOR_BYTES)).sum();
+        assert_eq!(stream.gaps.len(), sectors);
+        // Multi-bit codes: every sector of these chunks has a codeword
+        // starting in it, within the first 63 bits, and each chunk's
+        // first codeword starts at bit 0.
+        assert!(stream.gaps.iter().all(|&g| g <= 62), "{:?}", stream.gaps);
+        assert_eq!(stream.gaps[0], 0);
+        assert!(stream.gaps.iter().any(|&g| g > 0));
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod histogram;
 
 pub use codebook::{Codebook, CodebookError};
 pub use coding::{
-    decode_gpu, decode_gpu_gap, decode_gpu_serial, encode_gpu, DecodeError, Decoded,
-    EncodedStream, GapReport, GAP_SECTOR_BYTES,
+    decode_gpu, decode_gpu_serial, encode_gpu, DecodeError, Decoded, EncodedStream, GapReport,
+    GAP_NONE, GAP_SECTOR_BYTES,
 };
 pub use histogram::histogram_gpu;

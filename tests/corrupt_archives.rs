@@ -201,3 +201,40 @@ proptest! {
         }
     }
 }
+
+/// A 20-byte Huffman section whose head claims 2^63 one-symbol chunks
+/// used to wrap the chunk-table length and abort in `Vec::with_capacity`
+/// — reached from `decompress` before the stream-length-vs-shape check.
+/// The parser bounds both of its counts by the bytes it was handed, so
+/// the crafted section is a typed parse error.
+#[test]
+fn crafted_huge_chunk_count_is_a_parse_error_not_an_abort() {
+    let mut crafted = Vec::new();
+    crafted.extend_from_slice(&(1u64 << 63).to_le_bytes()); // n
+    crafted.extend_from_slice(&1u32.to_le_bytes()); // chunk_size
+    crafted.extend_from_slice(&(1u64 << 63).to_le_bytes()); // chunk count
+    assert!(cuszi_repro::huffman::EncodedStream::from_bytes(&crafted).is_none());
+
+    let cfg = Config::new(ErrorBound::Rel(1e-3)).without_bitcomp();
+    let c = CuszI::new(cfg).compress(&field()).unwrap().bytes;
+    let mut h = Header::from_bytes(&c).unwrap();
+    let start = HEADER_LEN + (h.sections[0] + h.sections[1]) as usize;
+    let end = start + h.sections[2] as usize;
+    h.sections[2] = crafted.len() as u64;
+    let mut bad = h.to_bytes();
+    bad.extend_from_slice(&c[HEADER_LEN..start]);
+    bad.extend_from_slice(&crafted);
+    bad.extend_from_slice(&c[end..]);
+    assert!(matches!(
+        CuszI::new(cfg).decompress(&bad),
+        Err(CuszError::CorruptArchive("huffman stream"))
+    ));
+
+    // The same head with a gap count no section could hold.
+    let mut crafted = Vec::new();
+    crafted.extend_from_slice(&0u64.to_le_bytes());
+    crafted.extend_from_slice(&1u32.to_le_bytes());
+    crafted.extend_from_slice(&0u64.to_le_bytes());
+    crafted.extend_from_slice(&u64::MAX.to_le_bytes()); // gap count
+    assert!(cuszi_repro::huffman::EncodedStream::from_bytes(&crafted).is_none());
+}

@@ -108,12 +108,10 @@ const COMPRESS_STAGES: &[(&str, &[&str])] = &[
 ];
 
 /// Kernel-bearing decompress stages and the kernels they launch. The
-/// Huffman stage runs the two-pass gap-array decode: the speculative
-/// sector pass plus the re-synchronization fix pass (always launched
-/// on these datasets — some sectors of every crop mis-sync).
+/// Huffman stage is the one stored-gap-array launch.
 const DECOMPRESS_STAGES: &[(&str, &[&str])] = &[
     ("bitcomp-decode", &["bitcomp-decode"]),
-    ("huffman-decode", &["huffman-decode-gap", "huffman-decode-gap-fix"]),
+    ("huffman-decode", &["huffman-decode-gap"]),
     ("g-interp-reconstruct", &["g-interp-decode"]),
 ];
 
