@@ -5,15 +5,22 @@
 //! two-lane token-bucket scheduler must keep a heavy tenant from
 //! starving a light one, and a fault injected into one tenant's job
 //! must fail that job alone — typed — while everyone else's work
-//! completes.
+//! completes. The last three tests put a real `cuszi serve` daemon on
+//! a loopback port and send it frames the way slow and fast clients do:
+//! in pieces further apart than its read timeout, and two at once.
 //!
 //! Fault state is process-global, so the fault test serializes against
 //! the concurrency tests on one lock (mirroring `fault_matrix.rs`):
 //! an armed fault would otherwise trip in a neighbouring test's
 //! allocations.
 
-use std::sync::Mutex;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use cuszi_cli::serve::{self, ServeConfig, Server};
 use cuszi_repro::core::{
     Config, CuszError, CuszI, Engine, EngineConfig, EngineError, Priority, StageFaultKind,
 };
@@ -188,4 +195,108 @@ fn poisoned_job_fails_typed_while_other_tenants_complete() {
     }
     let s = engine.stats();
     assert_eq!(s.completed, 4, "all jobs (including the failed one) must retire: {s:?}");
+}
+
+// --- the daemon against slow and pipelining senders ---------------------------
+
+/// A daemon on an ephemeral port with one client connected, and a
+/// compress request with the archive `CuszI::compress` makes of it.
+struct Served {
+    sock: TcpStream,
+    request: Vec<u8>,
+    archive: Vec<u8>,
+    stop: Arc<AtomicBool>,
+    daemon: std::thread::JoinHandle<String>,
+}
+
+impl Served {
+    fn start() -> Served {
+        let server =
+            Server::bind(&ServeConfig { addr: "127.0.0.1:0".into(), ..Default::default() })
+                .unwrap();
+        let sock = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        // A daemon that loses the connection fails the test, not hangs it.
+        sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let stop = server.stop_handle();
+        let daemon = std::thread::spawn(move || server.run().unwrap());
+        let (_, data) = crops(14).swap_remove(0);
+        let eb = ErrorBound::Rel(1e-3);
+        let request = serve::encode_compress("slow", data.shape(), eb, true, data.as_slice());
+        let archive = CuszI::new(Config::new(eb)).compress(&data).unwrap().bytes;
+        Served { sock, request, archive, stop, daemon }
+    }
+
+    /// The request as frame bytes: length prefix, then body.
+    fn frame(&self) -> Vec<u8> {
+        let mut f = Vec::new();
+        serve::write_frame(&mut f, &self.request).unwrap();
+        f
+    }
+
+    /// The next reply is the archive, byte for byte.
+    fn expect_archive(&mut self, when: &str) {
+        let reply = serve::read_frame(&mut self.sock)
+            .unwrap_or_else(|e| panic!("{when}: {e}"))
+            .unwrap_or_else(|| panic!("{when}: the daemon closed the connection"));
+        let error = serve::decode_error(&reply[1..]);
+        assert_eq!(reply[0], serve::OP_COMPRESS_OK, "{when}: {error:?}");
+        assert_eq!(reply[1..], self.archive[..], "{when}: served archive differs from one-shot");
+    }
+
+    /// The connection still serves, and the daemon drains.
+    fn finish(mut self, resumed: u64) {
+        serve::write_frame(&mut self.sock, &self.request).unwrap();
+        self.expect_archive("a further request on the same connection");
+        serve::write_frame(&mut self.sock, &[serve::OP_STATS]).unwrap();
+        let stats = serve::read_frame(&mut self.sock).unwrap().unwrap();
+        let stats = String::from_utf8_lossy(&stats[1..]).into_owned();
+        assert!(stats.contains(&format!("cuszi_serve_frames_resumed {resumed}\n")), "{stats}");
+        assert!(stats.contains("cuszi_serve_frame_errors 0\n"), "{stats}");
+        self.stop.store(true, Ordering::SeqCst);
+        drop(self.sock);
+        self.daemon.join().unwrap();
+    }
+}
+
+#[test]
+fn a_body_150_ms_behind_its_prefix_is_served() {
+    let _g = guard();
+    let mut s = Served::start();
+    let frame = s.frame();
+    s.sock.set_nodelay(true).unwrap();
+    s.sock.write_all(&frame[..4]).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    s.sock.write_all(&frame[4..]).unwrap();
+    s.expect_archive("prefix, 150 ms, body");
+    s.finish(1);
+}
+
+#[test]
+fn a_frame_dribbled_across_several_read_timeouts_is_served() {
+    let _g = guard();
+    let mut s = Served::start();
+    let frame = s.frame();
+    s.sock.set_nodelay(true).unwrap();
+    // 1, 7, 1, 7 bytes — through the prefix and into the body — with
+    // the daemon's 100 ms read timeout firing in every pause.
+    let mut at = 0;
+    for piece in [1, 7, 1, 7] {
+        s.sock.write_all(&frame[at..at + piece]).unwrap();
+        at += piece;
+        std::thread::sleep(Duration::from_millis(120));
+    }
+    s.sock.write_all(&frame[at..]).unwrap();
+    s.expect_archive("a dribbled frame");
+    s.finish(1);
+}
+
+#[test]
+fn two_frames_in_one_write_get_two_replies() {
+    let _g = guard();
+    let mut s = Served::start();
+    let two = [s.frame(), s.frame()].concat();
+    s.sock.write_all(&two).unwrap();
+    s.expect_archive("first of two pipelined frames");
+    s.expect_archive("second of two pipelined frames");
+    s.finish(0);
 }
