@@ -8,7 +8,7 @@ use cuszi_datagen::{generate, DatasetKind, Scale};
 use cuszi_gpu_sim::A100;
 use cuszi_huffman::{decode_gpu, decode_gpu_serial, encode_gpu, histogram_gpu, Codebook};
 use cuszi_predict::tuning::InterpConfig;
-use cuszi_predict::{ginterp, lorenzo};
+use cuszi_predict::{force_scalar_sweep, ginterp, lorenzo};
 use cuszi_tensor::stats::ValueRange;
 
 fn main() {
@@ -22,15 +22,11 @@ fn main() {
 
     section("predictors (Miranda-small, eb 1e-3)");
     b.run("ginterp_compress", bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
-    // The ginterp block body, SIMD lanes vs forced-scalar sweep —
-    // archives are bit-identical, only the host time differs.
-    {
-        let was = cuszi_predict::scalar_sweep();
-        cuszi_predict::set_scalar_sweep(false);
-        b.run("ginterp_body_simd", bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
-        cuszi_predict::set_scalar_sweep(true);
-        b.run("ginterp_body_scalar", bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
-        cuszi_predict::set_scalar_sweep(was);
+    // The ginterp block body with the scalar oracle forced, then in
+    // lanes — archives are bit-identical, only the host time differs.
+    for (name, scalar) in [("ginterp_body_scalar", true), ("ginterp_body_simd", false)] {
+        force_scalar_sweep(scalar);
+        b.run(name, bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
     }
     b.run("ginterp_compress_fused", bytes, || {
         ginterp::compress_fused(field, eb, 512, &cfg, 32, &A100)

@@ -129,6 +129,14 @@ impl<T: Copy + 'static> SharedTile<T> {
         &self.data
     }
 
+    /// Untracked mutable view of the raw buffer, for block-local
+    /// wrappers that store whole runs and account their traffic in bulk
+    /// via [`SharedTile::add_accesses`].
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Untracked single-element read, for block-local wrappers that
     /// account their traffic in bulk via [`SharedTile::add_accesses`]
     /// (same totals as per-access counting, one counter update per

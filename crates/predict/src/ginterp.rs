@@ -34,8 +34,8 @@ use cuszi_gpu_sim::{launch_named, BlockCtx, BlockSlots, DeviceSpec, Dim3, Global
 use cuszi_quant::{Outliers, Quantizer, OUTLIER_CODE};
 use cuszi_tensor::{NdArray, Shape};
 
-use crate::lanes::LANES;
-use crate::sweep::{interpolate_grid, interpolate_grid_with, level_ladder, GridView, SweepProcessor};
+use crate::lanes::{gather_lanes, F32x8, LANES};
+use crate::sweep::{interpolate_grid_with, level_ladder, GridView, SweepProcessor};
 use crate::tuning::{level_error_bound, InterpConfig};
 use crate::PredictOutput;
 
@@ -188,24 +188,30 @@ impl GridView for TileGrid<'_> {
         self.ext
     }
 
-    #[inline]
+    #[inline(always)]
     fn get_lin(&self, i: usize) -> f32 {
         self.accesses.set(self.accesses.get() + 1);
         self.tile.get_untracked(i)
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_lin(&mut self, i: usize, v: f32) {
         self.accesses.set(self.accesses.get() + 1);
         self.tile.set_untracked(i, v);
     }
 
-    #[inline]
-    fn gather8(&self, idx: crate::lanes::U32x8) -> crate::lanes::F32x8 {
-        // One counter bump for the whole lane gather — identical totals
-        // to eight tracked reads, without eight Cell round-trips.
-        self.accesses.set(self.accesses.get() + crate::lanes::LANES as u64);
-        crate::lanes::F32x8(std::array::from_fn(|j| self.tile.get_untracked(idx.0[j] as usize)))
+    // A lane run books its `n` accesses in one bump — identical totals
+    // to `n` tracked single accesses, without `n` Cell round-trips.
+    #[inline(always)]
+    fn gather(&self, base: usize, step: usize, n: usize) -> F32x8 {
+        self.accesses.set(self.accesses.get() + n as u64);
+        F32x8::gather(self.tile.as_slice(), base, step, n)
+    }
+
+    #[inline(always)]
+    fn scatter(&mut self, base: usize, step: usize, n: usize, vals: F32x8) {
+        self.accesses.set(self.accesses.get() + n as u64);
+        vals.scatter(self.tile.as_mut_slice(), base, step, n);
     }
 }
 
@@ -379,9 +385,11 @@ impl Tally for WindowTally<'_> {
 
 /// The compress-side [`SweepProcessor`]: quantize each prediction
 /// against the original value, record owned codes (and outliers), and
-/// hand the reconstruction back to the sweep. Full lane runs go
-/// through the branchless [`Quantizer::quantize8`]; both paths are
-/// bit-identical (the oracle test pins this end to end).
+/// hand the reconstruction back to the sweep. Lane runs — full or
+/// partial, whose padding lanes quantize a repeat of the last point
+/// that nobody reads — go through the branchless
+/// [`Quantizer::quantize8`]; single points take the scalar form. Both
+/// are bit-identical (the oracle test pins this end to end).
 struct TileQuant<'a, T: Tally> {
     quants: &'a [(u32, Quantizer)],
     orig: &'a [f32],
@@ -397,7 +405,7 @@ struct TileQuant<'a, T: Tally> {
 impl<T: Tally> TileQuant<'_, T> {
     /// Record one owned code: store it, tally it, and capture the
     /// exact value when it is an outlier.
-    #[inline]
+    #[inline(always)]
     fn record(&mut self, z: usize, y: usize, xj: usize, li: usize, code: u16) {
         self.codes[li] = code;
         self.tally.add(code);
@@ -410,36 +418,76 @@ impl<T: Tally> TileQuant<'_, T> {
 }
 
 impl<T: Tally> SweepProcessor for TileQuant<'_, T> {
-    #[inline]
-    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32]) {
+    #[inline(always)]
+    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32; LANES], n: usize) {
         let q = quantizer_for(self.quants, level);
         let row_owned = p[0] < self.own[0] && p[1] < self.own[1];
         let li0 = (p[0] * self.ext[1] + p[1]) * self.ext[2] + p[2];
-        if preds.len() == LANES {
-            let mut pr = [0f32; LANES];
-            pr.copy_from_slice(preds);
-            let vals: [f32; LANES] = std::array::from_fn(|j| self.orig[li0 + j * sx]);
-            let (codes, recons) = q.quantize8(&vals, &pr);
-            preds.copy_from_slice(&recons);
-            if row_owned {
-                for (j, &code) in codes.iter().enumerate() {
-                    let xj = p[2] + j * sx;
-                    if xj < self.own[2] {
-                        self.record(p[0], p[1], xj, li0 + j * sx, code);
-                    }
-                }
-            }
+        let mut codes = [OUTLIER_CODE; LANES];
+        if n == 1 {
+            let qz = q.quantize(self.orig[li0], preds[0]);
+            preds[0] = qz.recon;
+            codes[0] = qz.code;
         } else {
-            for (j, v) in preds.iter_mut().enumerate() {
-                let li = li0 + j * sx;
-                let qz = q.quantize(self.orig[li], *v);
-                *v = qz.recon;
+            let vals = F32x8::gather(self.orig, li0, sx, n);
+            (codes, *preds) = q.quantize8(&vals.0, preds);
+        }
+        if row_owned {
+            for (j, &code) in codes[..n].iter().enumerate() {
                 let xj = p[2] + j * sx;
-                if row_owned && xj < self.own[2] {
-                    self.record(p[0], p[1], xj, li, qz.code);
+                if xj < self.own[2] {
+                    self.record(p[0], p[1], xj, li0 + j * sx, code);
                 }
             }
         }
+    }
+}
+
+/// The decompress-side [`SweepProcessor`], [`TileQuant`]'s twin: replay
+/// each prediction's stored code. A lane run reconstructs all eight
+/// lanes with [`Quantizer::reconstruct8`] and then patches the (rare)
+/// outlier lanes from the side channel, so the common run has no
+/// per-lane branch before its arithmetic.
+struct TileDecode<'a> {
+    quants: &'a [(u32, Quantizer)],
+    codes: &'a [u16],
+    /// Global index -> exact value of every outlier.
+    outliers: &'a HashMap<u64, f32>,
+    ext: [usize; 3],
+    origin: [usize; 3],
+    shape: Shape,
+}
+
+impl SweepProcessor for TileDecode<'_> {
+    #[inline(always)]
+    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32; LANES], n: usize) {
+        let q = quantizer_for(self.quants, level);
+        let li0 = (p[0] * self.ext[1] + p[1]) * self.ext[2] + p[2];
+        // Padding lanes repeat the run's last code, so they add no
+        // outlier of their own.
+        let codes = gather_lanes(self.codes, li0, sx, n);
+        let mut recons = *preds;
+        if n > 1 {
+            recons = q.reconstruct8(preds, &codes);
+        } else if codes[0] != OUTLIER_CODE {
+            recons[0] = q.reconstruct(preds[0], codes[0]);
+        }
+        // Outlier lanes take their exact value; one missing from the
+        // side channel (only a corrupt archive has one) keeps its
+        // prediction. Most runs have none and skip the lane walk.
+        if codes.contains(&OUTLIER_CODE) {
+            for j in 0..n {
+                if codes[j] == OUTLIER_CODE {
+                    let gi = self.shape.index3(
+                        self.origin[0] + p[0],
+                        self.origin[1] + p[1],
+                        self.origin[2] + p[2] + j * sx,
+                    );
+                    recons[j] = *self.outliers.get(&(gi as u64)).unwrap_or(&preds[j]);
+                }
+            }
+        }
+        *preds = recons;
     }
 }
 
@@ -527,7 +575,7 @@ fn compress_impl(
                     outs: &mut outs,
                     tally: WindowTally { lo: h.lo as u16, hi: h.hi as u16, reg, shared },
                 };
-                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc)
+                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops
             } else {
                 let mut proc = TileQuant {
                     quants: &quants,
@@ -540,7 +588,7 @@ fn compress_impl(
                     outs: &mut outs,
                     tally: NoTally,
                 };
-                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc)
+                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops
             };
             drop(grid_view);
             ctx.add_flops(flops);
@@ -730,20 +778,15 @@ pub fn decompress_with(
 
             // Stage 3: replay the sweep from codes.
             let mut grid_view = TileGrid::new(&mut tile, g.ext);
-            let flops = interpolate_grid(&mut grid_view, rank, astride, cfg, |p, level, pred| {
-                let li = (p[0] * g.ext[1] + p[1]) * g.ext[2] + p[2];
-                let code = tile_codes[li];
-                if code == OUTLIER_CODE {
-                    let gi = shape.index3(
-                        g.origin[0] + p[0],
-                        g.origin[1] + p[1],
-                        g.origin[2] + p[2],
-                    );
-                    *omap.get(&(gi as u64)).unwrap_or(&pred)
-                } else {
-                    quantizer_for(&quants, level).reconstruct(pred, code)
-                }
-            });
+            let mut proc = TileDecode {
+                quants: &quants,
+                codes: &tile_codes,
+                outliers: &omap,
+                ext: g.ext,
+                origin: g.origin,
+                shape,
+            };
+            let flops = interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops;
             drop(grid_view);
             ctx.add_flops(flops);
             for _ in 0..crate::sweep::phase_count(rank, astride) {
@@ -1071,6 +1114,44 @@ mod tests {
                 reference[c as usize] += 1;
             }
             assert_eq!(hist, reference, "topk={topk}");
+        }
+    }
+
+    #[test]
+    fn scalar_and_lane_sweeps_yield_the_same_artifacts_and_kernel_stats() {
+        // Compress (plain and fused) and decompress with lanes off and on:
+        // codes, outliers, anchors, histogram, reconstruction *and* the
+        // billed counters (FLOPs, shared-memory accesses, barriers,
+        // DRAM sectors) must repeat exactly. The field carries NaN and
+        // +-inf, so non-finite values and predictions cross every
+        // quantize/reconstruct arm; shapes cover interior tiles,
+        // clipped edges and the 2-d / 1-d geometries.
+        use crate::lanes::SweepPin;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for shape in [Shape::d3(17, 18, 70), Shape::d2(40, 52), Shape::d1(1300)] {
+            let cfg = InterpConfig { alpha: 1.5, ..InterpConfig::untuned(shape.rank()) };
+            let smooth = smooth_field(shape);
+            let data = NdArray::from_fn(shape, |z, y, x| match (z * 131 + y * 31 + x * 7) % 211 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => smooth.get3(z, y, x),
+            });
+            let run = |scalar: bool| {
+                let _pin = SweepPin::scalar(scalar);
+                let plain = compress(&data, 1e-3, 512, &cfg, &A100);
+                let (fused, hist) = compress_fused(&data, 1e-3, 512, &cfg, 32, &A100);
+                let (recon, dstats) = decompress(
+                    &plain.codes, &plain.anchors, &plain.outliers, shape, 1e-3, 512, &cfg, &A100,
+                );
+                let artifacts = |o: &PredictOutput| {
+                    (o.codes.clone(), o.outliers.indices().to_vec(), bits(o.outliers.values()), bits(&o.anchors), o.kernels.clone())
+                };
+                (artifacts(&plain), artifacts(&fused), hist, bits(recon.as_slice()), dstats)
+            };
+            let oracle = run(true);
+            assert!(!oracle.0 .1.is_empty(), "non-finite values must surface as outliers");
+            assert!(run(false) == oracle, "the lane sweep diverges from the scalar one on {shape:?}");
         }
     }
 

@@ -26,7 +26,8 @@ pub mod splines;
 pub mod sweep;
 pub mod tuning;
 
-pub use lanes::{scalar_sweep, set_scalar_sweep};
+#[doc(hidden)]
+pub use lanes::force_scalar_sweep;
 
 use cuszi_gpu_sim::KernelStats;
 use cuszi_quant::Outliers;

@@ -6,7 +6,7 @@
 //! elementwise, so the batched sweep stays bit-identical to the scalar
 //! one.
 
-use crate::lanes::{F32x8, LANES};
+use crate::lanes::F32x8;
 
 /// The two cubic variants of § V-B.1. Each wins on different datasets;
 /// the auto-tuner (§ V-C) picks one per dimension.
@@ -55,7 +55,7 @@ pub fn linear(b: f32, c: f32) -> f32 {
 }
 
 /// Eight-lane [`cubic`]: the same expression tree, elementwise.
-#[inline]
+#[inline(always)]
 pub fn cubic_x8(variant: CubicVariant, a: F32x8, b: F32x8, c: F32x8, d: F32x8) -> F32x8 {
     match variant {
         CubicVariant::NotAKnot => {
@@ -71,19 +71,19 @@ pub fn cubic_x8(variant: CubicVariant, a: F32x8, b: F32x8, c: F32x8, d: F32x8) -
 }
 
 /// Eight-lane [`quad_left`].
-#[inline]
+#[inline(always)]
 pub fn quad_left_x8(a: F32x8, b: F32x8, c: F32x8) -> F32x8 {
     (-a + F32x8::splat(6.0) * b + F32x8::splat(3.0) * c) / F32x8::splat(8.0)
 }
 
 /// Eight-lane [`quad_right`].
-#[inline]
+#[inline(always)]
 pub fn quad_right_x8(b: F32x8, c: F32x8, d: F32x8) -> F32x8 {
     (F32x8::splat(3.0) * b + F32x8::splat(6.0) * c - d) / F32x8::splat(8.0)
 }
 
 /// Eight-lane [`linear`].
-#[inline]
+#[inline(always)]
 pub fn linear_x8(b: F32x8, c: F32x8) -> F32x8 {
     let h = F32x8::splat(0.5);
     h * b + h * c
@@ -104,7 +104,7 @@ pub const LINEAR_FLOPS: u64 = 3;
 /// `get(i)` reads the known value at line position `i`; it is only called
 /// for in-range multiples of `2*stride` relative to `c`. Returns the
 /// prediction and the FLOPs spent.
-#[inline]
+#[inline(always)]
 pub fn predict_line(
     variant: CubicVariant,
     c: usize,
@@ -133,12 +133,13 @@ pub fn predict_line(
     }
 }
 
-/// Eight-lane [`predict_line`]: predict one line position on eight
-/// parallel lines that share the circumstance `(variant, c, stride,
-/// len)`. `gather(i)` reads the known values at line position `i`
-/// across all eight lines. Returns the predictions and the total FLOPs
-/// (per-point FLOPs x 8), matching eight scalar calls exactly.
-#[inline]
+/// Eight-lane [`predict_line`]: predict one line position on up to
+/// eight parallel lines that share the circumstance `(variant, c,
+/// stride, len)`. `gather(i)` reads the known values at line position
+/// `i` across the lines. Returns the predictions and the FLOPs *per
+/// line* — what one scalar call would charge — so the caller bills
+/// only the lanes its run really holds.
+#[inline(always)]
 pub fn predict_line_x8(
     variant: CubicVariant,
     c: usize,
@@ -156,21 +157,21 @@ pub fn predict_line_x8(
     let has_r3 = c + 3 * stride < len;
     let b = gather(c - stride);
     let cc = gather(c + stride);
-    let n = LANES as u64;
     match (has_l3, has_r3) {
         (true, true) => (
             cubic_x8(variant, gather(c - 3 * stride), b, cc, gather(c + 3 * stride)),
-            n * CUBIC_FLOPS,
+            CUBIC_FLOPS,
         ),
-        (true, false) => (quad_left_x8(gather(c - 3 * stride), b, cc), n * QUAD_FLOPS),
-        (false, true) => (quad_right_x8(b, cc, gather(c + 3 * stride)), n * QUAD_FLOPS),
-        (false, false) => (linear_x8(b, cc), n * LINEAR_FLOPS),
+        (true, false) => (quad_left_x8(gather(c - 3 * stride), b, cc), QUAD_FLOPS),
+        (false, true) => (quad_right_x8(b, cc, gather(c + 3 * stride)), QUAD_FLOPS),
+        (false, false) => (linear_x8(b, cc), LINEAR_FLOPS),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::LANES;
 
     #[test]
     fn all_spline_weights_sum_to_one() {
@@ -273,7 +274,7 @@ mod tests {
     fn predict_line_x8_matches_eight_scalar_calls_bitwise() {
         // Eight parallel lines sharing each circumstance; every
         // dispatch arm (cubic, quads, linear, copy) must match the
-        // scalar path bit-for-bit and charge 8x the FLOPs.
+        // scalar path bit-for-bit and charge one line's FLOPs.
         let lines: Vec<Vec<f32>> =
             (0..LANES).map(|l| (0..9).map(|i| ((i + l) as f32 * 0.37).sin()).collect()).collect();
         for (c, stride, len) in [(5usize, 1usize, 9usize), (1, 1, 9), (7, 1, 9), (1, 1, 3), (1, 1, 2)]
@@ -281,13 +282,11 @@ mod tests {
             for v in [CubicVariant::NotAKnot, CubicVariant::Natural] {
                 let (p8, fl8) =
                     predict_line_x8(v, c, stride, len, |i| F32x8(std::array::from_fn(|l| lines[l][i])));
-                let mut fl_sum = 0;
                 for (l, line) in lines.iter().enumerate() {
                     let (p, fl) = predict_line(v, c, stride, len, |i| line[i]);
-                    fl_sum += fl;
                     assert_eq!(p.to_bits(), p8.0[l].to_bits(), "lane {l} at c={c}");
+                    assert_eq!(fl8, fl, "flops at c={c}");
                 }
-                assert_eq!(fl8, fl_sum, "flops at c={c}");
             }
         }
     }

@@ -10,7 +10,7 @@
 //! decompression tiles and the whole-grid CPU compressor/decompressor —
 //! so its enumeration order is the determinism contract between them.
 
-use crate::lanes::{self, F32x8, U32x8, LANES};
+use crate::lanes::{lane_sweep, F32x8, LANES};
 use crate::splines::{cubic_x8, predict_line, predict_line_x8, CUBIC_FLOPS};
 use crate::tuning::InterpConfig;
 
@@ -40,18 +40,27 @@ pub trait GridView {
         self.set_lin((p[0] * e[1] + p[1]) * e[2] + p[2], v);
     }
 
-    /// Read eight values at the lane indices — one batched row gather
-    /// of the SIMD sweep. Implementations may override this to fold
-    /// their access bookkeeping into one update; the default performs
-    /// eight tracked `get_lin` reads, so traffic counters are identical
-    /// either way.
-    #[inline]
-    fn gather8(&self, idx: U32x8) -> F32x8 {
+    /// Read the `n <= LANES` values at `base + j * step` — one row
+    /// gather of a lane run; lanes from `n` up are unspecified padding.
+    /// Implementations may override this (and [`GridView::scatter`]) to
+    /// check bounds and book their accesses once per run; the default
+    /// performs `n` tracked `get_lin` reads, so traffic counters are
+    /// identical either way.
+    #[inline(always)]
+    fn gather(&self, base: usize, step: usize, n: usize) -> F32x8 {
         let mut out = [0.0f32; LANES];
-        for (o, &i) in out.iter_mut().zip(idx.0.iter()) {
-            *o = self.get_lin(i as usize);
+        for (j, o) in out[..n].iter_mut().enumerate() {
+            *o = self.get_lin(base + j * step);
         }
         F32x8(out)
+    }
+
+    /// Store the first `n` lanes of `vals` at `base + j * step`.
+    #[inline(always)]
+    fn scatter(&mut self, base: usize, step: usize, n: usize, vals: F32x8) {
+        for (j, &v) in vals.0[..n].iter().enumerate() {
+            self.set_lin(base + j * step, v);
+        }
     }
 }
 
@@ -90,19 +99,24 @@ impl GridView for VecGrid {
         self.extent
     }
 
-    #[inline]
+    #[inline(always)]
     fn get_lin(&self, i: usize) -> f32 {
         self.data[i]
     }
 
-    #[inline]
+    #[inline(always)]
     fn set_lin(&mut self, i: usize, v: f32) {
         self.data[i] = v;
     }
 
-    #[inline]
-    fn gather8(&self, idx: U32x8) -> F32x8 {
-        F32x8(std::array::from_fn(|j| self.data[idx.0[j] as usize]))
+    #[inline(always)]
+    fn gather(&self, base: usize, step: usize, n: usize) -> F32x8 {
+        F32x8::gather(&self.data, base, step, n)
+    }
+
+    #[inline(always)]
+    fn scatter(&mut self, base: usize, step: usize, n: usize, vals: F32x8) {
+        vals.scatter(&mut self.data, base, step, n);
     }
 }
 
@@ -143,31 +157,54 @@ pub fn phase_count(rank: usize, anchor_stride: usize) -> u64 {
 /// The per-point consumer of the sweep.
 ///
 /// The sweep hands over *runs* of predicted points: `apply` receives
-/// the first point `p` of a run of `preds.len()` x-consecutive points
-/// spaced `sx` apart, with `preds` holding their spline predictions,
-/// and must overwrite each lane with the value to store (the
+/// the first point `p` of a run of `n` x-consecutive points spaced `sx`
+/// apart, with `preds[..n]` holding their spline predictions, and must
+/// overwrite each of those lanes with the value to store (the
 /// error-bounded reconstruction during compression, the decoded value
-/// during decompression). Runs are length 1 on the scalar path and
-/// [`LANES`] on the batched path; a processor that treats lanes
-/// independently and identically is bit-identical across both.
+/// during decompression). Lanes from `n` up are padding: a processor
+/// may compute on them and leave anything there, the sweep stores only
+/// the first `n`. Runs are length 1 on the scalar path and `1..=LANES`
+/// on the lane path; a processor that treats lanes independently and
+/// identically is bit-identical across both.
 ///
 /// There is exactly ONE `apply` call site in the sweep's hot loop —
 /// keeping it single is load-bearing for the optimizer to inline fat
 /// processors (a second call site measurably deoptimizes the loop).
 pub trait SweepProcessor {
     /// Process one run of predicted points (see trait docs).
-    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32]);
+    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32; LANES], n: usize);
 }
 
 /// Adapter: a plain per-point closure as a [`SweepProcessor`].
 pub struct PointFn<F>(pub F);
 
 impl<F: FnMut([usize; 3], u32, f32) -> f32> SweepProcessor for PointFn<F> {
-    #[inline]
-    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32]) {
-        for (j, v) in preds.iter_mut().enumerate() {
+    #[inline(always)]
+    fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32; LANES], n: usize) {
+        for (j, v) in preds[..n].iter_mut().enumerate() {
             *v = (self.0)([p[0], p[1], p[2] + j * sx], level, *v);
         }
+    }
+}
+
+/// What one sweep did: the FLOPs spent on spline evaluation (billed per
+/// point, so identical with lanes on or off), and how the predicted
+/// points split between lane runs and single steps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SweepCounts {
+    /// f32 operations charged for spline evaluation.
+    pub flops: u64,
+    /// Points predicted as part of a lane run of two or more.
+    pub lane_points: u64,
+    /// Points predicted one at a time: edge circumstances and
+    /// one-point row tails.
+    pub single_points: u64,
+}
+
+impl SweepCounts {
+    /// Share of predicted points that ran in lanes.
+    pub fn lane_coverage(&self) -> f64 {
+        self.lane_points as f64 / (self.lane_points + self.single_points).max(1) as f64
     }
 }
 
@@ -177,14 +214,14 @@ impl<F: FnMut([usize; 3], u32, f32) -> f32> SweepProcessor for PointFn<F> {
 /// called and must return the value to store (the error-bounded
 /// reconstruction during compression, the decoded value during
 /// decompression). Anchor-lattice points are never visited — they are
-/// seeded by the caller. Returns the FLOPs spent on spline evaluation.
+/// seeded by the caller.
 pub fn interpolate_grid<G: GridView>(
     grid: &mut G,
     rank: usize,
     anchor_stride: usize,
     cfg: &InterpConfig,
     process: impl FnMut([usize; 3], u32, f32) -> f32,
-) -> u64 {
+) -> SweepCounts {
     interpolate_grid_with(grid, rank, anchor_stride, cfg, &mut PointFn(process))
 }
 
@@ -197,7 +234,7 @@ pub fn interpolate_grid_with<G: GridView>(
     anchor_stride: usize,
     cfg: &InterpConfig,
     process: &mut impl SweepProcessor,
-) -> u64 {
+) -> SweepCounts {
     let extent = grid.extent();
     let axes = active_axes(rank);
     debug_assert!(
@@ -205,17 +242,19 @@ pub fn interpolate_grid_with<G: GridView>(
         "dim order {:?} must be a permutation of the active axes {axes:?}",
         cfg.order
     );
-    let mut flops = 0u64;
+    let use_lanes = lane_sweep();
+    let mut counts = SweepCounts::default();
     for (level, stride) in level_ladder(anchor_stride) {
         for (pos, &dim) in cfg.order.iter().enumerate() {
-            flops += sweep_dim(grid, extent, &cfg.order, pos, dim, stride, cfg, level, process);
+            sweep_dim(grid, extent, &cfg.order, pos, dim, stride, cfg, level, process, use_lanes, &mut counts);
         }
     }
-    flops
+    counts
 }
 
 /// Enumerate and predict the points of one `(level, dim)` pass.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn sweep_dim<G: GridView>(
     grid: &mut G,
     extent: [usize; 3],
@@ -226,7 +265,9 @@ fn sweep_dim<G: GridView>(
     cfg: &InterpConfig,
     level: u32,
     process: &mut impl SweepProcessor,
-) -> u64 {
+    use_lanes: bool,
+    counts: &mut SweepCounts,
+) {
     // Step along each padded axis: the predicted dim walks odd multiples
     // of `stride`; dims already processed at this level sit on the
     // stride-`s` lattice; dims not yet processed sit on the 2s lattice;
@@ -254,18 +295,18 @@ fn sweep_dim<G: GridView>(
     // base index instead of a full 3-d index computation.
     let ls = [extent[1] * extent[2], extent[2], 1][dim];
     let line_len = extent[dim];
-    // 8-lane batching along the x row is sound in both shapes: within a
+    // Lane runs along the x row are sound in both shapes: within a
     // `(level, dim)` pass every write lands on an odd multiple of
     // `stride` along `dim` while every tap reads an even multiple, so
-    // no lane's taps can alias another lane's write and a batch is
-    // bit-identical to the scalar interleaving. When x is not the
-    // predicted dim the eight points lie on eight parallel lines
-    // sharing one circumstance; when x *is* the predicted dim, eight
-    // consecutive interior points all take the full-cubic circumstance
-    // and batch with four stride-`2s` gathers.
-    let use_lanes = !lanes::scalar_sweep();
+    // no lane's taps can alias another lane's write and a run is
+    // bit-identical to the scalar interleaving. The row rule: when x is
+    // not the predicted dim the row's points lie on parallel lines
+    // sharing one circumstance, so the whole row goes in runs of up to
+    // eight, the last one partial; when x *is* the predicted dim the
+    // row's interior (the points with all four taps) goes the same way
+    // with four stride-`2s` gathers per run, and only the edge
+    // circumstances at the row's two ends step singly.
     let sx = step[2];
-    let mut flops = 0u64;
     let mut z = start[0];
     while z < extent[0] {
         let zb = z * extent[1];
@@ -273,77 +314,89 @@ fn sweep_dim<G: GridView>(
         while y < extent[1] {
             let zyb = (zb + y) * extent[2];
             let mut x = start[2];
-            // One batch per iteration: eight lanes when the row has a
-            // full batch left, one scalar point otherwise. Keeping a
-            // single `process` call site is load-bearing — a second
-            // call site stops the optimizer from inlining the (large)
-            // quantization closure into this hot loop.
+            // One run per iteration. Keeping a single `process` call
+            // site is load-bearing — a second call site stops the
+            // optimizer from inlining the (large) quantization body
+            // into this hot loop. The tap closures carry
+            // `#[inline(always)]` for the same reason: left out of line
+            // the lane arrays travel through the stack (measured ~8% on
+            // the decode kernel).
             while x < extent[2] {
                 let mut preds = [0.0f32; LANES];
-                let n;
-                if use_lanes
-                    && dim != 2
-                    && x.saturating_add((LANES - 1) * sx) < extent[2]
-                {
-                    // Parallel-lines batch: the circumstance coordinate
+                // Points the next run may hold. A run of one — the tail
+                // of a row of 8k + 1 points, or an edge circumstance —
+                // steps singly: eight lanes of gathers and spline work
+                // for one point cost more than the scalar arm.
+                let n = if !use_lanes {
+                    1
+                } else if dim != 2 {
+                    LANES.min((extent[2] - 1 - x) / sx + 1)
+                } else if x >= 3 * stride && x + 3 * stride < extent[2] {
+                    LANES.min((extent[2] - 1 - 3 * stride - x) / sx + 1)
+                } else {
+                    1
+                };
+                if n > 1 && dim != 2 {
+                    // Parallel-lines run: the circumstance coordinate
                     // is constant along the row.
                     let c = [z, y, x][dim];
                     let base = zyb + x - c * ls;
-                    let (pred8, fl) = predict_line_x8(variant, c, stride, line_len, |i| {
-                        grid.gather8(U32x8::offsets((base + i * ls) as u32, sx as u32))
-                    });
-                    preds = pred8.0;
-                    flops += fl;
-                    n = LANES;
-                } else if use_lanes
-                    && dim == 2
-                    && x >= 3 * stride
-                    && x.saturating_add((LANES - 1) * sx + 3 * stride) < extent[2]
-                {
-                    // Along-line batch: eight consecutive predicted
-                    // points, all interior, so every lane takes the
-                    // full-cubic arm of the circumstance dispatch —
-                    // exactly what eight scalar `predict_line` calls
-                    // would do here.
-                    let tap = |o: usize| {
-                        grid.gather8(U32x8::offsets((zyb + o) as u32, sx as u32))
-                    };
-                    let pred8 = cubic_x8(
+                    let (pred8, fl) = predict_line_x8(
                         variant,
-                        tap(x - 3 * stride),
-                        tap(x - stride),
-                        tap(x + stride),
-                        tap(x + 3 * stride),
+                        c,
+                        stride,
+                        line_len,
+                        #[inline(always)]
+                        |i| grid.gather(base + i * ls, sx, n),
                     );
                     preds = pred8.0;
-                    flops += LANES as u64 * CUBIC_FLOPS;
-                    n = LANES;
+                    counts.flops += n as u64 * fl;
+                    counts.lane_points += n as u64;
+                } else if n > 1 {
+                    // Along-line run: the next interior points of the
+                    // row, which all take the full-cubic arm of the
+                    // circumstance dispatch — exactly what scalar
+                    // `predict_line` calls would do here.
+                    let at = zyb + x;
+                    let pred8 = cubic_x8(
+                        variant,
+                        grid.gather(at - 3 * stride, sx, n),
+                        grid.gather(at - stride, sx, n),
+                        grid.gather(at + stride, sx, n),
+                        grid.gather(at + 3 * stride, sx, n),
+                    );
+                    preds = pred8.0;
+                    counts.flops += n as u64 * CUBIC_FLOPS;
+                    counts.lane_points += n as u64;
                 } else {
                     let p = [z, y, x];
                     let line_base = zyb + x - p[dim] * ls;
-                    let (pred, fl) = predict_line(variant, p[dim], stride, line_len, |i| {
-                        grid.get_lin(line_base + i * ls)
-                    });
+                    let (pred, fl) = predict_line(
+                        variant,
+                        p[dim],
+                        stride,
+                        line_len,
+                        #[inline(always)]
+                        |i| grid.get_lin(line_base + i * ls),
+                    );
                     preds[0] = pred;
-                    flops += fl;
-                    n = 1;
+                    counts.flops += fl;
+                    counts.single_points += 1;
                 }
-                process.apply([z, y, x], sx, level, &mut preds[..n]);
-                for (j, &v) in preds[..n].iter().enumerate() {
-                    grid.set_lin(zyb + x + j * sx, v);
-                }
-                x = x.saturating_add(n * sx);
+                process.apply([z, y, x], sx, level, &mut preds, n);
+                grid.scatter(zyb + x, sx, n, F32x8(preds));
+                x += n * sx;
             }
             y = y.saturating_add(step[1]);
         }
         z = z.saturating_add(step[0]);
     }
-    flops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::SweepPin;
     use crate::splines::CubicVariant;
     use std::collections::HashSet;
 
@@ -478,47 +531,166 @@ mod tests {
         assert_eq!(levels, vec![3, 2, 2, 1, 1, 1, 1]);
     }
 
+    /// A grid that counts every access through the trait's *default*
+    /// `gather`/`scatter`, i.e. what per-point accessors would bill.
+    struct CountingGrid {
+        inner: VecGrid,
+        accesses: std::cell::Cell<u64>,
+    }
+
+    impl GridView for CountingGrid {
+        fn extent(&self) -> [usize; 3] {
+            self.inner.extent()
+        }
+        fn get_lin(&self, i: usize) -> f32 {
+            self.accesses.set(self.accesses.get() + 1);
+            self.inner.get_lin(i)
+        }
+        fn set_lin(&mut self, i: usize, v: f32) {
+            self.accesses.set(self.accesses.get() + 1);
+            self.inner.set_lin(i, v);
+        }
+    }
+
+    const ORDERS_3D: [[usize; 3]; 6] =
+        [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+
     #[test]
-    fn lane_batched_sweep_is_bit_identical_to_scalar() {
-        // Differential: the same rough field swept with lanes on vs
-        // forced scalar must reproduce identical bits, visit order, and
-        // FLOP totals — on shapes that exercise full batches, scalar
-        // tails, and truncated edges.
+    fn scalar_and_lane_sweeps_are_bit_identical() {
+        // Differential: the same rough field — NaN and +-inf among the
+        // seeds and among the stored values, so among the predictions
+        // too — swept one point at a time and in lanes must reproduce
+        // identical bits, visit order, FLOP totals and access counts,
+        // on shapes that exercise full runs, partial tails, short rows
+        // and truncated edges.
+        let f = |p: [usize; 3]| match (p[0] * 31 + p[1] * 17 + p[2] * 7) % 97 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => ((p[0] as f32 * 0.7).sin() + (p[1] as f32 * 0.3).cos()) * (p[2] as f32 * 0.13).sin(),
+        };
+        // Stored NaNs are compared as NaNs: which payload an operation
+        // on two NaNs keeps is not something IEEE 754 or the compiler
+        // fixes across instruction forms (the codec never stores a
+        // computed NaN — a NaN prediction quantizes to an outlier).
+        let bits = |g: &[f32]| -> Vec<u32> {
+            g.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+        };
         for extent in [[17, 17, 17], [9, 33, 40], [1, 24, 19], [5, 9, 6]] {
-            let f = |p: [usize; 3]| {
-                ((p[0] as f32 * 0.7).sin() + (p[1] as f32 * 0.3).cos()) * (p[2] as f32 * 0.13).sin()
-            };
             let rank = if extent[0] > 1 { 3 } else { 2 };
-            let cfg = InterpConfig {
-                alpha: 1.0,
-                variants: [CubicVariant::NotAKnot, CubicVariant::Natural, CubicVariant::NotAKnot],
-                order: if rank == 3 { vec![1, 0, 2] } else { vec![1, 2] },
+            let orders: Vec<Vec<usize>> = if rank == 3 {
+                ORDERS_3D.iter().map(|o| o.to_vec()).collect()
+            } else {
+                vec![vec![1, 2], vec![2, 1]]
             };
-            let run = |scalar: bool| {
-                let before = lanes::scalar_sweep();
-                lanes::set_scalar_sweep(scalar);
-                let mut grid = VecGrid::new(extent);
-                for z in (0..extent[0]).step_by(8) {
-                    for y in (0..extent[1]).step_by(8) {
-                        for x in (0..extent[2]).step_by(8) {
-                            grid.set([z, y, x], f([z, y, x]));
+            for order in orders {
+                for variants in [
+                    [CubicVariant::NotAKnot; 3],
+                    [CubicVariant::Natural; 3],
+                    [CubicVariant::NotAKnot, CubicVariant::Natural, CubicVariant::NotAKnot],
+                ] {
+                    let cfg = InterpConfig { alpha: 1.0, variants, order: order.clone() };
+                    let run = |scalar: bool| {
+                        let _pin = SweepPin::scalar(scalar);
+                        let mut grid =
+                            CountingGrid { inner: VecGrid::new(extent), accesses: Default::default() };
+                        for z in (0..extent[0]).step_by(8) {
+                            for y in (0..extent[1]).step_by(8) {
+                                for x in (0..extent[2]).step_by(8) {
+                                    grid.set([z, y, x], f([z, y, x]));
+                                }
+                            }
                         }
-                    }
+                        let seeded = grid.accesses.get();
+                        let mut visits = Vec::new();
+                        let counts = interpolate_grid(&mut grid, rank, 8, &cfg, |p, l, pred| {
+                            visits.push((p, l));
+                            // Every fifth point stores the field (which
+                            // holds the non-finite values), the rest
+                            // the prediction itself.
+                            if (p[0] + p[1] + p[2]) % 5 == 0 { f(p) } else { pred }
+                        });
+                        let accesses = grid.accesses.get() - seeded;
+                        (bits(grid.inner.as_slice()), visits, counts, accesses)
+                    };
+                    let (g0, v0, c0, a0) = run(true);
+                    assert_eq!(c0.lane_points, 0, "the oracle must not use lanes");
+                    let (g, v, c, a) = run(false);
+                    let at = format!("{extent:?} order {order:?} {variants:?}");
+                    assert_eq!(v0, v, "visit order differs: {at}");
+                    assert_eq!(c0.flops, c.flops, "flops differ: {at}");
+                    assert_eq!(a0, a, "access counts differ: {at}");
+                    assert_eq!(g0, g, "grids differ: {at}");
+                    assert_eq!(
+                        c.lane_points + c.single_points,
+                        v.len() as u64,
+                        "every point is a lane point or a single: {at}"
+                    );
                 }
-                let mut visits = Vec::new();
-                let fl = interpolate_grid(&mut grid, rank, 8, &cfg, |p, l, pred| {
-                    visits.push((p, l));
-                    pred
-                });
-                lanes::set_scalar_sweep(before);
-                (grid.into_vec(), visits, fl)
+            }
+        }
+    }
+
+    /// Lane coverage of one tile shape under each 3-d order.
+    fn coverage_by_order(extent: [usize; 3]) -> Vec<(Vec<usize>, SweepCounts)> {
+        let _pin = SweepPin::scalar(false);
+        ORDERS_3D
+            .iter()
+            .map(|order| {
+                let cfg = InterpConfig {
+                    alpha: 1.0,
+                    variants: [CubicVariant::NotAKnot; 3],
+                    order: order.to_vec(),
+                };
+                let mut grid = VecGrid::new(extent);
+                (order.to_vec(), interpolate_grid(&mut grid, 3, 8, &cfg, |_p, _l, pred| pred))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn interior_tile_lane_coverage_by_order() {
+        // The 33x9x9 tile of an interior G-Interp block: 2,653
+        // predictions. Two kinds of point step singly: the two edge
+        // circumstances at the ends of each along-x row, and the last
+        // point of a z/y-pass row — those rows hold 9, 17 or 33 points,
+        // one more than whole runs of eight. Counted as points that
+        // really ran two or more wide, x swept first or second clears
+        // 0.90 and x swept last (the untuned order) does not: its
+        // along-x pass walks every row of the level (81 + 25 + 9, two
+        // edge singles each), which with 72 row tails leaves 0.886.
+        for (order, c) in coverage_by_order([9, 9, 33]) {
+            assert_eq!(c.lane_points + c.single_points, 2653, "order {order:?}");
+            let (edges, tails, floor) = match order.iter().position(|&d| d == 2) {
+                Some(0) => (2 * (25 + 9 + 4), 77, 0.94),
+                Some(1) => (2 * (45 + 15 + 6), 75, 0.92),
+                _ => (2 * (81 + 25 + 9), 72, 0.886),
             };
-            let (g_scalar, v_scalar, f_scalar) = run(true);
-            let (g_simd, v_simd, f_simd) = run(false);
-            assert_eq!(v_scalar, v_simd, "visit order differs on {extent:?}");
-            assert_eq!(f_scalar, f_simd, "flops differ on {extent:?}");
-            let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&g_scalar), bits(&g_simd), "grids differ on {extent:?}");
+            assert_eq!(c.single_points, edges + tails, "order {order:?}");
+            assert!(
+                c.lane_coverage() >= floor,
+                "order {order:?}: {} of 2653 points in lane runs ({:.3})",
+                c.lane_points,
+                c.lane_coverage()
+            );
+        }
+    }
+
+    #[test]
+    fn clipped_edge_tiles_keep_most_points_in_lanes() {
+        // Tiles clipped by the array edge have shorter rows (and, with
+        // no closing anchor column, a third edge circumstance per
+        // along-x row), so the singles weigh more. Recorded figures —
+        // worst order (x swept last), then best (x first) — not a
+        // target: a 128^3 field's last tile along x is 32 wide, its
+        // corner tile 8x8x32, and a 100-wide field leaves a 4-wide
+        // sliver where an along-x row has no interior at all.
+        for (extent, worst, best) in [([9, 9, 32], 0.86, 0.95), ([8, 8, 32], 0.87, 0.96), ([9, 9, 4], 0.34, 0.79)] {
+            let cov: Vec<f64> =
+                coverage_by_order(extent).iter().map(|(_, c)| c.lane_coverage()).collect();
+            let lo = cov.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = cov.iter().copied().fold(0.0, f64::max);
+            assert!(lo >= worst && hi >= best, "{extent:?}: coverage {lo:.3}..{hi:.3}");
         }
     }
 

@@ -4,24 +4,31 @@
 /// `|q| >= R` are "too big for efficient encoding" and compacted aside).
 pub const OUTLIER_CODE: u16 = 0;
 
-/// `f64::round` (round-half-away-from-zero), expressed through
-/// `round_ties_even` so it lowers to a vectorizable rounding
-/// instruction instead of libm's scalar branch sequence. The two
-/// roundings differ only at exact ties (fraction == 0.5), where
-/// half-away is `x + copysign(0.5, x)` — exact, because a tie means
-/// the 0.5 fraction is representable at `x`'s exponent. Bit-identity
-/// with `f64::round` over the full domain (NaN, infinities, huge
-/// values included) is pinned by a proptest below.
-#[inline]
+/// `2^52`: every `f64` at or above it is integral, and adding it to a
+/// non-negative `f64` below it rounds that value to an integer (ties to
+/// even, the default rounding mode) in the low mantissa bits.
+const MAGIC: f64 = 4503599627370496.0;
+
+/// `f64::round` (round-half-away-from-zero) as straight-line arithmetic
+/// every target vectorizes: no libm call (`round` and, before SSE4.1,
+/// `round_ties_even` are both one per lane on x86-64) and no branch.
+/// `(|x| + 2^52) - 2^52` rounds the magnitude ties-to-even; the result
+/// differs from half-away only where it rounded an exact tie *down*
+/// (`|x| - r == 0.5`, an exact subtraction), which a masked `+ 1.0`
+/// repairs. Magnitudes from `2^52` up are already integral and NaN has
+/// no rounding, so both pass through; the sign is copied back last,
+/// which also keeps `-0.3 -> -0.0`. Bit-identity with `f64::round`
+/// over the full domain is pinned by a proptest below.
+#[inline(always)]
 fn round_half_away(x: f64) -> f64 {
-    let r = x.round_ties_even();
-    // Both arms computed, selected through a bitmask (never a branch),
-    // so the function stays a straight-line dependency chain and SLP
-    // can vectorize callers batching eight lanes. A NaN input fails
-    // the tie compare and selects `r` (= NaN), like `f64::round`.
-    let adj = x + 0.5f64.copysign(x);
-    let tie_mask = 0u64.wrapping_sub(((x - r).abs() == 0.5) as u64);
-    f64::from_bits((adj.to_bits() & tie_mask) | (r.to_bits() & !tie_mask))
+    let a = x.abs();
+    let r = (a + MAGIC) - MAGIC;
+    // Masks, never branches, so callers batching eight lanes stay a
+    // straight-line dependency chain the vectorizer can pack.
+    let tie_down = 0u64.wrapping_sub(((a - r) == 0.5) as u64);
+    let r = r + f64::from_bits(1.0f64.to_bits() & tie_down);
+    let small = 0u64.wrapping_sub((a < MAGIC) as u64); // false for NaN
+    f64::from_bits((r.to_bits() & small) | (a.to_bits() & !small)).copysign(x)
 }
 
 /// Result of quantizing one element.
@@ -127,11 +134,6 @@ impl Quantizer {
     /// lane-wise (pinned by a differential proptest).
     #[inline(always)]
     pub fn quantize8(&self, values: &[f32; 8], preds: &[f32; 8]) -> ([u16; 8], [f32; 8]) {
-        // Mantissa-extraction constant: adding 2^52 to an integral f64
-        // in [0, 2^52) leaves that integer verbatim in the low mantissa
-        // bits, so the biased code never round-trips through an
-        // int-float conversion (those lower to scalar fixup sequences).
-        const MAGIC: f64 = 4503599627370496.0; // 2^52
         // (`#[inline(always)]` on the function: at the default
         // `#[inline]` hint LLVM leaves this as an out-of-line call, and
         // the arrays then travel through the stack on every batch.)
@@ -153,6 +155,10 @@ impl Quantizer {
         for j in 0..8 {
             rec[j] = (preds[j] as f64 + qf[j] * self.twice_eb) as f32;
         }
+        // Mantissa extraction: adding `MAGIC` to an integral f64 in
+        // [0, 2^52) leaves that integer verbatim in the low mantissa
+        // bits, so the biased code never round-trips through an
+        // int-float conversion (those lower to scalar fixup sequences).
         let mut biased = [0u16; 8];
         for j in 0..8 {
             biased[j] = ((qf[j] + rad) + MAGIC).to_bits() as u16;
@@ -176,6 +182,22 @@ impl Quantizer {
         debug_assert_ne!(code, OUTLIER_CODE, "outlier codes are reconstructed from the side channel");
         let q = code as i32 - self.radius;
         (pred as f64 + q as f64 * self.twice_eb) as f32
+    }
+
+    /// Batched [`Quantizer::reconstruct`]: eight independent lanes of
+    /// the identical expression. Unlike the scalar form it accepts
+    /// [`OUTLIER_CODE`] lanes — they come back as an unspecified finite
+    /// replay of code 0 that the caller overwrites from the outlier
+    /// side channel — so a run needs no per-lane branch before the
+    /// arithmetic.
+    #[inline(always)]
+    pub fn reconstruct8(&self, preds: &[f32; 8], codes: &[u16; 8]) -> [f32; 8] {
+        let mut out = [0.0f32; 8];
+        for j in 0..8 {
+            let q = codes[j] as i32 - self.radius;
+            out[j] = (preds[j] as f64 + q as f64 * self.twice_eb) as f32;
+        }
+        out
     }
 }
 
@@ -310,6 +332,22 @@ mod tests {
                 prop_assert_eq!(recons[j].to_bits(), r.recon.to_bits(), "lane {}", j);
             }
         }
+
+        #[test]
+        fn prop_reconstruct8_matches_eight_scalar_calls_bitwise(
+            preds_v in collection::vec(-1e6f32..1e6f32, 8),
+            codes_v in collection::vec(1u16..1024, 8),
+            eb in 1e-6f64..1e3f64,
+        ) {
+            let q = Quantizer::new(eb, 512).expect("valid parameters");
+            let preds: [f32; 8] = std::array::from_fn(|j| preds_v[j]);
+            let codes: [u16; 8] = std::array::from_fn(|j| codes_v[j]);
+            let recons = q.reconstruct8(&preds, &codes);
+            for j in 0..8 {
+                let r = q.reconstruct(preds[j], codes[j]);
+                prop_assert_eq!(recons[j].to_bits(), r.to_bits(), "lane {}", j);
+            }
+        }
     }
 
     #[test]
@@ -329,15 +367,39 @@ mod tests {
     #[test]
     fn quantize8_matches_scalar_on_edge_lanes() {
         // One batch mixing every arm: exact hit, rounded code, both
-        // outlier kinds (out-of-band, NaN value, NaN prediction).
+        // outlier kinds (out-of-band, NaN value, NaN prediction), and
+        // non-finite values and predictions.
         let q = Quantizer::new(0.001, 512).expect("valid parameters");
-        let vals = [1.0f32, 1.25, 100.0, f32::NAN, 1.0, -3.5, 0.0, 1e30];
-        let preds = [1.0f32, 1.0, 0.0, 1.0, f32::NAN, -3.5002, 1e-5, 1e30];
-        let (codes, recons) = q.quantize8(&vals, &preds);
+        let inf = f32::INFINITY;
+        for (vals, preds) in [
+            ([1.0f32, 1.25, 100.0, f32::NAN, 1.0, -3.5, 0.0, 1e30], [1.0f32, 1.0, 0.0, 1.0, f32::NAN, -3.5002, 1e-5, 1e30]),
+            ([inf, -inf, 1.0, 1.0, inf, -inf, f32::NAN, 0.5], [1.0, 1.0, inf, -inf, inf, inf, f32::NAN, 0.5005]),
+        ] {
+            let (codes, recons) = q.quantize8(&vals, &preds);
+            for j in 0..8 {
+                let r = q.quantize(vals[j], preds[j]);
+                assert_eq!(codes[j], r.code, "lane {j}");
+                assert_eq!(recons[j].to_bits(), r.recon.to_bits(), "lane {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruct8_matches_scalar_on_edge_lanes() {
+        // Band edges and non-finite predictions; an outlier-code lane
+        // (scalar `reconstruct` refuses those) must not disturb its
+        // neighbours and must come back finite for a finite prediction.
+        let q = Quantizer::new(0.001, 512).expect("valid parameters");
+        let preds = [1.0f32, -2.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, 0.0, 3.0];
+        let codes = [1u16, 1023, 512, 700, 300, 513, OUTLIER_CODE, 511];
+        let recons = q.reconstruct8(&preds, &codes);
         for j in 0..8 {
-            let r = q.quantize(vals[j], preds[j]);
-            assert_eq!(codes[j], r.code, "lane {j}");
-            assert_eq!(recons[j].to_bits(), r.recon.to_bits(), "lane {j}");
+            if codes[j] == OUTLIER_CODE {
+                assert!(recons[j].is_finite(), "lane {j}");
+            } else {
+                let r = q.reconstruct(preds[j], codes[j]);
+                assert_eq!(recons[j].to_bits(), r.to_bits(), "lane {j}");
+            }
         }
     }
 }

@@ -36,16 +36,11 @@
 # Env: CUSZI_BENCH_SAMPLES overrides the sample count either way;
 #      CUSZI_PROFILE=1 is equivalent to --profile.
 #
-# Benchmarks build for the host ISA (-C target-cpu=native): the default
-# x86-64 target is SSE2-only, which leaves the vectorized quantizer and
-# SIMD sweep bodies emitting scalar code (~9% end-to-end on an AVX2
-# host). IEEE ops are bit-identical across ISA widths and rustc does
-# not contract FMAs, so archives are unchanged. Pre-set RUSTFLAGS wins.
+# Benchmarks measure the default release build, the one users get: no
+# RUSTFLAGS are exported here (a pre-set RUSTFLAGS still applies).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-export RUSTFLAGS="${RUSTFLAGS:--C target-cpu=native}"
 
 out_dir="."
 quick=0

@@ -1,39 +1,42 @@
 //! The hot-path optimisations must be *pure* performance work: the
-//! archive bytes are the oracle. {scalar, SIMD} sweep bodies x
-//! {fused, unfused} histogram x {1, 4} streams must all produce the
-//! same container on every dataset analogue, and that container must
-//! decode back within the bound.
+//! archive bytes are the oracle. {scalar, lane} sweep x {fused,
+//! unfused} histogram x {1, 4} streams must all produce the same
+//! container on every dataset analogue, and that container must decode
+//! back within the bound — to the same bits with lanes on or off.
 //!
-//! The SIMD toggle is process-global, so this file serialises on a
-//! mutex (mirroring `tests/fault_matrix.rs`) and restores the default
-//! on every exit path via an RAII guard.
+//! Production always sweeps in lanes; the hidden `force_scalar_sweep`
+//! hook swaps in the one-point-at-a-time oracle here. The hook is
+//! process-global, so this file serialises on a mutex (mirroring
+//! `tests/fault_matrix.rs`) and releases it on every exit path via an
+//! RAII guard.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use cuszi_repro::core::{compress_fields_streams, Config, CuszI, NamedField};
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::metrics::check_error_bound;
-use cuszi_repro::predict::{scalar_sweep, set_scalar_sweep};
+use cuszi_repro::predict::force_scalar_sweep;
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::{NdArray, Shape};
 
-/// Serialises tests that flip the process-global sweep toggle.
+/// Serialises tests that flip the process-global sweep hook.
 static GUARD: Mutex<()> = Mutex::new(());
 
-/// Restores the sweep mode on drop, panics included.
-struct SweepMode(bool);
+/// Holds the sweep on the scalar oracle (`true`) or in lanes (`false`);
+/// releases the hook on drop, panics included.
+struct Pinned(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-impl SweepMode {
-    fn set(scalar: bool) -> Self {
-        let prev = scalar_sweep();
-        set_scalar_sweep(scalar);
-        SweepMode(prev)
+impl Pinned {
+    fn scalar(on: bool) -> Self {
+        let guard = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+        force_scalar_sweep(on);
+        Pinned(guard)
     }
 }
 
-impl Drop for SweepMode {
+impl Drop for Pinned {
     fn drop(&mut self) {
-        set_scalar_sweep(self.0);
+        force_scalar_sweep(false);
     }
 }
 
@@ -46,7 +49,6 @@ fn crop(data: &NdArray<f32>) -> NdArray<f32> {
 
 #[test]
 fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
-    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
     for kind in DatasetKind::ALL {
         let ds = generate(kind, Scale::Small, 42);
         let fields: Vec<(String, NdArray<f32>)> =
@@ -56,15 +58,15 @@ fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
 
         // Reference: scalar sweep, unfused stages, one stream.
         let reference = {
-            let _m = SweepMode::set(true);
+            let _p = Pinned::scalar(true);
             let cfg = Config::new(ErrorBound::Rel(1e-3));
             compress_fields_streams(&named, cfg, 1).expect("reference compress").0.bytes
         };
 
         for scalar in [true, false] {
+            let _p = Pinned::scalar(scalar);
             for fuse in [false, true] {
                 for streams in [1usize, 4] {
-                    let _m = SweepMode::set(scalar);
                     let mut cfg = Config::new(ErrorBound::Rel(1e-3));
                     if fuse {
                         cfg = cfg.with_fusion();
@@ -84,9 +86,37 @@ fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
 }
 
 #[test]
+fn loose_and_tight_archives_and_their_decodes_match_the_scalar_path() {
+    // What production runs — the lane sweep — must write the scalar
+    // oracle's bytes and decode them to the scalar oracle's bits, at
+    // the headline bound and at the tight one (where outliers and the
+    // decode-side outlier patching carry real traffic).
+    let bits = |d: &NdArray<f32>| d.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for kind in DatasetKind::ALL {
+        let ds = generate(kind, Scale::Small, 42);
+        let data = crop(&ds.fields[0].data);
+        for rel in [1e-3, 1e-5] {
+            let codec = CuszI::new(Config::new(ErrorBound::Rel(rel)));
+            let (archive, recon) = {
+                let _p = Pinned::scalar(true);
+                let c = codec.compress(&data).expect("scalar compress");
+                let d = codec.decompress(&c.bytes).expect("scalar decompress");
+                assert_eq!(check_error_bound(data.as_slice(), d.data.as_slice(), c.eb_abs), None);
+                (c.bytes, bits(&d.data))
+            };
+            let _p = Pinned::scalar(false);
+            let at = format!("{} at Rel({rel:e})", kind.name());
+            let c = codec.compress(&data).expect("lane compress");
+            assert_eq!(c.bytes, archive, "archive differs: {at}");
+            let d = codec.decompress(&archive).expect("lane decompress");
+            assert_eq!(bits(&d.data), recon, "reconstruction differs: {at}");
+        }
+    }
+}
+
+#[test]
 fn fused_simd_archive_decodes_within_bound() {
-    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    let _m = SweepMode::set(false);
+    let _p = Pinned::scalar(false);
     let ds = generate(DatasetKind::Miranda, Scale::Small, 42);
     let data = crop(&ds.fields[0].data);
     let cfg = Config::new(ErrorBound::Rel(1e-3)).with_fusion();
@@ -98,7 +128,7 @@ fn fused_simd_archive_decodes_within_bound() {
 
 #[test]
 fn autotuned_compression_is_stable_and_decodable() {
-    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    let _p = Pinned::scalar(false);
     let ds = generate(DatasetKind::Nyx, Scale::Small, 42);
     let data = crop(&ds.fields[0].data);
     let cfg = Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune().with_fusion();
