@@ -87,7 +87,7 @@ fn cell_json(codec: &str, devices: usize, link: LinkClass, bytes: u64, r: &Shard
                  \"archive_bytes\":{}}}",
                 d.device,
                 d.jobs,
-                d.sim_ns as f64 / 1e6,
+                d.schedule.sim_elapsed_ns() as f64 / 1e6,
                 d.transfer_ns as f64 / 1e6,
                 d.archive_bytes
             )
@@ -192,7 +192,9 @@ fn main() {
                 let clocks: Vec<String> = report
                     .per_device
                     .iter()
-                    .map(|p| format!("d{}:{:.2}", p.device, p.sim_ns as f64 / 1e6))
+                    .map(|p| {
+                        format!("d{}:{:.2}", p.device, p.schedule.sim_elapsed_ns() as f64 / 1e6)
+                    })
                     .collect();
                 t.row(vec![
                     d.to_string(),

@@ -11,7 +11,7 @@
 //! per-worker buffer pool inside `cuszi-gpu-sim`).
 //!
 //! The pool is thread-local, so parallel field compression
-//! ([`crate::batch::compress_fields`]) needs no locking and workers
+//! ([`crate::shard::compress_fields_sharded`]) needs no locking and workers
 //! reuse buffers across the many fields each one processes.
 
 use std::cell::RefCell;

@@ -14,7 +14,8 @@ use cuszi_tensor::NdArray;
 
 use crate::config::Config;
 use crate::error::CuszError;
-use crate::pipeline::{Compressed, CuszI};
+use crate::sched::ScheduleReport;
+use crate::shard::{compress_fields_sharded, decompress_fields_sharded, ShardPlan};
 
 const MAGIC: &[u8; 4] = b"CSZM";
 
@@ -24,7 +25,7 @@ pub struct NamedField<'a> {
     pub data: &'a NdArray<f32>,
 }
 
-/// Per-field result inside a [`compress_fields`] container.
+/// Per-field result inside a [`compress_fields_streams`] container.
 #[derive(Clone, Debug)]
 pub struct FieldSummary {
     pub name: String,
@@ -51,135 +52,91 @@ impl Container {
             inp as f64 / out as f64
         }
     }
+
+    /// Start a CSZM container for `fields`: magic and entry count.
+    pub(crate) fn begin(fields: &[NamedField<'_>]) -> Result<Self, CuszError> {
+        if fields.iter().any(|f| f.name.len() > u16::MAX as usize) {
+            return Err(CuszError::InvalidConfig("field name too long"));
+        }
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+        Ok(Container { bytes, fields: Vec::with_capacity(fields.len()) })
+    }
+
+    /// Append one field's entry and recycle its archive buffer.
+    pub(crate) fn push(&mut self, f: &NamedField<'_>, archive: Vec<u8>) {
+        self.bytes.extend_from_slice(&(f.name.len() as u16).to_le_bytes());
+        self.bytes.extend_from_slice(f.name.as_bytes());
+        crate::wire::put_entry(&mut self.bytes, &archive);
+        self.fields.push(FieldSummary {
+            name: f.name.to_string(),
+            input_bytes: (f.data.len() * 4) as u64,
+            archive_bytes: archive.len() as u64,
+        });
+        crate::arena::put(archive);
+    }
 }
 
-/// Compress several named fields with one configuration, on
-/// [`crate::sched::default_streams`] gpu-sim streams. See
-/// [`compress_fields_streams`].
-pub fn compress_fields(fields: &[NamedField<'_>], cfg: Config) -> Result<Container, CuszError> {
-    compress_fields_streams(fields, cfg, crate::sched::default_streams()).map(|(c, _)| c)
-}
-
-/// Compress several named fields with one configuration, scheduling
-/// field `i` on gpu-sim stream `i % n_streams`. Overlap hides each
-/// field's host-serial stages (tuning, CPU codebook, assembly) behind
-/// its siblings' kernels. The container bytes are identical for any
-/// stream count — layout is by field index, and the per-field
-/// pipelines are deterministic.
+/// [`crate::shard::compress_fields_sharded`] on `n_streams` streams of
+/// one device (field `i` on stream `i % n_streams`).
 pub fn compress_fields_streams(
     fields: &[NamedField<'_>],
     cfg: Config,
     n_streams: usize,
-) -> Result<(Container, crate::sched::ScheduleReport), CuszError> {
-    if fields.iter().any(|f| f.name.len() > u16::MAX as usize) {
-        return Err(CuszError::InvalidConfig("field name too long"));
-    }
-    let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("batch", cuszi_profile::Category::Batch);
-    let (results, report) = crate::sched::run_jobs(fields, n_streams, |f, _| {
-        // The field name is already a borrowed &str — no formatting
-        // on the disabled path, and the span itself is a no-op.
-        let _g = cuszi_profile::span(f.name, cuszi_profile::Category::Batch);
-        codec.compress(f.data)
-    });
-    let archives: Vec<Compressed> = results.into_iter().collect::<Result<_, _>>()?;
-
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-    let mut summaries = Vec::with_capacity(fields.len());
-    for (f, c) in fields.iter().zip(archives) {
-        bytes.extend_from_slice(&(f.name.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(f.name.as_bytes());
-        bytes.extend_from_slice(&(c.bytes.len() as u64).to_le_bytes());
-        summaries.push(FieldSummary {
-            name: f.name.to_string(),
-            input_bytes: (f.data.len() * 4) as u64,
-            archive_bytes: c.bytes.len() as u64,
-        });
-        bytes.extend_from_slice(&c.bytes);
-        // Recycle the consumed archive buffer for later fields/slabs.
-        crate::arena::put(c.bytes);
-    }
-    Ok((Container { bytes, fields: summaries }, report))
+) -> Result<(Container, ScheduleReport), CuszError> {
+    let plan = ShardPlan::new(1).streams(n_streams);
+    compress_fields_sharded(fields, cfg, plan).map(|(c, r)| (c, r.into_schedule()))
 }
 
 /// Walk a container's entry table, returning each field's name and
-/// archive slice. All offset arithmetic is checked in the `u64`
-/// domain: a crafted huge archive length must surface as
-/// [`CuszError::CorruptArchive`], never wrap and panic on the slice.
+/// archive slice. Offsets are checked (see [`crate::wire::entry`]), so a
+/// crafted length surfaces as [`CuszError::CorruptArchive`].
 pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, CuszError> {
     if bytes.len() < 8 || &bytes[0..4] != MAGIC {
         return Err(CuszError::CorruptArchive("container magic"));
     }
     let count = crate::wire::u32_le(bytes, 4) as usize;
-    let blen = bytes.len() as u64;
     let mut at = 8u64;
     let mut entries: Vec<(String, &[u8])> = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        if at + 2 > blen {
+        // `at` never passes the end and a name is < 64 KiB: no wrap.
+        if at + 2 > bytes.len() as u64 {
             return Err(CuszError::CorruptArchive("container name length"));
         }
-        let nlen = crate::wire::u16_le(bytes, at as usize) as u64;
-        // nlen <= u16::MAX and at <= blen, so these adds cannot wrap.
-        if at + 2 + nlen + 8 > blen {
-            return Err(CuszError::CorruptArchive("container name"));
-        }
-        let name = std::str::from_utf8(&bytes[(at + 2) as usize..(at + 2 + nlen) as usize])
-            .map_err(|_| CuszError::CorruptArchive("container name utf-8"))?
-            .to_string();
-        let alen = crate::wire::u64_le(bytes, (at + 2 + nlen) as usize);
-        let body = at + 2 + nlen + 8;
-        let end = body
-            .checked_add(alen)
-            .filter(|&e| e <= blen)
-            .ok_or(CuszError::CorruptArchive("container archive truncated"))?;
-        entries.push((name, &bytes[body as usize..end as usize]));
-        at = end;
+        let name_at = at + 2;
+        at = name_at + crate::wire::u16_le(bytes, at as usize) as u64;
+        let name = bytes
+            .get(name_at as usize..at as usize)
+            .ok_or(CuszError::CorruptArchive("container name"))?;
+        let name = std::str::from_utf8(name)
+            .map_err(|_| CuszError::CorruptArchive("container name utf-8"))?;
+        let body = crate::wire::entry(bytes, &mut at, "container archive truncated")?;
+        entries.push((name.to_string(), &bytes[body]));
     }
-    if at != blen {
+    if at != bytes.len() as u64 {
         return Err(CuszError::CorruptArchive("container trailing bytes"));
     }
     Ok(entries)
 }
 
-/// Decompressed container contents: `(name, field)` pairs in entry
-/// order.
+/// Decompressed container contents: `(name, field)` pairs in entry order.
 pub type DecodedFields = Vec<(String, NdArray<f32>)>;
 
-/// Decompress a container into `(name, field)` pairs on
-/// [`crate::sched::default_streams`] gpu-sim streams. See
-/// [`decompress_fields_streams`].
-pub fn decompress_fields(bytes: &[u8], cfg: Config) -> Result<DecodedFields, CuszError> {
-    decompress_fields_streams(bytes, cfg, crate::sched::default_streams()).map(|(f, _)| f)
-}
-
-/// Decompress a container, scheduling field `i` on gpu-sim stream
-/// `i % n_streams` — the mirror of [`compress_fields_streams`]. The
-/// entry table is walked serially with checked offset arithmetic, then
-/// the per-field archives decompress with stream overlap hiding each
-/// field's host-serial stages (parse, gap stitch, pad validation)
-/// behind its siblings' kernels. Output order is by field index, so
-/// the result is identical for any stream count.
+/// [`crate::shard::decompress_fields_sharded`] on `n_streams` streams
+/// of one device (field `i` on stream `i % n_streams`).
 pub fn decompress_fields_streams(
     bytes: &[u8],
     cfg: Config,
     n_streams: usize,
-) -> Result<(DecodedFields, crate::sched::ScheduleReport), CuszError> {
-    let entries = parse_container(bytes)?;
-    let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("batch", cuszi_profile::Category::Batch);
-    let (results, report) = crate::sched::run_jobs(&entries, n_streams, |(name, archive), _| {
-        let _g = cuszi_profile::span(name, cuszi_profile::Category::Batch);
-        codec.decompress(archive).map(|d| d.data)
-    });
-    let fields: Vec<NdArray<f32>> = results.into_iter().collect::<Result<_, _>>()?;
-    Ok((entries.into_iter().map(|(name, _)| name).zip(fields).collect(), report))
+) -> Result<(DecodedFields, ScheduleReport), CuszError> {
+    let plan = ShardPlan::new(1).streams(n_streams);
+    decompress_fields_sharded(bytes, cfg, plan).map(|(f, r)| (f, r.into_schedule()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::default_streams;
     use cuszi_quant::ErrorBound;
     use cuszi_tensor::Shape;
 
@@ -205,11 +162,12 @@ mod tests {
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let named: Vec<NamedField> =
             fs.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-        let container = compress_fields(&named, cfg).unwrap();
+        let (container, _) = compress_fields_streams(&named, cfg, default_streams()).unwrap();
         assert_eq!(container.fields.len(), 3);
         assert!(container.aggregate_cr() > 1.0);
 
-        let back = decompress_fields(&container.bytes, cfg).unwrap();
+        let (back, _) =
+            decompress_fields_streams(&container.bytes, cfg, default_streams()).unwrap();
         assert_eq!(back.len(), 3);
         for ((name, orig), (bname, recon)) in fs.iter().zip(&back) {
             assert_eq!(name, bname);
@@ -234,8 +192,8 @@ mod tests {
     #[test]
     fn empty_container_roundtrips() {
         let cfg = Config::new(ErrorBound::Rel(1e-3));
-        let container = compress_fields(&[], cfg).unwrap();
-        assert!(decompress_fields(&container.bytes, cfg).unwrap().is_empty());
+        let (container, _) = compress_fields_streams(&[], cfg, 1).unwrap();
+        assert!(decompress_fields_streams(&container.bytes, cfg, 1).unwrap().0.is_empty());
         assert_eq!(container.aggregate_cr(), f64::INFINITY);
     }
 
@@ -245,15 +203,16 @@ mod tests {
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let named: Vec<NamedField> =
             fs.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-        let c = compress_fields(&named, cfg).unwrap();
-        assert!(decompress_fields(&c.bytes[..6], cfg).is_err());
-        assert!(decompress_fields(&c.bytes[..c.bytes.len() - 4], cfg).is_err());
+        let (c, _) = compress_fields_streams(&named, cfg, 2).unwrap();
+        let decompress = |b: &[u8]| decompress_fields_streams(b, cfg, 2);
+        assert!(decompress(&c.bytes[..6]).is_err());
+        assert!(decompress(&c.bytes[..c.bytes.len() - 4]).is_err());
         let mut bad = c.bytes.clone();
         bad[1] = b'X';
-        assert!(decompress_fields(&bad, cfg).is_err());
+        assert!(decompress(&bad).is_err());
         // Trailing garbage is rejected too.
         let mut padded = c.bytes.clone();
         padded.extend_from_slice(&[0, 1, 2]);
-        assert!(decompress_fields(&padded, cfg).is_err());
+        assert!(decompress(&padded).is_err());
     }
 }

@@ -68,10 +68,7 @@ pub use cuszi_predict::tuning::{autotune, AutotuneDecision};
 pub use error::{CuszError, StageFaultKind};
 pub use pipeline::{Compressed, CuszI, Decompressed, SectionSizes};
 pub use quality::{compress_to_psnr, QualityResult};
-pub use batch::{
-    compress_fields, compress_fields_streams, decompress_fields, decompress_fields_streams,
-    Container, NamedField,
-};
+pub use batch::{compress_fields_streams, decompress_fields_streams, Container, NamedField};
 pub use pwrel::{compress_pw_rel, decompress_pw_rel, PwRelCompressed};
 pub use report::{render_breakdown, stage_breakdown, StageCost};
 pub use sched::{default_streams, ScheduleReport};
@@ -80,7 +77,5 @@ pub use shard::{
     decompress_slabs_sharded, DeviceShardReport, ShardPlan, ShardReport,
 };
 pub use stage::{StageGraph, StageKind};
-pub use stream::{
-    compress_slabs, compress_slabs_streams, decompress_slabs, decompress_slabs_streams,
-};
+pub use stream::{compress_slabs_streams, decompress_slabs_streams};
 pub use traits::{Codec, CodecArtifacts};

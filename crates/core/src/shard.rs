@@ -1,63 +1,36 @@
-//! Multi-device sharding: spread batch fields and z-slabs across M
-//! simulated GPUs, with archive gathers priced by the link topology.
+//! The four container operations — batch fields and z-slabs, compress
+//! and decompress — each written once against a [`ShardPlan`] of M
+//! simulated GPUs × N streams; the `*_streams` entry points in
+//! [`crate::batch`] and [`crate::stream`] are its one-device plans.
 //!
-//! One device compresses one shard set; shard `i` lands on device
-//! `i % M` (deterministic round-robin), each device runs its shards on
-//! its *own* stream set via [`crate::sched::run_jobs`] inside a
-//! [`cuszi_gpu_sim::MultiDevice`] scope, and the host worker budget is
-//! divided by the device count so M devices use ~one machine's worth
-//! of threads. Finished shard archives then *gather* to device 0 for
-//! assembly, paying the modelled time of the declared
-//! [`cuszi_transfer::Topology`] link (NVLink-class, PCIe, or
-//! WAN/Globus) — the "compress where, ship what" accounting of the
-//! paper's § VII-C.5 case study, applied intra-node.
-//!
-//! # Byte identity
-//!
-//! Sharding never changes the archive. Per-shard pipelines are
-//! deterministic, assembly is by shard index (not completion order),
-//! and the container layout is exactly the single-device one — so the
-//! bytes are identical for any device count and any per-device stream
-//! count. The scheduler-determinism suite pins this at devices
-//! ∈ {1, 2, 4} × streams ∈ {1, 4} on all six datasets.
-//!
-//! # Fault isolation
-//!
-//! Each device owns an independent fault domain
-//! (`CUSZI_FAULT=dev<N>:...`): a poisoned device fails *its* shards
-//! with typed, device-attributed [`CuszError::StageError`]s while
-//! every other device's shards complete byte-identical — the
-//! multi-GPU generalization of the per-stream isolation the fault
-//! matrix already pins.
-//!
-//! # `Rel` error bounds resolve per shard
-//!
-//! As with slab streaming, a [`cuszi_quant::ErrorBound::Rel`] bound
-//! resolves against each *shard's* value range (each field / each
-//! slab), never a cross-shard aggregate — sharding a batch does not
-//! change this (fields were always independent), but sharded *slabs*
-//! inherit the per-slab caveat of [`crate::stream`]: pass an absolute
-//! bound for a globally uniform guarantee. See docs/SHARDING.md.
+//! Each operation is one [`crate::sched::execute`] run: shard `i`
+//! lands on device `i % M`, and finished shards *gather* to device 0 at
+//! the modelled cost of the plan's [`cuszi_transfer::Topology`] link —
+//! the "compress where, ship what" accounting of the paper's § VII-C.5
+//! case study, applied intra-node. Assembly is by shard index, so the
+//! bytes are identical at any plan. Each device owns an independent
+//! fault domain (`CUSZI_FAULT=dev<N>:...`): a poisoned device fails only
+//! its own shards, with device-attributed errors. A
+//! [`cuszi_quant::ErrorBound::Rel`] bound resolves per shard (each field
+//! / each slab); see docs/SHARDING.md.
 
-use std::sync::Mutex;
-
-use cuszi_gpu_sim::MultiDevice;
 use cuszi_tensor::{NdArray, Shape};
-use cuszi_transfer::{LinkClass, Topology};
+use cuszi_transfer::LinkClass;
 
-use crate::batch::{Container, FieldSummary, NamedField};
+use crate::batch::{Container, DecodedFields, NamedField};
 use crate::config::Config;
 use crate::error::CuszError;
-use crate::pipeline::{Compressed, CuszI};
+use crate::pipeline::CuszI;
+use crate::sched::{execute, ScheduleReport};
+use crate::stream::SlabGeometry;
 
-/// How to shard: device count, per-device stream count, and the link
-/// class every device uses to gather archives to device 0.
+/// The execution plan: device count, per-device stream count, and the
+/// link class every device uses to gather archives to device 0.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPlan {
     /// Simulated devices (1..=[`cuszi_gpu_sim::MAX_DEVICES`]).
     pub devices: usize,
-    /// gpu-sim streams per device (each device schedules its shards
-    /// round-robin over its own stream set).
+    /// gpu-sim streams per device.
     pub streams_per_device: usize,
     /// Link class pricing the archive gathers to device 0.
     pub link: LinkClass,
@@ -86,15 +59,11 @@ impl ShardPlan {
         self
     }
 
-    fn validate(&self) -> Result<(), CuszError> {
+    pub(crate) fn validate(&self) -> Result<(), CuszError> {
         if self.devices == 0 || self.devices > cuszi_gpu_sim::MAX_DEVICES {
             return Err(CuszError::InvalidConfig("device count out of range"));
         }
         Ok(())
-    }
-
-    fn topology(&self) -> Topology {
-        Topology::uniform(self.devices, self.link)
     }
 }
 
@@ -103,21 +72,19 @@ impl ShardPlan {
 pub struct DeviceShardReport {
     /// Device id (also its fault-domain index).
     pub device: usize,
-    /// Shards compressed on this device.
+    /// Shards run on this device.
     pub jobs: usize,
-    /// Simulated busy time of the device: the slowest of its streams.
-    pub sim_ns: u64,
-    /// Per-stream sim clocks on this device, ns.
-    pub per_stream_sim_ns: Vec<u64>,
-    /// Archive bytes this device produced (what it ships to device 0).
+    /// The device's stream clocks; its busy time is
+    /// `schedule.sim_elapsed_ns()`.
+    pub schedule: ScheduleReport,
+    /// Output bytes this device produced (what it ships to device 0).
     pub archive_bytes: u64,
     /// Modelled time to gather those bytes to device 0 over the
     /// plan's link, ns (zero for device 0 itself).
     pub transfer_ns: u64,
 }
 
-/// Scheduling evidence of one sharded run: per-device clocks plus the
-/// modelled gather costs.
+/// Scheduling evidence of one run: per-device clocks and gather costs.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
     /// Devices the run was sharded over.
@@ -129,17 +96,19 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    /// Simulated wall-clock of the sharded run: devices compute
-    /// concurrently, then each ships its archives; the makespan is the
-    /// slowest device's compute + gather.
+    /// Simulated makespan: the slowest device's compute + gather.
     pub fn sim_elapsed_ns(&self) -> u64 {
-        self.per_device.iter().map(|d| d.sim_ns + d.transfer_ns).max().unwrap_or(0)
+        self.per_device
+            .iter()
+            .map(|d| d.schedule.sim_elapsed_ns() + d.transfer_ns)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Simulated cost of the same work on one device (no gathers —
     /// the archives would already be local).
     pub fn sim_serial_ns(&self) -> u64 {
-        self.per_device.iter().map(|d| d.sim_ns).sum()
+        self.per_device.iter().map(|d| d.schedule.sim_elapsed_ns()).sum()
     }
 
     /// Total modelled transfer time across all gathers, ns.
@@ -148,9 +117,7 @@ impl ShardReport {
     }
 
     /// Multi-device win in simulated time: serial / elapsed (1.0 =
-    /// none). Transfers are part of the denominator — a slow link can
-    /// push this below the device count, which is the point of the
-    /// sweep.
+    /// none). A slow link can push this below the device count.
     pub fn sim_speedup(&self) -> f64 {
         let elapsed = self.sim_elapsed_ns();
         if elapsed == 0 {
@@ -158,205 +125,49 @@ impl ShardReport {
         }
         self.sim_serial_ns() as f64 / elapsed as f64
     }
-}
 
-/// Tag every stage error from a device's shard set with the device it
-/// failed on, so a poisoned device is attributable from the error
-/// alone (the fault matrix pins this).
-fn attribute_device(e: CuszError, device: usize) -> CuszError {
-    match e {
-        CuszError::StageError { stage, kind, site } => CuszError::StageError {
-            stage,
-            kind,
-            site: format!("device {device}: {site}"),
-        },
-        other => other,
+    /// The schedule of a one-device run (what `*_streams` returns).
+    pub(crate) fn into_schedule(mut self) -> ScheduleReport {
+        self.per_device.swap_remove(0).schedule
     }
 }
 
-/// Per-shard outcomes of one device, each tagged with the shard's
-/// original index for order-preserving slotting.
-type TaggedResults<U> = Vec<(usize, Result<U, CuszError>)>;
-
-/// Run one device's shard set: bind the device, schedule its items on
-/// its own streams, and return per-item results plus the device
-/// report. `items` carries the original shard index for slotting.
-fn run_device_shard<'a, T: Sync, U: Send>(
-    md: &MultiDevice,
-    device: usize,
-    topo: &Topology,
-    items: &[(usize, &'a T)],
-    streams: usize,
-    f: impl Fn(&'a T) -> Result<U, CuszError> + Sync,
-    size_of: impl Fn(&U) -> u64,
-) -> (TaggedResults<U>, DeviceShardReport) {
-    let (results, report) = md.scoped(device, || {
-        crate::sched::run_jobs(items, streams, |&(_, item), _| f(item))
-    });
-    let sim_ns = report.sim_elapsed_ns();
-    md.advance_clock(device, sim_ns);
-    let archive_bytes: u64 =
-        results.iter().filter_map(|r| r.as_ref().ok()).map(&size_of).sum();
-    let transfer_ns = (topo.gather_s(device, archive_bytes) * 1e9).round() as u64;
-    let dev_report = DeviceShardReport {
-        device,
-        jobs: items.len(),
-        sim_ns,
-        per_stream_sim_ns: report.per_stream_sim_ns,
-        archive_bytes,
-        transfer_ns,
-    };
-    let tagged = items
-        .iter()
-        .zip(results)
-        .map(|(&(idx, _), r)| (idx, r.map_err(|e| attribute_device(e, device))))
-        .collect();
-    (tagged, dev_report)
-}
-
-/// Shard `items` round-robin over the plan's devices, run every
-/// device's set concurrently, and return results in item order plus
-/// the report. The generic core of both sharded entry points.
-fn run_sharded<'a, T: Sync, U: Send>(
-    items: &[&'a T],
-    plan: ShardPlan,
-    spec: cuszi_gpu_sim::DeviceSpec,
-    f: impl Fn(&'a T) -> Result<U, CuszError> + Sync,
-    size_of: impl Fn(&U) -> u64 + Sync,
-) -> Result<(Vec<Result<U, CuszError>>, ShardReport), CuszError> {
-    plan.validate()?;
-    let m = plan.devices;
-    let topo = plan.topology();
-    let md = MultiDevice::homogeneous(m, spec);
-    let assignments: Vec<Vec<(usize, &T)>> = (0..m)
-        .map(|d| items.iter().enumerate().skip(d).step_by(m).map(|(i, t)| (i, *t)).collect())
-        .collect();
-
-    let mut slots: Vec<Option<Result<U, CuszError>>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    let slots = Mutex::new(slots);
-    let reports: Vec<Mutex<Option<DeviceShardReport>>> =
-        (0..m).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for (d, dev_items) in assignments.iter().enumerate() {
-            let (md, topo, f, size_of) = (&md, &topo, &f, &size_of);
-            let (slots, report_slot) = (&slots, &reports[d]);
-            scope.spawn(move || {
-                let (tagged, dev_report) = run_device_shard(
-                    md,
-                    d,
-                    topo,
-                    dev_items,
-                    plan.streams_per_device,
-                    f,
-                    size_of,
-                );
-                let mut guard =
-                    slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                for (idx, r) in tagged {
-                    guard[idx] = Some(r);
-                }
-                *report_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-                    Some(dev_report);
-            });
-        }
-    });
-
-    let results = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(CuszError::StageError {
-                    stage: "schedule",
-                    kind: crate::error::StageFaultKind::StreamPoisoned,
-                    site: "shard slot never filled".to_string(),
-                })
-            })
-        })
-        .collect();
-    let per_device = reports
-        .into_iter()
-        .enumerate()
-        .map(|(d, m)| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or(DeviceShardReport {
-                    device: d,
-                    jobs: 0,
-                    sim_ns: 0,
-                    per_stream_sim_ns: Vec::new(),
-                    archive_bytes: 0,
-                    transfer_ns: 0,
-                })
-        })
-        .collect();
-    Ok((
-        results,
-        ShardReport {
-            devices: m,
-            streams_per_device: plan.streams_per_device,
-            per_device,
-        },
-    ))
-}
-
-/// Compress named fields sharded across the plan's devices: field `i`
-/// on device `i % devices`, each device overlapping its fields on its
-/// own streams, archives gathered to device 0 for assembly at the
-/// modelled link cost. Container bytes are identical to
-/// [`crate::batch::compress_fields_streams`] at any device count.
+/// Compress named fields into a CSZM container. Overlap hides each
+/// field's host-serial stages (tuning, CPU codebook, assembly) behind
+/// its siblings' kernels; the bytes are identical at any plan.
 pub fn compress_fields_sharded(
     fields: &[NamedField<'_>],
     cfg: Config,
     plan: ShardPlan,
 ) -> Result<(Container, ShardReport), CuszError> {
-    if fields.iter().any(|f| f.name.len() > u16::MAX as usize) {
-        return Err(CuszError::InvalidConfig("field name too long"));
-    }
+    let mut container = Container::begin(fields)?;
     let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("shard-batch", cuszi_profile::Category::Batch);
-    let refs: Vec<&NamedField<'_>> = fields.iter().collect();
-    let (results, report) = run_sharded(
-        &refs,
-        plan,
-        cfg.device,
+    let _span = cuszi_profile::span("batch", cuszi_profile::Category::Batch);
+    let report = execute(
+        &plan,
+        fields.len(),
+        |i| &fields[i],
         |f| {
             let _g = cuszi_profile::span(f.name, cuszi_profile::Category::Batch);
             codec.compress(f.data)
         },
-        |c: &Compressed| c.bytes.len() as u64,
+        |c| c.bytes.len() as u64,
+        |i, c| {
+            container.push(&fields[i], c?.bytes);
+            Ok(())
+        },
     )?;
-    let archives: Vec<Compressed> = results.into_iter().collect::<Result<_, _>>()?;
-
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"CSZM");
-    bytes.extend_from_slice(&(fields.len() as u32).to_le_bytes());
-    let mut summaries = Vec::with_capacity(fields.len());
-    for (f, c) in fields.iter().zip(archives) {
-        bytes.extend_from_slice(&(f.name.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(f.name.as_bytes());
-        bytes.extend_from_slice(&(c.bytes.len() as u64).to_le_bytes());
-        summaries.push(FieldSummary {
-            name: f.name.to_string(),
-            input_bytes: (f.data.len() * 4) as u64,
-            archive_bytes: c.bytes.len() as u64,
-        });
-        bytes.extend_from_slice(&c.bytes);
-        crate::arena::put(c.bytes);
-    }
-    Ok((Container { bytes, fields: summaries }, report))
+    Ok((container, report))
 }
 
-/// Compress a 3-d field slab-by-slab, sharded across devices: slab `s`
-/// on device `s % devices`. Slabs are produced up front on the host
-/// (in ascending `z` order), so unlike
-/// [`crate::stream::compress_slabs_streams`] this variant holds the
-/// whole field's slabs live — it trades the streaming path's bounded
-/// memory for cross-device parallelism. The stream bytes are identical
-/// to the single-device streaming path at any device count.
+/// Compress a 3-d field slab-by-slab into a CSZS stream.
+/// `produce(z0, nz)` returns the `nz x ny x nx` slab at plane `z0`; it
+/// runs on the host thread in ascending `z0` order, at most
+/// `devices × streams` slabs ahead of the writer, so memory stays
+/// bounded. The bytes are identical at any plan. A
+/// [`cuszi_quant::ErrorBound::Rel`] bound resolves against each slab's
+/// value range (narrow slabs get a *tighter* bound); pass an absolute
+/// bound for a uniform guarantee.
 pub fn compress_slabs_sharded(
     shape: Shape,
     slab_z: usize,
@@ -364,123 +175,104 @@ pub fn compress_slabs_sharded(
     plan: ShardPlan,
     mut produce: impl FnMut(usize, usize) -> NdArray<f32>,
 ) -> Result<(Vec<u8>, ShardReport), CuszError> {
-    if shape.rank() != 3 {
-        return Err(CuszError::InvalidConfig("slab streaming requires a 3-d shape"));
-    }
-    if slab_z == 0 {
-        return Err(CuszError::InvalidConfig("slab thickness must be positive"));
-    }
-    let [nz, ny, nx] = shape.dims3();
-    let nslabs = nz.div_ceil(slab_z);
-    if nslabs > u32::MAX as usize {
-        return Err(CuszError::InvalidConfig("too many slabs for the stream header"));
-    }
-    let mut slabs = Vec::with_capacity(nslabs);
-    for s in 0..nslabs {
-        let z0 = s * slab_z;
-        let znum = slab_z.min(nz - z0);
-        let slab = produce(z0, znum);
-        if slab.shape() != Shape::d3(znum, ny, nx) {
-            return Err(CuszError::InvalidConfig("produced slab has the wrong shape"));
-        }
-        slabs.push(slab);
-    }
-
+    let geo = SlabGeometry::new(shape, slab_z)?;
+    let mut out = geo.header();
     let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("shard-slabs", cuszi_profile::Category::Stream);
-    let refs: Vec<&NdArray<f32>> = slabs.iter().collect();
-    let (results, report) = run_sharded(
-        &refs,
-        plan,
-        cfg.device,
-        |slab| codec.compress(slab),
-        |c: &Compressed| c.bytes.len() as u64,
+    let _span = cuszi_profile::span("slabs", cuszi_profile::Category::Stream);
+    let report = execute(
+        &plan,
+        geo.nslabs,
+        |s| {
+            let (z0, want) = geo.slab(s);
+            let slab = produce(z0, want.dims3()[0]);
+            let wrong = CuszError::InvalidConfig("produced slab has the wrong shape");
+            (z0, (slab.shape() == want).then_some(slab).ok_or(wrong))
+        },
+        |(z0, slab)| {
+            let _g = slab_span(z0);
+            codec.compress(&slab?).map(|c| c.bytes)
+        },
+        |archive| archive.len() as u64,
+        |_, archive| {
+            crate::stream::push_slab(&mut out, archive?);
+            Ok(())
+        },
     )?;
-
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CSZS");
-    out.push(3u8);
-    for d in shape.dims3() {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&(slab_z as u32).to_le_bytes());
-    out.extend_from_slice(&(nslabs as u32).to_le_bytes());
-    for r in results {
-        let c = r?;
-        out.extend_from_slice(&(c.bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&c.bytes);
-        crate::arena::put(c.bytes);
-    }
     Ok((out, report))
 }
 
-/// Decompress a multi-field container sharded across devices: field
-/// `i` on device `i % devices`, reconstructed fields gathered to
-/// device 0 at the modelled link cost (the gather ships the *raw*
-/// field bytes — decompression inverts the "compress where, ship
-/// what" economics). Output is identical to
-/// [`crate::batch::decompress_fields`] at any device count.
+/// Decompress a CSZM container into `(name, field)` pairs, identical
+/// at any plan. Gathers ship the *raw* field bytes — decompression
+/// inverts the "compress where, ship what" economics.
 pub fn decompress_fields_sharded(
     bytes: &[u8],
     cfg: Config,
     plan: ShardPlan,
-) -> Result<(crate::batch::DecodedFields, ShardReport), CuszError> {
+) -> Result<(DecodedFields, ShardReport), CuszError> {
     let entries = crate::batch::parse_container(bytes)?;
     let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("shard-batch", cuszi_profile::Category::Batch);
-    let refs: Vec<&(String, &[u8])> = entries.iter().collect();
-    let (results, report) = run_sharded(
-        &refs,
-        plan,
-        cfg.device,
+    let _span = cuszi_profile::span("batch", cuszi_profile::Category::Batch);
+    let mut fields = Vec::with_capacity(entries.len());
+    let report = execute(
+        &plan,
+        entries.len(),
+        |i| &entries[i],
         |(name, archive)| {
             let _g = cuszi_profile::span(name, cuszi_profile::Category::Batch);
             codec.decompress(archive).map(|d| d.data)
         },
-        |d: &NdArray<f32>| (d.len() * 4) as u64,
+        |d| (d.len() * 4) as u64,
+        |i, d| {
+            fields.push((entries[i].0.clone(), d?));
+            Ok(())
+        },
     )?;
-    let fields: Vec<NdArray<f32>> = results.into_iter().collect::<Result<_, _>>()?;
-    Ok((entries.into_iter().map(|(name, _)| name).zip(fields).collect(), report))
+    Ok((fields, report))
 }
 
-/// Decompress a slab stream sharded across devices: slab `s` on device
-/// `s % devices`, reconstructed slabs gathered to device 0 and handed
-/// to `consume(z0, slab)` in ascending `z` order. Output is identical
-/// to [`crate::stream::decompress_slabs`] at any device count.
+/// Decompress a CSZS stream, handing slabs to `consume(z0, slab)` in
+/// ascending `z` order as each one's turn comes, so at most
+/// `devices × streams` decoded slabs are live. Returns the field shape;
+/// output is identical at any plan.
 pub fn decompress_slabs_sharded(
     bytes: &[u8],
     cfg: Config,
     plan: ShardPlan,
     mut consume: impl FnMut(usize, NdArray<f32>),
 ) -> Result<(Shape, ShardReport), CuszError> {
-    let parsed = crate::stream::parse_slab_container(bytes)?;
+    let (geo, entries) = crate::stream::parse_slab_container(bytes)?;
     let codec = CuszI::new(cfg);
-    let _span = cuszi_profile::span("shard-slabs", cuszi_profile::Category::Stream);
-    let refs: Vec<&std::ops::Range<usize>> = parsed.entries.iter().collect();
-    let (results, report) = run_sharded(
-        &refs,
-        plan,
-        cfg.device,
-        |r| codec.decompress(&bytes[r.clone()]).map(|d| d.data),
-        |d: &NdArray<f32>| (d.len() * 4) as u64,
+    let _span = cuszi_profile::span("slabs", cuszi_profile::Category::Stream);
+    let report = execute(
+        &plan,
+        entries.len(),
+        |s| (geo.slab(s).0, &bytes[entries[s].clone()]),
+        |(z0, archive)| {
+            let _g = slab_span(z0);
+            codec.decompress(archive).map(|d| d.data)
+        },
+        |d| (d.len() * 4) as u64,
+        |s, slab| {
+            let (slab, (z0, want)) = (slab?, geo.slab(s));
+            if slab.shape() != want {
+                return Err(CuszError::CorruptArchive("slab shape mismatch"));
+            }
+            consume(z0, slab);
+            Ok(())
+        },
     )?;
-    for (s, r) in results.into_iter().enumerate() {
-        let data = r?;
-        let z0 = s * parsed.slab_z;
-        let expect_z = parsed.slab_z.min(parsed.dims[0] - z0);
-        if data.shape() != Shape::d3(expect_z, parsed.dims[1], parsed.dims[2]) {
-            return Err(CuszError::CorruptArchive("slab shape mismatch"));
-        }
-        consume(z0, data);
-    }
-    Ok((parsed.shape, report))
+    Ok((geo.shape, report))
+}
+
+/// The profile span of the slab at plane `z0` (named only if profiling).
+fn slab_span(z0: usize) -> Option<cuszi_profile::SpanGuard> {
+    let cat = cuszi_profile::Category::Stream;
+    cuszi_profile::enabled().then(|| cuszi_profile::span(&format!("slab-z{z0}"), cat))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::compress_fields_streams;
-    use crate::stream::compress_slabs_streams;
     use cuszi_quant::ErrorBound;
 
     fn fields() -> Vec<(String, NdArray<f32>)> {
@@ -501,104 +293,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_is_byte_identical_to_single_device() {
-        let fs = fields();
-        let cfg = Config::new(ErrorBound::Rel(1e-3));
-        let (reference, _) = compress_fields_streams(&named(&fs), cfg, 2).unwrap();
-        for devices in [1, 2, 4] {
-            let plan = ShardPlan::new(devices).streams(2);
-            let (c, report) = compress_fields_sharded(&named(&fs), cfg, plan).unwrap();
-            assert_eq!(c.bytes, reference.bytes, "devices={devices}");
-            assert_eq!(report.devices, devices);
-            assert_eq!(report.per_device.len(), devices);
-            let jobs: usize = report.per_device.iter().map(|d| d.jobs).sum();
-            assert_eq!(jobs, fs.len());
-        }
-    }
-
-    #[test]
-    fn sharded_slabs_are_byte_identical_to_streaming_path() {
-        let shape = Shape::d3(32, 12, 12);
-        let full = NdArray::from_fn(shape, |z, y, x| ((x + y * 2 + z * 3) as f32 * 0.05).cos());
-        let slab_of = |z0: usize, nz: usize| {
-            let [_, ny, nx] = shape.dims3();
-            NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| full.get3(z0 + z, y, x))
-        };
-        let cfg = Config::new(ErrorBound::Abs(1e-3));
-        let (reference, _) = compress_slabs_streams(shape, 8, cfg, 2, slab_of).unwrap();
-        for devices in [1, 2, 4] {
-            let plan = ShardPlan::new(devices).streams(2).link(LinkClass::Pcie);
-            let (bytes, report) =
-                compress_slabs_sharded(shape, 8, cfg, plan, slab_of).unwrap();
-            assert_eq!(bytes, reference, "devices={devices}");
-            assert_eq!(report.per_device.iter().map(|d| d.jobs).sum::<usize>(), 4);
-        }
-    }
-
-    #[test]
-    fn sharded_batch_decompress_matches_single_device() {
-        let fs = fields();
-        let cfg = Config::new(ErrorBound::Rel(1e-3));
-        let (c, _) = compress_fields_streams(&named(&fs), cfg, 2).unwrap();
-        let reference = crate::batch::decompress_fields(&c.bytes, cfg).unwrap();
-        for devices in [1, 2, 4] {
-            let plan = ShardPlan::new(devices).streams(2);
-            let (back, report) = decompress_fields_sharded(&c.bytes, cfg, plan).unwrap();
-            assert_eq!(back.len(), reference.len(), "devices={devices}");
-            for ((n, d), (rn, rd)) in back.iter().zip(&reference) {
-                assert_eq!(n, rn);
-                assert_eq!(d.as_slice(), rd.as_slice(), "devices={devices} field {n}");
-            }
-            assert_eq!(report.per_device.iter().map(|d| d.jobs).sum::<usize>(), fs.len());
-            // Decompressed fields ship raw: each non-zero shard set
-            // reports gathered bytes.
-            for d in &report.per_device[1..] {
-                if d.jobs > 0 {
-                    assert!(d.archive_bytes > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_slab_decompress_matches_streaming_path() {
-        let shape = Shape::d3(32, 12, 12);
-        let full = NdArray::from_fn(shape, |z, y, x| ((x + y * 2 + z * 3) as f32 * 0.05).cos());
-        let slab_of = |z0: usize, nz: usize| {
-            let [_, ny, nx] = shape.dims3();
-            NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| full.get3(z0 + z, y, x))
-        };
-        let cfg = Config::new(ErrorBound::Abs(1e-3));
-        let (bytes, _) = compress_slabs_streams(shape, 8, cfg, 2, slab_of).unwrap();
-        let mut reference = Vec::new();
-        crate::stream::decompress_slabs(&bytes, cfg, |z0, slab| reference.push((z0, slab)))
-            .unwrap();
-        for devices in [1, 2, 4] {
-            let plan = ShardPlan::new(devices).streams(2).link(LinkClass::Pcie);
-            let mut got = Vec::new();
-            let (shape_back, _) =
-                decompress_slabs_sharded(&bytes, cfg, plan, |z0, slab| got.push((z0, slab)))
-                    .unwrap();
-            assert_eq!(shape_back, shape);
-            assert_eq!(got.len(), reference.len(), "devices={devices}");
-            for ((z0, s), (rz0, rs)) in got.iter().zip(&reference) {
-                assert_eq!(z0, rz0);
-                assert_eq!(s.as_slice(), rs.as_slice(), "devices={devices} z0={z0}");
-            }
-        }
-    }
-
-    #[test]
     fn report_accounts_transfers_and_speedup() {
         let fs = fields();
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let plan = ShardPlan::new(4).streams(1).link(LinkClass::NvLink);
         let (_, report) = compress_fields_sharded(&named(&fs), cfg, plan).unwrap();
+        let jobs: Vec<usize> = report.per_device.iter().map(|d| d.jobs).collect();
+        assert_eq!(jobs, vec![2, 1, 1, 1]);
         assert_eq!(report.per_device[0].transfer_ns, 0, "device 0 gathers locally");
         for d in &report.per_device[1..] {
-            if d.archive_bytes > 0 {
-                assert!(d.transfer_ns > 0, "device {} ships over the link", d.device);
-            }
+            assert!(d.archive_bytes > 0 && d.transfer_ns > 0, "device {} ships", d.device);
         }
         assert!(report.sim_serial_ns() >= report.sim_elapsed_ns() - report.transfer_ns());
         assert!(
@@ -626,7 +330,8 @@ mod tests {
     fn empty_batch_shards_fine() {
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let (c, report) = compress_fields_sharded(&[], cfg, ShardPlan::new(2)).unwrap();
-        assert!(crate::batch::decompress_fields(&c.bytes, cfg).unwrap().is_empty());
+        let (back, _) = decompress_fields_sharded(&c.bytes, cfg, ShardPlan::new(1)).unwrap();
+        assert!(back.is_empty());
         assert_eq!(report.sim_speedup(), 1.0);
     }
 }

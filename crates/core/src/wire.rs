@@ -1,4 +1,5 @@
-//! Fixed-width little-endian readers for archive parsing.
+//! Fixed-width little-endian readers for archive parsing, and the
+//! `[u64 len][body]` entry both container formats are made of.
 //!
 //! Every caller has already bounds-checked the slice it passes (the
 //! parsers validate lengths before indexing), so the `try_into` here
@@ -7,6 +8,10 @@
 //! honest everywhere else.
 
 #![allow(clippy::unwrap_used)]
+
+use std::ops::Range;
+
+use crate::error::CuszError;
 
 /// Read a `u16` from `b[at..at + 2]`.
 pub(crate) fn u16_le(b: &[u8], at: usize) -> u16 {
@@ -31,6 +36,27 @@ pub(crate) fn f32_le(b: &[u8], at: usize) -> f32 {
 /// Read an `f64` from `b[at..at + 8]`.
 pub(crate) fn f64_le(b: &[u8], at: usize) -> f64 {
     f64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+/// Append a `[u64 len][body]` entry.
+pub(crate) fn put_entry(out: &mut Vec<u8>, body: &[u8]) {
+    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    out.extend_from_slice(body);
+}
+
+/// The body range of the `[u64 len][body]` entry at `*at`, advancing
+/// `at` past it. Checked in the `u64` domain: a crafted huge length
+/// surfaces as [`CuszError::CorruptArchive`], never a wrapped cursor or
+/// a panicking slice.
+pub(crate) fn entry(b: &[u8], at: &mut u64, what: &'static str) -> Result<Range<usize>, CuszError> {
+    let blen = b.len() as u64;
+    let body = at.checked_add(8).filter(|&e| e <= blen).ok_or(CuszError::CorruptArchive(what))?;
+    let end = body
+        .checked_add(u64_le(b, *at as usize))
+        .filter(|&e| e <= blen)
+        .ok_or(CuszError::CorruptArchive(what))?;
+    *at = end;
+    Ok(body as usize..end as usize)
 }
 
 #[cfg(test)]

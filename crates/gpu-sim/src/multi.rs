@@ -11,21 +11,17 @@
 //!   device-scoped in the substrate (fault domains, stream labels,
 //!   launch attribution) consults it, so existing single-device code
 //!   paths run unchanged on device 0;
-//! * a [`MultiDevice`] handle — one [`DeviceSpec`] and one simulated
-//!   clock per device, plus [`MultiDevice::scoped`], which binds the
-//!   device id *and* divides the host worker budget by the device
-//!   count so M concurrent device scopes use ~one machine's worth of
-//!   threads (the same bounded-oversubscription rule the stream
-//!   scheduler applies).
+//! * [`MAX_DEVICES`] statically allocated fault domains, one per id.
+//!
+//! Schedulers open each device's stream set under [`on_device`], so a
+//! device's simulated timeline is its streams' clocks; splitting the
+//! worker budget is the scheduler's business (`cuszi_core::sched`).
 //!
 //! Fault isolation is the point: each device id indexes an independent
 //! fault domain in [`crate::fault`], so `CUSZI_FAULT=dev1:stream:0`
 //! poisons device 1's stream 0 and leaves devices 0, 2, 3 untouched.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::device::DeviceSpec;
 
 /// Upper bound on simulated devices per process. Fault domains are
 /// statically allocated per device; eight covers the largest NVLink
@@ -56,86 +52,9 @@ pub fn on_device<R>(id: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Per-device state of a [`MultiDevice`] handle.
-struct DeviceSlot {
-    spec: DeviceSpec,
-    /// Simulated nanoseconds of work accounted to this device (fed by
-    /// schedulers from their per-stream clocks).
-    clock_ns: AtomicU64,
-}
-
-/// A set of M simulated devices: specs, clocks, and scoped execution
-/// with a per-device share of the host worker budget.
-pub struct MultiDevice {
-    devices: Vec<DeviceSlot>,
-}
-
-impl MultiDevice {
-    /// `m` identical devices (the common homogeneous-node case).
-    pub fn homogeneous(m: usize, spec: DeviceSpec) -> Self {
-        Self::new(vec![spec; m])
-    }
-
-    /// One device per spec, in id order.
-    pub fn new(specs: Vec<DeviceSpec>) -> Self {
-        assert!(
-            !specs.is_empty() && specs.len() <= MAX_DEVICES,
-            "device count must be in 1..={MAX_DEVICES}"
-        );
-        MultiDevice {
-            devices: specs
-                .into_iter()
-                .map(|spec| DeviceSlot { spec, clock_ns: AtomicU64::new(0) })
-                .collect(),
-        }
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the set is empty (it never is; kept for clippy's
-    /// `len`-without-`is_empty` convention).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The spec of device `id`.
-    pub fn spec(&self, id: usize) -> &DeviceSpec {
-        &self.devices[id].spec
-    }
-
-    /// Run `f` on device `id`: binds the current-device id and pins
-    /// the pool worker budget to this device's share
-    /// (`host_threads / device_count`, at least 1), so M concurrent
-    /// scopes oversubscribe the host by at most a rounding error.
-    pub fn scoped<R>(&self, id: usize, f: impl FnOnce() -> R) -> R {
-        assert!(id < self.devices.len(), "device id {id} out of range");
-        let budget = (crate::pool::current_threads() / self.devices.len()).max(1);
-        on_device(id, || crate::pool::with_threads(budget, f))
-    }
-
-    /// Account `ns` simulated nanoseconds of work to device `id`.
-    pub fn advance_clock(&self, id: usize, ns: u64) {
-        self.devices[id].clock_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Simulated clock of device `id`, ns.
-    pub fn clock_ns(&self, id: usize) -> u64 {
-        self.devices[id].clock_ns.load(Ordering::Relaxed)
-    }
-
-    /// All device clocks, in id order.
-    pub fn clocks_ns(&self) -> Vec<u64> {
-        self.devices.iter().map(|d| d.clock_ns.load(Ordering::Relaxed)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{A100, A40};
 
     #[test]
     fn default_binding_is_device_zero() {
@@ -156,35 +75,6 @@ mod tests {
     #[should_panic]
     fn out_of_range_device_rejected() {
         on_device(MAX_DEVICES, || {});
-    }
-
-    #[test]
-    fn scoped_binds_device_and_splits_budget() {
-        let md = MultiDevice::homogeneous(4, A100);
-        crate::pool::with_threads(8, || {
-            md.scoped(3, || {
-                assert_eq!(current_device(), 3);
-                assert_eq!(crate::pool::current_threads(), 2, "8 threads / 4 devices");
-            });
-        });
-        // Budget never rounds to zero.
-        crate::pool::with_threads(1, || {
-            md.scoped(1, || assert_eq!(crate::pool::current_threads(), 1));
-        });
-    }
-
-    #[test]
-    fn heterogeneous_specs_and_clocks() {
-        let md = MultiDevice::new(vec![A100, A40]);
-        assert_eq!(md.len(), 2);
-        assert!(!md.is_empty());
-        assert_eq!(md.spec(0).name, "A100-40GB");
-        assert_eq!(md.spec(1).name, "A40-48GB");
-        md.advance_clock(1, 500);
-        md.advance_clock(1, 250);
-        assert_eq!(md.clock_ns(0), 0);
-        assert_eq!(md.clock_ns(1), 750);
-        assert_eq!(md.clocks_ns(), vec![0, 750]);
     }
 
     #[test]

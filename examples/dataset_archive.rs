@@ -12,7 +12,8 @@
 //! ```
 
 use cuszi_repro::core::{
-    compress_fields, compress_pw_rel, decompress_fields, decompress_pw_rel, Config, NamedField,
+    compress_fields_streams, compress_pw_rel, decompress_fields_streams, decompress_pw_rel,
+    default_streams, Config, NamedField,
 };
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::quant::ErrorBound;
@@ -26,7 +27,8 @@ fn main() {
         .iter()
         .map(|f| NamedField { name: f.name, data: &f.data })
         .collect();
-    let container = compress_fields(&rel_fields, cfg).expect("container");
+    let (container, _) =
+        compress_fields_streams(&rel_fields, cfg, default_streams()).expect("container");
     println!("container: {} fields, aggregate CR {:.1}", container.fields.len(), container.aggregate_cr());
     for f in &container.fields {
         println!(
@@ -49,7 +51,8 @@ fn main() {
     );
 
     // Verify both contracts.
-    let back = decompress_fields(&container.bytes, cfg).expect("container decompress");
+    let (back, _) = decompress_fields_streams(&container.bytes, cfg, default_streams())
+        .expect("container decompress");
     for ((name, recon), orig) in back.iter().zip(&ds.fields[2..]) {
         let s = orig.data.as_slice();
         let range = s.iter().cloned().fold(f32::NEG_INFINITY, f32::max)

@@ -8,8 +8,9 @@
 
 use cuszi_repro::core::archive::{Header, HEADER_LEN};
 use cuszi_repro::core::{
-    compress_fields, compress_pw_rel, compress_slabs, decompress_fields, decompress_pw_rel,
-    decompress_slabs, Config, CuszError, CuszI, NamedField,
+    compress_fields_streams, compress_pw_rel, compress_slabs_streams, decompress_fields_streams,
+    decompress_pw_rel, decompress_slabs_streams, default_streams, Config, CuszError, CuszI,
+    NamedField,
 };
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::{NdArray, Shape};
@@ -32,13 +33,14 @@ fn archives() -> Vec<(&'static str, Vec<u8>, DecompressOk)> {
     let cszi = CuszI::new(cfg).compress(&data).unwrap().bytes;
     let cszi_plain = CuszI::new(plain_cfg).compress(&data).unwrap().bytes;
     let named = [NamedField { name: "f0", data: &data }, NamedField { name: "f1", data: &data }];
-    let cszm = compress_fields(&named, cfg).unwrap().bytes;
+    let cszm = compress_fields_streams(&named, cfg, default_streams()).unwrap().0.bytes;
     let shape = data.shape();
-    let cszs = compress_slabs(shape, 4, cfg, |z0, nz| {
+    let cszs = compress_slabs_streams(shape, 4, cfg, default_streams(), |z0, nz| {
         let [_, ny, nx] = shape.dims3();
         NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| data.get3(z0 + z, y, x))
     })
-    .unwrap();
+    .unwrap()
+    .0;
     let cszr = compress_pw_rel(&data, 1e-3, 1e-6, cfg).unwrap().bytes;
     vec![
         ("CSZI", cszi, Box::new(move |b: &[u8]| CuszI::new(cfg).decompress(b).is_ok()) as _),
@@ -47,8 +49,19 @@ fn archives() -> Vec<(&'static str, Vec<u8>, DecompressOk)> {
             cszi_plain,
             Box::new(move |b: &[u8]| CuszI::new(plain_cfg).decompress(b).is_ok()) as _,
         ),
-        ("CSZM", cszm, Box::new(move |b: &[u8]| decompress_fields(b, cfg).is_ok()) as _),
-        ("CSZS", cszs, Box::new(move |b: &[u8]| decompress_slabs(b, cfg, |_, _| {}).is_ok()) as _),
+        (
+            "CSZM",
+            cszm,
+            Box::new(move |b: &[u8]| decompress_fields_streams(b, cfg, default_streams()).is_ok())
+                as _,
+        ),
+        (
+            "CSZS",
+            cszs,
+            Box::new(move |b: &[u8]| {
+                decompress_slabs_streams(b, cfg, default_streams(), |_, _| {}).is_ok()
+            }) as _,
+        ),
         ("CSZR", cszr, Box::new(move |b: &[u8]| decompress_pw_rel(b, cfg).is_ok()) as _),
     ]
 }
@@ -118,13 +131,14 @@ proptest! {
         let data = field();
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let shape = data.shape();
-        let cszs = compress_slabs(shape, 4, cfg, |z0, nz| {
+        let cszs = compress_slabs_streams(shape, 4, cfg, default_streams(), |z0, nz| {
             let [_, ny, nx] = shape.dims3();
             NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| data.get3(z0 + z, y, x))
         })
-        .unwrap();
+        .unwrap()
+        .0;
         let named = [NamedField { name: "f0", data: &data }];
-        let cszm = compress_fields(&named, cfg).unwrap().bytes;
+        let cszm = compress_fields_streams(&named, cfg, default_streams()).unwrap().0.bytes;
         let huge = (u64::MAX - delta).to_le_bytes();
 
         // CSZS: the first slab's u64 length sits right after the
@@ -133,7 +147,7 @@ proptest! {
         bad[37..45].copy_from_slice(&huge);
         prop_assert!(
             matches!(
-                decompress_slabs(&bad, cfg, |_, _| {}),
+                decompress_slabs_streams(&bad, cfg, default_streams(), |_, _| {}),
                 Err(CuszError::CorruptArchive(_))
             ),
             "CSZS length {} not rejected as CorruptArchive", u64::MAX - delta
@@ -145,7 +159,7 @@ proptest! {
         bad[12..20].copy_from_slice(&huge);
         prop_assert!(
             matches!(
-                decompress_fields(&bad, cfg),
+                decompress_fields_streams(&bad, cfg, default_streams()),
                 Err(CuszError::CorruptArchive(_))
             ),
             "CSZM length {} not rejected as CorruptArchive", u64::MAX - delta

@@ -11,12 +11,12 @@
 use std::sync::Mutex;
 
 use cuszi_repro::core::{
-    compress_fields_sharded, compress_fields_streams, sched, Config, CuszError, CuszI, NamedField,
-    ShardPlan, StageFaultKind,
+    compress_fields_sharded, compress_fields_streams, compress_slabs_streams,
+    decompress_slabs_streams, sched, Config, CuszError, CuszI, NamedField, ShardPlan,
+    StageFaultKind,
 };
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::gpu_sim::fault::{self, FaultSpec};
-use cuszi_repro::gpu_sim::on_device;
 use cuszi_repro::profile::{flight, minjson};
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::{NdArray, Shape};
@@ -271,27 +271,109 @@ fn poisoned_stream_fails_only_its_own_jobs() {
     // Eight copies of the same field over four streams: jobs 1 and 5
     // land on the poisoned stream and must fail typed; the other six
     // must come back byte-identical to the unarmed archive.
-    let items: Vec<&NdArray<f32>> = (0..8).map(|_| data).collect();
     clear_flight_dump();
     let _armed = Armed::new(FaultSpec::PoisonStream(1));
-    let (results, report) = sched::run_jobs(&items, 4, |d, _| codec.compress(d));
-    assert_eq!(report.streams, 4);
+    let results = run_each(ShardPlan::new(1).streams(4), 8, |_| codec.compress(data));
     for (i, r) in results.iter().enumerate() {
         if i % 4 == 1 {
-            assert_eq!(
-                r.as_ref().err(),
-                Some(&CuszError::StageError {
-                    stage: "schedule",
-                    kind: StageFaultKind::StreamPoisoned,
-                    site: "job slot never filled".to_string(),
-                }),
-                "job {i} ran on the poisoned stream"
-            );
+            assert_eq!(r.as_ref().err(), Some(&unrun("")), "job {i} ran on the poisoned stream");
             assert_flight_dump(r.as_ref().unwrap_err(), Some("schedule"));
         } else {
             let c = r.as_ref().unwrap_or_else(|e| panic!("sibling job {i} failed: {e}"));
             assert_eq!(c.bytes, reference, "job {i}: sibling archive changed");
         }
+    }
+}
+
+/// Every job's result through the executor, in index order.
+fn run_each<U: Send>(
+    plan: ShardPlan,
+    count: usize,
+    f: impl Fn(usize) -> Result<U, CuszError> + Sync,
+) -> Vec<Result<U, CuszError>> {
+    let mut results = Vec::new();
+    sched::execute(
+        &plan,
+        count,
+        |i| i,
+        f,
+        |_| 0,
+        |_, r| {
+            results.push(r);
+            Ok(())
+        },
+    )
+    .expect("a sink that never fails");
+    results
+}
+
+/// The typed error of a job its poisoned stream dropped unrun.
+fn unrun(prefix: &str) -> CuszError {
+    CuszError::StageError {
+        stage: "schedule",
+        kind: StageFaultKind::StreamPoisoned,
+        site: format!("{prefix}job slot never filled"),
+    }
+}
+
+/// A field cut into eight z-slabs of 3, for the slab-path rows.
+fn slab_field() -> (NdArray<f32>, impl Fn(usize, usize) -> NdArray<f32>) {
+    let (_, data) = fields_of(DatasetKind::ALL[0]).swap_remove(0);
+    let [_, ny, nx] = data.shape().dims3();
+    let field = data.clone();
+    let slab = move |z0: usize, nz: usize| {
+        NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| field.get3(z0 + z, y, x))
+    };
+    (data, slab)
+}
+
+#[test]
+fn poisoned_stream_fails_slab_compress_typed_with_a_dump() {
+    let _g = guard();
+    let cfg = Config::new(ErrorBound::Abs(1e-3));
+    let (data, slab) = slab_field();
+    let (reference, _) =
+        compress_slabs_streams(data.shape(), 3, cfg, 4, &slab).expect("unarmed compress");
+    clear_flight_dump();
+    let err = {
+        let _armed = Armed::new(FaultSpec::PoisonStream(1));
+        compress_slabs_streams(data.shape(), 3, cfg, 4, &slab)
+            .expect_err("poisoned slab stream compressed Ok")
+    };
+    // Slab 1 is the first job on stream 1.
+    assert_eq!(err, unrun(""));
+    assert_flight_dump(&err, Some("schedule"));
+    let (again, _) =
+        compress_slabs_streams(data.shape(), 3, cfg, 4, &slab).expect("disarmed compress");
+    assert_eq!(again, reference, "disarmed slab stream differs");
+}
+
+#[test]
+fn poisoned_stream_fails_slab_decompress_typed_with_a_dump() {
+    let _g = guard();
+    let cfg = Config::new(ErrorBound::Abs(1e-3));
+    let (data, slab) = slab_field();
+    let (bytes, _) = compress_slabs_streams(data.shape(), 3, cfg, 4, slab).expect("compress");
+    let mut reference = Vec::new();
+    decompress_slabs_streams(&bytes, cfg, 4, |z0, s| reference.push((z0, s)))
+        .expect("unarmed decompress");
+    assert_eq!(reference.len(), 8);
+    clear_flight_dump();
+    let mut got = Vec::new();
+    let err = {
+        let _armed = Armed::new(FaultSpec::PoisonStream(1));
+        decompress_slabs_streams(&bytes, cfg, 4, |z0, s| got.push((z0, s)))
+            .expect_err("poisoned slab stream decompressed Ok")
+    };
+    assert_eq!(err, unrun(""));
+    assert_flight_dump(&err, Some("schedule"));
+    // Slabs ahead of the first dropped one still reach the consumer,
+    // byte-identical.
+    assert_eq!(got.len(), 1, "the consumer stops at the first dropped slab");
+    for ((z0, s), (rz0, rs)) in got.iter().zip(&reference) {
+        assert_eq!(z0, rz0);
+        let bits = |a: &NdArray<f32>| a.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(s), bits(rs), "slab z0={z0} changed");
     }
 }
 
@@ -325,33 +407,23 @@ fn poisoned_device_fails_only_its_own_shards() {
     let reference = codec.compress(data).expect("unarmed compress").bytes;
 
     // Eight shards round-robin over four devices, two per device, each
-    // device scheduling its pair on its own (single) stream — the shard
-    // layer's layout. Only device 2's domain is poisoned: its shards
-    // must fail typed, every neighbour's archives stay byte-identical.
-    let items: Vec<&NdArray<f32>> = (0..8).map(|_| data).collect();
+    // device scheduling its pair on its own (single) stream. Only
+    // device 2's domain is poisoned: its shards must fail typed and
+    // device-attributed, every neighbour's archives stay byte-identical.
     clear_flight_dump();
     let _armed = Armed::on(2, FaultSpec::PoisonStream(0));
-    for dev in 0..4usize {
-        let dev_items: Vec<&NdArray<f32>> = items.iter().skip(dev).step_by(4).copied().collect();
-        let (results, _) =
-            on_device(dev, || sched::run_jobs(&dev_items, 1, |d, _| codec.compress(d)));
-        for (i, r) in results.iter().enumerate() {
-            if dev == 2 {
-                assert_eq!(
-                    r.as_ref().err(),
-                    Some(&CuszError::StageError {
-                        stage: "schedule",
-                        kind: StageFaultKind::StreamPoisoned,
-                        site: "job slot never filled".to_string(),
-                    }),
-                    "device {dev} shard {i} ran despite the poisoned domain"
-                );
-            } else {
-                let c = r
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("device {dev} shard {i} failed: {e}"));
-                assert_eq!(c.bytes, reference, "device {dev} shard {i}: neighbour archive changed");
-            }
+    let results = run_each(ShardPlan::new(4).streams(1), 8, |_| codec.compress(data));
+    for (i, r) in results.iter().enumerate() {
+        let dev = i % 4;
+        if dev == 2 {
+            assert_eq!(
+                r.as_ref().err(),
+                Some(&unrun("device 2: ")),
+                "device {dev} shard {i} ran despite the poisoned domain"
+            );
+        } else {
+            let c = r.as_ref().unwrap_or_else(|e| panic!("device {dev} shard {i} failed: {e}"));
+            assert_eq!(c.bytes, reference, "device {dev} shard {i}: neighbour archive changed");
         }
     }
 }

@@ -1,12 +1,14 @@
-//! The multi-stream scheduler's core invariant: archives are
-//! byte-identical for any stream count, and identical to the monolith
-//! (one `CuszI::compress` per field) path — on every dataset analogue.
+//! The executor's core invariant: containers and reconstructions are
+//! byte-identical at every plan, and the CSZM container is identical to
+//! the monolith (one `CuszI::compress` per field) path — on every
+//! dataset analogue.
 //!
 //! gpu-sim kernels are deterministic for any worker count and every
 //! stage of one job stays on one stream, so overlap must change only
-//! *when* work runs, never *what* it produces. The sharded paths
-//! extend the invariant to device count: archives are byte-identical
-//! at devices ∈ {1, 2, 4} × streams ∈ {1, 4} on every dataset.
+//! *when* work runs, never *what* it produces. One sweep covers plans
+//! devices ∈ {1, 2, 4} × streams ∈ {1, 4}, both container formats
+//! (CSZM batch, CSZS slabs) and both directions, against the 1×1 plan;
+//! each dataset runs it as its own test.
 
 use cuszi_repro::core::{
     compress_fields_sharded, compress_fields_streams, compress_slabs_sharded,
@@ -26,7 +28,7 @@ fn crop(data: &NdArray<f32>) -> NdArray<f32> {
 }
 
 /// Reassemble the CSZM container layout from per-field archives — the
-/// byte-level spec the scheduler must reproduce.
+/// byte-level spec the executor must reproduce.
 fn monolith_container(fields: &[(String, NdArray<f32>)], cfg: Config) -> Vec<u8> {
     let codec = CuszI::new(cfg);
     let mut bytes = Vec::new();
@@ -42,221 +44,116 @@ fn monolith_container(fields: &[(String, NdArray<f32>)], cfg: Config) -> Vec<u8>
     bytes
 }
 
-#[test]
-fn batch_archives_identical_across_stream_counts_on_all_datasets() {
-    let cfg = Config::new(ErrorBound::Rel(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 42);
-        let fields: Vec<(String, NdArray<f32>)> =
-            ds.fields.iter().map(|f| (f.name.to_string(), crop(&f.data))).collect();
-        let named: Vec<NamedField> =
-            fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-
-        let (one, r1) = compress_fields_streams(&named, cfg, 1).expect("streams=1");
-        let (four, r4) = compress_fields_streams(&named, cfg, 4).expect("streams=4");
-        assert_eq!(
-            one.bytes,
-            four.bytes,
-            "{}: container differs between --streams 1 and --streams 4",
-            kind.name()
-        );
-        assert_eq!(r1.streams, 1);
-        assert!(r4.streams <= 4);
-
-        let mono = monolith_container(&fields, cfg);
-        assert_eq!(
-            one.bytes,
-            mono,
-            "{}: scheduler container differs from the monolith path",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn slab_streams_identical_across_stream_counts_on_all_datasets() {
-    let cfg = Config::new(ErrorBound::Abs(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 7);
-        let field = crop(&ds.fields[0].data);
-        let shape = field.shape();
-        let [_, ny, nx] = shape.dims3();
-        let slab = |z0: usize, nz: usize| {
-            NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| field.get3(z0 + z, y, x))
-        };
-        let (one, _) = compress_slabs_streams(shape, 8, cfg, 1, slab).expect("streams=1");
-        let (four, _) = compress_slabs_streams(shape, 8, cfg, 4, slab).expect("streams=4");
-        assert_eq!(one, four, "{}: slab stream differs across stream counts", kind.name());
-    }
-}
-
 /// Bit patterns of a reconstruction, for byte-identity comparison
 /// (f32 `==` would conflate 0.0/-0.0 and choke on NaN).
 fn bits(d: &NdArray<f32>) -> Vec<u32> {
     d.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-#[test]
-fn batch_decompress_identical_across_stream_and_device_counts_on_all_datasets() {
+/// A container and its labelled reconstruction at one plan.
+type RoundTrip = (Vec<u8>, Vec<(String, Vec<u32>)>);
+
+/// CSZM round trip at `devices × streams`; one-device plans go through
+/// the `*_streams` entry points, so both names are swept.
+fn cszm_at(named: &[NamedField<'_>], devices: usize, streams: usize) -> RoundTrip {
     let cfg = Config::new(ErrorBound::Rel(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 42);
-        let fields: Vec<(String, NdArray<f32>)> =
-            ds.fields.iter().map(|f| (f.name.to_string(), crop(&f.data))).collect();
-        let named: Vec<NamedField> =
-            fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-        let (c, _) = compress_fields_streams(&named, cfg, 2).expect("compress");
-
-        // The monolith decode path is the byte-level reference.
-        let (reference, _) = decompress_fields_streams(&c.bytes, cfg, 1).expect("streams=1");
-        for streams in [1usize, 4] {
-            let (back, report) =
-                decompress_fields_streams(&c.bytes, cfg, streams).expect("decompress");
-            assert_eq!(back.len(), reference.len(), "{}", kind.name());
-            for ((n, d), (rn, rd)) in back.iter().zip(&reference) {
-                assert_eq!(n, rn, "{}", kind.name());
-                assert_eq!(
-                    bits(d),
-                    bits(rd),
-                    "{}: field {n} differs at streams={streams}",
-                    kind.name()
-                );
-            }
-            assert!(report.streams <= streams.max(1));
-        }
-        for devices in [1usize, 2, 4] {
-            for streams in [1usize, 4] {
-                let plan = ShardPlan::new(devices).streams(streams);
-                let (back, _) = decompress_fields_sharded(&c.bytes, cfg, plan)
-                    .unwrap_or_else(|e| {
-                        panic!("{}: devices={devices} streams={streams}: {e}", kind.name())
-                    });
-                for ((n, d), (rn, rd)) in back.iter().zip(&reference) {
-                    assert_eq!(n, rn, "{}", kind.name());
-                    assert_eq!(
-                        bits(d),
-                        bits(rd),
-                        "{}: field {n} differs at devices={devices} streams={streams}",
-                        kind.name()
-                    );
-                }
-            }
-        }
-    }
+    let (bytes, back) = if devices == 1 {
+        let (c, _) = compress_fields_streams(named, cfg, streams).expect("compress");
+        let (back, _) = decompress_fields_streams(&c.bytes, cfg, streams).expect("decompress");
+        (c.bytes, back)
+    } else {
+        let plan = ShardPlan::new(devices).streams(streams);
+        let (c, report) = compress_fields_sharded(named, cfg, plan).expect("compress");
+        assert_eq!(report.per_device.len(), devices);
+        assert_eq!(report.per_device.iter().map(|d| d.jobs).sum::<usize>(), named.len());
+        let (back, _) = decompress_fields_sharded(&c.bytes, cfg, plan).expect("decompress");
+        (c.bytes, back)
+    };
+    (bytes, back.iter().map(|(n, d)| (n.clone(), bits(d))).collect())
 }
 
-#[test]
-fn slab_decompress_identical_across_stream_and_device_counts_on_all_datasets() {
+/// CSZS round trip of `field` in 8-plane slabs at `devices × streams`.
+fn cszs_at(field: &NdArray<f32>, devices: usize, streams: usize) -> RoundTrip {
     let cfg = Config::new(ErrorBound::Abs(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 7);
-        let field = crop(&ds.fields[0].data);
-        let shape = field.shape();
-        let [_, ny, nx] = shape.dims3();
-        let slab = |z0: usize, nz: usize| {
-            NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| field.get3(z0 + z, y, x))
-        };
-        let (bytes, _) = compress_slabs_streams(shape, 8, cfg, 2, slab).expect("compress");
+    let shape = field.shape();
+    let [_, ny, nx] = shape.dims3();
+    let slab = |z0: usize, nz: usize| {
+        NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| field.get3(z0 + z, y, x))
+    };
+    let mut back = Vec::new();
+    let mut consume = |z0: usize, s: NdArray<f32>| back.push((format!("z{z0}"), bits(&s)));
+    let (bytes, got_shape) = if devices == 1 {
+        let (bytes, _) = compress_slabs_streams(shape, 8, cfg, streams, slab).expect("compress");
+        let (got, _) =
+            decompress_slabs_streams(&bytes, cfg, streams, &mut consume).expect("decompress");
+        (bytes, got)
+    } else {
+        let plan = ShardPlan::new(devices).streams(streams);
+        let (bytes, _) = compress_slabs_sharded(shape, 8, cfg, plan, slab).expect("compress");
+        let (got, _) =
+            decompress_slabs_sharded(&bytes, cfg, plan, &mut consume).expect("decompress");
+        (bytes, got)
+    };
+    assert_eq!(got_shape, shape);
+    (bytes, back)
+}
 
-        let mut reference = Vec::new();
-        decompress_slabs_streams(&bytes, cfg, 1, |z0, s| reference.push((z0, bits(&s))))
-            .expect("streams=1");
+/// Round-trip one format at every plan against the 1×1 plan; returns
+/// the 1×1 container.
+fn sweep(label: &str, at: impl Fn(usize, usize) -> RoundTrip) -> Vec<u8> {
+    let (reference, recon) = at(1, 1);
+    for devices in [1usize, 2, 4] {
         for streams in [1usize, 4] {
-            let mut got = Vec::new();
-            let (got_shape, _) =
-                decompress_slabs_streams(&bytes, cfg, streams, |z0, s| got.push((z0, bits(&s))))
-                    .expect("decompress");
-            assert_eq!(got_shape, shape, "{}", kind.name());
-            assert_eq!(
-                got,
-                reference,
-                "{}: reconstruction differs at streams={streams}",
-                kind.name()
-            );
-        }
-        for devices in [1usize, 2, 4] {
-            for streams in [1usize, 4] {
-                let plan = ShardPlan::new(devices).streams(streams);
-                let mut got = Vec::new();
-                let (got_shape, _) =
-                    decompress_slabs_sharded(&bytes, cfg, plan, |z0, s| got.push((z0, bits(&s))))
-                        .unwrap_or_else(|e| {
-                            panic!("{}: devices={devices} streams={streams}: {e}", kind.name())
-                        });
-                assert_eq!(got_shape, shape, "{}", kind.name());
-                assert_eq!(
-                    got,
-                    reference,
-                    "{}: reconstruction differs at devices={devices} streams={streams}",
-                    kind.name()
-                );
-            }
+            let (bytes, back) = at(devices, streams);
+            let plan = format!("{label} at devices={devices} streams={streams}");
+            assert!(bytes == reference, "{plan}: container differs from the 1x1 plan");
+            assert!(back == recon, "{plan}: reconstruction differs from the 1x1 plan");
         }
     }
+    reference
+}
+
+/// Both formats of one dataset at every plan, plus the monolith check.
+fn sweep_dataset(kind: DatasetKind) {
+    let ds = generate(kind, Scale::Small, 42);
+    let fields: Vec<(String, NdArray<f32>)> =
+        ds.fields.iter().map(|f| (f.name.to_string(), crop(&f.data))).collect();
+    let named: Vec<NamedField> =
+        fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
+    let cszm = sweep(&format!("{} CSZM", kind.name()), |d, s| cszm_at(&named, d, s));
+    let mono = monolith_container(&fields, Config::new(ErrorBound::Rel(1e-3)));
+    assert!(cszm == mono, "{}: container differs from the monolith path", kind.name());
+
+    let slab_field = crop(&generate(kind, Scale::Small, 7).fields[0].data);
+    sweep(&format!("{} CSZS", kind.name()), |d, s| cszs_at(&slab_field, d, s));
 }
 
 #[test]
-fn sharded_batch_identical_across_device_and_stream_counts_on_all_datasets() {
-    let cfg = Config::new(ErrorBound::Rel(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 42);
-        let fields: Vec<(String, NdArray<f32>)> =
-            ds.fields.iter().map(|f| (f.name.to_string(), crop(&f.data))).collect();
-        let named: Vec<NamedField> =
-            fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-
-        let (reference, _) = compress_fields_streams(&named, cfg, 1).expect("streams=1");
-        for devices in [1usize, 2, 4] {
-            for streams in [1usize, 4] {
-                let plan = ShardPlan::new(devices).streams(streams);
-                let (c, report) = compress_fields_sharded(&named, cfg, plan)
-                    .unwrap_or_else(|e| {
-                        panic!("{}: devices={devices} streams={streams}: {e}", kind.name())
-                    });
-                assert_eq!(
-                    c.bytes,
-                    reference.bytes,
-                    "{}: container differs at devices={devices} streams={streams}",
-                    kind.name()
-                );
-                assert_eq!(report.devices, devices);
-                assert_eq!(
-                    report.per_device.iter().map(|d| d.jobs).sum::<usize>(),
-                    named.len(),
-                    "{}: shard layout lost fields",
-                    kind.name()
-                );
-            }
-        }
-    }
+fn every_plan_is_byte_identical_on_jhtdb() {
+    sweep_dataset(DatasetKind::Jhtdb);
 }
 
 #[test]
-fn sharded_slabs_identical_across_device_and_stream_counts_on_all_datasets() {
-    let cfg = Config::new(ErrorBound::Abs(1e-3));
-    for kind in DatasetKind::ALL {
-        let ds = generate(kind, Scale::Small, 7);
-        let field = crop(&ds.fields[0].data);
-        let shape = field.shape();
-        let [_, ny, nx] = shape.dims3();
-        let slab = |z0: usize, nz: usize| {
-            NdArray::from_fn(Shape::d3(nz, ny, nx), |z, y, x| field.get3(z0 + z, y, x))
-        };
-        let (reference, _) = compress_slabs_streams(shape, 8, cfg, 1, slab).expect("streams=1");
-        for devices in [1usize, 2, 4] {
-            for streams in [1usize, 4] {
-                let plan = ShardPlan::new(devices).streams(streams);
-                let (bytes, _) = compress_slabs_sharded(shape, 8, cfg, plan, slab)
-                    .unwrap_or_else(|e| {
-                        panic!("{}: devices={devices} streams={streams}: {e}", kind.name())
-                    });
-                assert_eq!(
-                    bytes,
-                    reference,
-                    "{}: slab stream differs at devices={devices} streams={streams}",
-                    kind.name()
-                );
-            }
-        }
-    }
+fn every_plan_is_byte_identical_on_miranda() {
+    sweep_dataset(DatasetKind::Miranda);
+}
+
+#[test]
+fn every_plan_is_byte_identical_on_nyx() {
+    sweep_dataset(DatasetKind::Nyx);
+}
+
+#[test]
+fn every_plan_is_byte_identical_on_qmcpack() {
+    sweep_dataset(DatasetKind::Qmcpack);
+}
+
+#[test]
+fn every_plan_is_byte_identical_on_rtm() {
+    sweep_dataset(DatasetKind::Rtm);
+}
+
+#[test]
+fn every_plan_is_byte_identical_on_s3d() {
+    sweep_dataset(DatasetKind::S3d);
 }
