@@ -28,9 +28,6 @@ fn main() {
         force_scalar_sweep(scalar);
         b.run(name, bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
     }
-    b.run("ginterp_compress_fused", bytes, || {
-        ginterp::compress_fused(field, eb, 512, &cfg, 32, &A100)
-    });
     b.run("lorenzo_compress", bytes, || lorenzo::compress(field, eb, 512, &A100));
     let gi = ginterp::compress(field, eb, 512, &cfg, &A100);
     b.run("ginterp_decompress", bytes, || {

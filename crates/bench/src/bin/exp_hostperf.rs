@@ -63,11 +63,6 @@ fn stage_json(m: &Measurement, total_s: f64) -> String {
 /// Per-stage host timings of the cuSZ-i pipeline on one field. Each
 /// stage's best-sample run is wrapped in a tracer span so a profiled
 /// run (`--profile`) shows the same breakdown on the trace timeline.
-///
-/// The `fused_predict_hist` entry times the fused
-/// predict-quant+histogram kernel (the `--fuse` path); it replaces the
-/// `predict_ginterp` + `histogram` pair, so it is excluded from the
-/// share-percentage denominator of the classic roster.
 fn cuszi_stages(b: &Bench, field: &cuszi_tensor::NdArray<f32>) -> Vec<Measurement> {
     let bytes = Some((field.len() * 4) as u64);
     let range = ValueRange::of(field.as_slice()).unwrap().range() as f64;
@@ -100,35 +95,19 @@ fn cuszi_stages(b: &Bench, field: &cuszi_tensor::NdArray<f32>) -> Vec<Measuremen
         let _g = span("bitcomp", Stage);
         b.run("bitcomp", bytes, || cuszi_bitcomp::compress(&payload, &A100))
     });
-    out.push({
-        let _g = span("fused_predict_hist", Stage);
-        b.run("fused_predict_hist", bytes, || {
-            ginterp::compress_fused(field, eb, 512, &cfg, 32, &A100)
-        })
-    });
     out
 }
 
-/// Modelled DRAM traffic of the separate predict+histogram pair vs the
-/// fused kernel — the bytes the fusion saves (the code plane is no
-/// longer re-read). Reported per dataset in the JSON so successive
-/// commits can diff it.
-fn fusion_dram_json(field: &cuszi_tensor::NdArray<f32>) -> String {
+/// Modelled DRAM bytes of the predict (anchor-gather + g-interp) and
+/// histogram kernels. Reported per dataset in the JSON so the sentinel
+/// can gate its growth between commits.
+fn predict_hist_dram_bytes(field: &cuszi_tensor::NdArray<f32>) -> u64 {
     let range = ValueRange::of(field.as_slice()).unwrap().range() as f64;
     let eb = REL_EB * range;
     let cfg = InterpConfig::untuned(field.shape().rank().min(3));
     let gi = ginterp::compress(field, eb, 512, &cfg, &A100);
     let (_, hstats) = histogram_gpu(&gi.codes, 1024, 512, 32, &A100);
-    let sep_bytes: u64 = gi.kernels.iter().map(|k| k.dram_bytes()).sum::<u64>() + hstats.dram_bytes();
-    let sep_excess: u64 =
-        gi.kernels.iter().map(|k| k.dram_excess_bytes()).sum::<u64>() + hstats.dram_excess_bytes();
-    let (gf, _) = ginterp::compress_fused(field, eb, 512, &cfg, 32, &A100);
-    let fused_bytes: u64 = gf.kernels.iter().map(|k| k.dram_bytes()).sum();
-    let fused_excess: u64 = gf.kernels.iter().map(|k| k.dram_excess_bytes()).sum();
-    format!(
-        "{{\"separate_dram_bytes\":{sep_bytes},\"fused_dram_bytes\":{fused_bytes},\
-         \"separate_dram_excess_bytes\":{sep_excess},\"fused_dram_excess_bytes\":{fused_excess}}}"
-    )
+    gi.kernels.iter().map(|k| k.dram_bytes()).sum::<u64>() + hstats.dram_bytes()
 }
 
 /// Multi-stream overlap benchmark on one dataset: batch (all fields)
@@ -413,9 +392,7 @@ fn main() {
         let mut roster = codec_roster(REL_EB, A100, false);
         // Swap cuSZ-i for its full pipeline (with Bitcomp), the
         // configuration whose host cost we are optimizing.
-        // Fusion is archive-neutral (byte-identical output), so the
-        // measured end-to-end path runs with it on.
-        let ours = cuszi_core::CuszI::new(Config::new(ErrorBound::Rel(REL_EB)).with_fusion());
+        let ours = cuszi_core::CuszI::new(Config::new(ErrorBound::Rel(REL_EB)));
         roster.last_mut().unwrap().codec = Box::new(ours);
         for entry in &roster {
             let c = b.run(
@@ -431,15 +408,11 @@ fn main() {
             );
             let stages = if entry.is_ours {
                 let ms = cuszi_stages(&b, &field.data);
-                // The fused stage replaces predict+histogram; keep the
-                // classic roster's shares summing to 100 by leaving it
-                // out of the denominator.
-                let total_s: f64 =
-                    ms.iter().filter(|m| !m.name.starts_with("fused")).map(|m| m.min_s).sum();
+                let total_s: f64 = ms.iter().map(|m| m.min_s).sum();
                 format!(
-                    ",\"stages\":[{}],\"fusion\":{}",
+                    ",\"stages\":[{}],\"predict_hist_dram_bytes\":{}",
                     ms.iter().map(|m| stage_json(m, total_s)).collect::<Vec<_>>().join(","),
-                    fusion_dram_json(&field.data)
+                    predict_hist_dram_bytes(&field.data)
                 )
             } else {
                 String::new()

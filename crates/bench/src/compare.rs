@@ -71,7 +71,8 @@ pub struct Row {
     pub decompress_noise: f64,
     /// Compression ratio, when the report records it.
     pub cr: Option<f64>,
-    /// Modelled fused-path DRAM bytes (cuSZ-i rows only).
+    /// Modelled DRAM bytes of the predict + histogram kernels (cuSZ-i
+    /// rows only).
     pub dram_bytes: Option<f64>,
 }
 
@@ -151,10 +152,7 @@ pub fn parse_bench(src: &str) -> Result<BenchDoc, String> {
                 compress_noise: noise("compress_ms", "compress_stddev_ms"),
                 decompress_noise: noise("decompress_ms", "decompress_stddev_ms"),
                 cr: num(c, "cr"),
-                dram_bytes: c
-                    .get("fusion")
-                    .and_then(|f| f.get("fused_dram_bytes"))
-                    .and_then(Value::as_f64),
+                dram_bytes: num(c, "predict_hist_dram_bytes"),
             });
         }
     }
@@ -393,13 +391,13 @@ mod tests {
     #[test]
     fn cr_and_dram_gate_tightly() {
         let old = parse_bench(&doc(
-            r#","cr":100.0,"fusion":{"fused_dram_bytes":1000000}"#,
+            r#","cr":100.0,"predict_hist_dram_bytes":1000000"#,
             100.0,
         ))
         .unwrap();
         // CR -3%, DRAM +3%: both beyond the 2% deterministic gate.
         let new = parse_bench(&doc(
-            r#","cr":97.0,"fusion":{"fused_dram_bytes":1030000}"#,
+            r#","cr":97.0,"predict_hist_dram_bytes":1030000"#,
             100.0,
         ))
         .unwrap();

@@ -45,11 +45,8 @@ pub enum Command {
         /// `Some("")` uses `<output>.trace.json`. `CUSZI_PROFILE=1`
         /// turns this on ambiently even when `None`.
         profile: Option<String>,
-        /// Fuse the predict-quant and histogram stages into one kernel
-        /// (byte-identical archives, one less code-plane DRAM pass).
-        fuse: bool,
-        /// Run the profile-driven kernel autotuner and print its
-        /// calibration matrix / decision.
+        /// Run the calibrated autotuner and print its candidate orders
+        /// and decision.
         autotune: bool,
         /// Stream the fidelity audit and print the per-interp-level
         /// drill-down (includes a sampled decode-verify pass).
@@ -124,7 +121,7 @@ USAGE:
   cuszi compress   -i <in.f32> -o <out.cszi> --dims ZxYxX
                    (--rel-eb E | --abs-eb E | --psnr DB | --pw-rel E [--floor F])
                    [--no-bitcomp] [--verify] [--slab Z [--streams N]]
-                   [--profile[=TRACE.json]] [--fuse] [--autotune]
+                   [--profile[=TRACE.json]] [--autotune]
                    [--audit] [--prom[=METRICS.prom]]
   cuszi decompress -i <in.cszi> -o <out.f32> [--streams N]
                    [--profile[=TRACE.json]]
@@ -145,15 +142,11 @@ decompression across N gpu-sim streams (default: auto from
 CUSZI_STREAMS or core count). Archives and reconstructions are
 byte-identical for any stream count.
 
---fuse folds the quant-code histogram into the interpolation kernel so
-the code plane is written once and never re-read from DRAM; archives
-are byte-identical with or without it.
-
---autotune replaces the static tuner with a profile-driven calibration
-pass: a centre crop is compressed across a stride x order candidate
-matrix and the gpu-sim kernel counters pick the interp order plus
-geometry/stream advice (printed with the decision). Decisions are
-cached per dataset family.
+--autotune replaces the static tuner's dimension order with a calibrated
+one: a centre crop is compressed once per candidate order and the order
+with the largest zero-code fraction wins (ties keep the profiled order).
+The candidate orders and their zero-code fractions are printed with the
+decision. Decisions are cached per dataset family.
 
 --audit streams the fidelity audit: per-interp-level element/outlier
 counts, quant-code entropy, anchor share, hot-block outlier counts,
@@ -192,7 +185,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut slab = None;
     let mut streams = None;
     let mut profile = None;
-    let mut fuse = false;
     let mut autotune = false;
     let mut audit = false;
     let mut prom = None;
@@ -240,7 +232,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             "--no-bitcomp" => bitcomp = false,
             "--verify" => verify = true,
-            "--fuse" => fuse = true,
             "--autotune" => autotune = true,
             "--audit" => audit = true,
             "--prom" => prom = Some(String::new()),
@@ -329,7 +320,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             slab,
             streams,
             profile,
-            fuse,
             autotune,
             audit,
             prom,
@@ -383,7 +373,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             slab,
             streams,
             profile,
-            fuse,
             autotune,
             audit,
             prom,
@@ -405,7 +394,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 cuszi_profile::install();
                 cuszi_profile::enable(true);
             }
-            let opts = CompressOpts { bitcomp, verify, fuse, autotune, audit };
+            let opts = CompressOpts { bitcomp, verify, autotune, audit };
             let mut result = if let Some(slab_z) = slab {
                 compress_streamed(&input, &output, shape, mode, slab_z, streams, opts)
             } else if streams.is_some() {
@@ -476,7 +465,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
 struct CompressOpts {
     bitcomp: bool,
     verify: bool,
-    fuse: bool,
     autotune: bool,
     audit: bool,
 }
@@ -486,9 +474,6 @@ impl CompressOpts {
     fn apply(&self, mut cfg: Config) -> Config {
         if !self.bitcomp {
             cfg = cfg.without_bitcomp();
-        }
-        if self.fuse {
-            cfg = cfg.with_fusion();
         }
         if self.autotune {
             cfg = cfg.with_kernel_autotune();
@@ -830,12 +815,21 @@ mod tests {
                 slab: None,
                 streams: None,
                 profile: None,
-                fuse: false,
                 autotune: false,
                 audit: false,
                 prom: None,
             }
         );
+    }
+
+    #[test]
+    fn fuse_is_not_a_compress_flag() {
+        let err = parse_args(&strings(&[
+            "compress", "-i", "a.f32", "-o", "a.cszi", "--dims", "8x8x8", "--rel-eb", "1e-3",
+            "--fuse",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("unknown argument '--fuse'"), "{err}");
     }
 
     #[test]
@@ -910,7 +904,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -955,7 +948,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -1003,7 +995,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: Some(ftrace.to_string_lossy().into()),
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -1086,7 +1077,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: true,
             prom: None,
@@ -1117,7 +1107,6 @@ mod tests {
             slab,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: true,
             prom: None,
@@ -1150,7 +1139,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: Some(ftrace.to_string_lossy().into()),
-            fuse: false,
             autotune: false,
             audit: true,
             prom: Some(fprom.to_string_lossy().into()),
@@ -1187,7 +1175,6 @@ mod tests {
             slab: None,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -1277,7 +1264,6 @@ mod pwrel_cli_tests {
             slab: None,
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -1334,7 +1320,6 @@ mod slab_cli_tests {
             slab: Some(8),
             streams: Some(2),
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,
@@ -1373,7 +1358,6 @@ mod slab_cli_tests {
             slab: Some(4),
             streams: None,
             profile: None,
-            fuse: false,
             autotune: false,
             audit: false,
             prom: None,

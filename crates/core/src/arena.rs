@@ -20,16 +20,6 @@ use std::cell::RefCell;
 /// the pipeline holds at most ~6 live at once).
 const ARENA_CAP: usize = 16;
 
-/// `CUSZI_SIM_NO_POOL=1` disables reuse here too (same knob as the
-/// gpu-sim buffer pool), restoring allocate-per-field behavior so
-/// `exp_hostperf` can quantify the arena's effect.
-fn pool_disabled() -> bool {
-    static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("CUSZI_SIM_NO_POOL").is_ok_and(|v| v != "0" && !v.is_empty())
-    })
-}
-
 /// A pool of reusable byte buffers.
 #[derive(Default)]
 pub struct ScratchArena {
@@ -49,9 +39,6 @@ impl ScratchArena {
         // arena draws are the host-side half of the allocation surface
         // (the device half is gpu-sim's buffer pool).
         cuszi_gpu_sim::fault::on_alloc();
-        if pool_disabled() {
-            return Vec::with_capacity(cap);
-        }
         let pick = self
             .bufs
             .iter()
@@ -71,7 +58,7 @@ impl ScratchArena {
     /// Return a buffer to the pool (dropped if the pool is full or the
     /// buffer never allocated).
     pub fn put(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() == 0 || self.bufs.len() >= ARENA_CAP || pool_disabled() {
+        if buf.capacity() == 0 || self.bufs.len() >= ARENA_CAP {
             return;
         }
         buf.clear();

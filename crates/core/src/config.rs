@@ -21,17 +21,10 @@ pub struct Config {
     /// Top-k register-cached histogram bins (§ VI-A); 0 disables the
     /// cache, 1 is the graceful-degradation fallback.
     pub histogram_topk: usize,
-    /// Fuse the predict-quant and histogram stages into one kernel
-    /// (`g-interp-hist`): the quant-code plane is written once and
-    /// never re-read from DRAM. Archives are byte-identical either
-    /// way; off by default so the default kernel roster is unchanged.
-    pub fuse: bool,
-    /// Replace the static § V-C tuner with the profile-driven
-    /// autotuner: a short calibration pass over a centre crop reads
-    /// the gpu-sim kernel counters (achieved GB/s, DRAM excess,
-    /// occupancy waves) to pick the interp order and advise on
-    /// geometry/stream count. Off by default (archives can differ from
-    /// the static tuner's when the calibrated order differs).
+    /// Replace the static § V-C tuner's dimension order with the one
+    /// that zeroes the most quant-codes on a calibration crop. Off by
+    /// default (archives can differ from the static tuner's when the
+    /// calibrated order differs).
     pub kernel_autotune: bool,
     /// Stream the fidelity audit ([`crate::audit`]) during compression:
     /// per-interp-level outlier/entropy/anchor counters, surfaced in
@@ -51,7 +44,6 @@ impl Config {
             auto_tune: true,
             bitcomp: true,
             histogram_topk: 32,
-            fuse: false,
             kernel_autotune: false,
             audit: false,
             device: A100,
@@ -64,13 +56,7 @@ impl Config {
         self
     }
 
-    /// Enable the fused predict-quant + histogram stage.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
-    }
-
-    /// Enable the profile-driven kernel autotuner (supersedes
+    /// Enable the calibrated kernel autotuner (supersedes
     /// [`auto_tune`] when set).
     ///
     /// [`auto_tune`]: Config::auto_tune
@@ -103,12 +89,6 @@ impl Config {
         self.radius = radius;
         self
     }
-
-    /// Override the histogram top-k cache width.
-    pub fn with_histogram_topk(mut self, k: usize) -> Self {
-        self.histogram_topk = k;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +102,6 @@ mod tests {
         assert!(c.auto_tune);
         assert!(c.bitcomp);
         assert_eq!(c.histogram_topk, 32);
-        assert!(!c.fuse, "fusion is opt-in: default kernel roster unchanged");
         assert!(!c.kernel_autotune, "kernel autotuner is opt-in");
         assert!(!c.audit, "the fidelity audit is opt-in");
         assert_eq!(c.device.name, "A100-40GB");
@@ -134,12 +113,9 @@ mod tests {
             .without_bitcomp()
             .without_tuning()
             .with_radius(256)
-            .with_histogram_topk(1)
-            .with_fusion()
             .with_kernel_autotune();
         assert!(!c.bitcomp && !c.auto_tune);
         assert_eq!(c.radius, 256);
-        assert_eq!(c.histogram_topk, 1);
-        assert!(c.fuse && c.kernel_autotune);
+        assert!(c.kernel_autotune);
     }
 }

@@ -299,7 +299,6 @@ struct SessionKey {
     auto_tune: bool,
     kernel_autotune: bool,
     bitcomp: bool,
-    fuse: bool,
     topk: usize,
     device: &'static str,
 }
@@ -319,7 +318,6 @@ impl SessionKey {
             auto_tune: cfg.auto_tune,
             kernel_autotune: cfg.kernel_autotune,
             bitcomp: cfg.bitcomp,
-            fuse: cfg.fuse,
             topk: cfg.histogram_topk,
             device: cfg.device.name,
         }
@@ -998,7 +996,6 @@ mod tests {
             auto_tune: true,
             kernel_autotune: false,
             bitcomp: true,
-            fuse: false,
             topk: 32,
             device: "A100-40GB",
         };

@@ -62,8 +62,8 @@ pub use config::Config;
 pub use engine::{
     Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobResult, Priority, Ticket,
 };
-// Surface the profile-driven autotuner so front ends (CLI, bench) can
-// print the calibration matrix without a direct predict dependency.
+// Surface the calibrated autotuner so front ends (CLI, bench) can
+// print its decision without a direct predict dependency.
 pub use cuszi_predict::tuning::{autotune, AutotuneDecision};
 pub use error::{CuszError, StageFaultKind};
 pub use pipeline::{Compressed, CuszI, Decompressed, SectionSizes};

@@ -21,9 +21,6 @@
 //!
 //! Stage roster (compress): `tune → predict-quant → histogram →
 //! codebook → huffman-encode → assemble → [bitcomp] → finalize`.
-//! With [`Config::fuse`] the `predict-quant`/`histogram` pair is
-//! replaced by a single `predict-quant-histogram` node whose kernel
-//! tallies its own quant-codes (the archive is byte-identical).
 //! `assemble` gathers the five payload sections from arena-backed
 //! buffers; `bitcomp` (present iff [`Config::bitcomp`]) packs the
 //! payload; `finalize` prepends the header. Decompress mirrors it:
@@ -83,12 +80,6 @@ pub enum StageKind {
     // Compress side.
     Tune,
     PredictQuant,
-    /// Fused predict-quant + histogram (present iff [`Config::fuse`]):
-    /// the interpolation kernel tallies its own quant-codes, so the
-    /// code plane is never re-read from DRAM for the histogram.
-    ///
-    /// [`Config::fuse`]: crate::Config
-    PredictQuantHistogram,
     Histogram,
     CodebookBuild,
     HuffmanEncode,
@@ -108,7 +99,6 @@ impl StageKind {
         match self {
             StageKind::Tune => "tune",
             StageKind::PredictQuant => "predict-quant",
-            StageKind::PredictQuantHistogram => "predict-quant-histogram",
             StageKind::Histogram => "histogram",
             StageKind::CodebookBuild => "codebook",
             StageKind::HuffmanEncode => "huffman-encode",
@@ -127,7 +117,6 @@ impl StageKind {
         match self {
             StageKind::Tune => &[Buf::Field],
             StageKind::PredictQuant => &[Buf::Field, Buf::Interp],
-            StageKind::PredictQuantHistogram => &[Buf::Field, Buf::Interp],
             StageKind::Histogram => &[Buf::Prediction],
             StageKind::CodebookBuild => &[Buf::Hist],
             StageKind::HuffmanEncode => &[Buf::Prediction, Buf::Book],
@@ -146,7 +135,6 @@ impl StageKind {
         match self {
             StageKind::Tune => &[Buf::Interp],
             StageKind::PredictQuant => &[Buf::Prediction],
-            StageKind::PredictQuantHistogram => &[Buf::Prediction, Buf::Hist],
             StageKind::Histogram => &[Buf::Hist],
             StageKind::CodebookBuild => &[Buf::Book],
             StageKind::HuffmanEncode => &[Buf::HuffStream],
@@ -173,21 +161,14 @@ impl StageGraph {
     /// the roster is static, so validation failures are programming
     /// errors, and `graph_wiring_is_valid` pins them in tests.
     pub fn compress(cfg: &Config) -> Self {
-        let mut order = vec![StageKind::Tune];
-        if cfg.fuse {
-            // Fusion collapses the predict-quant and histogram nodes
-            // into one kernel-bearing stage; the downstream wiring is
-            // unchanged because the fused node produces both buffers.
-            order.push(StageKind::PredictQuantHistogram);
-        } else {
-            order.push(StageKind::PredictQuant);
-            order.push(StageKind::Histogram);
-        }
-        order.extend([
+        let mut order = vec![
+            StageKind::Tune,
+            StageKind::PredictQuant,
+            StageKind::Histogram,
             StageKind::CodebookBuild,
             StageKind::HuffmanEncode,
             StageKind::Assemble,
-        ]);
+        ];
         if cfg.bitcomp {
             order.push(StageKind::Bitcomp);
         }
@@ -201,9 +182,7 @@ impl StageGraph {
     /// supplies `Interp` and `Book` as graph inputs, so the `tune`,
     /// `histogram`, and `codebook` stages are skipped entirely — one
     /// fewer kernel launch (the histogram) and no tuning work, with a
-    /// byte-identical archive. Fusion is moot here (the fused node
-    /// exists to produce the histogram inline, which a warm job never
-    /// needs), so the plain predict-quant node is always used.
+    /// byte-identical archive.
     pub fn compress_warm(cfg: &Config) -> Self {
         let mut order = vec![StageKind::PredictQuant, StageKind::HuffmanEncode, StageKind::Assemble];
         if cfg.bitcomp {
@@ -292,8 +271,7 @@ impl WarmStart {
 
 /// Shannon entropy of the quant-code distribution, in milli-bits per
 /// symbol — the floor the Huffman stage is chasing. Only computed when
-/// metrics are consuming it (it walks the histogram). Shared by the
-/// separate and fused histogram stages.
+/// metrics are consuming it (it walks the histogram).
 fn observe_entropy(hist: &[u32]) {
     if !cuszi_profile::metrics_active() {
         return;
@@ -428,7 +406,6 @@ impl<'a> CompressJob<'a> {
         let r = match kind {
             StageKind::Tune => self.tune(),
             StageKind::PredictQuant => self.predict_quant(),
-            StageKind::PredictQuantHistogram => self.predict_quant_histogram(),
             StageKind::Histogram => self.histogram(),
             StageKind::CodebookBuild => self.codebook(),
             StageKind::HuffmanEncode => self.huffman_encode(),
@@ -452,10 +429,9 @@ impl<'a> CompressJob<'a> {
     /// applies Eq. 1's alpha from the relative bound).
     fn tune(&mut self) -> Result<(), CuszError> {
         self.interp = Some(if self.cfg.kernel_autotune {
-            // Profile-driven autotuner: calibrates on a centre crop and
-            // reads the gpu-sim kernel counters to pick the interp
-            // order (the geometry/stream advice is surfaced by the CLI;
-            // the archive header pins the default geometry).
+            // Calibrated autotuner: compresses a centre crop once per
+            // candidate order and keeps the one that zeroes the most
+            // quant-codes.
             cuszi_predict::tuning::autotune(
                 self.data,
                 self.rel_eb,
@@ -484,29 +460,6 @@ impl<'a> CompressJob<'a> {
         self.outlier_count = pred.outliers.indices().len();
         self.audit_pred(&pred);
         self.pred = Some(pred);
-        Ok(())
-    }
-
-    /// §§ V + VI-A fused: the interpolation kernel tallies its own
-    /// quant-codes into privatized histogram bins, so the code plane is
-    /// written once and never re-read from DRAM. Byte-identical to the
-    /// separate `predict_quant` + `histogram` pair.
-    fn predict_quant_histogram(&mut self) -> Result<(), CuszError> {
-        let interp = missing(self.interp.as_ref(), "predict-quant-histogram", "interp config")?;
-        let (pred, hist) = ginterp::compress_fused(
-            self.data,
-            self.eb_abs,
-            self.cfg.radius,
-            interp,
-            self.cfg.histogram_topk,
-            &self.cfg.device,
-        );
-        self.kernels.extend(pred.kernels.iter().copied());
-        self.outlier_count = pred.outliers.indices().len();
-        self.audit_pred(&pred);
-        self.pred = Some(pred);
-        observe_entropy(&hist);
-        self.hist = Some(hist);
         Ok(())
     }
 
@@ -818,8 +771,6 @@ mod tests {
         for cfg in [
             Config::new(ErrorBound::Rel(1e-3)),
             Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
-            Config::new(ErrorBound::Rel(1e-3)).with_fusion(),
-            Config::new(ErrorBound::Rel(1e-3)).with_fusion().without_bitcomp(),
         ] {
             let g = StageGraph::compress(&cfg);
             g.validate(&[Buf::Field]).expect("compress graph wires up");
@@ -830,26 +781,30 @@ mod tests {
                 cfg.bitcomp,
                 "bitcomp node present iff enabled"
             );
-            assert_eq!(
-                g.stages().contains(&StageKind::PredictQuantHistogram),
-                cfg.fuse,
-                "fused node present iff enabled"
-            );
-            assert_eq!(
-                g.stages().contains(&StageKind::PredictQuant),
-                !cfg.fuse,
-                "separate predict-quant absent under fusion"
-            );
-            assert_eq!(
-                g.stages().contains(&StageKind::Histogram),
-                !cfg.fuse,
-                "separate histogram absent under fusion"
-            );
         }
         for bitcomp in [false, true] {
             StageGraph::decompress(bitcomp)
                 .validate(&[Buf::Archive, Buf::Payload])
                 .expect("decompress graph wires up");
+        }
+    }
+
+    #[test]
+    fn compress_graphs_are_one_fixed_roster() {
+        use StageKind::*;
+        let cold = [Tune, PredictQuant, Histogram, CodebookBuild, HuffmanEncode, Assemble];
+        for cfg in [
+            Config::new(ErrorBound::Rel(1e-3)),
+            Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
+            Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune(),
+            Config::new(ErrorBound::Rel(1e-3)).without_tuning(),
+        ] {
+            let tail: &[StageKind] = if cfg.bitcomp { &[Bitcomp, Finalize] } else { &[Finalize] };
+            assert_eq!(StageGraph::compress(&cfg).stages(), [&cold[..], tail].concat());
+            // A warm job drops tune, histogram and codebook; nothing
+            // else changes.
+            let warm = [&[PredictQuant, HuffmanEncode, Assemble][..], tail].concat();
+            assert_eq!(StageGraph::compress_warm(&cfg).stages(), warm);
         }
     }
 
@@ -880,7 +835,6 @@ mod tests {
         let all = [
             StageKind::Tune,
             StageKind::PredictQuant,
-            StageKind::PredictQuantHistogram,
             StageKind::Histogram,
             StageKind::CodebookBuild,
             StageKind::HuffmanEncode,

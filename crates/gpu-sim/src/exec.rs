@@ -383,13 +383,6 @@ impl<'l> BlockCtx<'l> {
     fn warp_sectors_of(&self, indices: impl Iterator<Item = usize>, elt_bytes: u64) -> u64 {
         let warp = self.device.warp_size as usize;
         assert!((1..=MAX_WARP).contains(&warp), "warp size {warp} outside 1..={MAX_WARP}");
-        if crate::shared::pool_disabled() {
-            // Reference model (pre-optimization): collect each warp's
-            // sectors into a heap Vec, sort, count distinct runs. Kept
-            // under the benchmark knob as the oracle the stack-buffer
-            // path is property-tested against.
-            return warp_sectors_reference(indices, warp, elt_bytes);
-        }
         let mut buf = [0u64; MAX_WARP];
         let mut distinct = 0usize;
         let mut lane = 0usize;
@@ -415,27 +408,6 @@ impl<'l> BlockCtx<'l> {
 /// Indices `start + k*stride` for `k in 0..count`.
 fn strided_indices(start: usize, stride: usize, count: usize) -> impl Iterator<Item = usize> {
     (0..count).map(move |k| start + k * stride)
-}
-
-/// Pre-optimization sector accounting: collect each warp's sectors into
-/// a heap `Vec`, sort, count distinct runs. This is the oracle the
-/// stack-buffer path is property-tested against, and what
-/// `CUSZI_SIM_NO_POOL=1` benchmarks run for A/B comparisons.
-fn warp_sectors_reference(
-    indices: impl Iterator<Item = usize>,
-    warp: usize,
-    elt_bytes: u64,
-) -> u64 {
-    let idx: Vec<usize> = indices.collect();
-    let mut total = 0u64;
-    for chunk in idx.chunks(warp) {
-        let mut sectors: Vec<u64> =
-            chunk.iter().map(|&i| (i as u64 * elt_bytes) / SECTOR_BYTES).collect();
-        sectors.sort_unstable();
-        sectors.dedup();
-        total += sectors.len() as u64;
-    }
-    total
 }
 
 /// Row-major indices of a `rows x row_len` plane with `row_stride`
@@ -931,12 +903,19 @@ mod tests {
         assert_eq!(stats.barriers, 8);
     }
 
-    /// Reference implementation of the pre-refactor accounting (see
-    /// `warp_sectors_reference`): collect sectors per warp into a Vec,
-    /// sort, dedup. The production path (fixed stack buffer, no sort)
-    /// must agree bit-for-bit.
+    /// Reference implementation of the pre-refactor accounting: collect
+    /// sectors per warp into a Vec, sort, dedup. The production path
+    /// (fixed stack buffer, no sort) must agree bit-for-bit.
     fn reference_warp_sectors(indices: &[usize], elt_bytes: u64, warp: usize) -> u64 {
-        warp_sectors_reference(indices.iter().copied(), warp, elt_bytes)
+        let mut total = 0u64;
+        for chunk in indices.chunks(warp) {
+            let mut sectors: Vec<u64> =
+                chunk.iter().map(|&i| (i as u64 * elt_bytes) / SECTOR_BYTES).collect();
+            sectors.sort_unstable();
+            sectors.dedup();
+            total += sectors.len() as u64;
+        }
+        total
     }
 
     #[test]

@@ -19,23 +19,10 @@ thread_local! {
         RefCell::new(HashMap::new());
 }
 
-/// `CUSZI_SIM_NO_POOL=1` disables buffer reuse, restoring the old
-/// allocate-per-block behavior. Exists solely so `exp_hostperf` can
-/// quantify what the pool buys; never set it in production.
-pub(crate) fn pool_disabled() -> bool {
-    static DISABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DISABLED.get_or_init(|| {
-        std::env::var("CUSZI_SIM_NO_POOL").is_ok_and(|v| v != "0" && !v.is_empty())
-    })
-}
-
 /// Take a pooled `Vec<T>` (empty, arbitrary capacity) or a fresh one.
 fn pool_take<T: 'static>() -> Vec<T> {
     crate::fault::on_alloc();
     crate::hook::flight_alloc();
-    if pool_disabled() {
-        return Vec::new();
-    }
     BUF_POOL
         .with(|p| p.borrow_mut().get_mut(&TypeId::of::<Vec<T>>()).and_then(Vec::pop))
         .map(|b| *b.downcast::<Vec<T>>().expect("pool keyed by TypeId"))
@@ -44,7 +31,7 @@ fn pool_take<T: 'static>() -> Vec<T> {
 
 /// Return a buffer to this worker's pool (dropped if the pool is full).
 fn pool_put<T: 'static>(mut buf: Vec<T>) {
-    if buf.capacity() == 0 || pool_disabled() {
+    if buf.capacity() == 0 {
         return;
     }
     buf.clear();

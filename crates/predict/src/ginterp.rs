@@ -27,9 +27,7 @@
 //! `e_l = e / alpha^(l-1)`; `alpha` comes from the Eq. 1 auto-tuner.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU32;
 
-use cuszi_gpu_sim::exec::GlobalAtomicU32;
 use cuszi_gpu_sim::{launch_named, BlockCtx, BlockSlots, DeviceSpec, Dim3, GlobalRead, GlobalWrite, Grid, KernelStats, SharedTile};
 use cuszi_quant::{Outliers, Quantizer, OUTLIER_CODE};
 use cuszi_tensor::{NdArray, Shape};
@@ -290,99 +288,6 @@ pub fn compress(
     compress_with(Geometry::for_rank(data.shape().rank()), data, eb, radius, cfg, device)
 }
 
-/// [`compress`] over an explicit [`Geometry`] (the DESIGN.md § 4
-/// anchor-stride / block-size ablation entry point).
-pub fn compress_with(
-    geom: Geometry,
-    data: &NdArray<f32>,
-    eb: f64,
-    radius: u16,
-    cfg: &InterpConfig,
-    device: &DeviceSpec,
-) -> PredictOutput {
-    compress_impl(geom, data, eb, radius, cfg, device, None).0
-}
-
-/// Fused predict-quant + histogram: [`compress`] that also tallies the
-/// quant-code histogram inside the interpolation kernel, FZ-GPU-style.
-///
-/// Each block histograms its *owned* codes while they are still
-/// block-local (register window of `topk` bins around the zero-error
-/// code, shared-memory privatized bins for the rest, one warp-coalesced
-/// atomic merge — the § VI-A scheme), so the code plane is written to
-/// DRAM once and never read back. Ownership is a partition of the
-/// field and anchors keep the zero-error code, so the counts — and the
-/// archive built from them — are bit-identical to the separate
-/// `histogram` stage.
-pub fn compress_fused(
-    data: &NdArray<f32>,
-    eb: f64,
-    radius: u16,
-    cfg: &InterpConfig,
-    topk: usize,
-    device: &DeviceSpec,
-) -> (PredictOutput, Vec<u32>) {
-    compress_fused_with(Geometry::for_rank(data.shape().rank()), data, eb, radius, cfg, topk, device)
-}
-
-/// [`compress_fused`] over an explicit [`Geometry`].
-pub fn compress_fused_with(
-    geom: Geometry,
-    data: &NdArray<f32>,
-    eb: f64,
-    radius: u16,
-    cfg: &InterpConfig,
-    topk: usize,
-    device: &DeviceSpec,
-) -> (PredictOutput, Vec<u32>) {
-    let (out, hist) = compress_impl(geom, data, eb, radius, cfg, device, Some(topk));
-    (out, hist.expect("fused compress always produces a histogram"))
-}
-
-/// Bin layout of the fused per-block histogram tally.
-struct HistSpec {
-    alphabet: usize,
-    /// Register-cached window `[lo, hi)` centred on the zero-error code.
-    lo: usize,
-    hi: usize,
-}
-
-/// Where the fused kernel tallies each owned quant-code. Monomorphized
-/// so the unfused instantiation carries zero histogram code in its hot
-/// loop.
-trait Tally {
-    fn add(&mut self, code: u16);
-}
-
-/// Unfused: no tally.
-struct NoTally;
-
-impl Tally for NoTally {
-    #[inline]
-    fn add(&mut self, _code: u16) {}
-}
-
-/// Fused: the § VI-A privatized scheme — a register window for the hot
-/// centre of the alphabet, shared-memory bins for the rest.
-struct WindowTally<'a> {
-    lo: u16,
-    hi: u16,
-    reg: &'a mut [u32],
-    shared: &'a mut SharedTile<u32>,
-}
-
-impl Tally for WindowTally<'_> {
-    #[inline]
-    fn add(&mut self, code: u16) {
-        if code >= self.lo && code < self.hi {
-            self.reg[(code - self.lo) as usize] += 1;
-        } else {
-            let v = self.shared.get(code as usize);
-            self.shared.set(code as usize, v + 1);
-        }
-    }
-}
-
 /// The compress-side [`SweepProcessor`]: quantize each prediction
 /// against the original value, record owned codes (and outliers), and
 /// hand the reconstruction back to the sweep. Lane runs — full or
@@ -390,7 +295,7 @@ impl Tally for WindowTally<'_> {
 /// that nobody reads — go through the branchless
 /// [`Quantizer::quantize8`]; single points take the scalar form. Both
 /// are bit-identical (the oracle test pins this end to end).
-struct TileQuant<'a, T: Tally> {
+struct TileQuant<'a> {
     quants: &'a [(u32, Quantizer)],
     orig: &'a [f32],
     ext: [usize; 3],
@@ -399,16 +304,14 @@ struct TileQuant<'a, T: Tally> {
     shape: Shape,
     codes: &'a mut [u16],
     outs: &'a mut Outliers,
-    tally: T,
 }
 
-impl<T: Tally> TileQuant<'_, T> {
-    /// Record one owned code: store it, tally it, and capture the
-    /// exact value when it is an outlier.
+impl TileQuant<'_> {
+    /// Record one owned code: store it and capture the exact value
+    /// when it is an outlier.
     #[inline(always)]
     fn record(&mut self, z: usize, y: usize, xj: usize, li: usize, code: u16) {
         self.codes[li] = code;
-        self.tally.add(code);
         if code == OUTLIER_CODE {
             let gi =
                 self.shape.index3(self.origin[0] + z, self.origin[1] + y, self.origin[2] + xj);
@@ -417,7 +320,7 @@ impl<T: Tally> TileQuant<'_, T> {
     }
 }
 
-impl<T: Tally> SweepProcessor for TileQuant<'_, T> {
+impl SweepProcessor for TileQuant<'_> {
     #[inline(always)]
     fn apply(&mut self, p: [usize; 3], sx: usize, level: u32, preds: &mut [f32; LANES], n: usize) {
         let q = quantizer_for(self.quants, level);
@@ -491,15 +394,16 @@ impl SweepProcessor for TileDecode<'_> {
     }
 }
 
-fn compress_impl(
+/// [`compress`] over an explicit [`Geometry`] (the DESIGN.md § 4
+/// anchor-stride / block-size ablation entry point).
+pub fn compress_with(
     geom: Geometry,
     data: &NdArray<f32>,
     eb: f64,
     radius: u16,
     cfg: &InterpConfig,
     device: &DeviceSpec,
-    fuse_topk: Option<usize>,
-) -> (PredictOutput, Option<Vec<u32>>) {
+) -> PredictOutput {
     let shape = data.shape();
     let rank = shape.rank();
     geom.validate(rank);
@@ -515,20 +419,10 @@ fn compress_impl(
     let grid = launch_grid(shape, chunk);
     let outlier_parts: BlockSlots<Outliers> = BlockSlots::new(grid.blocks.count() as usize);
 
-    let alphabet = 2 * radius as usize;
-    let hist_bins: Option<Vec<AtomicU32>> =
-        fuse_topk.map(|_| (0..alphabet).map(|_| AtomicU32::new(0)).collect());
-    let hspec = fuse_topk.map(|topk| {
-        let lo = (radius as usize).saturating_sub(topk / 2);
-        HistSpec { alphabet, lo, hi: (lo + topk).min(alphabet) }
-    });
-    let kernel_name = if fuse_topk.is_some() { "g-interp-hist" } else { "g-interp" };
-
     let interp_stats = {
         let src = GlobalRead::new(data.as_slice());
         let dst = GlobalWrite::new(&mut codes);
-        let hist_view = hist_bins.as_ref().map(|bins| GlobalAtomicU32::new(bins));
-        launch_named(device, grid, kernel_name, |ctx: &mut BlockCtx<'_>| {
+        launch_named(device, grid, "g-interp", |ctx: &mut BlockCtx<'_>| {
             let g = tile_geom(shape, chunk, ctx.block);
             let tlen = g.ext.iter().product::<usize>();
 
@@ -553,43 +447,18 @@ fn compress_impl(
 
             let mut local_codes = ctx.scratch(tlen, radius);
             let mut outs = Outliers::new();
-            // Fused variant: tally owned codes into the privatized
-            // histogram *as they are quantized* (§ VI-A scheme —
-            // register window for the hot centre, shared-memory bins
-            // for the rest). Every element is owned by exactly one
-            // block and anchors keep the zero-error init, so the
-            // counts match `histogram_reference(codes)` exactly.
-            let mut hist_priv = hspec.as_ref().map(|h| {
-                (ctx.scratch(h.hi - h.lo, 0u32), ctx.alloc_shared::<u32>(h.alphabet))
-            });
             let mut grid_view = TileGrid::new(&mut tile, g.ext);
-            let flops = if let (Some(h), Some((reg, shared))) = (&hspec, &mut hist_priv) {
-                let mut proc = TileQuant {
-                    quants: &quants,
-                    orig: &orig,
-                    ext: g.ext,
-                    own: g.own,
-                    origin: g.origin,
-                    shape,
-                    codes: &mut local_codes,
-                    outs: &mut outs,
-                    tally: WindowTally { lo: h.lo as u16, hi: h.hi as u16, reg, shared },
-                };
-                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops
-            } else {
-                let mut proc = TileQuant {
-                    quants: &quants,
-                    orig: &orig,
-                    ext: g.ext,
-                    own: g.own,
-                    origin: g.origin,
-                    shape,
-                    codes: &mut local_codes,
-                    outs: &mut outs,
-                    tally: NoTally,
-                };
-                interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops
+            let mut proc = TileQuant {
+                quants: &quants,
+                orig: &orig,
+                ext: g.ext,
+                own: g.own,
+                origin: g.origin,
+                shape,
+                codes: &mut local_codes,
+                outs: &mut outs,
             };
+            let flops = interpolate_grid_with(&mut grid_view, rank, astride, cfg, &mut proc).flops;
             drop(grid_view);
             ctx.add_flops(flops);
             // One barrier per (level, dim) phase of the sweep (§ V-D).
@@ -608,63 +477,12 @@ fn compress_impl(
             if !outs.is_empty() {
                 outlier_parts.put(ctx.block_linear() as usize, outs);
             }
-
-            // Stage 4 (fused variant only): merge this block's
-            // privatized tallies — accumulated inline during the sweep,
-            // so the separate histogram kernel's full DRAM read of the
-            // code plane disappears — into the global histogram with
-            // one warp-coalesced atomic pass. Owned anchor positions
-            // are never visited by the sweep but keep the zero-error
-            // init in the code plane, so they are tallied here by
-            // count, keeping the totals equal to a reference histogram
-            // over the full plane.
-            if let (Some(h), Some(gview), Some((reg, shared))) = (&hspec, &hist_view, &mut hist_priv)
-            {
-                let anchors_owned: u32 = {
-                    // Multiples of the anchor stride in [origin, origin + own).
-                    let m = |a: usize, b: usize| (b.div_ceil(astride) - a.div_ceil(astride)) as u32;
-                    (0..3)
-                        .map(|d| m(g.origin[d], g.origin[d] + g.own[d]))
-                        .product()
-                };
-                let r = radius as usize;
-                if r >= h.lo && r < h.hi {
-                    reg[r - h.lo] += anchors_owned;
-                } else {
-                    let v = shared.get(r);
-                    shared.set(r, v + anchors_owned);
-                }
-                ctx.sync();
-                let mut idxs = ctx.scratch((h.hi - h.lo) + h.alphabet, 0usize);
-                let mut vals = ctx.scratch((h.hi - h.lo) + h.alphabet, 0u32);
-                let mut m = 0usize;
-                for (i, &v) in reg.iter().enumerate() {
-                    if v > 0 {
-                        idxs[m] = h.lo + i;
-                        vals[m] = v;
-                        m += 1;
-                    }
-                }
-                for s in 0..h.alphabet {
-                    let v = shared.get(s);
-                    if v > 0 {
-                        idxs[m] = s;
-                        vals[m] = v;
-                        m += 1;
-                    }
-                }
-                ctx.atomic_add_warp(gview, &idxs[..m], &vals[..m]);
-            }
         })
     };
 
     let outliers = Outliers::concat(outlier_parts.into_compact());
 
-    let hist = hist_bins.map(|bins| bins.into_iter().map(|a| a.into_inner()).collect());
-    (
-        PredictOutput { codes, outliers, anchors, kernels: vec![anchor_stats, interp_stats] },
-        hist,
-    )
+    PredictOutput { codes, outliers, anchors, kernels: vec![anchor_stats, interp_stats] }
 }
 
 /// Decompress-side G-Interp: replay predictions from quant-codes.
@@ -1055,74 +873,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_compress_matches_separate_predict_and_histogram() {
-        // Fusion must change neither the predictor artifacts nor the
-        // counts: codes/outliers/anchors bit-identical, histogram equal
-        // to the reference tally of the code plane.
-        let cfg = InterpConfig::untuned(3);
-        for shape in [Shape::d3(24, 24, 48), Shape::d3(11, 13, 37)] {
-            let data = smooth_field(shape);
-            let eb = 1e-3;
-            let plain = compress(&data, eb, 512, &cfg, &A100);
-            let (fused, hist) = compress_fused(&data, eb, 512, &cfg, 32, &A100);
-            assert_eq!(plain.codes, fused.codes);
-            assert_eq!(plain.anchors, fused.anchors);
-            assert_eq!(plain.outliers.indices(), fused.outliers.indices());
-            assert_eq!(plain.outliers.values(), fused.outliers.values());
-            let reference = {
-                let mut h = vec![0u32; 1024];
-                for &c in &plain.codes {
-                    h[c as usize] += 1;
-                }
-                h
-            };
-            assert_eq!(hist, reference, "fused histogram diverges on {shape:?}");
-        }
-    }
-
-    #[test]
-    fn fused_compress_cuts_code_plane_dram_reads() {
-        // The fused kernel's extra DRAM traffic is only the atomic
-        // merge; the separate histogram kernel re-reads the whole u16
-        // code plane (2 bytes/elem). The fused interp kernel must stay
-        // well under that budget.
-        let data = smooth_field(Shape::d3(32, 32, 64));
-        let cfg = InterpConfig::untuned(3);
-        let plain = compress(&data, 1e-3, 512, &cfg, &A100);
-        let (fused, _) = compress_fused(&data, 1e-3, 512, &cfg, 32, &A100);
-        let plain_interp = &plain.kernels[1];
-        let fused_interp = &fused.kernels[1];
-        let code_plane_bytes = (data.len() * 2) as u64;
-        let extra = fused_interp.load_bytes + fused_interp.store_bytes
-            - plain_interp.load_bytes
-            - plain_interp.store_bytes;
-        assert!(
-            extra < code_plane_bytes / 4,
-            "fused overhead {extra} should be far below the {code_plane_bytes}-byte code re-read"
-        );
-        assert!(fused_interp.shared_bytes > plain_interp.shared_bytes);
-    }
-
-    #[test]
-    fn fused_topk_zero_and_edge_windows_still_match() {
-        let data = smooth_field(Shape::d3(10, 12, 20));
-        let cfg = InterpConfig::untuned(3);
-        for topk in [0usize, 1, 2048, 4096] {
-            let (out, hist) = compress_fused(&data, 1e-3, 512, &cfg, topk, &A100);
-            let mut reference = vec![0u32; 1024];
-            for &c in &out.codes {
-                reference[c as usize] += 1;
-            }
-            assert_eq!(hist, reference, "topk={topk}");
-        }
-    }
-
-    #[test]
     fn scalar_and_lane_sweeps_yield_the_same_artifacts_and_kernel_stats() {
-        // Compress (plain and fused) and decompress with lanes off and on:
-        // codes, outliers, anchors, histogram, reconstruction *and* the
-        // billed counters (FLOPs, shared-memory accesses, barriers,
-        // DRAM sectors) must repeat exactly. The field carries NaN and
+        // Compress and decompress with lanes off and on: codes,
+        // outliers, anchors, reconstruction *and* the billed counters
+        // (FLOPs, shared-memory accesses, barriers, DRAM sectors) must
+        // repeat exactly. The field carries NaN and
         // +-inf, so non-finite values and predictions cross every
         // quantize/reconstruct arm; shapes cover interior tiles,
         // clipped edges and the 2-d / 1-d geometries.
@@ -1140,14 +895,13 @@ mod tests {
             let run = |scalar: bool| {
                 let _pin = SweepPin::scalar(scalar);
                 let plain = compress(&data, 1e-3, 512, &cfg, &A100);
-                let (fused, hist) = compress_fused(&data, 1e-3, 512, &cfg, 32, &A100);
                 let (recon, dstats) = decompress(
                     &plain.codes, &plain.anchors, &plain.outliers, shape, 1e-3, 512, &cfg, &A100,
                 );
                 let artifacts = |o: &PredictOutput| {
                     (o.codes.clone(), o.outliers.indices().to_vec(), bits(o.outliers.values()), bits(&o.anchors), o.kernels.clone())
                 };
-                (artifacts(&plain), artifacts(&fused), hist, bits(recon.as_slice()), dstats)
+                (artifacts(&plain), bits(recon.as_slice()), dstats)
             };
             let oracle = run(true);
             assert!(!oracle.0 .1.is_empty(), "non-finite values must surface as outliers");

@@ -14,10 +14,9 @@
 use std::sync::Mutex;
 
 use cuszi_gpu_sim::DeviceSpec;
-use cuszi_profile::KernelRow;
 use cuszi_tensor::{NdArray, Shape};
 
-use crate::ginterp::{self, Geometry};
+use crate::ginterp;
 use crate::splines::{cubic, CubicVariant};
 use crate::sweep::active_axes;
 
@@ -183,52 +182,29 @@ fn sample_points(shape: Shape) -> Vec<[usize; 3]> {
 }
 
 // ---------------------------------------------------------------------
-// Profile-driven autotuner (§ V-C extended with the PR-2 kernel-table
-// metrics): a short calibration pass over a deterministic crop runs the
-// real G-Interp kernel for a small candidate matrix and scores the
-// candidates from the roofline columns (`KernelRow::from_stats`), not
-// from heuristics.
+// Calibrated autotuner (§ V-C extended): a short calibration pass over a
+// deterministic crop runs the real G-Interp kernel once per candidate
+// dimension order and keeps the order that zeroes the most quant-codes.
 // ---------------------------------------------------------------------
 
-/// One calibration candidate's measured roofline metrics. `sim_ms`
-/// covers anchor-gather + interpolation on the calibration crop;
-/// `zero_code_frac` is the fraction of zero-error quant-codes (the
+/// One calibration candidate: a dimension order and the fraction of
+/// its quant-codes at the zero-error code on the calibration crop (the
 /// prediction-quality proxy driving CR).
 #[derive(Clone, Debug)]
 pub struct CalibrationRow {
-    /// Anchor stride of the candidate geometry.
-    pub anchor_stride: usize,
     /// Dimension order of the candidate config.
     pub order: Vec<usize>,
-    /// Modelled kernel time on the crop (anchor-gather + interp), ms.
-    pub sim_ms: f64,
-    /// Achieved DRAM throughput of the interp kernel, GB/s.
-    pub achieved_gbps: f64,
-    /// Sector-padding DRAM waste of the interp kernel, bytes.
-    pub dram_excess_bytes: u64,
-    /// Occupancy waves of the interp kernel on the crop.
-    pub waves: f64,
     /// Fraction of quant-codes at the zero-error code.
     pub zero_code_frac: f64,
 }
 
-/// The autotuner's output: the interp config to apply, the advisory
-/// geometry and stream count, and the calibration evidence.
+/// The autotuner's output: the interp config to apply and the
+/// calibration evidence.
 #[derive(Clone, Debug)]
 pub struct AutotuneDecision {
     /// Header-carried tuning (alpha, variants, order) — always applied.
     pub config: InterpConfig,
-    /// Best-scoring block geometry on the calibration crop.
-    pub geometry: Geometry,
-    /// Whether `geometry` can be applied to pipeline archives. The
-    /// archive header carries no geometry field (decompress pins
-    /// [`Geometry::for_rank`]), so only the default geometry is
-    /// applied; a non-default winner is reported as advisory output.
-    pub geometry_applied: bool,
-    /// Recommended stream count (1..=4) from projected occupancy waves
-    /// on the full field.
-    pub streams: usize,
-    /// The calibration matrix, in evaluation order.
+    /// One row per candidate order, profiled order first.
     pub rows: Vec<CalibrationRow>,
     /// True when the decision came from the per-family cache.
     pub cached: bool,
@@ -247,31 +223,12 @@ impl AutotuneDecision {
             self.config.variants[2],
             self.config.alpha,
         ));
-        out.push_str(&format!(
-            "  geometry: chunk {:?}, anchor stride {}{}\n",
-            self.geometry.chunk,
-            self.geometry.anchor_stride,
-            if self.geometry_applied {
-                ""
-            } else {
-                " (advisory: archive header pins the default geometry)"
-            },
-        ));
-        out.push_str(&format!("  streams: {}\n", self.streams));
-        out.push_str(&format!("  calibration matrix ({} candidates):\n", self.rows.len()));
-        out.push_str(&format!(
-            "  {:>6} {:>9} {:>10} {:>8} {:>10} {:>6} {:>7}\n",
-            "stride", "order", "sim_ms", "GB/s", "excess_KB", "waves", "zero%",
-        ));
+        out.push_str(&format!("  candidate orders ({}):\n", self.rows.len()));
+        out.push_str(&format!("  {:>9} {:>7}\n", "order", "zero%"));
         for r in &self.rows {
             out.push_str(&format!(
-                "  {:>6} {:>9} {:>10.4} {:>8.1} {:>10.1} {:>6.2} {:>6.1}%\n",
-                r.anchor_stride,
+                "  {:>9} {:>6.1}%\n",
                 format!("{:?}", r.order).replace(' ', ""),
-                r.sim_ms,
-                r.achieved_gbps,
-                r.dram_excess_bytes as f64 / 1024.0,
-                r.waves,
                 r.zero_code_frac * 100.0,
             ));
         }
@@ -299,8 +256,8 @@ pub fn clear_autotune_cache() {
 }
 
 /// Side length targets of the calibration crop per padded axis. Big
-/// enough for several thread blocks of every candidate geometry, small
-/// enough that the whole calibration matrix costs a few milliseconds.
+/// enough for several thread blocks, small enough that the whole
+/// calibration costs a few milliseconds.
 fn calibration_extent(rank: usize, dims: [usize; 3]) -> [usize; 3] {
     let target = match rank {
         1 => [1, 1, 4096],
@@ -328,33 +285,15 @@ fn calibration_crop(data: &NdArray<f32>) -> NdArray<f32> {
     NdArray::from_fn(cropped, |z, y, x| data.get3(start[0] + z, start[1] + y, start[2] + x))
 }
 
-/// Candidate anchor strides per rank. Only 3-d has the paper's stride
-/// ablation; 1-d/2-d keep the default (their tiles at other strides
-/// either explode the anchor overhead or the shared-memory footprint).
-fn candidate_strides(rank: usize) -> Vec<usize> {
-    if rank == 3 {
-        vec![4, 8, 16]
-    } else {
-        vec![Geometry::for_rank(rank).anchor_stride]
-    }
-}
-
-/// Run the profile-driven autotuner.
+/// Run the calibrated autotuner.
 ///
-/// A short calibration pass compresses a deterministic centre crop with
-/// every (anchor stride x dimension order) candidate and scores them
-/// from the kernel-table metrics:
+/// A short calibration pass compresses a deterministic centre crop at
+/// the default geometry once per candidate dimension order — the § V-C
+/// profiled order, the natural order and the reversed profiled order —
+/// and keeps the order with the highest `zero_code_frac` (the CR-quality
+/// proxy), ties keeping the profiled order.
 ///
-/// * **order** — highest `zero_code_frac` at the default stride (the
-///   CR-quality proxy; modelled time is order-invariant), ties keeping
-///   the § V-C profiled order;
-/// * **geometry** — lowest `sim_ms` at the chosen order, ties broken by
-///   lower `dram_excess_bytes`, then by the default stride;
-/// * **streams** — calibration waves extrapolated to the full field's
-///   block count: an under-filled device (few waves) overlaps more
-///   concurrent streams, a saturated one fewer.
-///
-/// Every metric is a pure function of the deterministic kernel counters,
+/// The fraction is a pure function of the deterministic kernel output,
 /// so the decision is reproducible; it is cached per dataset family
 /// (shape / bound decade / radius / device).
 pub fn autotune(
@@ -385,104 +324,40 @@ pub fn autotune(
     let (profiled, _) = profile_and_tune(data, rel_eb);
     let crop = calibration_crop(data);
 
-    // Candidate orders: the profiled order, the natural order, and the
-    // reversed profiled order (deduplicated, profiled first so ties
-    // resolve toward it).
-    let mut orders: Vec<Vec<usize>> = vec![profiled.order.clone(), active_axes(rank).to_vec()];
-    orders.push(profiled.order.iter().rev().copied().collect());
-    let orders: Vec<Vec<usize>> = {
-        let mut seen = Vec::new();
-        for o in orders {
-            if !seen.contains(&o) {
-                seen.push(o);
-            }
-        }
-        seen
-    };
-
-    let default_stride = Geometry::for_rank(rank).anchor_stride;
-    let mut rows = Vec::new();
-    for &stride in &candidate_strides(rank) {
-        let geom = if stride == default_stride {
-            Geometry::for_rank(rank)
-        } else {
-            Geometry::with_anchor_stride(rank, stride)
-        };
-        for order in &orders {
-            let cand = InterpConfig { order: order.clone(), ..profiled.clone() };
-            let out = ginterp::compress_with(geom, &crop, eb_abs, radius, &cand, device);
-            let anchor_row = KernelRow::from_stats("anchor-gather", &out.kernels[0], device);
-            let interp_row = KernelRow::from_stats("g-interp", &out.kernels[1], device);
-            let zero = out.codes.iter().filter(|&&c| c == radius).count();
-            rows.push(CalibrationRow {
-                anchor_stride: stride,
-                order: order.clone(),
-                sim_ms: (anchor_row.sim_s() + interp_row.sim_s()) * 1e3,
-                achieved_gbps: interp_row.achieved_gbps(),
-                dram_excess_bytes: interp_row.stats.dram_excess_bytes(),
-                waves: interp_row.breakdown.waves,
-                zero_code_frac: zero as f64 / out.codes.len().max(1) as f64,
-            });
+    // Candidate orders, deduplicated, profiled first.
+    let mut orders: Vec<Vec<usize>> = Vec::new();
+    for o in [
+        profiled.order.clone(),
+        active_axes(rank).to_vec(),
+        profiled.order.iter().rev().copied().collect(),
+    ] {
+        if !orders.contains(&o) {
+            orders.push(o);
         }
     }
 
-    // Order: best prediction quality at the default stride.
+    let rows: Vec<CalibrationRow> = orders
+        .into_iter()
+        .map(|order| {
+            let cand = InterpConfig { order, ..profiled.clone() };
+            let out = ginterp::compress(&crop, eb_abs, radius, &cand, device);
+            let zero = out.codes.iter().filter(|&&c| c == radius).count();
+            CalibrationRow {
+                order: cand.order,
+                zero_code_frac: zero as f64 / out.codes.len().max(1) as f64,
+            }
+        })
+        .collect();
+
+    // The first row with the highest fraction: a strict `>` keeps the
+    // profiled order on ties.
     let best_order = rows
         .iter()
-        .filter(|r| r.anchor_stride == default_stride)
-        .max_by(|a, b| {
-            a.zero_code_frac
-                .partial_cmp(&b.zero_code_frac)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|r| r.order.clone())
-        .unwrap_or_else(|| profiled.order.clone());
-
-    // Geometry: fastest modelled time at the chosen order; dram-excess
-    // then default-stride tiebreaks.
-    let best_geom_row = rows
-        .iter()
-        .filter(|r| r.order == best_order)
-        .min_by(|a, b| {
-            (a.sim_ms, a.dram_excess_bytes, a.anchor_stride != default_stride)
-                .partial_cmp(&(b.sim_ms, b.dram_excess_bytes, b.anchor_stride != default_stride))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("calibration produced at least one row");
-    let best_stride = best_geom_row.anchor_stride;
-    let geometry = if best_stride == default_stride {
-        Geometry::for_rank(rank)
-    } else {
-        Geometry::with_anchor_stride(rank, best_stride)
-    };
-
-    // Streams: extrapolate the crop's occupancy waves to the full
-    // field. The default-geometry row is the one whose waves pipeline
-    // launches will actually see.
-    let applied_row = rows
-        .iter()
-        .find(|r| r.anchor_stride == default_stride && r.order == best_order)
-        .unwrap_or(best_geom_row);
-    let crop_blocks: usize = crop
-        .shape()
-        .block_counts(Geometry::for_rank(rank).chunk)
-        .iter()
-        .product();
-    let full_blocks: usize = shape.block_counts(Geometry::for_rank(rank).chunk).iter().product();
-    let waves_full = applied_row.waves * full_blocks as f64 / crop_blocks.max(1) as f64;
-    let streams = if waves_full < 2.0 {
-        4
-    } else if waves_full < 8.0 {
-        2
-    } else {
-        1
-    };
+        .reduce(|best, r| if r.zero_code_frac > best.zero_code_frac { r } else { best })
+        .map_or_else(|| profiled.order.clone(), |r| r.order.clone());
 
     let decision = AutotuneDecision {
         config: InterpConfig { order: best_order, ..profiled },
-        geometry,
-        geometry_applied: best_stride == default_stride,
-        streams,
         rows,
         cached: false,
     };
@@ -601,13 +476,10 @@ mod tests {
         assert!(!d1.cached);
         assert!(!d1.rows.is_empty());
         assert_eq!(d1.config.order.len(), 3);
-        assert!((1..=4).contains(&d1.streams));
         // Second call: cache hit, identical decision.
         let d2 = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
         assert!(d2.cached);
         assert_eq!(d1.config, d2.config);
-        assert_eq!(d1.geometry, d2.geometry);
-        assert_eq!(d1.streams, d2.streams);
         // Different bound decade: fresh calibration.
         let d3 = autotune(&data, 1e-1, 1e-1, 512, &cuszi_gpu_sim::A100);
         assert!(!d3.cached);
@@ -615,38 +487,72 @@ mod tests {
     }
 
     #[test]
-    fn autotune_calibrates_the_full_candidate_matrix_for_3d() {
+    fn autotune_calibrates_each_candidate_order_once_for_3d() {
         clear_autotune_cache();
         let data = wavy_field();
         let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        // 3 strides x deduped orders; every row carries real metrics.
-        let strides: std::collections::HashSet<usize> =
-            d.rows.iter().map(|r| r.anchor_stride).collect();
-        assert_eq!(strides, [4usize, 8, 16].into_iter().collect());
-        for r in &d.rows {
-            assert!(r.sim_ms > 0.0, "{r:?}");
-            assert!(r.achieved_gbps > 0.0, "{r:?}");
-            assert!(r.waves > 0.0, "{r:?}");
+        let (profiled, _) = profile_and_tune(&data, 1e-3);
+        // Profiled, natural and reversed orders, deduplicated, profiled
+        // first; the winner is one of them.
+        assert!((2..=3).contains(&d.rows.len()), "{:?}", d.rows);
+        assert_eq!(d.rows[0].order, profiled.order);
+        for (i, r) in d.rows.iter().enumerate() {
+            assert!(d.rows[..i].iter().all(|p| p.order != r.order), "duplicate {r:?}");
             assert!((0.0..=1.0).contains(&r.zero_code_frac), "{r:?}");
         }
-        // The geometry decision is only applied when it is the default.
-        assert_eq!(d.geometry_applied, d.geometry == Geometry::for_rank(3));
+        assert!(d.rows.iter().any(|r| r.order == d.config.order));
         let text = d.render();
-        assert!(text.contains("calibration matrix"));
-        assert!(text.contains("streams"));
+        assert!(text.contains("candidate orders"));
+        assert!(text.contains("zero%"));
         clear_autotune_cache();
     }
 
     #[test]
-    fn autotune_handles_low_ranks_with_default_geometry() {
+    fn autotune_render_lists_every_candidate_order() {
+        // A shape no other test uses, so this decision never lands in
+        // another test's cache family.
+        let data = NdArray::from_fn(Shape::d3(40, 40, 80), |z, y, x| {
+            (y as f32 * 0.9).sin() * 3.0 + (x as f32 * 0.05).cos() + z as f32 * 0.01
+        });
+        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
+        let text = d.render();
+        assert!(text.contains(&format!("candidate orders ({})", d.rows.len())), "{text}");
+        for r in &d.rows {
+            let order = format!("{:?}", r.order).replace(' ', "");
+            let zero = format!("{:.1}%", r.zero_code_frac * 100.0);
+            assert!(
+                text.lines().any(|l| l.contains(&order) && l.contains(&zero)),
+                "row {r:?} missing:\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn autotune_handles_low_ranks() {
         clear_autotune_cache();
         let d2field = NdArray::from_fn(Shape::d2(96, 96), |_z, y, x| {
             ((x + y) as f32 * 0.1).sin()
         });
         let d = autotune(&d2field, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert!(d.rows.iter().all(|r| r.anchor_stride == 16));
-        assert!(d.geometry_applied);
+        assert_eq!(d.rows.len(), 2, "a 2-d field has two distinct orders");
         assert_eq!(d.config.order.len(), 2);
+        clear_autotune_cache();
+    }
+
+    #[test]
+    fn autotune_ties_keep_the_profiled_order() {
+        clear_autotune_cache();
+        // Linear in every axis: cubic interpolation is exact, so every
+        // candidate order zeroes every quant-code and the profiled
+        // order must survive the tie. The field is its own calibration
+        // crop, and every axis ends on an anchor.
+        let data = NdArray::from_fn(Shape::d3(25, 25, 57), |z, y, x| {
+            0.5 * z as f32 + 0.25 * y as f32 + 0.125 * x as f32
+        });
+        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
+        assert!(d.rows.len() > 1, "{:?}", d.rows);
+        assert!(d.rows.iter().all(|r| r.zero_code_frac == 1.0), "{:?}", d.rows);
+        assert_eq!(d.config.order, profile_and_tune(&data, 1e-3).0.order);
         clear_autotune_cache();
     }
 

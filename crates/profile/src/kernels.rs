@@ -39,25 +39,6 @@ pub struct KernelRow {
 }
 
 impl KernelRow {
-    /// Build a single-launch row directly from returned [`KernelStats`]
-    /// — the calibration input surface for callers (like the G-Interp
-    /// autotuner) that hold a kernel's stats in hand and want the
-    /// derived roofline columns without installing the global launch
-    /// observer. `wall_s` is zero: a synthesized row has no host
-    /// wall-clock measurement.
-    pub fn from_stats(name: &str, stats: &KernelStats, device: &DeviceSpec) -> KernelRow {
-        let model = TimingModel::new(*device);
-        KernelRow {
-            name: name.to_string(),
-            launches: 1,
-            incomplete: 0,
-            stats: *stats,
-            breakdown: model.breakdown(stats),
-            wall_s: 0.0,
-            device: *device,
-        }
-    }
-
     /// Total simulated time, seconds.
     pub fn sim_s(&self) -> f64 {
         self.breakdown.total_s()
@@ -271,20 +252,6 @@ mod tests {
             blocks: 1024,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn from_stats_matches_an_observed_single_launch() {
-        let stats = stream(1 << 22);
-        let synthesized = KernelRow::from_stats("k", &stats, &A100);
-        let mut t = KernelTable::new();
-        t.record(&rec("k", stats, true));
-        let observed = &t.rows()[0];
-        assert_eq!(synthesized.sim_s(), observed.sim_s());
-        assert_eq!(synthesized.achieved_gbps(), observed.achieved_gbps());
-        assert_eq!(synthesized.breakdown.waves, observed.breakdown.waves);
-        assert_eq!(synthesized.stats.dram_excess_bytes(), observed.stats.dram_excess_bytes());
-        assert_eq!(synthesized.wall_s, 0.0);
     }
 
     #[test]

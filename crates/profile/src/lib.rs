@@ -104,10 +104,14 @@ impl Profiler {
     /// quiescent); the profiler is left empty for the next capture.
     pub fn report(&self) -> Report {
         let (events, dropped) = self.tracer.take_events();
+        // Labels outlive drains; name only the lanes this capture uses,
+        // so an earlier capture's streams add no empty lanes.
+        let mut thread_labels = self.tracer.thread_labels();
+        thread_labels.retain(|(tid, _)| events.iter().any(|e| e.tid == *tid));
         Report {
             events,
             dropped_events: dropped,
-            thread_labels: self.tracer.thread_labels(),
+            thread_labels,
             kernels: self.kernels.lock().unwrap().take(),
             metrics: self.metrics.take(),
         }
@@ -133,7 +137,8 @@ impl ProfileSink for Profiler {
 pub struct Report {
     pub events: Vec<Event>,
     pub dropped_events: u64,
-    /// `(tid, lane label)` pairs — one per gpu-sim stream observed.
+    /// `(tid, lane label)` pairs — one per gpu-sim stream lane that has
+    /// events in this capture.
     pub thread_labels: Vec<(u32, String)>,
     pub kernels: Vec<KernelRow>,
     pub metrics: Snapshot,

@@ -185,6 +185,42 @@ fn stream_launches_get_one_labeled_lane_per_stream() {
 }
 
 #[test]
+fn reports_name_only_the_lanes_their_capture_used() {
+    let _lock = TEST_LOCK.lock().unwrap();
+    profile::install();
+    profile::enable(true);
+    let input: Vec<f32> = (0..1024).map(|i| i as f32).collect();
+    cuszi_gpu_sim::with_streams(2, |streams| {
+        for s in streams {
+            let input = &input;
+            s.submit(move || {
+                let src = GlobalRead::new(input);
+                launch_named(&A100, Grid::linear(4, 64), "lane-kernel", |ctx| {
+                    let mut buf = ctx.scratch(256, 0.0f32);
+                    ctx.read_span(&src, ctx.block_linear() as usize * 256, &mut buf);
+                });
+            });
+        }
+        for s in streams {
+            s.synchronize().expect("no fault armed");
+        }
+    });
+    let streamed = profile::profiler().unwrap().report();
+    assert_eq!(streamed.thread_labels.len(), 2, "{:?}", streamed.thread_labels);
+
+    // A later capture on this thread alone names no stream lane: the
+    // labels outlive the drain, but its trace has no events on them.
+    let rep = run_workload();
+    profile::enable(false);
+    assert!(rep.thread_labels.is_empty(), "{:?}", rep.thread_labels);
+    let json = rep.chrome_trace();
+    let v = minjson::parse(&json).expect("valid trace json");
+    let events = v.get("traceEvents").unwrap().as_array().unwrap();
+    assert!(events.iter().all(|e| e.get("ph").unwrap().as_str() != Some("M")), "{json}");
+    assert_eq!(events.len(), 6, "{json}");
+}
+
+#[test]
 fn disabled_profiling_records_nothing() {
     let _lock = TEST_LOCK.lock().unwrap();
     profile::install();

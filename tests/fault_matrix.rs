@@ -154,49 +154,6 @@ fn launch_faults_error_at_owning_stage_on_all_datasets() {
 }
 
 #[test]
-fn fused_stage_launch_faults_attribute_to_the_fused_stage() {
-    let _g = guard();
-    let cfg = Config::new(ErrorBound::Rel(1e-3)).with_fusion();
-    for kind in DatasetKind::ALL {
-        let fields = fields_of(kind);
-        let named: Vec<NamedField> =
-            fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
-        for streams in [1usize, 4] {
-            // Under fusion the interp kernel is renamed `g-interp-hist`
-            // and owns the histogram work; both kernels of the fused
-            // stage must attribute to `predict-quant-histogram`.
-            for kernel in ["anchor-gather", "g-interp-hist"] {
-                clear_flight_dump();
-                let _armed = Armed::new(FaultSpec::LaunchNamed(kernel.into()));
-                let err = compress_fields_streams(&named, cfg, streams).expect_err(&format!(
-                    "{}: launch:{kernel} at streams={streams} compressed Ok",
-                    kind.name()
-                ));
-                match &err {
-                    CuszError::StageError { stage: got, kind: fk, site } => {
-                        assert_eq!(*fk, StageFaultKind::LaunchFailed, "{err}");
-                        assert_eq!(site, kernel, "{err}");
-                        if streams == 1 {
-                            assert_eq!(*got, "predict-quant-histogram", "{}: {err}", kind.name());
-                        }
-                    }
-                    other => panic!("{}: launch:{kernel} gave {other:?}", kind.name()),
-                }
-                assert_flight_dump(
-                    &err,
-                    (streams == 1).then_some("predict-quant-histogram"),
-                );
-            }
-            // The separate histogram kernel never launches under
-            // fusion: arming it must leave the run untouched.
-            let _armed = Armed::new(FaultSpec::LaunchNamed("histogram".into()));
-            compress_fields_streams(&named, cfg, streams)
-                .unwrap_or_else(|e| panic!("{}: fused run tripped 'histogram': {e}", kind.name()));
-        }
-    }
-}
-
-#[test]
 fn decompress_launch_faults_error_at_owning_stage_on_all_datasets() {
     let _g = guard();
     let cfg = Config::new(ErrorBound::Rel(1e-3));

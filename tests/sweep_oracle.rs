@@ -1,8 +1,8 @@
 //! The hot-path optimisations must be *pure* performance work: the
-//! archive bytes are the oracle. {scalar, lane} sweep x {fused,
-//! unfused} histogram x {1, 4} streams must all produce the same
-//! container on every dataset analogue, and that container must decode
-//! back within the bound — to the same bits with lanes on or off.
+//! archive bytes are the oracle. {scalar, lane} sweep x {1, 4} streams
+//! must all produce the same container on every dataset analogue, and
+//! that container must decode back within the bound — to the same bits
+//! with lanes on or off.
 //!
 //! Production always sweeps in lanes; the hidden `force_scalar_sweep`
 //! hook swaps in the one-point-at-a-time oracle here. The hook is
@@ -40,7 +40,7 @@ impl Drop for Pinned {
     }
 }
 
-/// Crop to <= 32^3 so the 6-dataset x 8-variant sweep stays debug-fast.
+/// Crop to <= 32^3 so the 6-dataset x 4-variant sweep stays debug-fast.
 fn crop(data: &NdArray<f32>) -> NdArray<f32> {
     let d = data.shape().dims3();
     let ext = [d[0].min(32), d[1].min(32), d[2].min(32)];
@@ -48,7 +48,7 @@ fn crop(data: &NdArray<f32>) -> NdArray<f32> {
 }
 
 #[test]
-fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
+fn archives_identical_across_sweeps_and_streams_on_all_datasets() {
     for kind in DatasetKind::ALL {
         let ds = generate(kind, Scale::Small, 42);
         let fields: Vec<(String, NdArray<f32>)> =
@@ -56,7 +56,7 @@ fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
         let named: Vec<NamedField> =
             fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
 
-        // Reference: scalar sweep, unfused stages, one stream.
+        // Reference: scalar sweep, one stream.
         let reference = {
             let _p = Pinned::scalar(true);
             let cfg = Config::new(ErrorBound::Rel(1e-3));
@@ -65,23 +65,36 @@ fn archives_identical_across_simd_fusion_and_streams_on_all_datasets() {
 
         for scalar in [true, false] {
             let _p = Pinned::scalar(scalar);
-            for fuse in [false, true] {
-                for streams in [1usize, 4] {
-                    let mut cfg = Config::new(ErrorBound::Rel(1e-3));
-                    if fuse {
-                        cfg = cfg.with_fusion();
-                    }
-                    let (got, _) =
-                        compress_fields_streams(&named, cfg, streams).expect("variant compress");
-                    assert_eq!(
-                        got.bytes,
-                        reference,
-                        "{}: archive differs (scalar={scalar}, fuse={fuse}, streams={streams})",
-                        kind.name()
-                    );
-                }
+            for streams in [1usize, 4] {
+                let cfg = Config::new(ErrorBound::Rel(1e-3));
+                let (got, _) =
+                    compress_fields_streams(&named, cfg, streams).expect("variant compress");
+                assert_eq!(
+                    got.bytes,
+                    reference,
+                    "{}: archive differs (scalar={scalar}, streams={streams})",
+                    kind.name()
+                );
             }
         }
+    }
+}
+
+#[test]
+fn tight_bound_archives_identical_across_streams_on_all_datasets() {
+    // At Rel(1e-5) outliers carry real traffic through every stage; the
+    // stream count must still leave the container untouched.
+    let _p = Pinned::scalar(false);
+    for kind in DatasetKind::ALL {
+        let ds = generate(kind, Scale::Small, 42);
+        let fields: Vec<(String, NdArray<f32>)> =
+            ds.fields.iter().map(|f| (f.name.to_string(), crop(&f.data))).collect();
+        let named: Vec<NamedField> =
+            fields.iter().map(|(n, d)| NamedField { name: n, data: d }).collect();
+        let cfg = Config::new(ErrorBound::Rel(1e-5));
+        let (one, _) = compress_fields_streams(&named, cfg, 1).expect("1-stream compress");
+        let (four, _) = compress_fields_streams(&named, cfg, 4).expect("4-stream compress");
+        assert_eq!(four.bytes, one.bytes, "{}: archive differs across streams", kind.name());
     }
 }
 
@@ -115,23 +128,11 @@ fn loose_and_tight_archives_and_their_decodes_match_the_scalar_path() {
 }
 
 #[test]
-fn fused_simd_archive_decodes_within_bound() {
-    let _p = Pinned::scalar(false);
-    let ds = generate(DatasetKind::Miranda, Scale::Small, 42);
-    let data = crop(&ds.fields[0].data);
-    let cfg = Config::new(ErrorBound::Rel(1e-3)).with_fusion();
-    let codec = CuszI::new(cfg);
-    let c = codec.compress(&data).expect("compress");
-    let d = codec.decompress(&c.bytes).expect("decompress");
-    assert_eq!(check_error_bound(data.as_slice(), d.data.as_slice(), c.eb_abs), None);
-}
-
-#[test]
 fn autotuned_compression_is_stable_and_decodable() {
     let _p = Pinned::scalar(false);
     let ds = generate(DatasetKind::Nyx, Scale::Small, 42);
     let data = crop(&ds.fields[0].data);
-    let cfg = Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune().with_fusion();
+    let cfg = Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune();
     let codec = CuszI::new(cfg);
     let a = codec.compress(&data).expect("autotuned compress");
     let b = codec.compress(&data).expect("cached autotuned compress");
