@@ -54,10 +54,6 @@ pub struct Measurement {
     pub bytes: Option<u64>,
     pub mean_s: f64,
     pub min_s: f64,
-    /// Sample standard deviation (n-1 denominator; 0 for one sample).
-    /// This is the noise estimate the bench regression sentinel uses
-    /// to separate real slowdowns from run-to-run jitter.
-    pub stddev_s: f64,
     pub samples: usize,
 }
 
@@ -65,28 +61,13 @@ impl Measurement {
     /// Aggregate raw per-sample wall-clock seconds.
     pub fn new(name: &str, bytes: Option<u64>, secs: &[f64]) -> Self {
         assert!(!secs.is_empty());
-        let mean_s = secs.iter().sum::<f64>() / secs.len() as f64;
-        let stddev_s = if secs.len() > 1 {
-            let var = secs.iter().map(|s| (s - mean_s).powi(2)).sum::<f64>()
-                / (secs.len() - 1) as f64;
-            var.sqrt()
-        } else {
-            0.0
-        };
         Self {
             name: name.to_string(),
             bytes,
-            mean_s,
+            mean_s: secs.iter().sum::<f64>() / secs.len() as f64,
             min_s: secs.iter().cloned().fold(f64::INFINITY, f64::min),
-            stddev_s,
             samples: secs.len(),
         }
-    }
-
-    /// Noise relative to the mean (coefficient of variation); 0 when
-    /// only one sample exists.
-    pub fn rel_stddev(&self) -> f64 {
-        if self.mean_s > 0.0 { self.stddev_s / self.mean_s } else { 0.0 }
     }
 
     /// Best-sample throughput in MB/s (decimal MB, the paper's unit),
@@ -130,16 +111,6 @@ mod tests {
         // 2 MB in 1 ms = 2000 MB/s.
         assert!((m.mbps().unwrap() - 2000.0).abs() < 1e-6);
         assert_eq!(m.samples, 3);
-        // Sample stddev of {1,2,3} ms is exactly 1 ms.
-        assert!((m.stddev_s - 0.001).abs() < 1e-12);
-        assert!((m.rel_stddev() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_sample_has_zero_stddev() {
-        let m = Measurement::new("x", None, &[0.5]);
-        assert_eq!(m.stddev_s, 0.0);
-        assert_eq!(m.rel_stddev(), 0.0);
     }
 
     #[test]
@@ -147,6 +118,17 @@ mod tests {
         let m = Measurement::new("x", None, &[0.5]);
         assert!(m.mbps().is_none());
         assert!(!format!("{m}").contains("MB/s"));
+    }
+
+    #[test]
+    fn measurement_line_shows_best_mean_samples_and_throughput() {
+        let m = Measurement::new("stage", Some(3_000_000), &[0.004, 0.002]);
+        let line = format!("{m}");
+        assert!(line.starts_with("stage "), "{line}");
+        assert!(line.contains("2.000 ms"), "best sample leads: {line}");
+        assert!(line.contains("(mean      3.000 ms, n=2)"), "{line}");
+        // 3 MB in the best 2 ms = 1500 MB/s.
+        assert!(line.ends_with("1500.0 MB/s"), "{line}");
     }
 
     #[test]

@@ -374,11 +374,6 @@ pub fn decompress(data: &[u8], device: &DeviceSpec) -> Result<(Vec<u8>, KernelSt
     Ok((out, stats))
 }
 
-/// Convenience: archive size for a given input (for ratio bookkeeping).
-pub fn compressed_len(data: &[u8], device: &DeviceSpec) -> usize {
-    compress(data, device).0.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,13 +11,13 @@
 //!    `tune`/`histogram`/`codebook` stages entirely while producing a
 //!    byte-identical archive (quant codes are a deterministic function
 //!    of content + config, so reusing the artifacts is exact). Entries
-//!    are LRU-evicted against a byte budget.
-//! 2. **An admission controller** — per-tenant token buckets refilled
-//!    at a configured rate pick the next job by *highest balance*
-//!    (deficit fairness: a heavy tenant's balance goes negative, so a
-//!    light tenant wins every contended dispatch and starvation is
-//!    bounded), with two priority lanes (`Interactive` drains before
-//!    `Batch`) and a global queue cap + ≤N-in-flight backpressure.
+//!    are LRU-evicted against a byte budget (`CACHE_BUDGET_BYTES`).
+//! 2. **An admission controller** — one FIFO per tenant; per-tenant
+//!    token buckets pick the next job by *highest balance* (deficit
+//!    fairness: a heavy tenant's balance goes negative, so a light
+//!    tenant wins every contended dispatch and starvation is bounded),
+//!    with a global queue cap (`QUEUE_CAP`) + ≤N-in-flight
+//!    backpressure.
 //! 3. **Scoped observability** — each job runs under a per-engine and
 //!    a per-request [`Registry`] scope (see `cuszi_profile::scope`) so
 //!    per-request counters never bleed across tenants, and under a
@@ -60,7 +60,21 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Engine sizing and fairness knobs.
+/// Total queued jobs across all tenants before new submissions are
+/// rejected with [`EngineError::Overloaded`].
+const QUEUE_CAP: usize = 64;
+
+/// LRU byte budget for the session cache (warm-start artifacts + warm
+/// scratch arenas).
+const CACHE_BUDGET_BYTES: usize = 32 << 20;
+
+/// Token-bucket refill rate per tenant, in jobs/second.
+const TOKENS_PER_SEC: f64 = 50.0;
+
+/// Token-bucket cap (burst allowance) per tenant.
+const BURST: f64 = 8.0;
+
+/// Engine sizing: workers, in-flight bound and device count.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker threads executing jobs (each gets an equal share of the
@@ -69,16 +83,6 @@ pub struct EngineConfig {
     /// Maximum jobs executing concurrently (≤ workers is typical; the
     /// backpressure bound of the admission controller).
     pub max_inflight: usize,
-    /// Total queued jobs across all tenants before new submissions are
-    /// rejected with [`EngineError::Overloaded`].
-    pub queue_cap: usize,
-    /// LRU byte budget for the session cache (warm-start artifacts +
-    /// warm scratch arenas).
-    pub cache_budget_bytes: usize,
-    /// Token-bucket refill rate per tenant, in jobs/second.
-    pub tokens_per_sec: f64,
-    /// Token-bucket cap (burst allowance) per tenant.
-    pub burst: f64,
     /// Simulated devices jobs are placed onto (1..=[`MAX_DEVICES`]).
     /// Placement is least-loaded with session-cache affinity: a job
     /// whose warm-start entry lives on device `d` runs on `d` again
@@ -89,15 +93,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            workers: 2,
-            max_inflight: 2,
-            queue_cap: 64,
-            cache_budget_bytes: 32 << 20,
-            tokens_per_sec: 50.0,
-            burst: 8.0,
-            devices: 1,
-        }
+        EngineConfig { workers: 2, max_inflight: 2, devices: 1 }
     }
 }
 
@@ -115,46 +111,11 @@ impl EngineConfig {
         self
     }
 
-    /// Override the admission queue cap.
-    pub fn with_queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n;
-        self
-    }
-
-    /// Override the session-cache byte budget.
-    pub fn with_cache_budget(mut self, bytes: usize) -> Self {
-        self.cache_budget_bytes = bytes;
-        self
-    }
-
-    /// Override the per-tenant token refill rate and burst cap.
-    pub fn with_fairness(mut self, tokens_per_sec: f64, burst: f64) -> Self {
-        self.tokens_per_sec = tokens_per_sec;
-        self.burst = burst;
-        self
-    }
-
     /// Override the simulated device count (clamped to
     /// `1..=`[`MAX_DEVICES`]).
     pub fn with_devices(mut self, n: usize) -> Self {
         self.devices = n.clamp(1, MAX_DEVICES);
         self
-    }
-}
-
-/// Dispatch priority lane. `Interactive` always drains before `Batch`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Priority {
-    Interactive,
-    Batch,
-}
-
-impl Priority {
-    fn lane(self) -> usize {
-        match self {
-            Priority::Interactive => 0,
-            Priority::Batch => 1,
-        }
     }
 }
 
@@ -391,23 +352,17 @@ impl SessionCache {
 // ---------------------------------------------------------------------------
 
 struct TenantState {
-    /// `[Interactive, Batch]` FIFO lanes.
-    lanes: [VecDeque<Job>; 2],
+    /// Jobs in arrival order.
+    queue: VecDeque<Job>,
     /// Token balance; may go negative (deficit) so the scheduler stays
     /// work-conserving while still bounding a heavy tenant's share.
     tokens: f64,
     last_refill_ns: u64,
-    queued: usize,
 }
 
 impl TenantState {
-    fn new(burst: f64, now_ns: u64) -> Self {
-        TenantState {
-            lanes: [VecDeque::new(), VecDeque::new()],
-            tokens: burst,
-            last_refill_ns: now_ns,
-            queued: 0,
-        }
+    fn new(now_ns: u64) -> Self {
+        TenantState { queue: VecDeque::new(), tokens: BURST, last_refill_ns: now_ns }
     }
 }
 
@@ -440,45 +395,68 @@ impl SchedState {
         }
     }
 
+    /// Queue a job at the tail of `tenant`'s FIFO. A tenant's first job
+    /// registers it with a full bucket at the end of the round-robin
+    /// ring. Refused while draining, and once `QUEUE_CAP` jobs are
+    /// queued across all tenants.
+    fn admit(
+        &mut self,
+        tenant: &str,
+        kind: JobKind,
+        now_ns: u64,
+        tx: mpsc::Sender<Result<JobResult, EngineError>>,
+    ) -> Result<(), EngineError> {
+        if self.shutting_down {
+            return Err(EngineError::ShuttingDown);
+        }
+        if self.total_queued >= QUEUE_CAP {
+            self.rejected += 1;
+            return Err(EngineError::Overloaded { tenant: tenant.to_string() });
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        if !self.tenants.contains_key(tenant) {
+            self.rr.push(tenant.to_string());
+        }
+        let t = self.tenants.entry(tenant.to_string()).or_insert_with(|| TenantState::new(now_ns));
+        t.queue.push_back(Job { id, tenant: tenant.to_string(), kind, submitted_ns: now_ns, tx });
+        self.total_queued += 1;
+        Ok(())
+    }
+
     /// Token-deficit pick: refill every tenant's bucket, then take the
-    /// head of the highest-balance tenant's queue — `Interactive` lane
-    /// first, ties broken round-robin from the cursor.
-    fn pick(&mut self, cfg: &EngineConfig, now_ns: u64) -> Option<Job> {
+    /// head of the highest-balance tenant's queue, ties broken
+    /// round-robin from the cursor.
+    fn pick(&mut self, now_ns: u64) -> Option<Job> {
         if self.total_queued == 0 || self.rr.is_empty() {
             return None;
         }
         for name in &self.rr {
             if let Some(t) = self.tenants.get_mut(name) {
                 let dt = now_ns.saturating_sub(t.last_refill_ns) as f64 / 1e9;
-                t.tokens = (t.tokens + dt * cfg.tokens_per_sec).min(cfg.burst);
+                t.tokens = (t.tokens + dt * TOKENS_PER_SEC).min(BURST);
                 t.last_refill_ns = now_ns;
             }
         }
         let n = self.rr.len();
-        for lane in 0..2 {
-            let mut best: Option<(usize, f64)> = None;
-            for off in 0..n {
-                let i = (self.cursor + off) % n;
-                let Some(t) = self.tenants.get(&self.rr[i]) else { continue };
-                if t.lanes[lane].is_empty() {
-                    continue;
-                }
-                if best.is_none_or(|(_, bt)| t.tokens > bt) {
-                    best = Some((i, t.tokens));
-                }
+        let mut best: Option<(usize, f64)> = None;
+        for off in 0..n {
+            let i = (self.cursor + off) % n;
+            let Some(t) = self.tenants.get(&self.rr[i]) else { continue };
+            if t.queue.is_empty() {
+                continue;
             }
-            if let Some((i, _)) = best {
-                let name = self.rr[i].clone();
-                let t = self.tenants.get_mut(&name)?;
-                let job = t.lanes[lane].pop_front()?;
-                t.tokens -= 1.0;
-                t.queued -= 1;
-                self.total_queued -= 1;
-                self.cursor = (i + 1) % n;
-                return Some(job);
+            if best.is_none_or(|(_, bt)| t.tokens > bt) {
+                best = Some((i, t.tokens));
             }
         }
-        None
+        let (i, _) = best?;
+        let t = self.tenants.get_mut(&self.rr[i])?;
+        let job = t.queue.pop_front()?;
+        t.tokens -= 1.0;
+        self.total_queued -= 1;
+        self.cursor = (i + 1) % n;
+        Some(job)
     }
 }
 
@@ -570,7 +548,7 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
         let devices = cfg.devices.clamp(1, MAX_DEVICES);
         let shared = Arc::new(Shared {
-            cache: Mutex::new(SessionCache::new(cfg.cache_budget_bytes)),
+            cache: Mutex::new(SessionCache::new(CACHE_BUDGET_BYTES)),
             cfg: EngineConfig { devices, ..cfg },
             state: Mutex::new(SchedState::new()),
             cv: Condvar::new(),
@@ -605,82 +583,58 @@ impl Engine {
     pub fn submit_compress(
         &self,
         tenant: &str,
-        priority: Priority,
         data: NdArray<f32>,
         cfg: Config,
     ) -> Result<Ticket, EngineError> {
-        self.submit_kind(tenant, priority, JobKind::Compress { data, cfg })
+        self.submit_kind(tenant, JobKind::Compress { data, cfg })
     }
 
     /// Queue a decompress job for `tenant`.
     pub fn submit_decompress(
         &self,
         tenant: &str,
-        priority: Priority,
         bytes: Vec<u8>,
         cfg: Config,
     ) -> Result<Ticket, EngineError> {
-        self.submit_kind(tenant, priority, JobKind::Decompress { bytes, cfg })
+        self.submit_kind(tenant, JobKind::Decompress { bytes, cfg })
     }
 
-    /// Compress synchronously on the `Interactive` lane.
+    /// Compress synchronously.
     pub fn compress(
         &self,
         tenant: &str,
         data: NdArray<f32>,
         cfg: Config,
     ) -> Result<JobResult, EngineError> {
-        self.submit_compress(tenant, Priority::Interactive, data, cfg)?.wait()
+        self.submit_compress(tenant, data, cfg)?.wait()
     }
 
-    /// Decompress synchronously on the `Interactive` lane.
+    /// Decompress synchronously.
     pub fn decompress(
         &self,
         tenant: &str,
         bytes: Vec<u8>,
         cfg: Config,
     ) -> Result<JobResult, EngineError> {
-        self.submit_decompress(tenant, Priority::Interactive, bytes, cfg)?.wait()
+        self.submit_decompress(tenant, bytes, cfg)?.wait()
     }
 
-    fn submit_kind(
-        &self,
-        tenant: &str,
-        priority: Priority,
-        kind: JobKind,
-    ) -> Result<Ticket, EngineError> {
+    fn submit_kind(&self, tenant: &str, kind: JobKind) -> Result<Ticket, EngineError> {
         let (tx, rx) = mpsc::channel();
         let now = self.shared.now_ns();
-        let mut st = lock(&self.shared.state);
-        if st.shutting_down {
-            return Err(EngineError::ShuttingDown);
+        let admitted = lock(&self.shared.state).admit(tenant, kind, now, tx);
+        match admitted {
+            Ok(()) => {
+                self.shared.cv.notify_all();
+                Ok(Ticket { rx })
+            }
+            Err(e) => {
+                if matches!(e, EngineError::Overloaded { .. }) {
+                    self.shared.registry.count("engine.rejected", 1);
+                }
+                Err(e)
+            }
         }
-        if st.total_queued >= self.shared.cfg.queue_cap {
-            st.rejected += 1;
-            self.shared.registry.count("engine.rejected", 1);
-            return Err(EngineError::Overloaded { tenant: tenant.to_string() });
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        if !st.tenants.contains_key(tenant) {
-            st.tenants.insert(tenant.to_string(), TenantState::new(self.shared.cfg.burst, now));
-            st.rr.push(tenant.to_string());
-        }
-        let Some(t) = st.tenants.get_mut(tenant) else {
-            return Err(EngineError::Canceled);
-        };
-        t.lanes[priority.lane()].push_back(Job {
-            id,
-            tenant: tenant.to_string(),
-            kind,
-            submitted_ns: now,
-            tx,
-        });
-        t.queued += 1;
-        st.total_queued += 1;
-        drop(st);
-        self.shared.cv.notify_all();
-        Ok(Ticket { rx })
     }
 
     /// Current counters.
@@ -761,7 +715,7 @@ fn worker_loop(shared: &Shared) {
             loop {
                 if st.total_queued > 0 && st.inflight < shared.cfg.max_inflight {
                     let now = shared.now_ns();
-                    if let Some(j) = st.pick(&shared.cfg, now) {
+                    if let Some(j) = st.pick(now) {
                         st.inflight += 1;
                         break Some(j);
                     }
@@ -944,23 +898,35 @@ mod tests {
 
     #[test]
     fn queue_cap_rejects_with_overloaded() {
-        let engine = Engine::new(
-            EngineConfig::default().with_workers(1).with_queue_cap(0),
-        );
-        let err = engine.submit_compress("t", Priority::Batch, field(), cfg());
-        assert!(matches!(err, Err(EngineError::Overloaded { .. })));
+        // One worker busy on a large field: everything behind it queues
+        // until the constant cap is full, and the next submit bounces.
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        let big = NdArray::from_fn(Shape::d3(64, 64, 64), |z, y, x| {
+            ((x as f32) * 0.3).sin() + (y as f32) * 0.01 - (z as f32) * 0.02
+        });
+        let mut tickets = vec![engine.submit_compress("t", big, cfg()).unwrap()];
+        let small = field();
+        let overloaded = loop {
+            match engine.submit_compress("t", small.clone(), cfg()) {
+                Ok(t) => tickets.push(t),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(overloaded, EngineError::Overloaded { .. }), "{overloaded}");
+        assert!(tickets.len() >= QUEUE_CAP, "{} admitted before the cap", tickets.len());
         assert_eq!(engine.stats().rejected, 1);
+        for t in tickets {
+            assert!(t.wait().is_ok(), "admitted jobs still complete");
+        }
     }
 
     #[test]
     fn drain_stops_admission_and_finishes_work() {
         let engine = Engine::new(EngineConfig::default().with_workers(1));
-        let t = engine
-            .submit_compress("t", Priority::Interactive, field(), cfg())
-            .unwrap();
+        let t = engine.submit_compress("t", field(), cfg()).unwrap();
         engine.drain();
         assert!(matches!(
-            engine.submit_compress("t", Priority::Interactive, field(), cfg()),
+            engine.submit_compress("t", field(), cfg()),
             Err(EngineError::ShuttingDown)
         ));
         assert!(t.wait().is_ok(), "in-flight work finishes during drain");
@@ -987,18 +953,7 @@ mod tests {
             interp: cuszi_predict::tuning::InterpConfig::untuned(3),
             book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
         };
-        let key = SessionKey {
-            fp: 1,
-            elements: 1,
-            eb_mode: 0,
-            eb_bits: 0,
-            radius: 2,
-            auto_tune: true,
-            kernel_autotune: false,
-            bitcomp: true,
-            topk: 32,
-            device: "A100-40GB",
-        };
+        let key = SessionKey::of(&field(), &cfg());
         cache.insert(
             key.clone(),
             SessionEntry { warm, arena: ScratchArena::new(), last_used: 0, device: 0 },
@@ -1070,5 +1025,174 @@ mod tests {
         assert_eq!(cfg.devices, 1);
         let cfg = EngineConfig::default().with_devices(64);
         assert_eq!(cfg.devices, cuszi_gpu_sim::MAX_DEVICES);
+    }
+
+    #[test]
+    fn worker_count_sets_the_inflight_bound() {
+        let d = EngineConfig::default();
+        assert_eq!((d.workers, d.max_inflight, d.devices), (2, 2, 1));
+        let c = EngineConfig::default().with_workers(3);
+        assert_eq!((c.workers, c.max_inflight), (3, 3));
+        let c = EngineConfig::default().with_workers(0).with_max_inflight(0);
+        assert_eq!((c.workers, c.max_inflight), (1, 1));
+        let c = EngineConfig::default().with_workers(4).with_max_inflight(2);
+        assert_eq!((c.workers, c.max_inflight), (4, 2), "an explicit bound outlives the default");
+    }
+
+    /// Offer an (unrun) job for `tenant` to admission at `now_ns`.
+    fn try_enqueue(st: &mut SchedState, tenant: &str, now_ns: u64) -> Result<(), EngineError> {
+        let (tx, _rx) = mpsc::channel();
+        st.admit(tenant, JobKind::Decompress { bytes: Vec::new(), cfg: cfg() }, now_ns, tx)
+    }
+
+    /// Admit a job for `tenant` at `now_ns`; returns its id.
+    fn enqueue(st: &mut SchedState, tenant: &str, now_ns: u64) -> u64 {
+        try_enqueue(st, tenant, now_ns).unwrap();
+        st.next_id - 1
+    }
+
+    /// Pick `n` jobs at `now_ns`; returns `(tenant, id)` per pick.
+    fn pick_n(st: &mut SchedState, now_ns: u64, n: usize) -> Vec<(String, u64)> {
+        (0..n)
+            .map(|_| st.pick(now_ns).map(|j| (j.tenant, j.id)).expect("a queued job"))
+            .collect()
+    }
+
+    #[test]
+    fn one_tenant_is_served_in_arrival_order() {
+        let mut st = SchedState::new();
+        let ids: Vec<u64> = (0..5).map(|_| enqueue(&mut st, "a", 0)).collect();
+        let picked: Vec<u64> = pick_n(&mut st, 0, 5).into_iter().map(|(_, id)| id).collect();
+        assert_eq!(picked, ids);
+        assert!(st.pick(0).is_none());
+        assert_eq!(st.total_queued, 0);
+    }
+
+    #[test]
+    fn equal_balances_alternate_between_tenants() {
+        let mut st = SchedState::new();
+        for t in ["a", "a", "a", "b", "b", "b"] {
+            enqueue(&mut st, t, 0);
+        }
+        let order: Vec<String> = pick_n(&mut st, 0, 6).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, ["a", "b", "a", "b", "a", "b"]);
+    }
+
+    #[test]
+    fn highest_balance_wins_so_a_light_tenant_jumps_a_backlog() {
+        let mut st = SchedState::new();
+        for _ in 0..10 {
+            enqueue(&mut st, "heavy", 0);
+        }
+        pick_n(&mut st, 0, 4);
+        enqueue(&mut st, "light", 0);
+        enqueue(&mut st, "light", 0);
+        let order: Vec<String> = pick_n(&mut st, 0, 3).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, ["light", "light", "heavy"], "4 tokens spent vs a full bucket");
+    }
+
+    #[test]
+    fn buckets_refill_at_the_constant_rate_up_to_the_burst() {
+        let mut st = SchedState::new();
+        for _ in 0..12 {
+            enqueue(&mut st, "h", 0);
+        }
+        pick_n(&mut st, 0, BURST as usize);
+        let tokens = |st: &SchedState| st.tenants["h"].tokens;
+        assert_eq!(tokens(&st), 0.0, "a burst spends the whole bucket");
+        // 100 ms refills 0.1·rate tokens; the pick spends one.
+        pick_n(&mut st, 100_000_000, 1);
+        let want = (0.1 * TOKENS_PER_SEC).min(BURST) - 1.0;
+        assert!((tokens(&st) - want).abs() < 1e-9, "{} vs {want}", tokens(&st));
+        // A long idle spell refills no further than the burst.
+        pick_n(&mut st, 60_000_000_000, 1);
+        assert_eq!(tokens(&st), BURST - 1.0);
+    }
+
+    #[test]
+    fn empty_tenants_are_skipped_whatever_their_balance() {
+        let mut st = SchedState::new();
+        for t in ["a", "b", "b", "b"] {
+            enqueue(&mut st, t, 0);
+        }
+        let order: Vec<String> = pick_n(&mut st, 0, 4).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, ["a", "b", "b", "b"], "a keeps the higher balance but has no work");
+        assert!(st.pick(0).is_none());
+    }
+
+    #[test]
+    fn admission_refuses_past_the_queue_cap_until_a_pick_frees_a_slot() {
+        let mut st = SchedState::new();
+        for i in 0..QUEUE_CAP {
+            enqueue(&mut st, if i % 2 == 0 { "a" } else { "b" }, 0);
+        }
+        match try_enqueue(&mut st, "c", 0) {
+            Err(EngineError::Overloaded { tenant }) => assert_eq!(tenant, "c"),
+            other => panic!("expected Overloaded, got {:?}", other.err()),
+        }
+        assert_eq!(st.rejected, 1);
+        assert!(!st.tenants.contains_key("c"), "a refused tenant is not registered");
+        pick_n(&mut st, 0, 1);
+        enqueue(&mut st, "c", 0);
+        assert_eq!(st.total_queued, QUEUE_CAP);
+    }
+
+    #[test]
+    fn admission_refuses_while_draining_without_counting_a_rejection() {
+        let mut st = SchedState::new();
+        st.shutting_down = true;
+        assert!(matches!(try_enqueue(&mut st, "a", 0), Err(EngineError::ShuttingDown)));
+        assert_eq!((st.rejected, st.total_queued), (0, 0));
+    }
+
+    #[test]
+    fn session_cache_evicts_the_least_recently_used_entry() {
+        let entry = || SessionEntry {
+            warm: WarmStart {
+                interp: cuszi_predict::tuning::InterpConfig::untuned(3),
+                book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
+            },
+            arena: ScratchArena::new(),
+            last_used: 0,
+            device: 0,
+        };
+        let key = |fp: u64| SessionKey { fp, ..SessionKey::of(&field(), &cfg()) };
+        let mut cache = SessionCache::new(2 * entry().bytes());
+        cache.insert(key(1), entry());
+        cache.insert(key(2), entry());
+        // Checking key 1 out and back in makes key 2 the oldest.
+        let e = cache.checkout(&key(1)).expect("resident");
+        assert!(cache.checkout(&key(1)).is_none(), "a checked-out entry is not shared");
+        cache.insert(key(1), e);
+        cache.insert(key(3), entry());
+        assert!(cache.map.contains_key(&key(1)));
+        assert!(!cache.map.contains_key(&key(2)), "least recently used goes first");
+        assert!(cache.map.contains_key(&key(3)));
+        assert_eq!(cache.total_bytes(), 2 * entry().bytes());
+    }
+
+    #[test]
+    fn session_keys_separate_bound_modes_and_content() {
+        let data = field();
+        let k = SessionKey::of(&data, &cfg());
+        assert_eq!(k, SessionKey::of(&data.clone(), &cfg()), "same content, same key");
+        let abs = Config::new(ErrorBound::Abs(1e-3));
+        assert_ne!(k, SessionKey::of(&data, &abs), "Abs and Rel of one value differ");
+        let mut nudged = data.clone();
+        nudged.as_mut_slice()[100] = f32::from_bits(data.as_slice()[100].to_bits() ^ 1);
+        assert_ne!(k, SessionKey::of(&nudged, &cfg()), "one flipped bit changes the key");
+        let filled = |v: f32| SessionKey::of(&NdArray::from_fn(Shape::d1(4), |_, _, _| v), &cfg());
+        assert_ne!(filled(0.0), filled(-0.0), "keys hash bit patterns, not values");
+    }
+
+    #[test]
+    fn engine_errors_name_their_cause() {
+        let e = EngineError::Overloaded { tenant: "t7".to_string() };
+        assert!(e.to_string().contains("`t7`"), "{e}");
+        assert!(std::error::Error::source(&e).is_none());
+        let job = EngineError::Job(CuszError::CorruptArchive("bad magic"));
+        assert!(job.to_string().starts_with("job failed: "), "{job}");
+        assert!(std::error::Error::source(&job).is_some(), "a job failure keeps its cause");
+        assert!(std::error::Error::source(&EngineError::Canceled).is_none());
     }
 }

@@ -59,9 +59,7 @@ pub(crate) mod wire;
 pub use arena::ScratchArena;
 pub use audit::{AuditReport, LevelAudit};
 pub use config::Config;
-pub use engine::{
-    Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobResult, Priority, Ticket,
-};
+pub use engine::{Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobResult, Ticket};
 // Surface the calibrated autotuner so front ends (CLI, bench) can
 // print its decision without a direct predict dependency.
 pub use cuszi_predict::tuning::{autotune, AutotuneDecision};

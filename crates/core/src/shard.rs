@@ -297,7 +297,7 @@ mod tests {
         let fs = fields();
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let plan = ShardPlan::new(4).streams(1).link(LinkClass::NvLink);
-        let (_, report) = compress_fields_sharded(&named(&fs), cfg, plan).unwrap();
+        let (nvlink, report) = compress_fields_sharded(&named(&fs), cfg, plan).unwrap();
         let jobs: Vec<usize> = report.per_device.iter().map(|d| d.jobs).collect();
         assert_eq!(jobs, vec![2, 1, 1, 1]);
         assert_eq!(report.per_device[0].transfer_ns, 0, "device 0 gathers locally");
@@ -312,8 +312,10 @@ mod tests {
         );
         // A WAN gather dwarfs compute and erases the win.
         let wan = ShardPlan::new(4).streams(1).link(LinkClass::Wan);
-        let (_, wan_report) = compress_fields_sharded(&named(&fs), cfg, wan).unwrap();
+        let (wan_container, wan_report) = compress_fields_sharded(&named(&fs), cfg, wan).unwrap();
         assert!(wan_report.transfer_ns() > report.transfer_ns());
+        // The link class prices the gather; it never changes the archive.
+        assert_eq!(wan_container.bytes, nvlink.bytes, "archive bytes depend on the link");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! timestamp (a cross-stream dependency cannot make time go backwards).
 //! The ratio `serial / elapsed` is the overlap speedup the roofline
 //! model predicts — the simulated counterpart of the host wall-clock
-//! win `exp_hostperf --streams N` measures.
+//! win the benchmark reports as `core.sched.wall_speedup_*`.
 //!
 //! Streams are scoped ([`with_streams`]) so submitted closures may
 //! borrow from the caller's environment, mirroring how

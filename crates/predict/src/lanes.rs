@@ -33,12 +33,6 @@ impl F32x8 {
         F32x8([v; LANES])
     }
 
-    /// The lane values.
-    #[inline(always)]
-    pub fn to_array(self) -> [f32; LANES] {
-        self.0
-    }
-
     /// [`gather_lanes`] over `f32` data.
     #[inline(always)]
     pub fn gather(data: &[f32], base: usize, step: usize, n: usize) -> Self {

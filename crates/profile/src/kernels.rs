@@ -17,7 +17,6 @@ use cuszi_gpu_sim::hook::LaunchRecord;
 use cuszi_gpu_sim::timing::{Bottleneck, TimeBreakdown, TimingModel};
 use cuszi_gpu_sim::{DeviceSpec, KernelStats};
 
-use crate::metrics::{fmt_f64, json_str};
 
 /// One kernel's aggregated profile.
 #[derive(Clone, Debug)]
@@ -170,57 +169,6 @@ impl KernelTable {
         ));
         out
     }
-
-    /// Render the table as a JSON array (for `profile_<n>.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let model = TimingModel::new(r.device);
-            let (verdict, share) = r.verdict();
-            out.push_str(&format!(
-                concat!(
-                    "\n  {{\"name\": {}, \"launches\": {}, \"incomplete\": {}, ",
-                    "\"device\": {}, \"blocks\": {}, \"dram_bytes\": {}, ",
-                    "\"useful_bytes\": {}, \"dram_excess_bytes\": {}, \"flops\": {}, ",
-                    "\"shared_bytes\": {}, \"barriers\": {}, ",
-                    "\"sim_ms\": {}, \"wall_ms\": {}, \"achieved_gbps\": {}, ",
-                    "\"roofline_fraction\": {}, \"coalescing_efficiency\": {}, ",
-                    "\"waves\": {}, \"verdict\": {}, \"verdict_share\": {}, ",
-                    "\"breakdown_ms\": {{\"overhead\": {}, \"mem\": {}, \"compute\": {}, ",
-                    "\"shared\": {}, \"latency\": {}}}}}"
-                ),
-                json_str(&r.name),
-                r.launches,
-                r.incomplete,
-                json_str(r.device.name),
-                r.stats.blocks,
-                r.stats.dram_bytes(),
-                r.stats.useful_bytes(),
-                r.stats.dram_excess_bytes(),
-                r.stats.flops,
-                r.stats.shared_bytes,
-                r.stats.barriers,
-                fmt_f64(r.sim_s() * 1e3),
-                fmt_f64(r.wall_s * 1e3),
-                fmt_f64(r.achieved_gbps()),
-                fmt_f64(r.roofline_fraction(&model)),
-                fmt_f64(r.stats.coalescing_efficiency()),
-                fmt_f64(r.breakdown.waves),
-                json_str(verdict.label()),
-                fmt_f64(share),
-                fmt_f64(r.breakdown.overhead_s * 1e3),
-                fmt_f64(r.breakdown.mem_s * 1e3),
-                fmt_f64(r.breakdown.compute_s * 1e3),
-                fmt_f64(r.breakdown.shared_s * 1e3),
-                fmt_f64(r.breakdown.latency_s * 1e3),
-            ));
-        }
-        out.push_str("\n]");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -291,34 +239,21 @@ mod tests {
     }
 
     #[test]
-    fn report_and_json_are_well_formed() {
+    fn report_is_well_formed() {
         let mut t = KernelTable::new();
         t.record(&rec("g-interp", stream(1 << 24), true));
         t.record(&rec("histogram", stream(1 << 20), true));
         let text = t.render();
-        assert!(text.contains("g-interp"));
         assert!(text.contains("memory-bound") || text.contains("launch-bound"));
-        let json = t.to_json();
-        let v = crate::minjson::parse(&json).expect("valid json");
-        let rows = v.as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        for row in rows {
-            for key in [
-                "name",
-                "launches",
-                "dram_bytes",
-                "dram_excess_bytes",
-                "sim_ms",
-                "achieved_gbps",
-                "roofline_fraction",
-                "coalescing_efficiency",
-                "waves",
-                "verdict",
-                "verdict_share",
-                "breakdown_ms",
-            ] {
-                assert!(row.get(key).is_some(), "missing key {key}");
-            }
+        let columns =
+            ["kernel", "launch", "sim_ms", "GB/s", "%roof", "coalesce", "excess_KB", "waves", "verdict"];
+        for col in columns {
+            assert!(text.contains(col), "missing column {col}");
         }
+        for name in ["g-interp", "histogram"] {
+            let row = text.lines().find(|l| l.starts_with(name)).expect("one row per kernel");
+            assert!(row.contains("% of time"), "row {name} lacks its verdict share: {row}");
+        }
+        assert!(text.contains("across 2 kernels"));
     }
 }

@@ -123,47 +123,6 @@ impl Snapshot {
         Snapshot { counters, histograms }
     }
 
-    /// Render as a JSON object with `counters` and `histograms` keys
-    /// (histogram buckets are emitted sparsely as `[bucket, count]`
-    /// pairs).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json_str(k), v));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let min = if h.count == 0 { 0 } else { h.min };
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"log2_buckets\": [",
-                json_str(k),
-                h.count,
-                h.sum,
-                min,
-                h.max,
-                fmt_f64(h.mean()),
-            ));
-            let mut first = true;
-            for (b, n) in h.buckets.iter().enumerate() {
-                if *n > 0 {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("[{b}, {n}]"));
-                    first = false;
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  }\n}");
-        out
-    }
 }
 
 /// Sanitize a metric name for the Prometheus exposition format:
@@ -204,34 +163,6 @@ impl Snapshot {
             out.push_str(&format!("cuszi_{n}_count {}\n", h.count));
         }
         out
-    }
-}
-
-/// JSON-escape a string (shared by the trace and metrics writers).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float so it is valid JSON (no `NaN`/`inf` literals).
-pub(crate) fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -420,20 +351,5 @@ mod tests {
                 "malformed exposition line: {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_json_is_parseable() {
-        let r = Registry::new();
-        r.count("bytes\"in\n", 5);
-        r.observe("entropy_mbits", 4321);
-        let json = r.snapshot().to_json();
-        let v = crate::minjson::parse(&json).expect("valid json");
-        let obj = v.as_object().unwrap();
-        assert!(obj.contains_key("counters"));
-        let hists = obj["histograms"].as_object().unwrap();
-        let h = hists["entropy_mbits"].as_object().unwrap();
-        assert_eq!(h["count"].as_f64().unwrap(), 1.0);
-        assert_eq!(h["sum"].as_f64().unwrap(), 4321.0);
     }
 }

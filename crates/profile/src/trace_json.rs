@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{fmt_f64, json_str};
 use crate::tracer::{Event, Phase};
 
 /// Serialise events as a Chrome trace JSON document.
@@ -156,6 +155,34 @@ fn render(node: &Node, depth: usize, out: &mut String) {
     }
 }
 
+/// JSON-escape a string.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Format a float so it is valid JSON (no `NaN`/`inf` literals).
+fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +217,46 @@ mod tests {
             v.get("otherData").unwrap().get("droppedEvents").unwrap().as_f64(),
             Some(3.0)
         );
+    }
+
+    #[test]
+    fn chrome_trace_escapes_names() {
+        let t = Tracer::new(8);
+        t.complete("say \"hi\"\nback\\slash", Category::Kernel, 1_000);
+        let (evs, _) = t.take_events();
+        let json = chrome_trace(&evs, 0, &[(7, "lane\t\"q\"".to_string())]);
+        let v = crate::minjson::parse(&json).expect("escaped names keep the trace valid JSON");
+        let arr = v.get("traceEvents").unwrap().as_array().unwrap();
+        let label = arr[0].get("args").unwrap().get("name").unwrap();
+        assert_eq!(label.as_str(), Some("lane\t\"q\""));
+        assert_eq!(arr[1].get("name").unwrap().as_str(), Some("say \"hi\"\nback\\slash"));
+    }
+
+    #[test]
+    fn thread_labels_become_thread_name_metadata() {
+        let labels = [(2, "stream-0".to_string()), (5, "stream-1".to_string())];
+        let json = chrome_trace(&sample_events(), 0, &labels);
+        let v = crate::minjson::parse(&json).expect("valid json");
+        let arr = v.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(arr.len(), 2 + 5, "one metadata event per label ahead of the spans");
+        for (ev, (tid, label)) in arr.iter().zip(&labels) {
+            assert_eq!(ev.get("name").unwrap().as_str(), Some("thread_name"));
+            assert_eq!(ev.get("ph").unwrap().as_str(), Some("M"));
+            assert_eq!(ev.get("tid").unwrap().as_f64(), Some(f64::from(*tid)));
+            let name = ev.get("args").unwrap().get("name").unwrap();
+            assert_eq!(name.as_str(), Some(label.as_str()));
+        }
+        assert_eq!(arr[2].get("ph").unwrap().as_str(), Some("B"));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        assert_eq!(fmt_f64(1.5), "1.5");
+        assert_eq!(fmt_f64(0.0), "0");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fmt_f64(v), "null");
+        }
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"", "other control characters use \\u escapes");
     }
 
     #[test]

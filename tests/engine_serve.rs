@@ -2,7 +2,7 @@
 //! concurrent jobs must be byte-identical to serial one-shot
 //! compression on every dataset analogue, the session cache must turn
 //! repeat content into cheaper warm hits without changing bytes, the
-//! two-lane token-bucket scheduler must keep a heavy tenant from
+//! token-bucket scheduler must keep a heavy tenant from
 //! starving a light one, and a fault injected into one tenant's job
 //! must fail that job alone — typed — while everyone else's work
 //! completes. The last three tests put a real `cuszi serve` daemon on
@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use cuszi_cli::serve::{self, ServeConfig, Server};
 use cuszi_repro::core::{
-    Config, CuszError, CuszI, Engine, EngineConfig, EngineError, Priority, StageFaultKind,
+    Config, CuszError, CuszI, Engine, EngineConfig, EngineError, StageFaultKind,
 };
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::gpu_sim::fault::{self, FaultSpec};
@@ -87,7 +87,7 @@ fn eight_concurrent_jobs_match_serial_one_shot_on_all_datasets() {
     let tickets: Vec<_> = jobs
         .iter()
         .map(|(tenant, data)| {
-            engine.submit_compress(tenant, Priority::Interactive, data.clone(), cfg()).unwrap()
+            engine.submit_compress(tenant, data.clone(), cfg()).unwrap()
         })
         .collect();
     let results: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
@@ -133,16 +133,16 @@ fn heavy_tenant_cannot_starve_light_tenant() {
     let (light, light_data) = &crops[1];
 
     // One worker serializes execution so completion order is the
-    // scheduler's pick order. The heavy tenant floods the batch lane;
-    // the light tenant then asks for one interactive job.
+    // scheduler's pick order. The heavy tenant floods the queue; the
+    // light tenant then asks for one job, which only its token balance
+    // (deficit fairness) can move ahead of the heavy backlog.
     let engine = Engine::new(EngineConfig::default().with_workers(1));
     let heavy_tickets: Vec<_> = (0..12)
         .map(|_| {
-            engine.submit_compress(heavy, Priority::Batch, heavy_data.clone(), cfg()).unwrap()
+            engine.submit_compress(heavy, heavy_data.clone(), cfg()).unwrap()
         })
         .collect();
-    let light_ticket =
-        engine.submit_compress(light, Priority::Interactive, light_data.clone(), cfg()).unwrap();
+    let light_ticket = engine.submit_compress(light, light_data.clone(), cfg()).unwrap();
 
     let light_done = light_ticket.wait().unwrap().done_ns;
     let heavy_done: Vec<u64> =
@@ -153,7 +153,7 @@ fn heavy_tenant_cannot_starve_light_tenant() {
     // starved light tenant would put it at the back of all twelve.
     assert!(
         jumped_ahead <= 4,
-        "light interactive job finished after {jumped_ahead}/12 heavy batch jobs"
+        "light job finished after {jumped_ahead}/12 heavy jobs"
     );
 }
 
@@ -168,11 +168,11 @@ fn poisoned_job_fails_typed_while_other_tenants_complete() {
     let engine = Engine::new(EngineConfig::default().with_workers(1));
     let _armed = Armed::new(FaultSpec::AllocNth(1));
     let bad =
-        engine.submit_compress("t-bad", Priority::Interactive, crops[0].1.clone(), cfg()).unwrap();
+        engine.submit_compress("t-bad", crops[0].1.clone(), cfg()).unwrap();
     let good: Vec<_> = crops[1..4]
         .iter()
         .map(|(tenant, data)| {
-            engine.submit_compress(tenant, Priority::Interactive, data.clone(), cfg()).unwrap()
+            engine.submit_compress(tenant, data.clone(), cfg()).unwrap()
         })
         .collect();
 

@@ -10,6 +10,7 @@ use cuszi_repro::predict::tuning::InterpConfig;
 use cuszi_repro::predict::{ginterp, lorenzo};
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::stats::ValueRange;
+use cuszi_repro::tensor::{NdArray, Shape};
 
 /// § V-E / Fig. 5: G-Interp produces far fewer nonzero quant-codes than
 /// Lorenzo at the same bound on hydro data.
@@ -106,6 +107,34 @@ fn fig9_throughput_ratios_match_paper_bands() {
         "cuSZ-i/cuSZ decompression ratio {decomp_ratio:.2} outside the paper band"
     );
     assert!(bc_c > ours_c * 0.7, "Bitcomp overhead too large: {bc_c:.1} vs {ours_c:.1}");
+}
+
+/// Fig. 9 / Fig. 10: the decode pipeline (bitcomp decode + two-pass gap
+/// Huffman decode + interpolation reconstruct) has no histogram or
+/// codebook pass, so it must not be modelled slower than the encode
+/// pipeline on any dataset analogue.
+#[test]
+fn modelled_decompress_meets_compress_on_all_datasets() {
+    let model = TimingModel::new(A100);
+    let codec = CuszI::new(Config::new(ErrorBound::Rel(1e-3)));
+    for kind in DatasetKind::ALL {
+        let ds = generate(kind, Scale::Small, 42);
+        let full = &ds.fields[0].data;
+        let d3 = full.shape().dims3();
+        let ext = [d3[0].min(32), d3[1].min(32), d3[2].min(32)];
+        let field =
+            NdArray::from_fn(Shape::d3(ext[0], ext[1], ext[2]), |z, y, x| full.get3(z, y, x));
+        let nbytes = (field.len() * 4) as u64;
+        let c = codec.compress(&field).unwrap();
+        let d = codec.decompress(&c.bytes).unwrap();
+        let cg = model.throughput_gbps(nbytes, &c.kernels);
+        let dg = model.throughput_gbps(nbytes, &d.kernels);
+        assert!(
+            dg >= cg,
+            "{}: modelled decompress {dg:.2} GB/s below compress {cg:.2} GB/s",
+            kind.name()
+        );
+    }
 }
 
 /// Table I / Fig. 9: the A100 outruns the A40 on these memory-bound
