@@ -42,8 +42,7 @@ pub enum Command {
         /// (`None` = auto). Archives are byte-identical for any count.
         streams: Option<usize>,
         /// Profile the run: `Some(path)` writes a Chrome trace there,
-        /// `Some("")` uses `<output>.trace.json`. `CUSZI_PROFILE=1`
-        /// turns this on ambiently even when `None`.
+        /// `Some("")` uses `<output>.trace.json`.
         profile: Option<String>,
         /// Run the calibrated autotuner and print its candidate orders
         /// and decision.
@@ -134,8 +133,7 @@ Dims are slowest-to-fastest (z x y x x), e.g. --dims 256x384x384;
 
 --profile records a kernel/stage profile: a Perfetto-loadable Chrome
 trace (default <out>.trace.json), a per-kernel roofline table with
-bottleneck verdicts, and a span time summary. CUSZI_PROFILE=1 in the
-environment does the same without the flag.
+bottleneck verdicts, and a span time summary.
 
 --streams overlaps slab compression (with --slab) or slab-stream
 decompression across N gpu-sim streams (default: auto from
@@ -377,87 +375,69 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             audit,
             prom,
         } => {
-            // Profiling wraps the whole compress run (either path);
-            // `CUSZI_PROFILE=1` in the environment is equivalent to
-            // passing --profile. --prom implies profiling because the
-            // metrics registry only fills while the profiler is on.
-            let profiling =
-                profile.is_some() || prom.is_some() || cuszi_profile::init_from_env();
-            let trace_path = match &profile {
-                Some(p) if !p.is_empty() => p.clone(),
-                _ => format!("{output}.trace.json"),
-            };
+            // --prom implies profiling because the metrics registry only
+            // fills while the profiler is on.
             let prom_path = prom.as_ref().map(|p| {
                 if p.is_empty() { format!("{output}.prom") } else { p.clone() }
             });
-            if profiling {
-                cuszi_profile::install();
-                cuszi_profile::enable(true);
-            }
             let opts = CompressOpts { bitcomp, verify, autotune, audit };
-            let mut result = if let Some(slab_z) = slab {
-                compress_streamed(&input, &output, shape, mode, slab_z, streams, opts)
-            } else if streams.is_some() {
-                Err(CliError("--streams requires --slab".into()))
-            } else {
-                compress_whole(&input, &output, shape, mode, opts)
-            };
-            if profiling {
-                cuszi_profile::enable(false);
-                if let (Ok(text), Some(p)) = (&mut result, cuszi_profile::profiler()) {
-                    let rep = p.report();
-                    fs::write(&trace_path, rep.chrome_trace())?;
-                    writeln!(text, "\n{}", rep.kernel_report().trim_end()).ok();
-                    writeln!(text, "\nspan summary (wall time)\n{}", rep.flame_summary().trim_end())
-                        .ok();
-                    writeln!(
-                        text,
-                        "\ntrace written to {trace_path} — load it at ui.perfetto.dev"
-                    )
-                    .ok();
-                    if let Some(pp) = &prom_path {
-                        fs::write(pp, rep.metrics.render_prometheus())?;
-                        writeln!(text, "metrics exposition written to {pp}").ok();
-                    }
+            let profiling = profile.is_some() || prom.is_some();
+            profiled(profiling.then(|| trace_path(&profile, &output)), prom_path, || {
+                if let Some(slab_z) = slab {
+                    compress_streamed(&input, &output, shape, mode, slab_z, streams, opts)
+                } else if streams.is_some() {
+                    Err(CliError("--streams requires --slab".into()))
+                } else {
+                    compress_whole(&input, &output, shape, mode, opts)
                 }
-            }
-            result
+            })
         }
         Command::Decompress { input, output, streams, profile } => {
-            // Mirror the compress profiling wrap so decode-side kernel
-            // behaviour is observable with the same artifacts.
-            let profiling = profile.is_some() || cuszi_profile::init_from_env();
-            let trace_path = match &profile {
-                Some(p) if !p.is_empty() => p.clone(),
-                _ => format!("{output}.trace.json"),
-            };
-            if profiling {
-                cuszi_profile::install();
-                cuszi_profile::enable(true);
-            }
-            let mut result = decompress_one(&input, &output, streams);
-            if profiling {
-                cuszi_profile::enable(false);
-                if let (Ok(text), Some(p)) = (&mut result, cuszi_profile::profiler()) {
-                    let rep = p.report();
-                    fs::write(&trace_path, rep.chrome_trace())?;
-                    writeln!(text, "\n{}", rep.kernel_report().trim_end()).ok();
-                    writeln!(text, "\nspan summary (wall time)\n{}", rep.flame_summary().trim_end())
-                        .ok();
-                    writeln!(
-                        text,
-                        "\ntrace written to {trace_path} — load it at ui.perfetto.dev"
-                    )
-                    .ok();
-                }
-            }
-            result
+            // The same profiling wrap, so decode-side kernel behaviour
+            // is observable with the same artifacts.
+            let trace = profile.is_some().then(|| trace_path(&profile, &output));
+            profiled(trace, None, || decompress_one(&input, &output, streams))
         }
         Command::Info { input } => info_text(&input),
         Command::Serve { addr, workers, max_inflight, devices } => {
             serve::serve(&serve::ServeConfig { addr, workers, max_inflight, devices })
         }
     }
+}
+
+/// The trace path of `--profile[=PATH]`: `PATH`, or `<output>.trace.json`.
+fn trace_path(profile: &Option<String>, output: &str) -> String {
+    match profile {
+        Some(p) if !p.is_empty() => p.clone(),
+        _ => format!("{output}.trace.json"),
+    }
+}
+
+/// Run `f`, profiled when `trace` names a trace path: on success, write
+/// the Chrome trace (and the Prometheus text to `prom`) and append the
+/// kernel table and the span summary to the command's output.
+fn profiled(
+    trace: Option<String>,
+    prom: Option<String>,
+    f: impl FnOnce() -> Result<String, CliError>,
+) -> Result<String, CliError> {
+    let Some(trace_path) = trace else { return f() };
+    let profiler = cuszi_profile::install();
+    cuszi_profile::enable(true);
+    let mut result = f();
+    cuszi_profile::enable(false);
+    let rep = profiler.report();
+    if let Ok(text) = &mut result {
+        fs::write(&trace_path, rep.chrome_trace())?;
+        writeln!(text, "\n{}", rep.kernel_report().trim_end()).ok();
+        writeln!(text, "\nspan summary (wall time)\n{}", rep.flame_summary().trim_end()).ok();
+        writeln!(text, "\ntrace written to {trace_path} — load it at ui.perfetto.dev").ok();
+        if let Some(pp) = &prom {
+            fs::write(pp, rep.metrics.render_prometheus())?;
+            writeln!(text, "metrics exposition written to {pp}").ok();
+        }
+    }
+    result
 }
 
 /// Execution toggles shared by the whole-field and slab paths.

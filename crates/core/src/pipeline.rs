@@ -91,8 +91,7 @@ impl CuszI {
     /// stage DAG, which the multi-stream scheduler executes the same
     /// way — archives are byte-identical either route.
     pub fn compress(&self, data: &NdArray<f32>) -> Result<Compressed, CuszError> {
-        crate::telemetry::init();
-        crate::telemetry::dump_on_err(self.compress_inner(data, SessionMode::None).map(|(c, _)| c))
+        self.compress_session(data, SessionMode::None).map(|(c, _)| c)
     }
 
     /// Session-aware compress for [`crate::engine::Engine`]: a `Warm`
@@ -107,6 +106,9 @@ impl CuszI {
         mode: SessionMode<'_>,
     ) -> Result<(Compressed, Option<stage::WarmStart>), CuszError> {
         crate::telemetry::init();
+        // The dump is written inside the span, so it ends at the failed
+        // stage's open bracket and the error, not at this span's end.
+        let _span = cuszi_profile::span("compress", Category::Stage);
         crate::telemetry::dump_on_err(self.compress_inner(data, mode))
     }
 
@@ -115,7 +117,6 @@ impl CuszI {
         data: &NdArray<f32>,
         mode: SessionMode<'_>,
     ) -> Result<(Compressed, Option<stage::WarmStart>), CuszError> {
-        let _span = cuszi_profile::span("compress", Category::Stage);
         let cfg = &self.cfg;
         if cfg.radius == 0 {
             return Err(CuszError::InvalidConfig("radius must be >= 1"));
@@ -179,11 +180,11 @@ impl CuszI {
     /// this codec's configuration.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Decompressed, CuszError> {
         crate::telemetry::init();
+        let _span = cuszi_profile::span("decompress", Category::Stage);
         crate::telemetry::dump_on_err(self.decompress_inner(bytes))
     }
 
     fn decompress_inner(&self, bytes: &[u8]) -> Result<Decompressed, CuszError> {
-        let _span = cuszi_profile::span("decompress", Category::Stage);
         let header = Header::from_bytes(bytes)?;
 
         if header.flags & FLAG_CONSTANT != 0 {

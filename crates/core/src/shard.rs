@@ -189,7 +189,7 @@ pub fn compress_slabs_sharded(
             (z0, (slab.shape() == want).then_some(slab).ok_or(wrong))
         },
         |(z0, slab)| {
-            let _g = slab_span(z0);
+            let _g = cuszi_profile::span_with("slab", cuszi_profile::Category::Stream, z0 as u64);
             codec.compress(&slab?).map(|c| c.bytes)
         },
         |archive| archive.len() as u64,
@@ -248,7 +248,7 @@ pub fn decompress_slabs_sharded(
         entries.len(),
         |s| (geo.slab(s).0, &bytes[entries[s].clone()]),
         |(z0, archive)| {
-            let _g = slab_span(z0);
+            let _g = cuszi_profile::span_with("slab", cuszi_profile::Category::Stream, z0 as u64);
             codec.decompress(archive).map(|d| d.data)
         },
         |d| (d.len() * 4) as u64,
@@ -262,12 +262,6 @@ pub fn decompress_slabs_sharded(
         },
     )?;
     Ok((geo.shape, report))
-}
-
-/// The profile span of the slab at plane `z0` (named only if profiling).
-fn slab_span(z0: usize) -> Option<cuszi_profile::SpanGuard> {
-    let cat = cuszi_profile::Category::Stream;
-    cuszi_profile::enabled().then(|| cuszi_profile::span(&format!("slab-z{z0}"), cat))
 }
 
 #[cfg(test)]

@@ -401,8 +401,7 @@ impl<'a> CompressJob<'a> {
 
     /// Run one stage (callers go through [`run_compress`]).
     fn run(&mut self, kind: StageKind) -> Result<(), CuszError> {
-        let _g = cuszi_profile::span(kind.label(), Category::Stage);
-        cuszi_profile::flight::stage_begin(kind.label());
+        let bracket = cuszi_profile::span(kind.label(), Category::Stage);
         let r = match kind {
             StageKind::Tune => self.tune(),
             StageKind::PredictQuant => self.predict_quant(),
@@ -415,12 +414,12 @@ impl<'a> CompressJob<'a> {
             _ => Err(CuszError::InvalidConfig("decompress stage in compress graph")),
         };
         let r = drain_sticky(kind).and(r);
-        // A failed stage is deliberately left open in the flight journal:
-        // the dump then shows an unmatched stage-begin right before the
+        // A failed stage is deliberately left open in the journal: the
+        // dump then shows an unmatched stage-begin right before the
         // terminal error event, which is exactly the forensic shape a
         // black box should have.
-        if r.is_ok() {
-            cuszi_profile::flight::stage_end(kind.label());
+        if r.is_err() {
+            bracket.leave_open();
         }
         r
     }
@@ -655,8 +654,7 @@ impl<'a> DecompressJob<'a> {
     }
 
     fn run(&mut self, kind: StageKind) -> Result<(), CuszError> {
-        let _g = cuszi_profile::span(kind.label(), Category::Stage);
-        cuszi_profile::flight::stage_begin(kind.label());
+        let bracket = cuszi_profile::span(kind.label(), Category::Stage);
         let r = match kind {
             StageKind::BitcompDecode => self.bitcomp_decode(),
             StageKind::SplitSections => self.split(),
@@ -665,8 +663,8 @@ impl<'a> DecompressJob<'a> {
             _ => Err(CuszError::InvalidConfig("compress stage in decompress graph")),
         };
         let r = drain_sticky(kind).and(r);
-        if r.is_ok() {
-            cuszi_profile::flight::stage_end(kind.label());
+        if r.is_err() {
+            bracket.leave_open();
         }
         r
     }

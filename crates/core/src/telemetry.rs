@@ -1,20 +1,20 @@
 //! Always-on flight-recorder wiring for the pipeline.
 //!
 //! The flight recorder ([`cuszi_profile::flight`]) is the black box:
-//! stage boundaries, kernel launches, sampled allocations, stream ops
+//! stage brackets, kernel launches, sampled allocations, stream ops
 //! and fault transitions are recorded into per-thread rings at all
-//! times (disable with `CUSZI_FLIGHT=0`). This module owns the two
-//! pipeline-side responsibilities: registering the gpu-sim flight hook
-//! once per process, and draining the rings into a `flight_<pid>.json`
-//! dump whenever a [`CuszError`] propagates out of a public entry
-//! point — including every `CUSZI_FAULT` injection, which is how the
-//! fault matrix gets full forensics for free.
+//! times. This module owns the two pipeline-side responsibilities:
+//! registering the recorder as the gpu-sim hook once per process, and
+//! draining the rings into a `flight_<pid>_<seq>.json` dump whenever a
+//! [`CuszError`] propagates out of a public entry point — including
+//! every `CUSZI_FAULT` injection, which is how the fault matrix gets
+//! full forensics for free.
 
 use std::sync::Once;
 
 use crate::error::CuszError;
 
-/// Register the flight hook (idempotent, one `Once` check per call).
+/// Register the recorder's hook (idempotent, one `Once` check per call).
 /// Every public pipeline entry point calls this, so substrate events
 /// are recorded no matter which front end drives the library.
 pub(crate) fn init() {

@@ -613,39 +613,38 @@ where
     launch_named(device, grid, "kernel", kernel)
 }
 
-/// Drop guard that reports a launch to the installed observer even when
-/// the launch unwinds: partially-executed traffic is still profiled.
+/// Drop guard that reports a launch to the hook even when the launch
+/// unwinds: partially-executed traffic is still profiled.
 struct LaunchReport<'a> {
     name: &'a str,
     grid: Grid,
     device: &'a DeviceSpec,
     sink: &'a AtomicKernelStats,
-    t0: Option<Instant>,
+    t0: Instant,
 }
 
 impl Drop for LaunchReport<'_> {
     fn drop(&mut self) {
-        let Some(t0) = self.t0 else { return };
-        if let Some(obs) = hook::active_observer() {
-            let stream = crate::stream::current_stream();
-            obs.on_launch(&hook::LaunchRecord {
-                name: self.name,
-                grid: self.grid,
-                device: self.device,
-                stats: self.sink.snapshot(),
-                wall_s: t0.elapsed().as_secs_f64(),
-                completed: !std::thread::panicking(),
-                stream: stream.as_ref().map(|(id, label)| (*id, label.as_str())),
-                device_id: crate::multi::current_device(),
-            });
+        if !hook::registered() {
+            return;
         }
+        hook::emit(hook::Signal::Launch(&hook::LaunchRecord {
+            name: self.name,
+            grid: self.grid,
+            device: self.device,
+            stats: self.sink.snapshot(),
+            wall_s: self.t0.elapsed().as_secs_f64(),
+            completed: !std::thread::panicking(),
+            stream: crate::stream::current_stream_id(),
+            device_id: crate::multi::current_device(),
+        }));
     }
 }
 
 /// [`launch`] with a kernel name for profilers: the name flows to the
-/// registered [`hook::LaunchObserver`] and labels the launch in kernel
-/// tables and traces. Pipeline kernels use this; anonymous launches
-/// report as `"kernel"`.
+/// registered [`hook::Hook`] and labels the launch in kernel tables,
+/// traces and flight dumps. Pipeline kernels use this; anonymous
+/// launches report as `"kernel"`.
 pub fn launch_named<F>(device: &DeviceSpec, grid: Grid, name: &str, kernel: F) -> KernelStats
 where
     F: Fn(&mut BlockCtx<'_>) + Sync,
@@ -662,10 +661,9 @@ where
     // pre-launch contents — and the error surfaces at the caller's
     // next sticky-error check, not here.
     if crate::fault::launch_should_fail(name) {
-        hook::flight(hook::FlightSignal::Launch {
+        hook::emit(hook::Signal::LaunchDropped {
             name,
             stream: crate::stream::current_stream_id(),
-            dropped: true,
         });
         return KernelStats::default();
     }
@@ -676,13 +674,7 @@ where
     // drop (normal or unwinding), and integer adds commute, so the
     // snapshot below is exact and scheduling-independent.
     let sink = AtomicKernelStats::default();
-    let _report = LaunchReport {
-        name,
-        grid,
-        device,
-        sink: &sink,
-        t0: hook::enabled().then(Instant::now),
-    };
+    let _report = LaunchReport { name, grid, device, sink: &sink, t0: Instant::now() };
     pool::par_for_each_index(total as usize, |i| {
         let i = i as u64;
         let block = Dim3 {
@@ -698,11 +690,6 @@ where
     // simulated roofline time to that stream's clock (overlap shows up
     // as max-over-streams elapsed time; see `stream::sim_elapsed_ns`).
     crate::stream::note_launch(device, &stats);
-    hook::flight(hook::FlightSignal::Launch {
-        name,
-        stream: crate::stream::current_stream_id(),
-        dropped: false,
-    });
     stats
 }
 
@@ -974,28 +961,25 @@ mod tests {
 }
 
 #[cfg(test)]
-mod observer_tests {
+mod hook_tests {
     use super::*;
     use crate::device::A100;
     use crate::hook;
     use std::sync::Mutex;
 
-    struct Capture;
     static RECORDS: Mutex<Vec<(String, KernelStats, bool)>> = Mutex::new(Vec::new());
 
-    impl hook::LaunchObserver for Capture {
-        fn on_launch(&self, rec: &hook::LaunchRecord<'_>) {
+    fn capture(sig: &hook::Signal<'_>) {
+        if let hook::Signal::Launch(rec) = sig {
             RECORDS.lock().unwrap().push((rec.name.to_string(), rec.stats, rec.completed));
         }
     }
 
     /// One test drives both the happy path and the unwind path: the
-    /// observer is a process-global OnceLock, so splitting these into
-    /// separate #[test]s would race on enable/disable.
+    /// hook is a process-global OnceLock registered once.
     #[test]
-    fn observer_sees_completed_and_unwound_launches() {
-        hook::set_observer(Box::new(Capture));
-        hook::enable(true);
+    fn hook_sees_each_completed_and_unwound_launch_once() {
+        hook::set_hook(capture);
 
         launch_named(&A100, Grid::linear(4, 32), "obs-normal", |ctx| {
             ctx.add_flops(5);
@@ -1014,10 +998,12 @@ mod observer_tests {
                 });
             })
         }));
-        hook::enable(false);
         assert!(result.is_err());
 
         let records = RECORDS.lock().unwrap();
+        for name in ["obs-normal", "obs-panic"] {
+            assert_eq!(records.iter().filter(|r| r.0 == name).count(), 1, "{name} reported once");
+        }
         let normal = records.iter().find(|r| r.0 == "obs-normal").expect("normal record");
         assert_eq!(normal.1.blocks, 4);
         assert_eq!(normal.1.flops, 20);

@@ -236,7 +236,7 @@ fn arm_spec(dev: usize, spec: FaultSpec) {
     d.alloc_seen.store(0, Ordering::Relaxed);
     EPOCH.fetch_add(1, Ordering::AcqRel);
     d.armed.store(true, Ordering::Release);
-    crate::hook::flight(crate::hook::FlightSignal::FaultArmed { site: &site });
+    crate::hook::emit(crate::hook::Signal::FaultArmed { site: &site });
 }
 
 /// Arm a fault in the *calling thread's* device domain (device 0 for
@@ -314,7 +314,7 @@ fn set_sticky(dev: usize, f: Fault) {
         }
     };
     if recorded {
-        crate::hook::flight(crate::hook::FlightSignal::FaultTripped { site: &site });
+        crate::hook::emit(crate::hook::Signal::FaultTripped { site: &site });
     }
 }
 

@@ -1,18 +1,18 @@
-//! Launch observation hooks for external profilers.
+//! The substrate's one observation hook.
 //!
-//! The substrate itself stays dependency-free: a profiler (e.g. the
-//! `cuszi-profile` crate) registers a process-wide [`LaunchObserver`]
-//! once, then toggles recording with [`enable`]. Every
-//! [`crate::exec::launch_named`] reports its name, geometry, merged
-//! [`KernelStats`] and host wall time through the observer — including
-//! launches that unwound mid-flight (the notification fires from a drop
-//! guard, so partially-executed traffic is still accounted).
-//!
-//! When no observer is installed or recording is disabled, the hook is
-//! a single relaxed atomic load per launch — effectively free next to
-//! the launch itself.
+//! The substrate itself stays dependency-free: a recorder (the
+//! `cuszi-profile` crate) registers one plain `fn` [`Hook`] per process
+//! and receives every [`Signal`] — each [`crate::exec::launch_named`]
+//! exactly once with its [`LaunchRecord`] (name, geometry, merged
+//! [`KernelStats`], host wall time; launches that unwound mid-flight
+//! too, from a drop guard, so partially-executed traffic is still
+//! accounted), launches the fault injector dropped, a sampled stream of
+//! pooled allocations, stream lifecycle/sync operations, and fault
+//! arm/trip transitions. Registration needs no allocation and dispatch
+//! is one pointer load; with no hook registered every site costs one
+//! atomic load.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::device::DeviceSpec;
@@ -37,71 +37,24 @@ pub struct LaunchRecord<'a> {
     /// False when the launch is being reported during a panic unwind;
     /// `stats` then covers only the blocks that ran.
     pub completed: bool,
-    /// `(id, label)` of the [`crate::stream::Stream`] the launch was
-    /// issued on, or `None` for inline (host-thread) launches. Profilers
-    /// use the label as the trace lane name (one lane per stream).
-    pub stream: Option<(u32, &'a str)>,
+    /// Id of the [`crate::stream::Stream`] the launch was issued on, or
+    /// `None` for inline (host-thread) launches. With `device_id` it
+    /// names the trace lane ([`crate::stream::stream_label`]).
+    pub stream: Option<u32>,
     /// The simulated device the launch was issued on
     /// ([`crate::multi::current_device`]; 0 for single-device runs).
     pub device_id: usize,
 }
 
-/// A process-wide observer of kernel launches.
-pub trait LaunchObserver: Send + Sync {
-    /// Called once per launch, after all workers have been joined (the
-    /// stats snapshot is quiescent and exact).
-    fn on_launch(&self, rec: &LaunchRecord<'_>);
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static OBSERVER: OnceLock<Box<dyn LaunchObserver>> = OnceLock::new();
-
-/// Install the process-wide observer. The first installation wins and
-/// lives for the rest of the process; returns `false` if one was
-/// already installed.
-pub fn set_observer(obs: Box<dyn LaunchObserver>) -> bool {
-    OBSERVER.set(obs).is_ok()
-}
-
-/// Turn launch reporting on or off. Off by default; a no-op until an
-/// observer is installed.
-pub fn enable(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether launch reporting is currently on.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The active observer, if reporting is on and one is installed.
-#[inline]
-pub(crate) fn active_observer() -> Option<&'static dyn LaunchObserver> {
-    if !enabled() {
-        return None;
-    }
-    OBSERVER.get().map(|b| &**b)
-}
-
-// ---------------------------------------------------------------------
-// Flight signals: always-on black-box telemetry.
-//
-// Unlike the opt-in `LaunchObserver` above (full stats, gated behind
-// `enable`), flight signals are meant for an *always-on* flight
-// recorder: a registered [`FlightHook`] receives every named launch
-// (including launches the fault injector dropped), a sampled stream of
-// pooled allocations, stream lifecycle/sync operations, and fault
-// arm/trip transitions. When no hook is registered the cost per site is
-// one relaxed atomic load; the substrate stays dependency-free either
-// way (the hook is a plain `fn` pointer registered by the profiler).
-
-/// One low-level substrate event, delivered to the [`FlightHook`].
+/// One substrate event, delivered to the registered [`Hook`].
 #[derive(Clone, Copy, Debug)]
-pub enum FlightSignal<'a> {
-    /// A named kernel launch finished — or, with `dropped`, was dropped
-    /// by the fault injector (the grid never executed).
-    Launch { name: &'a str, stream: Option<u32>, dropped: bool },
+pub enum Signal<'a> {
+    /// A named kernel launch finished (or unwound; see
+    /// [`LaunchRecord::completed`]). Sent once per executed launch,
+    /// after all workers have been joined, so the stats are exact.
+    Launch(&'a LaunchRecord<'a>),
+    /// A launch the fault injector dropped — the grid never executed.
+    LaunchDropped { name: &'a str, stream: Option<u32> },
     /// The `seq`-th pooled/arena allocation. Pool draws are sampled
     /// (one signal per [`ALLOC_SAMPLE`]); `seq` is the true count.
     Alloc { seq: u64 },
@@ -114,43 +67,47 @@ pub enum FlightSignal<'a> {
     FaultTripped { site: &'a str },
 }
 
-/// Sampling period for pooled-allocation flight signals: pool draws are
-/// per-block hot-path events, so the recorder sees one in every
+/// Sampling period for pooled-allocation signals: pool draws are
+/// per-block hot-path events, so the hook sees one in every
 /// `ALLOC_SAMPLE` (the sequence number keeps the true count).
 pub const ALLOC_SAMPLE: u64 = 1024;
 
-/// The flight-hook signature: a plain `fn` so registration needs no
-/// allocation and dispatch is one pointer load.
-pub type FlightHook = fn(&FlightSignal<'_>);
+/// The hook signature.
+pub type Hook = fn(&Signal<'_>);
 
-static FLIGHT: OnceLock<FlightHook> = OnceLock::new();
+static HOOK: OnceLock<Hook> = OnceLock::new();
 static ALLOC_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Register the process-wide flight hook. First registration wins;
-/// returns `false` if one was already registered.
-pub fn set_flight_hook(h: FlightHook) -> bool {
-    FLIGHT.set(h).is_ok()
+/// Register the process-wide hook. First registration wins; returns
+/// `false` if one was already registered.
+pub fn set_hook(h: Hook) -> bool {
+    HOOK.set(h).is_ok()
 }
 
-/// Deliver a flight signal to the registered hook, if any. One relaxed
-/// atomic load when no hook is registered.
+/// Whether a hook is registered.
 #[inline]
-pub fn flight(sig: FlightSignal<'_>) {
-    if let Some(h) = FLIGHT.get() {
+pub(crate) fn registered() -> bool {
+    HOOK.get().is_some()
+}
+
+/// Deliver a signal to the registered hook, if any.
+#[inline]
+pub fn emit(sig: Signal<'_>) {
+    if let Some(h) = HOOK.get() {
         h(&sig);
     }
 }
 
 /// Count one pooled/arena allocation and deliver a sampled
-/// [`FlightSignal::Alloc`]. Called by the buffer pool next to the fault
-/// injector's `on_alloc`; free (one load) when no hook is registered.
+/// [`Signal::Alloc`]. Called by the buffer pool next to the fault
+/// injector's `on_alloc`; one load when no hook is registered.
 #[inline]
-pub(crate) fn flight_alloc() {
-    if FLIGHT.get().is_none() {
+pub(crate) fn note_alloc() {
+    if !registered() {
         return;
     }
     let seq = ALLOC_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
     if seq.is_multiple_of(ALLOC_SAMPLE) {
-        flight(FlightSignal::Alloc { seq });
+        emit(Signal::Alloc { seq });
     }
 }

@@ -47,7 +47,7 @@ pub use device::{DeviceSpec, A100, A40};
 pub use exec::{launch, launch_named, BlockCtx, BlockSlots, Dim3, GlobalRead, GlobalWrite, Grid};
 pub use fault::{Fault, FaultKind, FaultSpec};
 pub use multi::{current_device, on_device, MAX_DEVICES};
-pub use hook::{LaunchObserver, LaunchRecord};
+pub use hook::LaunchRecord;
 pub use shared::{ScratchVec, SharedTile};
 pub use stats::{AtomicKernelStats, KernelStats};
 pub use stream::{sim_elapsed_ns, sim_serial_ns, with_streams, Event, Stream};

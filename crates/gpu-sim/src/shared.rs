@@ -22,7 +22,7 @@ thread_local! {
 /// Take a pooled `Vec<T>` (empty, arbitrary capacity) or a fresh one.
 fn pool_take<T: 'static>() -> Vec<T> {
     crate::fault::on_alloc();
-    crate::hook::flight_alloc();
+    crate::hook::note_alloc();
     BUF_POOL
         .with(|p| p.borrow_mut().get_mut(&TypeId::of::<Vec<T>>()).and_then(Vec::pop))
         .map(|b| *b.downcast::<Vec<T>>().expect("pool keyed by TypeId"))

@@ -16,9 +16,9 @@
 //! worker thread, and [`crate::exec::launch_named`] consults it. Any
 //! launch executed inside a closure given to [`Stream::submit`] is
 //! therefore attributed to that stream — its [`LaunchRecord`] is tagged
-//! with the stream id/label (one Perfetto lane per stream in the
-//! profiler) and the stream's **simulated clock** advances by the
-//! roofline [`TimingModel::kernel_time`] of the launch.
+//! with the stream id (one Perfetto lane per stream in the profiler,
+//! named by [`stream_label`]) and the stream's **simulated clock**
+//! advances by the roofline [`TimingModel::kernel_time`] of the launch.
 //!
 //! # Simulated time
 //!
@@ -98,17 +98,21 @@ pub(crate) fn note_launch(device: &DeviceSpec, stats: &KernelStats) {
     });
 }
 
-/// `(id, label)` of the stream the calling thread is executing on, if
-/// any. Used by the launch hook to tag [`crate::hook::LaunchRecord`]s.
-pub fn current_stream() -> Option<(u32, String)> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|s| (s.id, s.label.clone())))
-}
-
-/// The id of the stream the calling thread is executing on, if any —
-/// the allocation-free variant of [`current_stream`] used by the
-/// always-on flight hook.
+/// The id of the stream the calling thread is executing on, if any.
+/// Used by the launch hook to tag [`crate::hook::LaunchRecord`]s.
 pub fn current_stream_id() -> Option<u32> {
     CURRENT.with(|c| c.borrow().as_ref().map(|s| s.id))
+}
+
+/// The label of stream `id` opened on device `dev`: `stream-<id>`, or
+/// `dev<d>.stream-<id>` off device 0. Fault sites use it, and trace
+/// views derive lane names from a launch's `(device, stream)` with it.
+pub fn stream_label(dev: usize, id: u32) -> String {
+    if dev == 0 {
+        format!("stream-{id}")
+    } else {
+        format!("dev{dev}.stream-{id}")
+    }
 }
 
 enum SignalState {
@@ -216,12 +220,12 @@ impl<'env> Stream<'env> {
     /// same place a wedged `cudaStream_t` surfaces its sticky error.
     pub fn synchronize(&self) -> Result<(), crate::fault::Fault> {
         self.record().synchronize();
-        crate::hook::flight(crate::hook::FlightSignal::Stream {
+        crate::hook::emit(crate::hook::Signal::Stream {
             op: "sync",
             id: self.shared.id,
         });
         if self.shared.poisoned {
-            crate::hook::flight(crate::hook::FlightSignal::FaultTripped {
+            crate::hook::emit(crate::hook::Signal::FaultTripped {
                 site: &self.shared.label,
             });
             return Err(crate::fault::Fault {
@@ -303,17 +307,13 @@ pub fn with_streams<'env, R>(n: usize, f: impl FnOnce(&[Stream<'env>]) -> R) -> 
             .map(|i| {
                 let (tx, rx) = mpsc::channel::<Cmd<'env>>();
                 let poisoned = crate::fault::stream_poisoned(i as u32);
-                crate::hook::flight(crate::hook::FlightSignal::Stream {
+                crate::hook::emit(crate::hook::Signal::Stream {
                     op: if poisoned { "create-poisoned" } else { "create" },
                     id: i as u32,
                 });
                 let shared = Arc::new(StreamShared {
                     id: i as u32,
-                    label: if dev == 0 {
-                        format!("stream-{i}")
-                    } else {
-                        format!("dev{dev}.stream-{i}")
-                    },
+                    label: stream_label(dev, i as u32),
                     clock_ns: AtomicU64::new(0),
                     poisoned,
                 });
@@ -407,9 +407,9 @@ mod tests {
             (TimingModel::new(A100).kernel_time(&stats) * 1e9).round() as u64
         };
         with_streams(2, |s| {
-            assert_eq!(current_stream(), None, "host thread is off-stream");
+            assert_eq!(current_stream_id(), None, "host thread is off-stream");
             s[0].submit(|| {
-                assert_eq!(current_stream().unwrap().1, "stream-0");
+                assert_eq!(current_stream_id(), Some(0));
                 launch_named(&A100, Grid::linear(64, 128), "clock-ref", |ctx| {
                     let view = crate::exec::GlobalRead::new(&data);
                     let mut buf = [0.0f32; 128];

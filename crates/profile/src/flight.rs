@@ -1,41 +1,45 @@
-//! The flight recorder: an always-on, fixed-capacity black box.
+//! The recorder: the one event store behind every observability view.
 //!
-//! Unlike the opt-in span [`crate::tracer`] (enabled per run via
-//! `--profile` / `CUSZI_PROFILE`), the flight recorder is **on by
-//! default** and cheap enough to stay on in production: every stage
-//! begin/end, named kernel launch, sampled pooled allocation, stream
-//! operation, and fault arm/trip is recorded into a per-thread
-//! lock-free seqlock ring ([`crate::tracer::Ring`]) at roughly one
+//! Every stage bracket and span, every named kernel launch, launches
+//! the fault injector dropped, a sampled stream of pooled allocations,
+//! stream operations and fault arm/trip transitions are recorded — at
+//! all times — as one fixed-size [`FlightEvent`] into a per-thread
+//! lock-free seqlock ring ([`crate::ring::Ring`]), at roughly one
 //! relaxed atomic store plus a clock read per event. A full ring wraps
-//! and overwrites the oldest events — the recorder never blocks or
+//! and overwrites the oldest events: the recorder never blocks or
 //! allocates on the hot path, and never grows without bound (rings are
 //! recycled through a free list as threads exit, so memory is bounded
 //! by the peak number of concurrently recording threads).
 //!
-//! When a `CuszError` propagates out of the pipeline, the rings are
-//! drained into a `flight_<pid>_<seq>.json` dump — the aviation black
-//! box: the last [`DUMP_TAIL`] events before the failure, with exact
-//! stage attribution (and the failing job/tenant id when an engine set
-//! one via [`job_scope`]), parseable by [`crate::minjson`]. The
-//! sequence number makes every failure in a long-lived server its own
-//! dump; at most [`DUMP_KEEP`] are retained (oldest evicted).
-//! Fault-matrix failures and production incidents get full forensics
-//! without anyone having asked for a trace beforehand.
+//! Two views read the rings:
 //!
-//! Set `CUSZI_FLIGHT=0` to disable recording entirely;
-//! `CUSZI_FLIGHT_DIR` overrides where dumps are written (default: the
-//! system temp directory).
+//! * **The black box.** When a `CuszError` propagates out of the
+//!   pipeline, the rings are rendered into a `flight_<pid>_<seq>.json`
+//!   dump: the last [`DUMP_TAIL`] events before the failure, with exact
+//!   stage attribution (and the failing job/tenant id when an engine
+//!   set one via [`job_scope`]), parseable by [`crate::minjson`]. The
+//!   sequence number makes every failure in a long-lived server its own
+//!   dump; at most [`DUMP_KEEP`] are retained (oldest evicted).
+//!   `CUSZI_FLIGHT_DIR` overrides where dumps are written (default: the
+//!   system temp directory).
+//! * **The profile capture.** Events recorded while [`crate::enable`]
+//!   is on are stamped with the current capture number;
+//!   [`crate::Profiler::report`] takes exactly those (the Chrome trace,
+//!   flame summary and stream lanes are views over them) and opens the
+//!   next capture.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use cuszi_gpu_sim::hook::{self, FlightSignal};
+use cuszi_gpu_sim::hook::{self, Signal};
+use cuszi_gpu_sim::TimingModel;
 
-use crate::tracer::{global_epoch, Ring, SmallName};
+use crate::ring::{global_epoch, Category, Ring, SmallName};
+use crate::{lock, trace_json::json_str};
 
 /// Events per recording thread. Fixed at construction; wraparound
 /// overwrites the oldest events.
@@ -56,9 +60,11 @@ pub const DUMP_KEEP: usize = 8;
 /// What a flight event describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A pipeline stage started (`name` = stage label).
+    /// A stage bracket or span opened (`name` = stage label, `arg` =
+    /// the span's argument, e.g. a slab's `z0`).
     StageBegin,
-    /// A pipeline stage finished.
+    /// A stage bracket or span closed. A failed stage never records
+    /// one: its begin stays open ahead of the error.
     StageEnd,
     /// A named kernel launch completed (`arg` = stream id + 1, 0 when
     /// launched inline on the host thread).
@@ -96,11 +102,13 @@ impl FlightKind {
     }
 }
 
-/// One recorded flight event — fixed-size and `Copy` so a wrapped ring
-/// slot never tears a heap pointer (same discipline as the tracer).
+/// One recorded event — fixed-size and `Copy` so a wrapped ring slot
+/// never tears a heap pointer.
 #[derive(Clone, Copy, Debug)]
 pub struct FlightEvent {
     pub kind: FlightKind,
+    /// Trace category (the span's, `Kernel` for launches).
+    pub cat: Category,
     pub name: SmallName,
     /// Dense recorder slot id (recycled across threads; not the OS tid).
     pub tid: u32,
@@ -108,10 +116,15 @@ pub struct FlightEvent {
     /// ([`cuszi_gpu_sim::current_device`]; 0 for single-device runs).
     /// This is what lets a dump attribute a fault to a device.
     pub dev: u32,
+    /// The profile capture the event belongs to; 0 when profiling was
+    /// off as it was recorded.
+    pub capture: u32,
     /// Nanoseconds since the process profiling epoch.
     pub ts_ns: u64,
     /// Kind-specific argument (stream id, allocation count, …).
     pub arg: u64,
+    /// Simulated kernel time of a launch recorded in a capture, else 0.
+    pub dur_ns: u64,
 }
 
 /// Ring registry: every ring ever created plus a free list of rings
@@ -127,6 +140,11 @@ struct Recorder {
 }
 
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
+/// The number of the open profile capture (stamped into events while
+/// profiling is on); [`take_capture`] closes it and opens the next.
+static CAPTURE: AtomicU32 = AtomicU32::new(1);
+/// Events recorded into the open capture, lost ones included.
+static CAPTURED: AtomicU64 = AtomicU64::new(0);
 /// Serializes dump writes (two stream workers may fail concurrently).
 static DUMP_LOCK: Mutex<()> = Mutex::new(());
 /// Monotonic per-process dump sequence; baked into every dump name so
@@ -174,10 +192,6 @@ fn recorder() -> &'static Recorder {
     })
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Thread-local ring handle; returns the ring to the free list when the
 /// thread exits so the next thread reuses it.
 struct RingHandle {
@@ -196,27 +210,27 @@ thread_local! {
     static MY_RING: RefCell<Option<RingHandle>> = const { RefCell::new(None) };
 }
 
-/// Whether the recorder is on. Always-on by default; `CUSZI_FLIGHT=0`
-/// (or `false`/`off`) disables it for the whole process. Decided once.
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("CUSZI_FLIGHT") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
-    })
-}
-
 /// Record one event on the calling thread. Lock-free after the thread's
 /// first event (which registers or recycles a ring).
 pub fn record(kind: FlightKind, name: &str, arg: u64) {
-    if !enabled() {
-        return;
+    let cat = match kind {
+        FlightKind::StageBegin | FlightKind::StageEnd => Category::Stage,
+        FlightKind::Launch | FlightKind::LaunchDropped => Category::Kernel,
+        _ => Category::Other,
+    };
+    push(kind, cat, SmallName::new(name), arg, 0);
+}
+
+pub(crate) fn push(kind: FlightKind, cat: Category, name: SmallName, arg: u64, dur_ns: u64) {
+    let capture = if crate::enabled() { CAPTURE.load(Ordering::Relaxed) } else { 0 };
+    if capture != 0 {
+        CAPTURED.fetch_add(1, Ordering::Relaxed);
     }
     let ts_ns = global_epoch().elapsed().as_nanos() as u64;
     let dev = cuszi_gpu_sim::current_device() as u32;
     MY_RING.with(|cell| {
         let mut local = cell.borrow_mut();
-        if local.is_none() {
+        let h = local.get_or_insert_with(|| {
             // Cold path: first event from this thread.
             let rec = recorder();
             let ring = lock(&rec.free).pop().unwrap_or_else(|| {
@@ -225,29 +239,20 @@ pub fn record(kind: FlightKind, name: &str, arg: u64) {
                 lock(&rec.rings).push(Arc::clone(&ring));
                 ring
             });
-            *local = Some(RingHandle { ring });
-        }
-        if let Some(h) = local.as_ref() {
-            h.ring.push(FlightEvent {
-                kind,
-                name: SmallName::new(name),
-                tid: h.ring.tid,
-                dev,
-                ts_ns,
-                arg,
-            });
-        }
+            RingHandle { ring }
+        });
+        h.ring.push(FlightEvent {
+            kind,
+            cat,
+            name,
+            tid: h.ring.tid,
+            dev,
+            capture,
+            ts_ns,
+            arg,
+            dur_ns,
+        });
     });
-}
-
-/// Record a stage begin (core calls this at every stage boundary).
-pub fn stage_begin(label: &str) {
-    record(FlightKind::StageBegin, label, 0);
-}
-
-/// Record a stage end.
-pub fn stage_end(label: &str) {
-    record(FlightKind::StageEnd, label, 0);
 }
 
 /// Per-device launch-count metric names, pre-rendered so the always-on
@@ -263,48 +268,68 @@ const DEVICE_LAUNCH_COUNTERS: [&str; cuszi_gpu_sim::MAX_DEVICES] = [
     "gpu.dev7.launches",
 ];
 
-/// Forward gpu-sim flight signals into the recorder.
-fn on_signal(sig: &FlightSignal<'_>) {
+/// The gpu-sim hook: every substrate signal becomes one event; while
+/// profiling is on, a launch also feeds the kernel table and carries
+/// its simulated time (the trace's kernel duration).
+fn on_signal(sig: &Signal<'_>) {
     match *sig {
-        FlightSignal::Launch { name, stream, dropped } => {
-            if !dropped {
-                let dev = cuszi_gpu_sim::current_device().min(DEVICE_LAUNCH_COUNTERS.len() - 1);
-                crate::count(DEVICE_LAUNCH_COUNTERS[dev], 1);
+        Signal::Launch(rec) => {
+            let dev = rec.device_id.min(DEVICE_LAUNCH_COUNTERS.len() - 1);
+            crate::count(DEVICE_LAUNCH_COUNTERS[dev], 1);
+            let mut dur_ns = 0;
+            if crate::enabled() {
+                if let Some(p) = crate::profiler() {
+                    lock(&p.kernels).record(rec);
+                }
+                dur_ns = (TimingModel::new(*rec.device).kernel_time(&rec.stats) * 1e9) as u64;
             }
-            record(
-                if dropped { FlightKind::LaunchDropped } else { FlightKind::Launch },
-                name,
-                stream.map(|i| i as u64 + 1).unwrap_or(0),
-            )
+            let arg = rec.stream.map_or(0, |i| u64::from(i) + 1);
+            push(FlightKind::Launch, Category::Kernel, SmallName::new(rec.name), arg, dur_ns);
         }
-        FlightSignal::Alloc { seq } => record(FlightKind::Alloc, "pool", seq),
-        FlightSignal::Stream { op, id } => record(FlightKind::StreamOp, op, id as u64),
-        FlightSignal::FaultArmed { site } => record(FlightKind::FaultArmed, site, 0),
-        FlightSignal::FaultTripped { site } => record(FlightKind::FaultTripped, site, 0),
+        Signal::LaunchDropped { name, stream } => {
+            record(FlightKind::LaunchDropped, name, stream.map_or(0, |i| u64::from(i) + 1))
+        }
+        Signal::Alloc { seq } => record(FlightKind::Alloc, "pool", seq),
+        Signal::Stream { op, id } => record(FlightKind::StreamOp, op, u64::from(id)),
+        Signal::FaultArmed { site } => record(FlightKind::FaultArmed, site, 0),
+        Signal::FaultTripped { site } => record(FlightKind::FaultTripped, site, 0),
     }
 }
 
-/// Register the recorder as gpu-sim's flight hook. Idempotent; a no-op
-/// when `CUSZI_FLIGHT=0`. Called by core at pipeline entry, so any
-/// front end gets substrate events without explicit setup.
+/// Register the recorder as gpu-sim's hook. Idempotent. Called by core
+/// at pipeline entry and by [`crate::install`], so any front end gets
+/// substrate events without explicit setup.
 pub fn install() {
-    if enabled() {
-        hook::set_flight_hook(on_signal);
+    hook::set_hook(on_signal);
+}
+
+fn rings() -> Vec<Arc<Ring<FlightEvent>>> {
+    RECORDER.get().map(|rec| lock(&rec.rings).clone()).unwrap_or_default()
+}
+
+/// Close the open profile capture and return its events — per ring in
+/// push order, rings by `tid` — plus how many of them the rings lost
+/// to wraparound. Call once the recording threads are quiescent.
+pub(crate) fn take_capture() -> (Vec<FlightEvent>, u64) {
+    let capture = CAPTURE.fetch_add(1, Ordering::Relaxed);
+    let recorded = CAPTURED.swap(0, Ordering::Relaxed);
+    let mut rings = rings();
+    rings.sort_by_key(|r| r.tid);
+    let mut out = Vec::new();
+    for ring in rings {
+        out.extend(ring.snapshot(0).0.into_iter().filter(|e| e.capture == capture));
     }
+    let dropped = recorded.saturating_sub(out.len() as u64);
+    (out, dropped)
 }
 
 /// All events currently held in the rings (oldest lost to wraparound),
-/// sorted by timestamp, plus how many were lost. Non-destructive —
-/// unlike [`crate::Tracer::take_events`], a dump must not consume the
-/// evidence a second failure might need.
+/// sorted by timestamp, plus how many were lost. Non-destructive: a
+/// dump must not consume the evidence a second failure might need.
 pub fn snapshot() -> (Vec<FlightEvent>, u64) {
-    let Some(rec) = RECORDER.get() else {
-        return (Vec::new(), 0);
-    };
-    let rings: Vec<Arc<Ring<FlightEvent>>> = lock(&rec.rings).iter().map(Arc::clone).collect();
     let mut out = Vec::new();
     let mut dropped = 0u64;
-    for ring in rings {
+    for ring in rings() {
         let (evs, head) = ring.snapshot(0);
         dropped += head.saturating_sub(evs.len() as u64);
         out.extend(evs);
@@ -344,20 +369,6 @@ pub fn clear_dumps() {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render a dump document (the newest [`DUMP_TAIL`] events) as JSON.
 /// `job` is the failing thread's job/tenant context, if any.
 pub fn render_dump(error: Option<(&str, &str)>, job: Option<(u64, &str)>) -> String {
@@ -381,19 +392,18 @@ pub fn render_dump(error: Option<(&str, &str)>, job: Option<(u64, &str)>) -> Str
     out.push_str(&format!("\"dropped\": {},\n", dropped + skip as u64));
     match job {
         Some((id, tenant)) => {
-            out.push_str(&format!("\"job\": {{\"id\": {id}, \"tenant\": \""));
-            escape_into(&mut out, tenant);
-            out.push_str("\"},\n");
+            let tenant = json_str(tenant);
+            out.push_str(&format!("\"job\": {{\"id\": {id}, \"tenant\": {tenant}}},\n"));
         }
         None => out.push_str("\"job\": null,\n"),
     }
     match error {
         Some((stage, detail)) => {
-            out.push_str("\"error\": {\"stage\": \"");
-            escape_into(&mut out, stage);
-            out.push_str("\", \"detail\": \"");
-            escape_into(&mut out, detail);
-            out.push_str("\"},\n");
+            out.push_str(&format!(
+                "\"error\": {{\"stage\": {}, \"detail\": {}}},\n",
+                json_str(stage),
+                json_str(detail)
+            ));
         }
         None => out.push_str("\"error\": null,\n"),
     }
@@ -403,14 +413,15 @@ pub fn render_dump(error: Option<(&str, &str)>, job: Option<(u64, &str)>) -> Str
             out.push(',');
         }
         out.push_str(&format!(
-            "\n{{\"ts_ns\": {}, \"tid\": {}, \"dev\": {}, \"kind\": \"{}\", \"name\": \"",
+            "\n{{\"ts_ns\": {}, \"tid\": {}, \"dev\": {}, \"kind\": \"{}\", \"name\": {}, \
+             \"arg\": {}}}",
             ev.ts_ns,
             ev.tid,
             ev.dev,
-            ev.kind.label()
+            ev.kind.label(),
+            json_str(ev.name.as_str()),
+            ev.arg
         ));
-        escape_into(&mut out, ev.name.as_str());
-        out.push_str(&format!("\", \"arg\": {}}}", ev.arg));
     }
     out.push_str("\n]\n}\n");
     out
@@ -418,12 +429,9 @@ pub fn render_dump(error: Option<(&str, &str)>, job: Option<(u64, &str)>) -> Str
 
 /// Record the terminal [`FlightKind::Error`] event (stage-attributed)
 /// and write the black-box dump for this process. Returns the dump path
-/// on success, `None` when recording is disabled or the write failed —
-/// the error path must never turn a typed error into a panic.
+/// on success, `None` when the write failed — the error path must never
+/// turn a typed error into a panic.
 pub fn dump_on_error(stage: &str, detail: &str) -> Option<PathBuf> {
-    if !enabled() {
-        return None;
-    }
     // Record the terminal event under the dump lock so two concurrently
     // failing threads each capture a dump ending at their own error.
     let _g = lock(&DUMP_LOCK);
@@ -459,13 +467,11 @@ pub fn dump_on_error(stage: &str, detail: &str) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Flight state is process-global; tests in this module serialize.
-    static GUARD: Mutex<()> = Mutex::new(());
+    use crate::test_support::{profiling, test_lock};
 
     #[test]
     fn records_and_snapshots_in_order() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         record(FlightKind::StageBegin, "predict-quant", 0);
         record(FlightKind::Launch, "g-interp", 0);
         record(FlightKind::StageEnd, "predict-quant", 0);
@@ -482,7 +488,7 @@ mod tests {
 
     #[test]
     fn wraparound_keeps_newest_and_counts_dropped() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         let (_, dropped_before) = snapshot();
         for i in 0..(RING_CAPACITY + 100) {
             record(FlightKind::Alloc, "wrap-test", i as u64);
@@ -501,7 +507,7 @@ mod tests {
 
     #[test]
     fn dump_is_parseable_and_error_event_is_last() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         let dir = std::env::temp_dir().join(format!("cuszi-flight-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         record(FlightKind::Launch, "g-interp", 0);
@@ -524,7 +530,7 @@ mod tests {
 
     #[test]
     fn sequenced_dumps_do_not_collide_and_evict_beyond_cap() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         let dir = std::env::temp_dir().join(format!("cuszi-flight-seq-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("CUSZI_FLIGHT_DIR", &dir);
@@ -560,7 +566,7 @@ mod tests {
 
     #[test]
     fn dumps_carry_the_job_context() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         let dir = std::env::temp_dir().join(format!("cuszi-flight-job-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("CUSZI_FLIGHT_DIR", &dir);
@@ -588,7 +594,7 @@ mod tests {
 
     #[test]
     fn events_are_stamped_with_the_recording_device() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         cuszi_gpu_sim::on_device(2, || record(FlightKind::Launch, "dev-stamp-probe", 0));
         record(FlightKind::Launch, "dev-stamp-host", 0);
         let (evs, _) = snapshot();
@@ -612,7 +618,7 @@ mod tests {
 
     #[test]
     fn rings_are_recycled_across_threads() {
-        let _g = lock(&GUARD);
+        let _g = test_lock();
         // Warm up: make sure this thread has its ring.
         record(FlightKind::StageBegin, "recycle-warm", 0);
         let before = lock(&recorder().rings).len();
@@ -630,5 +636,109 @@ mod tests {
             after <= before + 2,
             "ring registry grew from {before} to {after} over 32 recycled threads"
         );
+    }
+
+    #[test]
+    fn profiled_spans_reuse_rings_across_threads() {
+        let _g = test_lock();
+        let _on = profiling();
+        let _warm = crate::span("recycle-warm", Category::Stage);
+        let before = lock(&recorder().rings).len();
+        for _ in 0..32 {
+            std::thread::spawn(|| drop(crate::span("recycle-span", Category::Stage)))
+                .join()
+                .unwrap();
+        }
+        let after = lock(&recorder().rings).len();
+        assert!(after <= before + 2, "profiled spans grew the registry from {before} to {after}");
+    }
+
+    #[test]
+    fn capture_keeps_push_order_and_nesting() {
+        let _g = test_lock();
+        take_capture();
+        {
+            let _on = profiling();
+            let _outer = crate::span("outer", Category::Stage);
+            drop(crate::span("inner", Category::Stage));
+            push(FlightKind::Launch, Category::Kernel, SmallName::new("kern"), 0, 1000);
+        }
+        let (evs, dropped) = take_capture();
+        assert_eq!(dropped, 0);
+        let names: Vec<&str> = evs.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["outer", "inner", "inner", "kern", "outer"]);
+        assert_eq!(evs[0].kind, FlightKind::StageBegin);
+        assert_eq!(evs[2].kind, FlightKind::StageEnd);
+        assert_eq!(evs[3].kind, FlightKind::Launch);
+        assert_eq!(evs[3].dur_ns, 1000);
+        assert!(evs.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    #[test]
+    fn capture_is_incremental_and_skips_unprofiled_events() {
+        let _g = test_lock();
+        take_capture();
+        let on = profiling();
+        let a = crate::span("a", Category::Other);
+        assert_eq!(take_capture().0.len(), 1);
+        assert_eq!(take_capture().0.len(), 0);
+        drop(a);
+        drop(on);
+        record(FlightKind::StageBegin, "while-off", 0);
+        let (evs, _) = take_capture();
+        assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].kind, evs[0].name.as_str()), (FlightKind::StageEnd, "a"));
+    }
+
+    #[test]
+    fn capture_counts_wraparound_losses() {
+        let _g = test_lock();
+        take_capture();
+        {
+            let _on = profiling();
+            for i in 0..(RING_CAPACITY + 100) {
+                record(FlightKind::Alloc, "wrap-capture", i as u64);
+            }
+        }
+        let (evs, dropped) = take_capture();
+        assert_eq!((evs.len(), dropped), (RING_CAPACITY, 100));
+        // The survivors are the newest, in order.
+        assert!(evs.iter().map(|e| e.arg).eq(100..(RING_CAPACITY as u64 + 100)));
+    }
+
+    #[test]
+    fn capture_gives_concurrent_threads_their_own_lanes() {
+        let _g = test_lock();
+        take_capture();
+        {
+            let _on = profiling();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for worker in 0..4 {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..50 {
+                            drop(crate::span(&format!("w{worker}-{i}"), Category::Other));
+                        }
+                        start.wait();
+                    });
+                }
+            });
+        }
+        let (evs, dropped) = take_capture();
+        assert_eq!((evs.len(), dropped), (4 * 100, 0));
+        let tids: std::collections::BTreeSet<u32> = evs.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), 4);
+        for tid in tids {
+            let mine: Vec<&FlightEvent> = evs.iter().filter(|e| e.tid == tid).collect();
+            assert_eq!(mine.len(), 100);
+            assert!(mine.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+            for pair in mine.chunks(2) {
+                assert_eq!(pair[0].kind, FlightKind::StageBegin);
+                assert_eq!(pair[1].kind, FlightKind::StageEnd);
+                assert_eq!(pair[0].name, pair[1].name);
+            }
+        }
     }
 }

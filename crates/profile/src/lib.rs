@@ -1,144 +1,84 @@
-//! Observability for the cuSZ-i reproduction — zero-cost when disabled.
+//! Observability for the cuSZ-i reproduction: one recorder, several
+//! views.
 //!
-//! Three instruments behind one switch:
+//! The [`flight`] recorder is the one event store: stage brackets and
+//! spans ([`span`]), every named gpu-sim kernel launch, dropped
+//! launches, sampled allocations, stream operations and fault
+//! transitions go into its per-thread rings once, always. The views:
 //!
-//! 1. a lock-free per-thread span [`tracer`] (begin/end stage spans,
-//!    complete kernel events) exporting Chrome `trace_event` JSON that
-//!    loads in Perfetto, plus a flamegraph-style text summary;
-//! 2. a per-kernel profile table ([`kernels::KernelTable`]) fed by the
-//!    `gpu-sim` launch hook: measured [`cuszi_gpu_sim::KernelStats`]
-//!    with the roofline decomposition, achieved GB/s vs the bandwidth
+//! 1. the flight dump — the black box written when an error propagates;
+//! 2. a profile [`Report`] over one capture window of the rings: a
+//!    Chrome `trace_event` JSON that loads in Perfetto and a
+//!    flamegraph-style text summary ([`trace_json`]);
+//! 3. a per-kernel profile table ([`kernels::KernelTable`]) fed by the
+//!    same gpu-sim hook: measured [`cuszi_gpu_sim::KernelStats`] with
+//!    the roofline decomposition, achieved GB/s vs the bandwidth
 //!    ceiling, coalescing efficiency, DRAM excess bytes, occupancy
 //!    waves, and a bottleneck verdict per kernel;
-//! 3. a [`metrics`] registry of monotonic counters and histograms
+//! 4. a [`metrics`] registry of monotonic counters and histograms
 //!    (bytes in/out, per-field compression ratio, outlier rate,
-//!    codebook entropy).
+//!    codebook entropy), which also renders Prometheus text.
 //!
-//! Instrumented code calls the free functions here ([`span`],
-//! [`count`], [`observe`]) or goes through the [`ProfileSink`] trait
-//! when it wants an injectable handle. When profiling is off — the
-//! default — every hook is a single relaxed atomic load; no clock is
-//! read, no string is formatted, no lock is taken. Turn it on with
-//! [`install`] + [`enable`], or ambiently via `CUSZI_PROFILE=1` and
-//! [`init_from_env`].
+//! [`enable`] is the one switch: while it is on, events join the open
+//! capture, launches feed the kernel table, and [`count`]/[`observe`]
+//! fill the global registry. Off — the default — the metric hooks cost
+//! one relaxed atomic load and the recorder keeps its rings for the
+//! black box. [`install`] registers the recorder as gpu-sim's hook.
 
 pub mod flight;
 pub mod kernels;
 pub mod metrics;
 pub mod minjson;
+pub mod ring;
 pub mod trace_json;
-pub mod tracer;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use cuszi_gpu_sim::hook::{self, LaunchObserver, LaunchRecord};
-use cuszi_gpu_sim::timing::TimingModel;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub use flight::{FlightEvent, FlightKind};
 pub use kernels::{KernelRow, KernelTable};
 pub use metrics::{Registry, Snapshot};
-pub use tracer::{Category, Event, Tracer};
+pub use ring::Category;
 
-/// Sink interface for instrumented code that wants an injected handle
-/// instead of the process-global profiler (tests inject their own; the
-/// pipeline's hooks go through the same trait either way).
-pub trait ProfileSink: Send + Sync {
-    /// Open a span on the calling thread.
-    fn span_begin(&self, name: &str, cat: Category);
-    /// Close the most recent span with this name on the calling thread.
-    fn span_end(&self, name: &str, cat: Category);
-    /// Add to a monotonic counter.
-    fn count(&self, name: &str, delta: u64);
-    /// Record a histogram sample.
-    fn observe(&self, name: &str, value: u64);
+use ring::SmallName;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The process profiler: tracer + kernel table + metrics registry.
+/// The process profiler: the kernel table and the global metrics
+/// registry (the events live in the recorder's rings).
 pub struct Profiler {
-    tracer: Tracer,
     kernels: Mutex<KernelTable>,
     metrics: Registry,
 }
 
-impl Default for Profiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Profiler {
-    pub fn new() -> Self {
-        Profiler {
-            tracer: Tracer::default(),
-            kernels: Mutex::new(KernelTable::new()),
-            metrics: Registry::new(),
-        }
-    }
-
-    /// The span tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Record a kernel launch (normally driven by the gpu-sim hook).
-    pub fn record_launch(&self, rec: &LaunchRecord<'_>) {
-        self.kernels.lock().unwrap().record(rec);
-        // A launch issued on a gpu-sim stream arrives on that stream's
-        // worker thread; naming the lane after the stream gives the
-        // trace one Perfetto lane per stream.
-        if let Some((_, label)) = rec.stream {
-            self.tracer.label_current_thread(label);
-        }
-        // Mirror the launch into the trace as a complete event whose
-        // duration is the *simulated* kernel time — what the timeline
-        // should show for a modelled GPU.
-        let sim_ns = TimingModel::new(*rec.device).kernel_time(&rec.stats) * 1e9;
-        self.tracer.complete(rec.name, Category::Kernel, sim_ns as u64);
-    }
-
-    /// Drain everything recorded so far into a [`Report`].
-    ///
-    /// Call after the profiled workload has returned (recording threads
-    /// quiescent); the profiler is left empty for the next capture.
+    /// Close the capture: everything recorded while profiling was on
+    /// since the previous `report`, as one [`Report`]. Call after the
+    /// profiled workload has returned (recording threads quiescent).
     pub fn report(&self) -> Report {
-        let (events, dropped) = self.tracer.take_events();
-        // Labels outlive drains; name only the lanes this capture uses,
-        // so an earlier capture's streams add no empty lanes.
-        let mut thread_labels = self.tracer.thread_labels();
-        thread_labels.retain(|(tid, _)| events.iter().any(|e| e.tid == *tid));
+        let (events, dropped_events) = flight::take_capture();
+        let thread_labels = trace_json::lane_labels(&events);
         Report {
             events,
-            dropped_events: dropped,
+            dropped_events,
             thread_labels,
-            kernels: self.kernels.lock().unwrap().take(),
+            kernels: lock(&self.kernels).take(),
             metrics: self.metrics.take(),
         }
     }
 }
 
-impl ProfileSink for Profiler {
-    fn span_begin(&self, name: &str, cat: Category) {
-        self.tracer.begin(name, cat);
-    }
-    fn span_end(&self, name: &str, cat: Category) {
-        self.tracer.end(name, cat);
-    }
-    fn count(&self, name: &str, delta: u64) {
-        self.metrics.count(name, delta);
-    }
-    fn observe(&self, name: &str, value: u64) {
-        self.metrics.observe(name, value);
-    }
-}
-
-/// One drained capture: everything needed to write the artifacts.
+/// One closed capture: everything needed to write the artifacts.
 pub struct Report {
-    pub events: Vec<Event>,
+    /// The capture's events, per recording lane in push order.
+    pub events: Vec<FlightEvent>,
+    /// Events of this capture the rings lost to wraparound.
     pub dropped_events: u64,
     /// `(tid, lane label)` pairs — one per gpu-sim stream lane that has
-    /// events in this capture.
+    /// launches in this capture.
     pub thread_labels: Vec<(u32, String)>,
     pub kernels: Vec<KernelRow>,
     pub metrics: Snapshot,
@@ -153,13 +93,12 @@ impl Report {
 
     /// Flamegraph-style indented text summary of the spans.
     pub fn flame_summary(&self) -> String {
-        trace_json::flame_summary_labeled(&self.events, &self.thread_labels)
+        trace_json::flame_summary(&self.events, &self.thread_labels)
     }
 
     /// Nsight-style kernel table text report.
     pub fn kernel_report(&self) -> String {
         let mut t = KernelTable::new();
-        // Rebuild a table view over the drained rows.
         t.restore(self.kernels.clone());
         t.render()
     }
@@ -168,22 +107,14 @@ impl Report {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static PROFILER: OnceLock<Profiler> = OnceLock::new();
 
-struct HookAdapter;
-
-impl LaunchObserver for HookAdapter {
-    fn on_launch(&self, rec: &LaunchRecord<'_>) {
-        if let Some(p) = PROFILER.get() {
-            p.record_launch(rec);
-        }
-    }
-}
-
-/// Install the process-global profiler and register it as the gpu-sim
-/// launch observer. Idempotent; recording stays off until [`enable`].
+/// Install the process-global profiler and register the recorder as
+/// the gpu-sim hook. Idempotent; profiling stays off until [`enable`].
 pub fn install() -> &'static Profiler {
-    let p = PROFILER.get_or_init(Profiler::new);
-    hook::set_observer(Box::new(HookAdapter));
-    p
+    flight::install();
+    PROFILER.get_or_init(|| Profiler {
+        kernels: Mutex::new(KernelTable::new()),
+        metrics: Registry::new(),
+    })
 }
 
 /// The installed profiler, if any.
@@ -191,68 +122,54 @@ pub fn profiler() -> Option<&'static Profiler> {
     PROFILER.get()
 }
 
-/// Turn recording on or off (span hooks here and the launch hook in
-/// gpu-sim flip together).
+/// Turn profiling on or off: the capture window, the kernel table and
+/// the global metrics registry follow this one switch.
 pub fn enable(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-    hook::enable(on);
 }
 
-/// Whether recording is on. One relaxed load — this is the entire cost
-/// of every hook when profiling is disabled.
+/// Whether profiling is on. One relaxed load.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Install and enable if `CUSZI_PROFILE` is set to a truthy value
-/// (`1`, `true`, `on`, or a path). Returns whether profiling is on.
-pub fn init_from_env() -> bool {
-    match std::env::var("CUSZI_PROFILE") {
-        Ok(v) if !v.is_empty() && v != "0" && v.to_lowercase() != "false" => {
-            install();
-            enable(true);
-            true
-        }
-        _ => false,
-    }
+/// RAII span: records a begin into the recorder on creation and the
+/// matching end on drop (unwinding included) unless
+/// [`SpanGuard::leave_open`] consumed it.
+pub struct SpanGuard {
+    name: SmallName,
+    cat: Category,
+    arg: u64,
 }
 
-/// RAII span: records begin on creation and end on drop (including
-/// unwind paths, so a panicking stage still closes its span). When
-/// profiling is disabled this is a no-op carrying no clock reads.
-pub struct SpanGuard {
-    name: Option<tracer::SmallName>,
-    cat: Category,
+impl SpanGuard {
+    /// Drop without recording the end: a failed stage stays open, so
+    /// the journal shows an unmatched begin ahead of the error.
+    pub fn leave_open(self) {
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let (Some(name), Some(p)) = (self.name, PROFILER.get()) {
-            p.tracer.end(name.as_str(), self.cat);
-        }
+        flight::push(FlightKind::StageEnd, self.cat, self.name, self.arg, 0);
     }
 }
 
-/// Open a named span in the global profiler. `let _g = span("x", ...)`;
-/// the span closes when the guard drops.
+/// Open a named span. `let _g = span("x", ...)`; the span closes when
+/// the guard drops.
 #[inline]
 pub fn span(name: &str, cat: Category) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { name: None, cat };
-    }
-    span_slow(name, cat)
+    span_with(name, cat, 0)
 }
 
-#[cold]
-fn span_slow(name: &str, cat: Category) -> SpanGuard {
-    match PROFILER.get() {
-        Some(p) => {
-            p.tracer.begin(name, cat);
-            SpanGuard { name: Some(tracer::SmallName::new(name)), cat }
-        }
-        None => SpanGuard { name: None, cat },
-    }
+/// [`span`] carrying an argument (a slab's `z0`) in its events, so the
+/// name stays static and recording never formats.
+pub fn span_with(name: &str, cat: Category, arg: u64) -> SpanGuard {
+    let name = SmallName::new(name);
+    flight::push(FlightKind::StageBegin, cat, name, arg, 0);
+    SpanGuard { name, cat, arg }
 }
 
 /// Count of live [`MetricsScope`]s across all threads. One relaxed
@@ -327,7 +244,7 @@ fn record_scoped(name: &str, value: u64, histogram: bool) {
 #[inline]
 pub fn count(name: &str, delta: u64) {
     if enabled() {
-        if let Some(p) = PROFILER.get() {
+        if let Some(p) = profiler() {
             p.metrics.count(name, delta);
         }
     }
@@ -341,7 +258,7 @@ pub fn count(name: &str, delta: u64) {
 #[inline]
 pub fn observe(name: &str, value: u64) {
     if enabled() {
-        if let Some(p) = PROFILER.get() {
+        if let Some(p) = profiler() {
             p.metrics.observe(name, value);
         }
     }
@@ -351,28 +268,64 @@ pub fn observe(name: &str, value: u64) {
 }
 
 #[cfg(test)]
+pub(crate) mod test_support {
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Profiling and the recorder are process-global: unit tests that
+    /// touch either serialize on this lock.
+    pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        super::lock(&LOCK)
+    }
+
+    /// Profiling on (with the profiler installed) until the guard drops.
+    pub(crate) struct Profiling;
+
+    impl Drop for Profiling {
+        fn drop(&mut self) {
+            super::enable(false);
+        }
+    }
+
+    pub(crate) fn profiling() -> Profiling {
+        super::install();
+        super::enable(true);
+        Profiling
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::test_support::{profiling, test_lock};
     use super::*;
 
     #[test]
-    fn disabled_hooks_are_nearly_free() {
-        // Not installed, not enabled: a hook call must not allocate,
-        // lock, or read the clock. Time 1M calls as a sanity ceiling.
+    fn disabled_metrics_and_recorded_spans_are_cheap() {
+        // Profiling off: a metric hook must not allocate, lock, or read
+        // the clock; a span records its begin and end into the
+        // thread's ring without allocating. Time 1M calls each as a
+        // sanity ceiling (generous: CI machines vary).
+        let _g = test_lock();
         assert!(!enabled());
         let t0 = std::time::Instant::now();
         for i in 0..1_000_000u64 {
-            let _g = span("stage", Category::Stage);
             count("bytes", i);
         }
-        let per_call = t0.elapsed().as_nanos() as f64 / 1e6;
-        // Generous bound (CI machines vary): well under 100ns per pair.
-        assert!(per_call < 100.0, "disabled hook cost {per_call} ns");
+        let per_count = t0.elapsed().as_nanos() as f64 / 1e6;
+        assert!(per_count < 100.0, "disabled count cost {per_count} ns");
+        let t0 = std::time::Instant::now();
+        for _ in 0..1_000_000u64 {
+            let _g = span("stage", Category::Stage);
+        }
+        let per_span = t0.elapsed().as_nanos() as f64 / 1e6;
+        assert!(per_span < 1000.0, "recorded span cost {per_span} ns");
     }
 
     #[test]
     fn scoped_registries_capture_without_profiler() {
         // Profiler off: records land only in the scoped registries,
         // innermost and outer both, and stop at guard drop.
+        let _g = test_lock();
         assert!(!enabled());
         let engine = Arc::new(Registry::new());
         let request = Arc::new(Registry::new());
@@ -395,11 +348,15 @@ mod tests {
 
     #[test]
     fn profiler_collects_spans_metrics_and_reports() {
-        let p = Profiler::new();
-        p.span_begin("compress", Category::Stage);
-        p.span_end("compress", Category::Stage);
-        p.count("bytes_in", 4096);
-        p.observe("cr_ppt", 123_000);
+        let _g = test_lock();
+        let p = install();
+        p.report();
+        {
+            let _on = profiling();
+            drop(span("compress", Category::Stage));
+            count("bytes_in", 4096);
+            observe("cr_ppt", 123_000);
+        }
         let rep = p.report();
         assert_eq!(rep.events.len(), 2);
         assert_eq!(rep.metrics.counters["bytes_in"], 4096);
@@ -407,5 +364,18 @@ mod tests {
         // Second report is empty: report() drains.
         let rep2 = p.report();
         assert!(rep2.events.is_empty() && rep2.kernels.is_empty());
+    }
+
+    #[test]
+    fn a_span_left_open_records_no_end() {
+        let _g = test_lock();
+        let p = install();
+        p.report();
+        {
+            let _on = profiling();
+            span("failed-stage", Category::Stage).leave_open();
+        }
+        let kinds: Vec<FlightKind> = p.report().events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [FlightKind::StageBegin]);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use cuszi_repro::core::{Config, CuszError, CuszI};
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::gpu_sim::fault::{self, FaultSpec};
-use cuszi_repro::profile::{flight, minjson};
+use cuszi_repro::profile::{self, flight, minjson};
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::{NdArray, Shape};
 
@@ -226,4 +226,55 @@ fn dump_honours_flight_dir_override() {
     assert_eq!(path.parent(), Some(dir.as_path()));
     assert!(path.exists());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn profile_trace_and_flight_dump_agree_on_a_failed_run() {
+    let _g = guard();
+    let data = small_field();
+    let codec = CuszI::new(Config::new(ErrorBound::Rel(1e-3)));
+    let profiler = profile::install();
+    flight::clear_dumps();
+
+    let t0 = now_marker();
+    profile::enable(true);
+    let err = {
+        let _armed = Armed::new(FaultSpec::LaunchNamed("g-interp".into()));
+        codec.compress(&data).expect_err("armed compress succeeded")
+    };
+    profile::enable(false);
+    let trace = profiler.report().chrome_trace();
+    let trace = minjson::parse(&trace).expect("trace is valid JSON");
+    let dump = std::fs::read_to_string(flight::latest_dump().expect("flight dump written"))
+        .expect("flight dump readable");
+    let dump = minjson::parse(&dump).expect("dump is valid JSON");
+
+    let field = |e: &minjson::Value, key: &str| {
+        e.get(key).and_then(|v| v.as_str()).unwrap_or("").to_string()
+    };
+    let trace_begins: Vec<String> = trace
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents")
+        .iter()
+        .filter(|e| field(e, "ph") == "B" && field(e, "cat") == "stage")
+        .map(|e| field(e, "name"))
+        .collect();
+    // The rings persist across runs: keep the dump's events since the
+    // marker, i.e. this run's.
+    let dump_begins: Vec<String> = dump
+        .get("events")
+        .and_then(|e| e.as_array())
+        .expect("events")
+        .iter()
+        .filter(|e| e.get("ts_ns").and_then(|t| t.as_f64()).is_some_and(|t| t >= t0 as f64))
+        .filter(|e| field(e, "kind") == "stage-begin" && field(e, "name") != "test-marker")
+        .map(|e| field(e, "name"))
+        .collect();
+    assert_eq!(trace_begins, dump_begins, "trace and black box list different stages");
+
+    let stage = dump.get("error").map(|e| field(e, "stage")).expect("dump has error.stage");
+    assert_eq!(stage, err.stage(), "{err}");
+    assert_eq!(trace_begins.last(), Some(&stage), "trace ends at the failed stage");
+    assert_eq!(dump_begins.last(), Some(&stage), "black box ends at the failed stage");
 }
