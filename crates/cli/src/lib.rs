@@ -10,6 +10,7 @@
 //! Input fields are raw little-endian `f32` streams in row-major order
 //! (the SDRBench distribution format the paper's datasets use).
 
+mod psnr;
 pub mod serve;
 
 use std::fmt::Write as _;
@@ -17,8 +18,7 @@ use std::fs;
 use std::path::Path;
 
 use cuszi_core::{
-    compress_pw_rel, compress_slabs_streams, compress_to_psnr, decompress_pw_rel,
-    decompress_slabs_streams, Config, CuszError, CuszI,
+    compress_slabs_streams, decompress_slabs_streams, Compressed, Config, CuszError, CuszI,
 };
 use cuszi_core::archive::Header;
 use cuszi_metrics::{bit_rate, compression_ratio, distortion};
@@ -84,8 +84,6 @@ pub enum BoundMode {
     Rel(f64),
     Abs(f64),
     Psnr(f64),
-    /// Point-wise relative bound with its magnitude floor.
-    PwRel(f64, f32),
 }
 
 /// CLI errors carry a user-facing message.
@@ -118,7 +116,7 @@ cuszi — cuSZ-i error-bounded lossy compression for raw f32 fields
 
 USAGE:
   cuszi compress   -i <in.f32> -o <out.cszi> --dims ZxYxX
-                   (--rel-eb E | --abs-eb E | --psnr DB | --pw-rel E [--floor F])
+                   (--rel-eb E | --abs-eb E | --psnr DB)
                    [--no-bitcomp] [--verify] [--slab Z [--streams N]]
                    [--profile[=TRACE.json]] [--autotune]
                    [--audit] [--prom[=METRICS.prom]]
@@ -214,20 +212,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     val("--psnr")?.parse().map_err(|_| CliError("bad --psnr".into()))?,
                 ))
             }
-            "--pw-rel" => {
-                mode = Some(BoundMode::PwRel(
-                    val("--pw-rel")?.parse().map_err(|_| CliError("bad --pw-rel".into()))?,
-                    1e-6,
-                ))
-            }
-            "--floor" => {
-                let f: f32 =
-                    val("--floor")?.parse().map_err(|_| CliError("bad --floor".into()))?;
-                match mode {
-                    Some(BoundMode::PwRel(e, _)) => mode = Some(BoundMode::PwRel(e, f)),
-                    _ => return Err(CliError("--floor requires --pw-rel first".into())),
-                }
-            }
             "--no-bitcomp" => bitcomp = false,
             "--verify" => verify = true,
             "--autotune" => autotune = true,
@@ -312,7 +296,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             input,
             output: output.ok_or_else(|| CliError("missing -o".into()))?,
             shape: dims.ok_or_else(|| CliError("missing --dims".into()))?,
-            mode: mode.ok_or_else(|| CliError("missing --rel-eb/--abs-eb/--psnr/--pw-rel".into()))?,
+            mode: mode.ok_or_else(|| CliError("missing --rel-eb/--abs-eb/--psnr".into()))?,
             bitcomp,
             verify,
             slab,
@@ -473,11 +457,7 @@ fn decompress_one(input: &str, output: &str, streams: Option<usize>) -> Result<S
     if bytes.starts_with(b"CSZS") {
         return decompress_streamed(&bytes, input, output, base, streams);
     }
-    let d = if bytes.starts_with(b"CSZR") {
-        cuszi_core::Decompressed { data: decompress_pw_rel(&bytes, base)?, kernels: Vec::new() }
-    } else {
-        CuszI::new(base).decompress(&bytes)?
-    };
+    let d = CuszI::new(base).decompress(&bytes)?;
     writeln!(
         out,
         "{input} -> {output} ({}, {:.1} MB)",
@@ -497,49 +477,34 @@ fn compress_whole(
     mode: BoundMode,
     opts: CompressOpts,
 ) -> Result<String, CliError> {
-    let verify = opts.verify;
     let mut out = String::new();
     let data = read_f32_field(Path::new(input), shape)?;
-    let base = match mode {
-        BoundMode::Rel(e) => Config::new(ErrorBound::Rel(e)),
-        BoundMode::Abs(e) => Config::new(ErrorBound::Abs(e)),
-        BoundMode::Psnr(_) | BoundMode::PwRel(..) => Config::new(ErrorBound::Rel(1e-3)),
-    };
-    let base = opts.apply(base);
-    if opts.autotune {
-        // Print the calibration decision up front; the compress path
-        // below hits the per-family cache, so the work is not repeated.
-        if let Some(range) = cuszi_tensor::stats::ValueRange::of(data.as_slice()) {
-            let eb_abs = base.error_bound.absolute(range.range() as f64);
-            let rel_eb = base.error_bound.relative(range.range() as f64);
-            if eb_abs.is_finite() && eb_abs > 0.0 {
-                let d = cuszi_core::autotune(&data, rel_eb, eb_abs, base.radius, &base.device);
-                writeln!(out, "{}", d.render().trim_end()).ok();
-            }
-        }
-    }
-    if opts.audit && matches!(mode, BoundMode::PwRel(..)) {
-        return Err(CliError(
-            "--audit supports --rel-eb/--abs-eb/--psnr (pw-rel transforms the field)".into(),
-        ));
-    }
-    let (bytes, eb_abs, audit_rep) = match mode {
+    let base = opts.apply(Config::new(match mode {
+        BoundMode::Rel(e) => ErrorBound::Rel(e),
+        BoundMode::Abs(e) => ErrorBound::Abs(e),
+        // The PSNR search replaces the bound and keeps everything else.
+        BoundMode::Psnr(_) => ErrorBound::Rel(1e-3),
+    }));
+    let (c, achieved) = match mode {
         BoundMode::Psnr(db) => {
-            let r = compress_to_psnr(&data, db, 1.0, base)?;
-            writeln!(out, "psnr target {db:.1} dB -> achieved {:.1} dB", r.achieved_psnr)
-                .ok();
-            (r.compressed.bytes, r.compressed.eb_abs, r.compressed.audit)
+            let (c, psnr) = psnr::compress_at_psnr(&data, db, base)?;
+            (c, Some((db, psnr)))
         }
-        BoundMode::PwRel(eps, floor) => {
-            let r = compress_pw_rel(&data, eps, floor, base)?;
-            writeln!(out, "point-wise relative eps {eps:.1e}, floor {floor:.1e}").ok();
-            (r.bytes, r.log_eb, None)
-        }
-        _ => {
-            let c = CuszI::new(base).compress(&data)?;
-            (c.bytes, c.eb_abs, c.audit)
-        }
+        _ => (CuszI::new(base).compress(&data)?, None),
     };
+    let Compressed { bytes, eb_abs, audit: audit_rep, .. } = c;
+    if opts.autotune && eb_abs > 0.0 {
+        // The decision for the bound the archive used; the compress
+        // above filled the per-family cache, so this is a lookup.
+        if let Some(range) = cuszi_tensor::stats::ValueRange::of(data.as_slice()) {
+            let rel_eb = eb_abs / range.range() as f64;
+            let d = cuszi_core::autotune(&data, rel_eb, eb_abs, base.radius, &base.device);
+            writeln!(out, "{}", d.render().trim_end()).ok();
+        }
+    }
+    if let Some((db, psnr)) = achieved {
+        writeln!(out, "psnr target {db:.1} dB -> achieved {psnr:.1} dB").ok();
+    }
     writeln!(
         out,
         "{input} ({shape}, {:.1} MB) -> {output} ({:.1} KB), CR {:.1}, {:.3} bits/elem, abs eb {eb_abs:.3e}",
@@ -549,18 +514,11 @@ fn compress_whole(
         bit_rate(data.len(), bytes.len()),
     )
     .ok();
-    if verify {
-        let d = match mode {
-            BoundMode::PwRel(..) => cuszi_core::Decompressed {
-                data: decompress_pw_rel(&bytes, base)?,
-                kernels: Vec::new(),
-            },
-            _ => CuszI::new(base).decompress(&bytes)?,
-        };
+    if opts.verify {
+        let d = CuszI::new(base).decompress(&bytes)?;
         let m = distortion(data.as_slice(), d.data.as_slice())
             .ok_or_else(|| CliError("empty field".into()))?;
-        let abs_mode = !matches!(mode, BoundMode::PwRel(..));
-        if abs_mode && m.max_abs_err > eb_abs * (1.0 + 1e-6) {
+        if m.max_abs_err > eb_abs * (1.0 + 1e-6) {
             return Err(CliError(format!(
                 "VERIFY FAILED: max error {:.3e} exceeds bound {eb_abs:.3e}",
                 m.max_abs_err
@@ -598,16 +556,19 @@ fn compress_whole(
 fn info_text(input: &str) -> Result<String, CliError> {
     let mut out = String::new();
     let bytes = fs::read(input)?;
-    if bytes.starts_with(b"CSZR") {
-        if bytes.len() < 36 {
-            return Err(CliError("truncated pw-rel archive".into()));
-        }
-        let eps = f64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let floor = f64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        writeln!(out, "cuSZ-i point-wise-relative archive").ok();
-        writeln!(out, "  eps:    {eps:.3e}").ok();
-        writeln!(out, "  floor:  {floor:.3e}").ok();
-        writeln!(out, "  total:  {} B", bytes.len()).ok();
+    if bytes.starts_with(b"CSZS") {
+        let (geo, _) = cuszi_core::stream::parse_slab_container(&bytes)?;
+        writeln!(out, "cuSZ-i slab stream").ok();
+        writeln!(out, "  dims:       {}", geo.shape).ok();
+        writeln!(out, "  slab z:     {}", geo.slab_z).ok();
+        writeln!(out, "  slabs:      {}", geo.nslabs).ok();
+        writeln!(
+            out,
+            "  total:      {} B (CR {:.1} vs raw f32)",
+            bytes.len(),
+            compression_ratio(geo.shape.len() * 4, bytes.len())
+        )
+        .ok();
         return Ok(out);
     }
     let h = Header::from_bytes(&bytes)?;
@@ -654,10 +615,12 @@ fn compress_streamed(
         BoundMode::Abs(e) => ErrorBound::Abs(e),
         _ => return Err(CliError("--slab supports --rel-eb/--abs-eb only".into())),
     };
-    if opts.audit {
-        return Err(CliError(
-            "--audit needs the whole field resident; drop --slab to run it".into(),
-        ));
+    for (on, flag) in [(opts.audit, "--audit"), (opts.verify, "--verify")] {
+        if on {
+            return Err(CliError(format!(
+                "{flag} needs the whole field resident; drop --slab to run it"
+            )));
+        }
     }
     if shape.rank() != 3 {
         return Err(CliError("--slab requires 3-d dims".into()));
@@ -756,14 +719,19 @@ fn decompress_streamed(
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    fn tmp(name: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push(format!("cuszi-cli-test-{}-{name}", std::process::id()));
-        p
+        p.to_string_lossy().into()
     }
 
     fn strings(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parse and run one command line.
+    fn cli(args: &[&str]) -> Result<String, CliError> {
+        run(parse_args(&strings(args))?)
     }
 
     #[test]
@@ -869,40 +837,20 @@ mod tests {
         let data = NdArray::from_fn(shape, |z, y, x| {
             ((x + y) as f32 * 0.1).sin() + z as f32 * 0.05
         });
-        let fin = tmp("in.f32");
-        let farc = tmp("a.cszi");
-        let fout = tmp("out.f32");
-        write_f32_field(&fin, &data).unwrap();
+        let (fin, farc, fout) = (tmp("in.f32"), tmp("a.cszi"), tmp("out.f32"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
 
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Rel(1e-3),
-            bitcomp: true,
-            verify: true,
-            slab: None,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--rel-eb",
+            "1e-3", "--verify"])
         .unwrap();
         assert!(msg.contains("verified"), "{msg}");
 
-        run(Command::Decompress {
-            input: farc.to_string_lossy().into(),
-            output: fout.to_string_lossy().into(),
-            streams: None,
-            profile: None,
-        })
-        .unwrap();
-        let recon = read_f32_field(&fout, shape).unwrap();
+        cli(&["decompress", "-i", &farc, "-o", &fout]).unwrap();
+        let recon = read_f32_field(Path::new(&fout), shape).unwrap();
         let m = distortion(data.as_slice(), recon.as_slice()).unwrap();
         assert!(m.psnr > 50.0);
 
-        let info = run(Command::Info { input: farc.to_string_lossy().into() }).unwrap();
+        let info = cli(&["info", "-i", &farc]).unwrap();
         assert!(info.contains("16x16x16"), "{info}");
 
         for f in [fin, farc, fout] {
@@ -911,29 +859,59 @@ mod tests {
     }
 
     #[test]
+    fn autotune_on_a_constant_field_prints_no_decision() {
+        // A constant field compresses without the tuner, so there is no
+        // decision to report, whatever the bound mode.
+        let fin = tmp("const.f32");
+        write_f32_field(Path::new(&fin), &NdArray::from_fn(Shape::d3(6, 6, 6), |_, _, _| 3.0))
+            .unwrap();
+        for bound in [["--rel-eb", "1e-3"], ["--abs-eb", "1e-3"]] {
+            let args = ["compress", "-i", &fin, "-o", "/dev/null", "--dims", "6x6x6", "--autotune"];
+            let msg = cli(&[&args[..], &bound[..]].concat()).unwrap();
+            assert!(!msg.contains("autotune decision"), "{msg}");
+        }
+        let _ = fs::remove_file(fin);
+    }
+
+    #[test]
     fn psnr_mode_reports_achieved() {
-        let shape = Shape::d2(48, 48);
-        let data =
-            NdArray::from_fn(shape, |_, y, x| ((x as f32) * 0.2).sin() + (y as f32) * 0.01);
-        let fin = tmp("p.f32");
-        let farc = tmp("p.cszi");
-        write_f32_field(&fin, &data).unwrap();
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Psnr(60.0),
-            bitcomp: true,
-            verify: false,
-            slab: None,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
+        let data = NdArray::from_fn(Shape::d2(48, 48), |_, y, x| {
+            ((x as f32) * 0.2).sin() + (y as f32) * 0.01
+        });
+        let (fin, farc) = (tmp("p.f32"), tmp("p.cszi"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "48x48", "--psnr", "60",
+            "--verify"])
         .unwrap();
-        assert!(msg.contains("achieved"), "{msg}");
+        // The reported PSNR is the written archive's, as --verify sees it.
+        let db = |after: &str| msg.split(after).nth(1).unwrap().split(" dB").next().unwrap();
+        assert_eq!(db("achieved "), db("verified: PSNR "), "{msg}");
+        for f in [fin, farc] {
+            let _ = fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn psnr_autotune_prints_the_decision_for_the_bound_it_used() {
+        // Dims no other test uses: the autotuner caches per shape.
+        let data = NdArray::from_fn(Shape::d3(20, 22, 26), |z, y, x| {
+            ((x as f32) * 0.3).sin() + ((y + z) as f32 * 0.17).cos()
+        });
+        let (fin, farc) = (tmp("at-in.f32"), tmp("at.cszi"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let compress = |bound: &[&str]| {
+            let args = ["compress", "-i", &fin, "-o", &farc, "--dims", "20x22x26", "--autotune"];
+            cli(&[&args[..], bound].concat()).unwrap()
+        };
+        let decision = |msg: &str| -> String {
+            let lines = msg.lines().take_while(|l| l.starts_with("autotune") || l.starts_with("  "));
+            lines.collect::<Vec<_>>().join("\n")
+        };
+        let by_psnr = compress(&["--psnr", "60"]);
+        let eb_abs = by_psnr.split("abs eb ").nth(1).unwrap().trim();
+        let by_abs = compress(&["--abs-eb", eb_abs]);
+        assert!(decision(&by_psnr).starts_with("autotune decision"), "{by_psnr}");
+        assert_eq!(decision(&by_psnr), decision(&by_abs), "{by_psnr}\n---\n{by_abs}");
         for f in [fin, farc] {
             let _ = fs::remove_file(f);
         }
@@ -957,28 +935,13 @@ mod tests {
 
     #[test]
     fn profiled_compress_writes_trace_and_kernel_table() {
-        let shape = Shape::d3(16, 16, 16);
-        let data = NdArray::from_fn(shape, |z, y, x| {
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
             ((x + y) as f32 * 0.1).sin() + z as f32 * 0.02
         });
-        let fin = tmp("prof-in.f32");
-        let farc = tmp("prof.cszi");
-        let ftrace = tmp("prof.trace.json");
-        write_f32_field(&fin, &data).unwrap();
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Rel(1e-3),
-            bitcomp: true,
-            verify: false,
-            slab: None,
-            streams: None,
-            profile: Some(ftrace.to_string_lossy().into()),
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
+        let (fin, farc, ftrace) = (tmp("prof-in.f32"), tmp("prof.cszi"), tmp("prof.trace.json"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--rel-eb",
+            "1e-3", &format!("--profile={ftrace}")])
         .unwrap();
         // The report names the pipeline kernels and gives verdicts.
         assert!(msg.contains("kernel profile"), "{msg}");
@@ -1040,27 +1003,13 @@ mod tests {
 
     #[test]
     fn audited_compress_prints_drilldown_and_passes_bound() {
-        let shape = Shape::d3(24, 24, 24);
-        let data = NdArray::from_fn(shape, |z, y, x| {
+        let data = NdArray::from_fn(Shape::d3(24, 24, 24), |z, y, x| {
             ((x + 2 * y) as f32 * 0.15).sin() + (z as f32) * 0.04
         });
-        let fin = tmp("audit-in.f32");
-        let farc = tmp("audit.cszi");
-        write_f32_field(&fin, &data).unwrap();
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Rel(1e-3),
-            bitcomp: true,
-            verify: false,
-            slab: None,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: true,
-            prom: None,
-        })
+        let (fin, farc) = (tmp("audit-in.f32"), tmp("audit.cszi"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "24x24x24", "--rel-eb",
+            "1e-3", "--audit"])
         .unwrap();
         assert!(msg.contains("fidelity audit"), "{msg}");
         assert!(msg.contains("anchor"), "{msg}");
@@ -1073,56 +1022,43 @@ mod tests {
     }
 
     #[test]
-    fn audit_rejects_slab_and_pwrel_modes() {
-        let shape = Shape::d3(8, 8, 8);
+    fn psnr_mode_composes_with_audit() {
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
+            ((x + 3 * y) as f32 * 0.12).sin() + (z as f32) * 0.05
+        });
+        let (fin, farc) = (tmp("paudit-in.f32"), tmp("paudit.cszi"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--psnr", "70",
+            "--audit"])
+        .unwrap();
+        assert!(msg.contains("achieved") && msg.contains("fidelity audit"), "{msg}");
+        assert!(!msg.contains("EXCEEDS"), "{msg}");
+        for f in [fin, farc] {
+            let _ = fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn audit_rejects_slab_mode() {
         let fin = tmp("audit-rej.f32");
-        write_f32_field(&fin, &NdArray::zeros(shape)).unwrap();
-        let mk = |mode, slab| Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: "/dev/null".into(),
-            shape,
-            mode,
-            bitcomp: true,
-            verify: false,
-            slab,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: true,
-            prom: None,
-        };
-        let err = run(mk(BoundMode::Abs(1e-3), Some(4))).unwrap_err();
-        assert!(err.0.contains("--audit"), "{err}");
-        let err = run(mk(BoundMode::PwRel(1e-2, 1e-6), None)).unwrap_err();
+        write_f32_field(Path::new(&fin), &NdArray::zeros(Shape::d3(8, 8, 8))).unwrap();
+        let err = cli(&["compress", "-i", &fin, "-o", "/dev/null", "--dims", "8x8x8", "--abs-eb",
+            "1e-3", "--slab", "4", "--audit"])
+        .unwrap_err();
         assert!(err.0.contains("--audit"), "{err}");
         let _ = fs::remove_file(fin);
     }
 
     #[test]
     fn prom_flag_writes_metrics_exposition() {
-        let shape = Shape::d3(16, 16, 16);
-        let data = NdArray::from_fn(shape, |z, y, x| {
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
             ((x + y) as f32 * 0.1).cos() + z as f32 * 0.02
         });
-        let fin = tmp("prom-in.f32");
-        let farc = tmp("prom.cszi");
-        let fprom = tmp("prom.prom");
-        let ftrace = tmp("prom.trace.json");
-        write_f32_field(&fin, &data).unwrap();
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Rel(1e-3),
-            bitcomp: true,
-            verify: false,
-            slab: None,
-            streams: None,
-            profile: Some(ftrace.to_string_lossy().into()),
-            autotune: false,
-            audit: true,
-            prom: Some(fprom.to_string_lossy().into()),
-        })
+        let (fin, farc) = (tmp("prom-in.f32"), tmp("prom.cszi"));
+        let (fprom, ftrace) = (tmp("prom.prom"), tmp("prom.trace.json"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--rel-eb",
+            "1e-3", "--audit", &format!("--profile={ftrace}"), &format!("--prom={fprom}")])
         .unwrap();
         assert!(msg.contains("metrics exposition written"), "{msg}");
         let text = fs::read_to_string(&fprom).unwrap();
@@ -1136,37 +1072,16 @@ mod tests {
 
     #[test]
     fn profiled_decompress_writes_trace() {
-        let shape = Shape::d3(16, 16, 16);
-        let data = NdArray::from_fn(shape, |z, y, x| {
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
             ((x + y) as f32 * 0.1).sin() + z as f32 * 0.02
         });
-        let fin = tmp("dprof-in.f32");
-        let farc = tmp("dprof.cszi");
-        let fout = tmp("dprof-out.f32");
-        let ftrace = tmp("dprof.trace.json");
-        write_f32_field(&fin, &data).unwrap();
-        run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Rel(1e-3),
-            bitcomp: true,
-            verify: false,
-            slab: None,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
-        .unwrap();
-        let msg = run(Command::Decompress {
-            input: farc.to_string_lossy().into(),
-            output: fout.to_string_lossy().into(),
-            streams: None,
-            profile: Some(ftrace.to_string_lossy().into()),
-        })
-        .unwrap();
+        let (fin, farc) = (tmp("dprof-in.f32"), tmp("dprof.cszi"));
+        let (fout, ftrace) = (tmp("dprof-out.f32"), tmp("dprof.trace.json"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--rel-eb", "1e-3"])
+            .unwrap();
+        let msg = cli(&["decompress", "-i", &farc, "-o", &fout, &format!("--profile={ftrace}")])
+            .unwrap();
         assert!(msg.contains("kernel profile"), "{msg}");
         assert!(msg.contains("trace written"), "{msg}");
         let trace = fs::read_to_string(&ftrace).unwrap();
@@ -1181,103 +1096,9 @@ mod tests {
     fn size_mismatch_is_a_clean_error() {
         let fin = tmp("short.f32");
         fs::write(&fin, [0u8; 10]).unwrap();
-        let err = read_f32_field(&fin, Shape::d1(100)).unwrap_err();
+        let err = read_f32_field(Path::new(&fin), Shape::d1(100)).unwrap_err();
         assert!(err.0.contains("need"), "{err}");
         let _ = fs::remove_file(fin);
-    }
-}
-
-#[cfg(test)]
-mod pwrel_cli_tests {
-    use super::*;
-    use cuszi_tensor::{NdArray, Shape};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cuszi-cli-pwrel-{}-{name}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn parse_pw_rel_with_floor() {
-        let args: Vec<String> = [
-            "compress", "-i", "a.f32", "-o", "a.cszi", "--dims", "8x8", "--pw-rel", "1e-2",
-            "--floor", "1e-5",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let cmd = parse_args(&args).unwrap();
-        match cmd {
-            Command::Compress { mode: BoundMode::PwRel(e, f), .. } => {
-                assert_eq!(e, 1e-2);
-                assert_eq!(f, 1e-5);
-            }
-            other => panic!("{other:?}"),
-        }
-        // --floor before --pw-rel is rejected.
-        let bad: Vec<String> =
-            ["compress", "-i", "a", "-o", "b", "--dims", "4", "--floor", "1e-5"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        assert!(parse_args(&bad).is_err());
-    }
-
-    #[test]
-    fn pw_rel_file_roundtrip_via_magic_dispatch() {
-        let shape = Shape::d3(8, 10, 12);
-        let data = NdArray::from_fn(shape, |z, y, x| {
-            ((x + y) as f32 * 0.3).sin() * 10f32.powi((z % 3) as i32 - 1)
-        });
-        let fin = tmp("in.f32");
-        let farc = tmp("a.cszr");
-        let fout = tmp("out.f32");
-        write_f32_field(&fin, &data).unwrap();
-        run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::PwRel(1e-2, 1e-6),
-            bitcomp: true,
-            verify: true,
-            slab: None,
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
-        .unwrap();
-        // Decompress auto-detects the CSZR magic.
-        run(Command::Decompress {
-            input: farc.to_string_lossy().into(),
-            output: fout.to_string_lossy().into(),
-            streams: None,
-            profile: None,
-        })
-        .unwrap();
-        let recon = read_f32_field(&fout, shape).unwrap();
-        for (&a, &b) in data.as_slice().iter().zip(recon.as_slice()) {
-            // pw-rel contract: relative above the floor, ~floor below.
-            let tol = (1.02e-2 * (a.abs() as f64)).max(1.02e-6) + 1e-12;
-            assert!(((a as f64) - (b as f64)).abs() <= tol, "{a} vs {b}");
-        }
-        for f in [fin, farc, fout] {
-            let _ = std::fs::remove_file(f);
-        }
-    }
-}
-
-#[cfg(test)]
-mod slab_cli_tests {
-    use super::*;
-    use cuszi_tensor::{NdArray, Shape};
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cuszi-cli-slab-{}-{name}", std::process::id()));
-        p
     }
 
     #[test]
@@ -1286,64 +1107,57 @@ mod slab_cli_tests {
         let data = NdArray::from_fn(shape, |z, y, x| {
             ((x + y) as f32 * 0.2).sin() + (z as f32) * 0.03
         });
-        let fin = tmp("in.f32");
-        let farc = tmp("a.cszs");
-        let fout = tmp("out.f32");
-        write_f32_field(&fin, &data).unwrap();
-        let msg = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: farc.to_string_lossy().into(),
-            shape,
-            mode: BoundMode::Abs(1e-3),
-            bitcomp: true,
-            verify: false,
-            slab: Some(8),
-            streams: Some(2),
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
+        let (fin, farc, fout) = (tmp("slab-in.f32"), tmp("slab.cszs"), tmp("slab-out.f32"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        let msg = cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "20x12x16", "--abs-eb",
+            "1e-3", "--slab", "8", "--streams", "2"])
         .unwrap();
         assert!(msg.contains("z-slabs of 8"), "{msg}");
-        let dmsg = run(Command::Decompress {
-            input: farc.to_string_lossy().into(),
-            output: fout.to_string_lossy().into(),
-            streams: Some(2),
-            profile: None,
-        })
-        .unwrap();
+        let info = cli(&["info", "-i", &farc]).unwrap();
+        for want in ["20x12x16", "slab z:     8", "slabs:      3", "CR "] {
+            assert!(info.contains(want), "{want}: {info}");
+        }
+        let dmsg = cli(&["decompress", "-i", &farc, "-o", &fout, "--streams", "2"]).unwrap();
         assert!(dmsg.contains("2 streams"), "{dmsg}");
-        let recon = read_f32_field(&fout, shape).unwrap();
+        let recon = read_f32_field(Path::new(&fout), shape).unwrap();
         for (&a, &b) in data.as_slice().iter().zip(recon.as_slice()) {
             assert!((a - b).abs() <= 1e-3 * 1.000001);
         }
         for f in [fin, farc, fout] {
-            let _ = std::fs::remove_file(f);
+            let _ = fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn info_rejects_a_truncated_slab_stream() {
+        let data = NdArray::from_fn(Shape::d3(12, 8, 8), |z, y, x| (x + y + z) as f32 * 0.1);
+        let (fin, farc) = (tmp("slab-cut-in.f32"), tmp("slab-cut.cszs"));
+        write_f32_field(Path::new(&fin), &data).unwrap();
+        cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "12x8x8", "--abs-eb", "1e-3",
+            "--slab", "4"])
+        .unwrap();
+        let bytes = fs::read(&farc).unwrap();
+        fs::write(&farc, &bytes[..bytes.len() - 1]).unwrap();
+        let err = cli(&["info", "-i", &farc]).unwrap_err();
+        assert!(err.0.contains("corrupt archive: slab"), "{err}");
+        for f in [fin, farc] {
+            let _ = fs::remove_file(f);
         }
     }
 
     #[test]
     fn slab_rejects_psnr_mode_and_non_3d() {
-        let shape = Shape::d3(8, 8, 8);
-        let fin = tmp("p.f32");
-        write_f32_field(&fin, &NdArray::zeros(shape)).unwrap();
-        let err = run(Command::Compress {
-            input: fin.to_string_lossy().into(),
-            output: "/dev/null".into(),
-            shape,
-            mode: BoundMode::Psnr(70.0),
-            bitcomp: true,
-            verify: false,
-            slab: Some(4),
-            streams: None,
-            profile: None,
-            autotune: false,
-            audit: false,
-            prom: None,
-        })
-        .unwrap_err();
+        let fin = tmp("slab-rej.f32");
+        write_f32_field(Path::new(&fin), &NdArray::zeros(Shape::d3(8, 8, 8))).unwrap();
+        let slab = |extra: &[&str]| {
+            let args = ["compress", "-i", &fin, "-o", "/dev/null", "--dims", "8x8x8", "--slab", "4"];
+            cli(&[&args[..], extra].concat()).unwrap_err()
+        };
+        let err = slab(&["--psnr", "70"]);
         assert!(err.0.contains("--slab supports"), "{err}");
-        let _ = std::fs::remove_file(fin);
+        // The slab path never holds the whole field, so it cannot verify.
+        let err = slab(&["--abs-eb", "1e-3", "--verify"]);
+        assert!(err.0.contains("--verify"), "{err}");
+        let _ = fs::remove_file(fin);
     }
 }

@@ -1,47 +1,33 @@
-//! Quality-targeted compression: fix the decompression PSNR instead of
-//! the error bound.
+//! `--psnr DB`: fix the decompression PSNR instead of the error bound.
 //!
 //! The paper's rate-distortion comparisons (Fig. 7, Fig. 10) are framed
 //! "at the same PSNR", and its QoZ ancestor [SC'22] made quality-metric
-//! targeting a first-class mode. This module adds that mode on top of
+//! targeting a first-class mode. This is that mode as a client of
 //! [`CuszI`]: a log-domain secant search over the relative error bound,
 //! exploiting that PSNR is close to linear in `log10(eb)` (each 10x of
 //! bound is ~20 dB).
 
+use cuszi_core::{Compressed, Config, CuszError, CuszI};
 use cuszi_metrics::distortion;
 use cuszi_quant::ErrorBound;
 use cuszi_tensor::NdArray;
 
-use crate::config::Config;
-use crate::error::CuszError;
-use crate::pipeline::{Compressed, CuszI};
+/// The search stops once the achieved PSNR is this close to the target.
+const TOL_DB: f64 = 1.0;
 
-/// Result of a PSNR-targeted compression.
-#[derive(Clone, Debug)]
-pub struct QualityResult {
-    /// The archive (from the final accepted iteration).
-    pub compressed: Compressed,
-    /// The achieved decompression PSNR in dB.
-    pub achieved_psnr: f64,
-    /// The relative error bound the search settled on.
-    pub rel_eb: f64,
-    /// Search iterations spent.
-    pub iterations: u32,
-}
-
-/// Compress `data` so the decompressed PSNR lands within `tol_db` of
-/// `target_db` (or as close as the bound range [1e-7, 0.5] allows).
+/// Compress `data` so the decompressed PSNR lands within [`TOL_DB`] of
+/// `target_db` (or as close as the bound range [1e-7, 0.5] allows);
+/// returns the archive and its achieved PSNR.
 ///
 /// `base` supplies everything except the error bound (device, Bitcomp,
 /// tuning, radius). Each iteration runs a full compress+decompress, so
 /// expect a handful of pipeline invocations.
-pub fn compress_to_psnr(
+pub(crate) fn compress_at_psnr(
     data: &NdArray<f32>,
     target_db: f64,
-    tol_db: f64,
     base: Config,
-) -> Result<QualityResult, CuszError> {
-    if !(target_db.is_finite() && target_db > 0.0 && tol_db > 0.0) {
+) -> Result<(Compressed, f64), CuszError> {
+    if !(target_db.is_finite() && target_db > 0.0) {
         return Err(CuszError::InvalidConfig("target PSNR must be positive and finite"));
     }
     // Initial guess from the uniform-quantization-noise model:
@@ -51,9 +37,7 @@ pub fn compress_to_psnr(
 
     let mut best: Option<(f64, f64, Compressed)> = None; // (|gap|, psnr, result)
     let mut prev: Option<(f64, f64)> = None; // (log10 rel, psnr)
-    let mut iterations = 0;
     for _ in 0..10 {
-        iterations += 1;
         let codec = CuszI::new(Config { error_bound: ErrorBound::Rel(rel), ..base });
         let c = codec.compress(data)?;
         let d = codec.decompress(&c.bytes)?;
@@ -64,7 +48,7 @@ pub fn compress_to_psnr(
         if best.as_ref().is_none_or(|(g, _, _)| gap.abs() < *g) {
             best = Some((gap.abs(), psnr, c));
         }
-        if gap.abs() <= tol_db {
+        if gap.abs() <= TOL_DB {
             break;
         }
         // Secant step in (log10 eb, PSNR); fall back to the -20 dB/decade
@@ -86,22 +70,9 @@ pub fn compress_to_psnr(
     }
     // The loop body runs at least once and only `break`s after filling
     // `best`, but keep the no-panic contract total anyway.
-    let (_, achieved_psnr, compressed) =
+    let (_, psnr, compressed) =
         best.ok_or(CuszError::InvalidConfig("PSNR search produced no candidate"))?;
-    let rel_eb = compressed.eb_abs; // absolute; recover relative below
-    let range = {
-        let s = data.as_slice();
-        let (mn, mx) = s
-            .iter()
-            .fold((f32::INFINITY, f32::NEG_INFINITY), |(a, b), &v| (a.min(v), b.max(v)));
-        (mx - mn) as f64
-    };
-    Ok(QualityResult {
-        compressed,
-        achieved_psnr,
-        rel_eb: if range > 0.0 { rel_eb / range } else { 0.0 },
-        iterations,
-    })
+    Ok((compressed, psnr))
 }
 
 #[cfg(test)]
@@ -116,46 +87,63 @@ mod tests {
         })
     }
 
+    fn base() -> Config {
+        Config::new(ErrorBound::Rel(1e-3))
+    }
+
     #[test]
     fn hits_a_moderate_target() {
-        let data = field();
-        let base = Config::new(ErrorBound::Rel(1e-3));
-        let r = compress_to_psnr(&data, 70.0, 1.5, base).unwrap();
-        assert!(
-            (r.achieved_psnr - 70.0).abs() <= 1.5,
-            "achieved {:.2} dB after {} iters",
-            r.achieved_psnr,
-            r.iterations
-        );
-        assert!(r.iterations <= 10);
+        let (_, psnr) = compress_at_psnr(&field(), 70.0, base()).unwrap();
+        assert!((psnr - 70.0).abs() <= TOL_DB, "achieved {psnr:.2} dB");
     }
 
     #[test]
     fn higher_target_costs_more_bytes() {
         let data = field();
-        let base = Config::new(ErrorBound::Rel(1e-3));
-        let lo = compress_to_psnr(&data, 55.0, 2.0, base).unwrap();
-        let hi = compress_to_psnr(&data, 90.0, 2.0, base).unwrap();
-        assert!(hi.compressed.bytes.len() > lo.compressed.bytes.len());
-        assert!(hi.rel_eb < lo.rel_eb);
+        let (lo, _) = compress_at_psnr(&data, 55.0, base()).unwrap();
+        let (hi, _) = compress_at_psnr(&data, 90.0, base()).unwrap();
+        assert!(hi.bytes.len() > lo.bytes.len());
+        assert!(hi.eb_abs < lo.eb_abs);
     }
 
     #[test]
     fn rejects_nonsense_targets() {
         let data = field();
-        let base = Config::new(ErrorBound::Rel(1e-3));
-        assert!(compress_to_psnr(&data, -5.0, 1.0, base).is_err());
-        assert!(compress_to_psnr(&data, f64::NAN, 1.0, base).is_err());
-        assert!(compress_to_psnr(&data, 60.0, 0.0, base).is_err());
+        assert!(compress_at_psnr(&data, -5.0, base()).is_err());
+        assert!(compress_at_psnr(&data, f64::NAN, base()).is_err());
+    }
+
+    #[test]
+    fn unreachable_target_returns_the_closest_candidate() {
+        // 1 dB needs a bound past the 0.5 clamp: the search stops at the
+        // range edge and returns its best archive instead of failing.
+        let data = field();
+        let (c, psnr) = compress_at_psnr(&data, 1.0, base()).unwrap();
+        assert!(psnr > 1.0 + TOL_DB, "achieved {psnr:.2} dB");
+        let range = cuszi_tensor::stats::ValueRange::of(data.as_slice()).unwrap().range() as f64;
+        assert!((c.eb_abs / range - 0.5).abs() < 1e-9, "eb_abs {}", c.eb_abs);
+    }
+
+    #[test]
+    fn search_is_deterministic() {
+        let data = field();
+        let (a, pa) = compress_at_psnr(&data, 70.0, base()).unwrap();
+        let (b, pb) = compress_at_psnr(&data, 70.0, base()).unwrap();
+        assert_eq!((a.bytes, pa), (b.bytes, pb));
+    }
+
+    #[test]
+    fn search_keeps_the_base_settings() {
+        let (c, _) = compress_at_psnr(&field(), 70.0, base().without_bitcomp()).unwrap();
+        let h = cuszi_core::archive::Header::from_bytes(&c.bytes).unwrap();
+        assert_eq!(h.flags & cuszi_core::archive::FLAG_BITCOMP, 0);
     }
 
     #[test]
     fn archive_is_a_normal_cuszi_archive() {
         let data = field();
-        let base = Config::new(ErrorBound::Rel(1e-3));
-        let r = compress_to_psnr(&data, 65.0, 2.0, base).unwrap();
-        let codec = CuszI::new(base);
-        let d = codec.decompress(&r.compressed.bytes).unwrap();
+        let (c, _) = compress_at_psnr(&data, 65.0, base()).unwrap();
+        let d = CuszI::new(base()).decompress(&c.bytes).unwrap();
         assert_eq!(d.data.shape(), data.shape());
     }
 }

@@ -45,8 +45,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod pipeline;
-pub mod quality;
-pub mod pwrel;
 pub mod report;
 pub mod sched;
 pub mod shard;
@@ -65,9 +63,7 @@ pub use engine::{Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobR
 pub use cuszi_predict::tuning::{autotune, AutotuneDecision};
 pub use error::{CuszError, StageFaultKind};
 pub use pipeline::{Compressed, CuszI, Decompressed, SectionSizes};
-pub use quality::{compress_to_psnr, QualityResult};
 pub use batch::{compress_fields_streams, decompress_fields_streams, Container, NamedField};
-pub use pwrel::{compress_pw_rel, decompress_pw_rel, PwRelCompressed};
 pub use report::{render_breakdown, stage_breakdown, StageCost};
 pub use sched::{default_streams, ScheduleReport};
 pub use shard::{

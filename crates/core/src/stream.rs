@@ -25,7 +25,7 @@ const MAGIC: &[u8; 4] = b"CSZS";
 
 /// CSZS geometry: the field shape and slab thickness, which fix the
 /// slab count and every slab's shape.
-pub(crate) struct SlabGeometry {
+pub struct SlabGeometry {
     pub shape: Shape,
     pub slab_z: usize,
     pub nslabs: usize,
@@ -77,7 +77,7 @@ pub(crate) fn push_slab(out: &mut Vec<u8>, archive: Vec<u8>) {
 /// Validate the stream header and walk the entry table (checked, see
 /// [`crate::wire::entry`]), returning the geometry and each slab
 /// archive's byte range.
-pub(crate) fn parse_slab_container(
+pub fn parse_slab_container(
     bytes: &[u8],
 ) -> Result<(SlabGeometry, Vec<Range<usize>>), CuszError> {
     if bytes.len() < 4 + 1 + 24 + 8 || &bytes[0..4] != MAGIC {
@@ -204,6 +204,19 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, vec![(0, 4), (4, 4), (8, 2)]);
+    }
+
+    #[test]
+    fn parse_reports_the_written_geometry() {
+        let shape = Shape::d3(10, 8, 8);
+        let full = full_field(shape);
+        let cfg = Config::new(ErrorBound::Rel(1e-3));
+        let bytes = compress_slabs(shape, 4, cfg, |z0, nz| slab_of(&full, z0, nz)).unwrap();
+        let (geo, entries) = parse_slab_container(&bytes).unwrap();
+        assert_eq!((geo.shape, geo.slab_z, geo.nslabs), (shape, 4, 3));
+        assert_eq!(entries.len(), 3);
+        assert_eq!(entries[2].end, bytes.len());
+        assert!(parse_slab_container(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Archive a whole multi-field dataset — the Table II/III workflow as a
-//! library use case — including a point-wise-relative field.
+//! library use case.
 //!
-//! Cosmology outputs mix fields that want different bound semantics:
-//! velocities tolerate a value-range-relative bound, but baryon density
-//! spans many decades and needs a *point-wise* relative bound or the
-//! low-density voids are destroyed. This example packs both into one
-//! container + a pw-rel side archive and verifies each contract.
+//! Every field of a Nyx-like cosmology snapshot goes into one multi-field
+//! container at the paper's value-range-relative bound, the container is
+//! decoded back, and each field's bound is checked against its own value
+//! range.
 //!
 //! ```text
 //! cargo run --release --example dataset_archive
 //! ```
 
 use cuszi_repro::core::{
-    compress_fields_streams, compress_pw_rel, decompress_fields_streams, decompress_pw_rel,
-    default_streams, Config, NamedField,
+    compress_fields_streams, decompress_fields_streams, default_streams, Config, NamedField,
 };
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::quant::ErrorBound;
@@ -22,13 +20,10 @@ fn main() {
     let ds = generate(DatasetKind::Nyx, Scale::Small, 42);
     let cfg = Config::new(ErrorBound::Rel(1e-3));
 
-    // Fields 1..: value-range-relative is fine (smooth, single-scale).
-    let rel_fields: Vec<NamedField> = ds.fields[2..]
-        .iter()
-        .map(|f| NamedField { name: f.name, data: &f.data })
-        .collect();
+    let fields: Vec<NamedField> =
+        ds.fields.iter().map(|f| NamedField { name: f.name, data: &f.data }).collect();
     let (container, _) =
-        compress_fields_streams(&rel_fields, cfg, default_streams()).expect("container");
+        compress_fields_streams(&fields, cfg, default_streams()).expect("container");
     println!("container: {} fields, aggregate CR {:.1}", container.fields.len(), container.aggregate_cr());
     for f in &container.fields {
         println!(
@@ -40,20 +35,10 @@ fn main() {
         );
     }
 
-    // Density: point-wise relative, preserving the voids.
-    let density = &ds.fields[0];
-    let pw = compress_pw_rel(&density.data, 1e-2, 1e-6, cfg).expect("pw-rel");
-    println!(
-        "\npw-rel {}: {:.1} KB -> {:.1} KB (eps 1e-2 of each value)",
-        density.name,
-        (density.data.len() * 4) as f64 / 1e3,
-        pw.bytes.len() as f64 / 1e3
-    );
-
-    // Verify both contracts.
+    // Verify every field's bound against its own value range.
     let (back, _) = decompress_fields_streams(&container.bytes, cfg, default_streams())
         .expect("container decompress");
-    for ((name, recon), orig) in back.iter().zip(&ds.fields[2..]) {
+    for ((name, recon), orig) in back.iter().zip(&ds.fields) {
         let s = orig.data.as_slice();
         let range = s.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
             - s.iter().cloned().fold(f32::INFINITY, f32::min);
@@ -67,14 +52,5 @@ fn main() {
             "{name}"
         );
     }
-    let dens_recon = decompress_pw_rel(&pw.bytes, cfg).expect("pw-rel decompress");
-    let mut worst_rel = 0.0f64;
-    for (&a, &b) in density.data.as_slice().iter().zip(dens_recon.as_slice()) {
-        if a.abs() > 1e-6 {
-            worst_rel = worst_rel.max(((a - b).abs() / a.abs()) as f64);
-        }
-    }
-    println!("worst point-wise relative error on density: {worst_rel:.2e} (bound 1.00e-2)");
-    assert!(worst_rel <= 1e-2 * 1.001);
-    println!("all contracts verified");
+    println!("all {} fields within their bounds", back.len());
 }

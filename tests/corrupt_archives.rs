@@ -8,9 +8,8 @@
 
 use cuszi_repro::core::archive::{Header, HEADER_LEN};
 use cuszi_repro::core::{
-    compress_fields_streams, compress_pw_rel, compress_slabs_streams, decompress_fields_streams,
-    decompress_pw_rel, decompress_slabs_streams, default_streams, Config, CuszError, CuszI,
-    NamedField,
+    compress_fields_streams, compress_slabs_streams, decompress_fields_streams,
+    decompress_slabs_streams, default_streams, Config, CuszError, CuszI, NamedField,
 };
 use cuszi_repro::quant::ErrorBound;
 use cuszi_repro::tensor::{NdArray, Shape};
@@ -41,7 +40,6 @@ fn archives() -> Vec<(&'static str, Vec<u8>, DecompressOk)> {
     })
     .unwrap()
     .0;
-    let cszr = compress_pw_rel(&data, 1e-3, 1e-6, cfg).unwrap().bytes;
     vec![
         ("CSZI", cszi, Box::new(move |b: &[u8]| CuszI::new(cfg).decompress(b).is_ok()) as _),
         (
@@ -62,7 +60,6 @@ fn archives() -> Vec<(&'static str, Vec<u8>, DecompressOk)> {
                 decompress_slabs_streams(b, cfg, default_streams(), |_, _| {}).is_ok()
             }) as _,
         ),
-        ("CSZR", cszr, Box::new(move |b: &[u8]| decompress_pw_rel(b, cfg).is_ok()) as _),
     ]
 }
 
