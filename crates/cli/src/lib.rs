@@ -44,9 +44,6 @@ pub enum Command {
         /// Profile the run: `Some(path)` writes a Chrome trace there,
         /// `Some("")` uses `<output>.trace.json`.
         profile: Option<String>,
-        /// Run the calibrated autotuner and print its candidate orders
-        /// and decision.
-        autotune: bool,
         /// Stream the fidelity audit and print the per-interp-level
         /// drill-down (includes a sampled decode-verify pass).
         audit: bool,
@@ -118,8 +115,8 @@ USAGE:
   cuszi compress   -i <in.f32> -o <out.cszi> --dims ZxYxX
                    (--rel-eb E | --abs-eb E | --psnr DB)
                    [--no-bitcomp] [--verify] [--slab Z [--streams N]]
-                   [--profile[=TRACE.json]] [--autotune]
-                   [--audit] [--prom[=METRICS.prom]]
+                   [--profile[=TRACE.json]] [--audit]
+                   [--prom[=METRICS.prom]]
   cuszi decompress -i <in.cszi> -o <out.f32> [--streams N]
                    [--profile[=TRACE.json]]
   cuszi info       -i <in.cszi>
@@ -137,12 +134,6 @@ bottleneck verdicts, and a span time summary.
 decompression across N gpu-sim streams (default: auto from
 CUSZI_STREAMS or core count). Archives and reconstructions are
 byte-identical for any stream count.
-
---autotune replaces the static tuner's dimension order with a calibrated
-one: a centre crop is compressed once per candidate order and the order
-with the largest zero-code fraction wins (ties keep the profiled order).
-The candidate orders and their zero-code fractions are printed with the
-decision. Decisions are cached per dataset family.
 
 --audit streams the fidelity audit: per-interp-level element/outlier
 counts, quant-code entropy, anchor share, hot-block outlier counts,
@@ -181,7 +172,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut slab = None;
     let mut streams = None;
     let mut profile = None;
-    let mut autotune = false;
     let mut audit = false;
     let mut prom = None;
     let mut addr = None;
@@ -214,7 +204,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             "--no-bitcomp" => bitcomp = false,
             "--verify" => verify = true,
-            "--autotune" => autotune = true,
             "--audit" => audit = true,
             "--prom" => prom = Some(String::new()),
             p if p.starts_with("--prom=") => {
@@ -302,7 +291,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             slab,
             streams,
             profile,
-            autotune,
             audit,
             prom,
         }),
@@ -355,7 +343,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             slab,
             streams,
             profile,
-            autotune,
             audit,
             prom,
         } => {
@@ -364,7 +351,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let prom_path = prom.as_ref().map(|p| {
                 if p.is_empty() { format!("{output}.prom") } else { p.clone() }
             });
-            let opts = CompressOpts { bitcomp, verify, autotune, audit };
+            let opts = CompressOpts { bitcomp, verify, audit };
             let profiling = profile.is_some() || prom.is_some();
             profiled(profiling.then(|| trace_path(&profile, &output)), prom_path, || {
                 if let Some(slab_z) = slab {
@@ -429,7 +416,6 @@ fn profiled(
 struct CompressOpts {
     bitcomp: bool,
     verify: bool,
-    autotune: bool,
     audit: bool,
 }
 
@@ -438,9 +424,6 @@ impl CompressOpts {
     fn apply(&self, mut cfg: Config) -> Config {
         if !self.bitcomp {
             cfg = cfg.without_bitcomp();
-        }
-        if self.autotune {
-            cfg = cfg.with_kernel_autotune();
         }
         if self.audit {
             cfg = cfg.with_audit();
@@ -493,15 +476,6 @@ fn compress_whole(
         _ => (CuszI::new(base).compress(&data)?, None),
     };
     let Compressed { bytes, eb_abs, audit: audit_rep, .. } = c;
-    if opts.autotune && eb_abs > 0.0 {
-        // The decision for the bound the archive used; the compress
-        // above filled the per-family cache, so this is a lookup.
-        if let Some(range) = cuszi_tensor::stats::ValueRange::of(data.as_slice()) {
-            let rel_eb = eb_abs / range.range() as f64;
-            let d = cuszi_core::autotune(&data, rel_eb, eb_abs, base.radius, &base.device);
-            writeln!(out, "{}", d.render().trim_end()).ok();
-        }
-    }
     if let Some((db, psnr)) = achieved {
         writeln!(out, "psnr target {db:.1} dB -> achieved {psnr:.1} dB").ok();
     }
@@ -763,7 +737,6 @@ mod tests {
                 slab: None,
                 streams: None,
                 profile: None,
-                autotune: false,
                 audit: false,
                 prom: None,
             }
@@ -771,13 +744,16 @@ mod tests {
     }
 
     #[test]
-    fn fuse_is_not_a_compress_flag() {
-        let err = parse_args(&strings(&[
-            "compress", "-i", "a.f32", "-o", "a.cszi", "--dims", "8x8x8", "--rel-eb", "1e-3",
-            "--fuse",
-        ]))
-        .unwrap_err();
-        assert!(err.0.contains("unknown argument '--fuse'"), "{err}");
+    fn removed_flags_are_unknown_arguments() {
+        for name in ["fuse", "autotune"] {
+            let flag = format!("--{name}");
+            let err = parse_args(&strings(&[
+                "compress", "-i", "a.f32", "-o", "a.cszi", "--dims", "8x8x8", "--rel-eb", "1e-3",
+                &flag,
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains(&format!("unknown argument '{flag}'")), "{err}");
+        }
     }
 
     #[test]
@@ -859,21 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn autotune_on_a_constant_field_prints_no_decision() {
-        // A constant field compresses without the tuner, so there is no
-        // decision to report, whatever the bound mode.
-        let fin = tmp("const.f32");
-        write_f32_field(Path::new(&fin), &NdArray::from_fn(Shape::d3(6, 6, 6), |_, _, _| 3.0))
-            .unwrap();
-        for bound in [["--rel-eb", "1e-3"], ["--abs-eb", "1e-3"]] {
-            let args = ["compress", "-i", &fin, "-o", "/dev/null", "--dims", "6x6x6", "--autotune"];
-            let msg = cli(&[&args[..], &bound[..]].concat()).unwrap();
-            assert!(!msg.contains("autotune decision"), "{msg}");
-        }
-        let _ = fs::remove_file(fin);
-    }
-
-    #[test]
     fn psnr_mode_reports_achieved() {
         let data = NdArray::from_fn(Shape::d2(48, 48), |_, y, x| {
             ((x as f32) * 0.2).sin() + (y as f32) * 0.01
@@ -892,27 +853,18 @@ mod tests {
     }
 
     #[test]
-    fn psnr_autotune_prints_the_decision_for_the_bound_it_used() {
-        // Dims no other test uses: the autotuner caches per shape.
-        let data = NdArray::from_fn(Shape::d3(20, 22, 26), |z, y, x| {
-            ((x as f32) * 0.3).sin() + ((y + z) as f32 * 0.17).cos()
-        });
-        let (fin, farc) = (tmp("at-in.f32"), tmp("at.cszi"));
+    fn constant_field_roundtrips_exactly_in_every_bound_mode() {
+        let data = NdArray::from_fn(Shape::d3(6, 6, 6), |_, _, _| 3.0);
+        let (fin, farc, fout) = (tmp("const.f32"), tmp("const.cszi"), tmp("const-out.f32"));
         write_f32_field(Path::new(&fin), &data).unwrap();
-        let compress = |bound: &[&str]| {
-            let args = ["compress", "-i", &fin, "-o", &farc, "--dims", "20x22x26", "--autotune"];
-            cli(&[&args[..], bound].concat()).unwrap()
-        };
-        let decision = |msg: &str| -> String {
-            let lines = msg.lines().take_while(|l| l.starts_with("autotune") || l.starts_with("  "));
-            lines.collect::<Vec<_>>().join("\n")
-        };
-        let by_psnr = compress(&["--psnr", "60"]);
-        let eb_abs = by_psnr.split("abs eb ").nth(1).unwrap().trim();
-        let by_abs = compress(&["--abs-eb", eb_abs]);
-        assert!(decision(&by_psnr).starts_with("autotune decision"), "{by_psnr}");
-        assert_eq!(decision(&by_psnr), decision(&by_abs), "{by_psnr}\n---\n{by_abs}");
-        for f in [fin, farc] {
+        for bound in [["--rel-eb", "1e-3"], ["--abs-eb", "1e-3"], ["--psnr", "60"]] {
+            let args = ["compress", "-i", &fin, "-o", &farc, "--dims", "6x6x6", "--verify"];
+            cli(&[&args[..], &bound[..]].concat()).unwrap();
+            cli(&["decompress", "-i", &farc, "-o", &fout]).unwrap();
+            let recon = read_f32_field(Path::new(&fout), data.shape()).unwrap();
+            assert_eq!(recon.as_slice(), data.as_slice(), "{bound:?}");
+        }
+        for f in [fin, farc, fout] {
             let _ = fs::remove_file(f);
         }
     }

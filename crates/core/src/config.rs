@@ -5,13 +5,15 @@ use cuszi_quant::ErrorBound;
 
 /// cuSZ-i configuration. Construct with [`Config::new`] and adjust with
 /// the builder methods; the defaults reproduce the paper's evaluated
-/// pipeline (auto-tuning on, Bitcomp pass on, radius 512, top-32
-/// histogram cache).
+/// pipeline (the § V-C profiling tuner on, Bitcomp pass on, radius 512,
+/// top-32 histogram cache).
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     /// User error bound (Table III uses value-range-relative bounds).
     pub error_bound: ErrorBound,
-    /// Outlier threshold `R`; the Huffman alphabet is `2R`.
+    /// Outlier threshold `R`; the Huffman alphabet is `2R`. Compression
+    /// refuses (`InvalidConfig`) a radius whose `2R`-bin histogram does
+    /// not fit the device's per-block shared memory.
     pub radius: u16,
     /// Run the § V-C profiling/auto-tuning kernel (spline + dim order +
     /// Eq. 1 alpha). Off = untuned defaults (the ablation baseline).
@@ -21,11 +23,6 @@ pub struct Config {
     /// Top-k register-cached histogram bins (§ VI-A); 0 disables the
     /// cache, 1 is the graceful-degradation fallback.
     pub histogram_topk: usize,
-    /// Replace the static § V-C tuner's dimension order with the one
-    /// that zeroes the most quant-codes on a calibration crop. Off by
-    /// default (archives can differ from the static tuner's when the
-    /// calibrated order differs).
-    pub kernel_autotune: bool,
     /// Stream the fidelity audit ([`crate::audit`]) during compression:
     /// per-interp-level outlier/entropy/anchor counters, surfaced in
     /// [`crate::pipeline::Compressed::audit`]. Off by default — the
@@ -44,7 +41,6 @@ impl Config {
             auto_tune: true,
             bitcomp: true,
             histogram_topk: 32,
-            kernel_autotune: false,
             audit: false,
             device: A100,
         }
@@ -53,15 +49,6 @@ impl Config {
     /// Enable the streaming fidelity audit.
     pub fn with_audit(mut self) -> Self {
         self.audit = true;
-        self
-    }
-
-    /// Enable the calibrated kernel autotuner (supersedes
-    /// [`auto_tune`] when set).
-    ///
-    /// [`auto_tune`]: Config::auto_tune
-    pub fn with_kernel_autotune(mut self) -> Self {
-        self.kernel_autotune = true;
         self
     }
 
@@ -102,7 +89,6 @@ mod tests {
         assert!(c.auto_tune);
         assert!(c.bitcomp);
         assert_eq!(c.histogram_topk, 32);
-        assert!(!c.kernel_autotune, "kernel autotuner is opt-in");
         assert!(!c.audit, "the fidelity audit is opt-in");
         assert_eq!(c.device.name, "A100-40GB");
     }
@@ -112,10 +98,8 @@ mod tests {
         let c = Config::new(ErrorBound::Abs(0.5))
             .without_bitcomp()
             .without_tuning()
-            .with_radius(256)
-            .with_kernel_autotune();
+            .with_radius(256);
         assert!(!c.bitcomp && !c.auto_tune);
         assert_eq!(c.radius, 256);
-        assert!(c.kernel_autotune);
     }
 }

@@ -258,7 +258,6 @@ struct SessionKey {
     eb_bits: u64,
     radius: u16,
     auto_tune: bool,
-    kernel_autotune: bool,
     bitcomp: bool,
     topk: usize,
     device: &'static str,
@@ -277,7 +276,6 @@ impl SessionKey {
             eb_bits,
             radius: cfg.radius,
             auto_tune: cfg.auto_tune,
-            kernel_autotune: cfg.kernel_autotune,
             bitcomp: cfg.bitcomp,
             topk: cfg.histogram_topk,
             device: cfg.device.name,
@@ -1194,5 +1192,12 @@ mod tests {
         assert!(job.to_string().starts_with("job failed: "), "{job}");
         assert!(std::error::Error::source(&job).is_some(), "a job failure keeps its cause");
         assert!(std::error::Error::source(&EngineError::Canceled).is_none());
+    }
+
+    #[test]
+    fn engine_refuses_a_radius_past_shared_memory() {
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        let err = engine.compress("t0", field(), cfg().with_radius(32767)).unwrap_err();
+        assert!(matches!(err, EngineError::Job(CuszError::InvalidConfig(_))), "{err:?}");
     }
 }

@@ -58,9 +58,6 @@ pub use arena::ScratchArena;
 pub use audit::{AuditReport, LevelAudit};
 pub use config::Config;
 pub use engine::{Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobResult, Ticket};
-// Surface the calibrated autotuner so front ends (CLI, bench) can
-// print its decision without a direct predict dependency.
-pub use cuszi_predict::tuning::{autotune, AutotuneDecision};
 pub use error::{CuszError, StageFaultKind};
 pub use pipeline::{Compressed, CuszI, Decompressed, SectionSizes};
 pub use batch::{compress_fields_streams, decompress_fields_streams, Container, NamedField};

@@ -121,6 +121,10 @@ impl CuszI {
         if cfg.radius == 0 {
             return Err(CuszError::InvalidConfig("radius must be >= 1"));
         }
+        let hist_shared = cuszi_huffman::histogram_shared_bytes(2 * cfg.radius as usize);
+        if hist_shared > cfg.device.shared_mem_per_block as usize {
+            return Err(CuszError::InvalidConfig("radius overflows the histogram's shared memory"));
+        }
         if !cfg.error_bound.is_valid() {
             return Err(CuszError::InvalidErrorBound);
         }
@@ -400,31 +404,51 @@ mod tests {
     }
 
     #[test]
-    fn kernel_autotuned_archive_roundtrips() {
-        let data = field(Shape::d3(24, 24, 24));
-        let codec = CuszI::new(Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune());
-        let c = codec.compress(&data).unwrap();
-        let d = codec.decompress(&c.bytes).unwrap();
-        assert_eq!(check_error_bound(data.as_slice(), d.data.as_slice(), c.eb_abs), None);
-        // Deterministic: a second run (cache hit) produces the same
-        // archive bytes.
-        let c2 = codec.compress(&data).unwrap();
-        assert_eq!(c.bytes, c2.bytes);
+    fn radius_past_the_histogram_shared_memory_is_an_invalid_config() {
+        use cuszi_gpu_sim::{A100, A40};
+        // The histogram keeps 2·radius u32 bins in shared memory: the
+        // largest radius that fits is 164 KiB / 8 on the A100 and
+        // 100 KiB / 8 on the A40.
+        let data = field(Shape::d3(16, 16, 16));
+        for (device, radius, fits) in [
+            (A100, 32767, false),
+            (A40, 32767, false),
+            (A100, 20_992, true),
+            (A40, 12_800, true),
+        ] {
+            let cfg = Config::new(ErrorBound::Rel(1e-3)).on_device(device).with_radius(radius);
+            let codec = CuszI::new(cfg);
+            match codec.compress(&data) {
+                Ok(c) => {
+                    assert!(fits, "{} radius {radius} must be refused", device.name);
+                    let d = codec.decompress(&c.bytes).unwrap();
+                    let err = check_error_bound(data.as_slice(), d.data.as_slice(), c.eb_abs);
+                    assert_eq!(err, None);
+                }
+                Err(e) => {
+                    assert!(!fits, "{} radius {radius} must compress: {e}", device.name);
+                    assert!(matches!(e, CuszError::InvalidConfig(_)), "{e:?}");
+                }
+            }
+        }
     }
 
     #[test]
-    fn kernel_autotuned_archive_matches_the_static_tuner_on_a_tie() {
-        // Linear in every axis: every candidate order predicts exactly,
-        // the tie keeps the profiled order, and the autotuner applies
-        // nothing else — so the archive is the static tuner's.
-        let data = NdArray::from_fn(Shape::d3(25, 25, 57), |z, y, x| {
-            0.5 * z as f32 + 0.25 * y as f32 + 0.125 * x as f32
-        });
-        let plain = CuszI::new(Config::new(ErrorBound::Rel(1e-3)));
-        let tuned = CuszI::new(Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune());
-        let cp = plain.compress(&data).unwrap();
-        let ct = tuned.compress(&data).unwrap();
-        assert_eq!(ct.bytes, cp.bytes);
-        assert_eq!(ct.kernels.len(), cp.kernels.len());
+    fn tuned_archive_carries_the_profiled_config() {
+        let data = field(Shape::d3(24, 24, 24));
+        let c = CuszI::new(Config::new(ErrorBound::Rel(1e-3))).compress(&data).unwrap();
+        assert_eq!(c.interp, cuszi_predict::tuning::profile_and_tune(&data, 1e-3).0);
+        assert_eq!(Header::from_bytes(&c.bytes).unwrap().interp_config(), c.interp);
+    }
+
+    #[test]
+    fn untuned_archive_carries_the_natural_order_and_eq1_alpha() {
+        use cuszi_predict::tuning::alpha_from_rel_eb;
+        let data = field(Shape::d3(24, 24, 24));
+        let cfg = Config::new(ErrorBound::Rel(1e-3)).without_tuning();
+        let c = CuszI::new(cfg).compress(&data).unwrap();
+        let want = InterpConfig { alpha: alpha_from_rel_eb(1e-3), ..InterpConfig::untuned(3) };
+        assert_eq!(c.interp, want);
+        assert_eq!(Header::from_bytes(&c.bytes).unwrap().interp_config(), want);
     }
 }

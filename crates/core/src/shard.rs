@@ -330,4 +330,12 @@ mod tests {
         assert!(back.is_empty());
         assert_eq!(report.sim_speedup(), 1.0);
     }
+
+    #[test]
+    fn sharded_compress_refuses_a_radius_past_shared_memory() {
+        let fs = fields();
+        let cfg = Config::new(ErrorBound::Rel(1e-3)).with_radius(32767);
+        let err = compress_fields_sharded(&named(&fs), cfg, ShardPlan::new(2)).unwrap_err();
+        assert!(matches!(err, CuszError::InvalidConfig(_)), "{err:?}");
+    }
 }

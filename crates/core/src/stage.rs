@@ -253,8 +253,7 @@ impl StageGraph {
 /// [`crate::engine`]).
 #[derive(Clone, Debug)]
 pub struct WarmStart {
-    /// The tuned interpolation configuration (skips `tune`, including
-    /// the autotuner's calibration sweep).
+    /// The tuned interpolation configuration (skips `tune`).
     pub interp: InterpConfig,
     /// The Huffman codebook (skips `histogram` + `codebook`).
     pub book: Codebook,
@@ -427,19 +426,7 @@ impl<'a> CompressJob<'a> {
     /// § V-C: profiling + auto-tuning (the untuned ablation still
     /// applies Eq. 1's alpha from the relative bound).
     fn tune(&mut self) -> Result<(), CuszError> {
-        self.interp = Some(if self.cfg.kernel_autotune {
-            // Calibrated autotuner: compresses a centre crop once per
-            // candidate order and keeps the one that zeroes the most
-            // quant-codes.
-            cuszi_predict::tuning::autotune(
-                self.data,
-                self.rel_eb,
-                self.eb_abs,
-                self.cfg.radius,
-                &self.cfg.device,
-            )
-            .config
-        } else if self.cfg.auto_tune {
+        self.interp = Some(if self.cfg.auto_tune {
             profile_and_tune(self.data, self.rel_eb).0
         } else {
             InterpConfig {
@@ -794,7 +781,6 @@ mod tests {
         for cfg in [
             Config::new(ErrorBound::Rel(1e-3)),
             Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
-            Config::new(ErrorBound::Rel(1e-3)).with_kernel_autotune(),
             Config::new(ErrorBound::Rel(1e-3)).without_tuning(),
         ] {
             let tail: &[StageKind] = if cfg.bitcomp { &[Bitcomp, Finalize] } else { &[Finalize] };

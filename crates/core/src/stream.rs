@@ -288,4 +288,13 @@ mod tests {
         padded.push(0);
         assert!(decompress_slabs(&padded, cfg, |_, _| {}).is_err());
     }
+
+    #[test]
+    fn slab_stream_refuses_a_radius_past_shared_memory() {
+        let shape = Shape::d3(10, 8, 8);
+        let full = full_field(shape);
+        let cfg = Config::new(ErrorBound::Rel(1e-3)).with_radius(32767);
+        let err = compress_slabs(shape, 4, cfg, |z0, nz| slab_of(&full, z0, nz)).unwrap_err();
+        assert!(matches!(err, CuszError::InvalidConfig(_)), "{err:?}");
+    }
 }

@@ -8,6 +8,13 @@ use cuszi_gpu_sim::exec::GlobalAtomicU32;
 /// Elements processed per thread block.
 pub const HIST_CHUNK: usize = 1 << 16;
 
+/// Shared memory one histogram block takes for an `alphabet`-bin
+/// histogram: its block-private `u32` bins. Callers check it against
+/// the device's `shared_mem_per_block` before launching.
+pub fn histogram_shared_bytes(alphabet: usize) -> usize {
+    alphabet * std::mem::size_of::<u32>()
+}
+
 /// Build the quant-code histogram.
 ///
 /// Each block tallies its chunk into a block-private (shared-memory)
@@ -153,5 +160,15 @@ mod tests {
         let c = vec![0u16, 1, 15, 15, 15];
         let (h, _) = histogram_gpu(&c, 16, 0, 8, &A100);
         assert_eq!(h, histogram_reference(&c, 16));
+    }
+
+    #[test]
+    fn shared_bytes_bound_the_largest_launchable_alphabet() {
+        // 2·20,992 u32 bins fill the A100's 164 KiB block exactly.
+        let alphabet = 2 * 20_992;
+        assert_eq!(histogram_shared_bytes(alphabet), A100.shared_mem_per_block as usize);
+        let c = codes(10_000);
+        let (h, _) = histogram_gpu(&c, alphabet, 20_992, 32, &A100);
+        assert_eq!(h, histogram_reference(&c, alphabet));
     }
 }

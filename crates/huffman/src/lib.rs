@@ -23,4 +23,4 @@ pub use coding::{
     decode_gpu, decode_gpu_serial, encode_gpu, DecodeError, Decoded, EncodedStream, GapReport,
     GAP_NONE, GAP_SECTOR_BYTES,
 };
-pub use histogram::histogram_gpu;
+pub use histogram::{histogram_gpu, histogram_shared_bytes};

@@ -11,12 +11,8 @@
 //!   error — interpolated *first*, so fewer interpolations run along it)
 //!   to smoothest.
 
-use std::sync::Mutex;
-
-use cuszi_gpu_sim::DeviceSpec;
 use cuszi_tensor::{NdArray, Shape};
 
-use crate::ginterp;
 use crate::splines::{cubic, CubicVariant};
 use crate::sweep::active_axes;
 
@@ -181,194 +177,6 @@ fn sample_points(shape: Shape) -> Vec<[usize; 3]> {
     out
 }
 
-// ---------------------------------------------------------------------
-// Calibrated autotuner (§ V-C extended): a short calibration pass over a
-// deterministic crop runs the real G-Interp kernel once per candidate
-// dimension order and keeps the order that zeroes the most quant-codes.
-// ---------------------------------------------------------------------
-
-/// One calibration candidate: a dimension order and the fraction of
-/// its quant-codes at the zero-error code on the calibration crop (the
-/// prediction-quality proxy driving CR).
-#[derive(Clone, Debug)]
-pub struct CalibrationRow {
-    /// Dimension order of the candidate config.
-    pub order: Vec<usize>,
-    /// Fraction of quant-codes at the zero-error code.
-    pub zero_code_frac: f64,
-}
-
-/// The autotuner's output: the interp config to apply and the
-/// calibration evidence.
-#[derive(Clone, Debug)]
-pub struct AutotuneDecision {
-    /// Header-carried tuning (alpha, variants, order) — always applied.
-    pub config: InterpConfig,
-    /// One row per candidate order, profiled order first.
-    pub rows: Vec<CalibrationRow>,
-    /// True when the decision came from the per-family cache.
-    pub cached: bool,
-}
-
-impl AutotuneDecision {
-    /// Human-readable calibration report (the `--autotune` printout).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "autotune decision ({}): order {:?}, variants [{:?}, {:?}, {:?}], alpha {:.3}\n",
-            if self.cached { "cached" } else { "calibrated" },
-            self.config.order,
-            self.config.variants[0],
-            self.config.variants[1],
-            self.config.variants[2],
-            self.config.alpha,
-        ));
-        out.push_str(&format!("  candidate orders ({}):\n", self.rows.len()));
-        out.push_str(&format!("  {:>9} {:>7}\n", "order", "zero%"));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "  {:>9} {:>6.1}%\n",
-                format!("{:?}", r.order).replace(' ', ""),
-                r.zero_code_frac * 100.0,
-            ));
-        }
-        out
-    }
-}
-
-/// Cache key: datasets of the same family (same shape, bound decade,
-/// radius, device) reuse one calibrated decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct FamilyKey {
-    dims: [usize; 3],
-    rank: usize,
-    /// `round(2 * log10(rel_eb))` — half-decade buckets.
-    eb_bucket: i64,
-    radius: u16,
-    device: &'static str,
-}
-
-static DECISION_CACHE: Mutex<Vec<(FamilyKey, AutotuneDecision)>> = Mutex::new(Vec::new());
-
-/// Drop all cached autotune decisions (tests and long-lived servers).
-pub fn clear_autotune_cache() {
-    DECISION_CACHE.lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
-/// Side length targets of the calibration crop per padded axis. Big
-/// enough for several thread blocks, small enough that the whole
-/// calibration costs a few milliseconds.
-fn calibration_extent(rank: usize, dims: [usize; 3]) -> [usize; 3] {
-    let target = match rank {
-        1 => [1, 1, 4096],
-        2 => [1, 64, 64],
-        _ => [32, 32, 64],
-    };
-    [dims[0].min(target[0]), dims[1].min(target[1]), dims[2].min(target[2])]
-}
-
-/// Deterministic centre crop used for calibration runs.
-fn calibration_crop(data: &NdArray<f32>) -> NdArray<f32> {
-    let shape = data.shape();
-    let dims = shape.dims3();
-    let ext = calibration_extent(shape.rank(), dims);
-    let start = [
-        (dims[0] - ext[0]) / 2,
-        (dims[1] - ext[1]) / 2,
-        (dims[2] - ext[2]) / 2,
-    ];
-    let cropped = match shape.rank() {
-        1 => Shape::d1(ext[2]),
-        2 => Shape::d2(ext[1], ext[2]),
-        _ => Shape::d3(ext[0], ext[1], ext[2]),
-    };
-    NdArray::from_fn(cropped, |z, y, x| data.get3(start[0] + z, start[1] + y, start[2] + x))
-}
-
-/// Run the calibrated autotuner.
-///
-/// A short calibration pass compresses a deterministic centre crop at
-/// the default geometry once per candidate dimension order — the § V-C
-/// profiled order, the natural order and the reversed profiled order —
-/// and keeps the order with the highest `zero_code_frac` (the CR-quality
-/// proxy), ties keeping the profiled order.
-///
-/// The fraction is a pure function of the deterministic kernel output,
-/// so the decision is reproducible; it is cached per dataset family
-/// (shape / bound decade / radius / device).
-pub fn autotune(
-    data: &NdArray<f32>,
-    rel_eb: f64,
-    eb_abs: f64,
-    radius: u16,
-    device: &DeviceSpec,
-) -> AutotuneDecision {
-    let shape = data.shape();
-    let rank = shape.rank();
-    let key = FamilyKey {
-        dims: shape.dims3(),
-        rank,
-        eb_bucket: (2.0 * rel_eb.max(f64::MIN_POSITIVE).log10()).round() as i64,
-        radius,
-        device: device.name,
-    };
-    {
-        let cache = DECISION_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((_, d)) = cache.iter().find(|(k, _)| *k == key) {
-            let mut hit = d.clone();
-            hit.cached = true;
-            return hit;
-        }
-    }
-
-    let (profiled, _) = profile_and_tune(data, rel_eb);
-    let crop = calibration_crop(data);
-
-    // Candidate orders, deduplicated, profiled first.
-    let mut orders: Vec<Vec<usize>> = Vec::new();
-    for o in [
-        profiled.order.clone(),
-        active_axes(rank).to_vec(),
-        profiled.order.iter().rev().copied().collect(),
-    ] {
-        if !orders.contains(&o) {
-            orders.push(o);
-        }
-    }
-
-    let rows: Vec<CalibrationRow> = orders
-        .into_iter()
-        .map(|order| {
-            let cand = InterpConfig { order, ..profiled.clone() };
-            let out = ginterp::compress(&crop, eb_abs, radius, &cand, device);
-            let zero = out.codes.iter().filter(|&&c| c == radius).count();
-            CalibrationRow {
-                order: cand.order,
-                zero_code_frac: zero as f64 / out.codes.len().max(1) as f64,
-            }
-        })
-        .collect();
-
-    // The first row with the highest fraction: a strict `>` keeps the
-    // profiled order on ties.
-    let best_order = rows
-        .iter()
-        .reduce(|best, r| if r.zero_code_frac > best.zero_code_frac { r } else { best })
-        .map_or_else(|| profiled.order.clone(), |r| r.order.clone());
-
-    let decision = AutotuneDecision {
-        config: InterpConfig { order: best_order, ..profiled },
-        rows,
-        cached: false,
-    };
-    let mut cache = DECISION_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if !cache.iter().any(|(k, _)| *k == key) {
-        cache.push((key, decision.clone()));
-    }
-    drop(cache);
-    decision
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,20 +229,22 @@ mod tests {
         }
     }
 
-    fn smooth_in_x_rough_in_y() -> NdArray<f32> {
-        // y axis oscillates fast, x axis is a gentle ramp.
-        NdArray::from_fn(Shape::d2(64, 64), |_z, y, x| {
-            (y as f32 * 1.3).sin() * 5.0 + x as f32 * 0.01
-        })
-    }
-
     #[test]
     fn profiler_orders_least_smooth_axis_first() {
-        let data = smooth_in_x_rough_in_y();
-        let (cfg, prof) = profile_and_tune(&data, 1e-3);
-        assert_eq!(cfg.order, vec![1, 2], "rough y axis must be interpolated first");
-        assert!(prof[1].smoothness_error() > prof[2].smoothness_error());
-        assert!((cfg.alpha - 1.5).abs() < 1e-9);
+        // y axis oscillates fast, x (and z) are gentle ramps: in 2-d and
+        // in 3-d the rough y axis must be interpolated first.
+        let d2 = NdArray::from_fn(Shape::d2(64, 64), |_z, y, x| {
+            (y as f32 * 1.3).sin() * 5.0 + x as f32 * 0.01
+        });
+        let d3 = NdArray::from_fn(Shape::d3(32, 64, 64), |z, y, x| {
+            (y as f32 * 1.3).sin() * 5.0 + x as f32 * 0.01 + z as f32 * 0.02
+        });
+        for (data, want) in [(d2, vec![1, 2]), (d3, vec![1, 2, 0])] {
+            let (cfg, prof) = profile_and_tune(&data, 1e-3);
+            assert_eq!(cfg.order, want, "rough y axis must be interpolated first");
+            assert!(prof[1].smoothness_error() > prof[2].smoothness_error());
+            assert!((cfg.alpha - 1.5).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -462,112 +272,30 @@ mod tests {
         assert_eq!(c1.order, vec![2]);
     }
 
-    fn wavy_field() -> NdArray<f32> {
-        NdArray::from_fn(Shape::d3(48, 48, 96), |z, y, x| {
-            (y as f32 * 0.9).sin() * 3.0 + (x as f32 * 0.05).cos() + z as f32 * 0.01
-        })
-    }
-
     #[test]
-    fn autotune_is_deterministic_and_caches_by_family() {
-        clear_autotune_cache();
-        let data = wavy_field();
-        let d1 = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert!(!d1.cached);
-        assert!(!d1.rows.is_empty());
-        assert_eq!(d1.config.order.len(), 3);
-        // Second call: cache hit, identical decision.
-        let d2 = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert!(d2.cached);
-        assert_eq!(d1.config, d2.config);
-        // Different bound decade: fresh calibration.
-        let d3 = autotune(&data, 1e-1, 1e-1, 512, &cuszi_gpu_sim::A100);
-        assert!(!d3.cached);
-        clear_autotune_cache();
-    }
-
-    #[test]
-    fn autotune_calibrates_each_candidate_order_once_for_3d() {
-        clear_autotune_cache();
-        let data = wavy_field();
-        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        let (profiled, _) = profile_and_tune(&data, 1e-3);
-        // Profiled, natural and reversed orders, deduplicated, profiled
-        // first; the winner is one of them.
-        assert!((2..=3).contains(&d.rows.len()), "{:?}", d.rows);
-        assert_eq!(d.rows[0].order, profiled.order);
-        for (i, r) in d.rows.iter().enumerate() {
-            assert!(d.rows[..i].iter().all(|p| p.order != r.order), "duplicate {r:?}");
-            assert!((0.0..=1.0).contains(&r.zero_code_frac), "{r:?}");
-        }
-        assert!(d.rows.iter().any(|r| r.order == d.config.order));
-        let text = d.render();
-        assert!(text.contains("candidate orders"));
-        assert!(text.contains("zero%"));
-        clear_autotune_cache();
-    }
-
-    #[test]
-    fn autotune_render_lists_every_candidate_order() {
-        // A shape no other test uses, so this decision never lands in
-        // another test's cache family.
-        let data = NdArray::from_fn(Shape::d3(40, 40, 80), |z, y, x| {
-            (y as f32 * 0.9).sin() * 3.0 + (x as f32 * 0.05).cos() + z as f32 * 0.01
-        });
-        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        let text = d.render();
-        assert!(text.contains(&format!("candidate orders ({})", d.rows.len())), "{text}");
-        for r in &d.rows {
-            let order = format!("{:?}", r.order).replace(' ', "");
-            let zero = format!("{:.1}%", r.zero_code_frac * 100.0);
-            assert!(
-                text.lines().any(|l| l.contains(&order) && l.contains(&zero)),
-                "row {r:?} missing:\n{text}"
-            );
+    fn profiler_keeps_the_natural_order_on_ties() {
+        // A constant field profiles every axis as equally smooth; the
+        // stable sort leaves the axes in natural order.
+        for shape in [Shape::d1(64), Shape::d2(32, 32), Shape::d3(16, 16, 16)] {
+            let (cfg, _) = profile_and_tune(&NdArray::from_fn(shape, |_, _, _| 1.0), 1e-3);
+            assert_eq!(cfg.order, active_axes(shape.rank()).to_vec(), "{shape}");
         }
     }
 
     #[test]
-    fn autotune_handles_low_ranks() {
-        clear_autotune_cache();
-        let d2field = NdArray::from_fn(Shape::d2(96, 96), |_z, y, x| {
-            ((x + y) as f32 * 0.1).sin()
-        });
-        let d = autotune(&d2field, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert_eq!(d.rows.len(), 2, "a 2-d field has two distinct orders");
-        assert_eq!(d.config.order.len(), 2);
-        clear_autotune_cache();
+    fn low_rank_profiles_probe_only_the_active_axes() {
+        let data = NdArray::from_fn(Shape::d1(256), |_, _, x| (x as f32 * 0.4).sin());
+        let (cfg, prof) = profile_and_tune(&data, 1e-3);
+        assert_eq!(cfg.order, vec![2]);
+        assert_eq!((prof[0].samples, prof[1].samples), (0, 0));
+        assert!(prof[2].samples > 0);
     }
 
     #[test]
-    fn autotune_ties_keep_the_profiled_order() {
-        clear_autotune_cache();
-        // Linear in every axis: cubic interpolation is exact, so every
-        // candidate order zeroes every quant-code and the profiled
-        // order must survive the tie. The field is its own calibration
-        // crop, and every axis ends on an anchor.
-        let data = NdArray::from_fn(Shape::d3(25, 25, 57), |z, y, x| {
-            0.5 * z as f32 + 0.25 * y as f32 + 0.125 * x as f32
-        });
-        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert!(d.rows.len() > 1, "{:?}", d.rows);
-        assert!(d.rows.iter().all(|r| r.zero_code_frac == 1.0), "{:?}", d.rows);
-        assert_eq!(d.config.order, profile_and_tune(&data, 1e-3).0.order);
-        clear_autotune_cache();
-    }
-
-    #[test]
-    fn autotune_prefers_the_better_predicting_order() {
-        clear_autotune_cache();
-        // Rough y / smooth x: interpolating y first wins on prediction
-        // quality, so the chosen order must start with axis 1 — the
-        // same answer the static profiler gives, now backed by measured
-        // zero-code fractions.
-        let data = NdArray::from_fn(Shape::d3(32, 64, 64), |z, y, x| {
-            (y as f32 * 1.3).sin() * 5.0 + x as f32 * 0.01 + z as f32 * 0.02
-        });
-        let d = autotune(&data, 1e-3, 1e-3, 512, &cuszi_gpu_sim::A100);
-        assert_eq!(d.config.order[0], 1, "rough axis must be interpolated first: {:?}", d.config.order);
-        clear_autotune_cache();
+    fn profiled_alpha_follows_eq1_at_every_bound() {
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| (z * y + x) as f32);
+        for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-6] {
+            assert_eq!(profile_and_tune(&data, eps).0.alpha, alpha_from_rel_eb(eps), "{eps}");
+        }
     }
 }
