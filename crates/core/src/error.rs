@@ -2,8 +2,7 @@
 
 /// What went wrong inside a pipeline stage (the device-fault half of
 /// [`CuszError::StageError`]). Mirrors the sticky-error categories of
-/// the simulated device plus the one host-side failure mode: a stage
-/// whose input buffer was never produced.
+/// the simulated device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StageFaultKind {
     /// A device/pool allocation was flagged by the fault injector (the
@@ -14,9 +13,6 @@ pub enum StageFaultKind {
     /// The stream executing this work was poisoned and drained its
     /// queue without running it.
     StreamPoisoned,
-    /// A stage's input buffer is missing — its producer stage never
-    /// ran or was skipped. Replaces the old `expect("X ran")` panics.
-    MissingBuffer,
 }
 
 impl std::fmt::Display for StageFaultKind {
@@ -25,7 +21,6 @@ impl std::fmt::Display for StageFaultKind {
             StageFaultKind::AllocFailed => write!(f, "allocation failed"),
             StageFaultKind::LaunchFailed => write!(f, "kernel launch failed"),
             StageFaultKind::StreamPoisoned => write!(f, "stream poisoned"),
-            StageFaultKind::MissingBuffer => write!(f, "missing input buffer"),
         }
     }
 }
@@ -112,15 +107,6 @@ impl CuszError {
             cuszi_gpu_sim::FaultKind::Stream => StageFaultKind::StreamPoisoned,
         };
         CuszError::StageError { stage, kind, site: fault.site }
-    }
-
-    /// The typed error for a stage whose input was never produced.
-    pub fn missing_buffer(stage: &'static str, what: &str) -> Self {
-        CuszError::StageError {
-            stage,
-            kind: StageFaultKind::MissingBuffer,
-            site: what.to_string(),
-        }
     }
 
     /// The pipeline stage this error is attributed to — the exact stage

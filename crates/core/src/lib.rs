@@ -12,6 +12,13 @@
 //!       ──▶ archive
 //! ```
 //!
+//! [`CuszI::compress`] calls these stages in order as straight-line
+//! code in [`pipeline`], each stage's output a local value handed to
+//! the next; [`CuszI::decompress`] runs the mirror chain. Every stage
+//! opens a profile/flight-journal bracket under its label and drains
+//! the device's sticky fault at its boundary, so an error names the
+//! stage it happened in.
+//!
 //! # Quick start
 //!
 //! ```
@@ -48,7 +55,6 @@ pub mod pipeline;
 pub mod report;
 pub mod sched;
 pub mod shard;
-pub mod stage;
 pub mod stream;
 pub(crate) mod telemetry;
 pub mod traits;
@@ -67,6 +73,5 @@ pub use shard::{
     compress_fields_sharded, compress_slabs_sharded, decompress_fields_sharded,
     decompress_slabs_sharded, DeviceShardReport, ShardPlan, ShardReport,
 };
-pub use stage::{StageGraph, StageKind};
 pub use stream::{compress_slabs_streams, decompress_slabs_streams};
 pub use traits::{Codec, CodecArtifacts};

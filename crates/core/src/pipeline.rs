@@ -1,15 +1,32 @@
 //! The end-to-end cuSZ-i pipeline.
+//!
+//! Compress calls its stages in order (paper Fig. 1): `tune →
+//! predict-quant → histogram → codebook → huffman-encode → assemble →
+//! [bitcomp] → finalize`. `assemble` gathers the five payload sections
+//! from arena-backed buffers (see [`crate::arena`]); `bitcomp` (present
+//! iff [`Config::bitcomp`]) packs the payload; `finalize` prepends the
+//! header. An engine cache hit (a `WarmStart`) skips `tune`,
+//! `histogram` and `codebook`. Decompress mirrors it:
+//! `[bitcomp-decode] → split-sections → huffman-decode →
+//! g-interp-reconstruct`. Each stage's output is a local value handed to
+//! the next, and every stage body runs through one helper, `stage`.
 
 use cuszi_gpu_sim::KernelStats;
-use cuszi_predict::tuning::InterpConfig;
+use cuszi_huffman::{decode_gpu, encode_gpu, histogram_gpu, Codebook, EncodedStream};
+use cuszi_predict::ginterp;
+use cuszi_predict::tuning::{alpha_from_rel_eb, profile_and_tune, InterpConfig};
+use cuszi_predict::PredictOutput;
 use cuszi_profile::Category;
+use cuszi_quant::Outliers;
 use cuszi_tensor::stats::ValueRange;
 use cuszi_tensor::NdArray;
 
-use crate::archive::{Header, FLAG_BITCOMP, FLAG_CONSTANT, HEADER_LEN, VERSION};
+use crate::archive::{
+    f32_section, split_sections, u64_section, Header, FLAG_BITCOMP, FLAG_CONSTANT, HEADER_LEN,
+    VERSION,
+};
 use crate::config::Config;
 use crate::error::CuszError;
-use crate::stage::{self, CompressJob, DecompressJob, StageGraph};
 use crate::traits::{Codec, CodecArtifacts};
 
 /// Byte sizes of the archive's logical parts (pre-Bitcomp), for the
@@ -49,20 +66,154 @@ pub struct Decompressed {
     pub kernels: Vec<KernelStats>,
 }
 
-/// How a compress run interacts with an engine session cache (plain
-/// [`CuszI::compress`] always uses `None` — no behavioural change for
-/// one-shot callers).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) enum SessionMode<'a> {
-    /// One-shot: no cache interaction.
-    #[default]
-    None,
-    /// Cold cache miss: run the full graph, then clone out the
-    /// reusable artifacts for insertion.
-    Harvest,
-    /// Cache hit: reuse the cached artifacts, skipping
-    /// `tune`/`histogram`/`codebook`.
-    Warm(&'a stage::WarmStart),
+/// Session-cache warm start: the per-field artifacts a previous
+/// compression of the *same content* derived, reusable verbatim. The
+/// quant-code plane is a deterministic function of (field bytes, interp
+/// config, eb, radius, device), so reusing the tuned [`InterpConfig`]
+/// and the [`Codebook`] built from that plane's histogram skips the
+/// `tune`, `histogram`, and `codebook` stages while producing a
+/// byte-identical archive — the engine's session cache keys entries by
+/// a content fingerprint for exactly this reason (see
+/// [`crate::engine`]).
+#[derive(Clone, Debug)]
+pub(crate) struct WarmStart {
+    /// The tuned interpolation configuration (skips `tune`).
+    pub interp: InterpConfig,
+    /// The Huffman codebook (skips `histogram` + `codebook`).
+    pub book: Codebook,
+}
+
+impl WarmStart {
+    /// Approximate resident bytes, for the session cache's LRU budget.
+    pub fn approx_bytes(&self) -> usize {
+        // Codebook storage dominates: ~16 bytes per alphabet symbol
+        // across its code/length/canonical tables.
+        std::mem::size_of::<WarmStart>() + self.book.alphabet() * 16
+    }
+}
+
+/// Run one pipeline stage. `body` runs inside a `Category::Stage`
+/// bracket named `label` (the span the profile trace and the flight
+/// journal record), and the device's sticky fault is drained at the
+/// boundary — the `cudaGetLastError` analogue — so any fault `body`'s
+/// kernels tripped is attributed to this stage. (Under concurrent
+/// streams a sibling job may drain a fault first; the batch still
+/// errors — single-stream runs give exact attribution.) A failed stage
+/// is deliberately left open in the journal: the dump then shows an
+/// unmatched stage-begin right before the terminal error event, which
+/// is exactly the forensic shape a black box should have.
+fn stage<T>(
+    label: &'static str,
+    body: impl FnOnce() -> Result<T, CuszError>,
+) -> Result<T, CuszError> {
+    let bracket = cuszi_profile::span(label, Category::Stage);
+    let r = body();
+    let r = match cuszi_gpu_sim::fault::take_sticky() {
+        Some(f) => Err(CuszError::from_fault(label, f)),
+        None => r,
+    };
+    if r.is_err() {
+        bracket.leave_open();
+    }
+    r
+}
+
+/// Shannon entropy of the quant-code distribution, in milli-bits per
+/// symbol — the floor the Huffman stage is chasing. Only computed when
+/// metrics are consuming it (it walks the histogram).
+fn observe_entropy(hist: &[u32]) {
+    if !cuszi_profile::metrics_active() {
+        return;
+    }
+    let total: u64 = hist.iter().map(|&c| c as u64).sum();
+    if total > 0 {
+        let h: f64 = hist
+            .iter()
+            .filter(|&&c| c > 0)
+            .map(|&c| {
+                let p = c as f64 / total as f64;
+                -p * p.log2()
+            })
+            .sum();
+        cuszi_profile::observe("compress.codebook_entropy_mbits", (h * 1000.0) as u64);
+    }
+}
+
+/// Gather the five payload sections from arena-backed buffers: the
+/// payload, the section table for the header, and the logical sizes.
+fn assemble(
+    pred: &PredictOutput,
+    book: &Codebook,
+    stream: &EncodedStream,
+) -> (Vec<u8>, [u64; 5], SectionSizes) {
+    let mut anchors_bytes = crate::arena::take(pred.anchors.len() * 4);
+    for v in &pred.anchors {
+        anchors_bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let book_bytes = book.to_bytes();
+    let stream_bytes = stream.to_bytes();
+    let mut oidx_bytes = crate::arena::take(pred.outliers.indices().len() * 8);
+    for v in pred.outliers.indices() {
+        oidx_bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut oval_bytes = crate::arena::take(pred.outliers.values().len() * 4);
+    for v in pred.outliers.values() {
+        oval_bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let sections = [
+        anchors_bytes.len() as u64,
+        book_bytes.len() as u64,
+        stream_bytes.len() as u64,
+        oidx_bytes.len() as u64,
+        oval_bytes.len() as u64,
+    ];
+    let mut payload = crate::arena::take(sections.iter().map(|&s| s as usize).sum::<usize>());
+    payload.extend_from_slice(&anchors_bytes);
+    payload.extend_from_slice(&book_bytes);
+    payload.extend_from_slice(&stream_bytes);
+    payload.extend_from_slice(&oidx_bytes);
+    payload.extend_from_slice(&oval_bytes);
+
+    let sizes = SectionSizes {
+        header: HEADER_LEN,
+        anchors: anchors_bytes.len(),
+        codebook: book_bytes.len(),
+        huffman: stream_bytes.len(),
+        outliers: oidx_bytes.len() + oval_bytes.len(),
+    };
+    crate::arena::put(anchors_bytes);
+    crate::arena::put(book_bytes);
+    crate::arena::put(stream_bytes);
+    crate::arena::put(oidx_bytes);
+    crate::arena::put(oval_bytes);
+    (payload, sections, sizes)
+}
+
+/// Split a (Bitcomp-unpacked) payload into anchors, codebook, Huffman
+/// stream and outliers, checking each against the header's geometry.
+fn split_payload(
+    payload: &[u8],
+    header: &Header,
+) -> Result<(Vec<f32>, Codebook, EncodedStream, Outliers), CuszError> {
+    let [anchors_b, book_b, stream_b, oidx_b, oval_b] = split_sections(payload, &header.sections)?;
+    let anchors = f32_section(anchors_b)?;
+    let book = Codebook::from_bytes(book_b).map_err(|_| CuszError::CorruptArchive("codebook"))?;
+    let stream =
+        EncodedStream::from_bytes(stream_b).ok_or(CuszError::CorruptArchive("huffman stream"))?;
+    if stream.n as usize != header.shape.len() {
+        return Err(CuszError::CorruptArchive("stream length != shape"));
+    }
+    let outliers = Outliers::from_parts(u64_section(oidx_b)?, f32_section(oval_b)?)
+        .ok_or(CuszError::CorruptArchive("outlier sections disagree"))?;
+    if outliers.indices().iter().any(|&i| i as usize >= header.shape.len()) {
+        return Err(CuszError::CorruptArchive("outlier index out of range"));
+    }
+    let expected_anchors =
+        ginterp::anchor_len(header.shape, ginterp::anchor_stride_for_rank(header.shape.rank()));
+    if anchors.len() != expected_anchors {
+        return Err(CuszError::CorruptArchive("anchor section length"));
+    }
+    Ok((anchors, book, stream, outliers))
 }
 
 /// The cuSZ-i compressor.
@@ -82,41 +233,38 @@ impl CuszI {
         &self.cfg
     }
 
-    /// Compress a field.
-    ///
-    /// Thin wrapper over the [`crate::stage`] graph: validation, the
-    /// constant-field fast path, and error-bound resolution happen
-    /// here; everything else is the `tune → predict-quant → histogram →
-    /// codebook → huffman-encode → assemble → [bitcomp] → finalize`
-    /// stage DAG, which the multi-stream scheduler executes the same
-    /// way — archives are byte-identical either route.
+    /// Compress a field: validation, the constant-field fast path and
+    /// error-bound resolution, then the stages in order. The
+    /// multi-stream scheduler runs this same function per job, so
+    /// archives are byte-identical either route.
     pub fn compress(&self, data: &NdArray<f32>) -> Result<Compressed, CuszError> {
-        self.compress_session(data, SessionMode::None).map(|(c, _)| c)
+        self.compress_with(data, None).map(|(c, _)| c)
     }
 
-    /// Session-aware compress for [`crate::engine::Engine`]: a `Warm`
-    /// mode reuses a previous run's tuned config + codebook (skipping
-    /// `tune`/`histogram`/`codebook` with a byte-identical archive —
-    /// valid only for identical field content, which the engine
-    /// guarantees via content fingerprinting); `Harvest` additionally
-    /// clones out the artifacts for the cache after a cold run.
-    pub(crate) fn compress_session(
+    /// Compress for [`crate::engine::Engine`]: a `warm` start reuses a
+    /// previous run's tuned config + codebook, skipping `tune`,
+    /// `histogram` and `codebook` with a byte-identical archive — valid
+    /// only for identical field content, which the engine guarantees
+    /// via content fingerprinting. A cold run hands back the codebook
+    /// it built, by move, for the engine to cache (`None` after a warm
+    /// run and on the constant-field fast path).
+    pub(crate) fn compress_with(
         &self,
         data: &NdArray<f32>,
-        mode: SessionMode<'_>,
-    ) -> Result<(Compressed, Option<stage::WarmStart>), CuszError> {
+        warm: Option<&WarmStart>,
+    ) -> Result<(Compressed, Option<Codebook>), CuszError> {
         crate::telemetry::init();
         // The dump is written inside the span, so it ends at the failed
         // stage's open bracket and the error, not at this span's end.
         let _span = cuszi_profile::span("compress", Category::Stage);
-        crate::telemetry::dump_on_err(self.compress_inner(data, mode))
+        crate::telemetry::dump_on_err(self.compress_inner(data, warm))
     }
 
     fn compress_inner(
         &self,
         data: &NdArray<f32>,
-        mode: SessionMode<'_>,
-    ) -> Result<(Compressed, Option<stage::WarmStart>), CuszError> {
+        warm: Option<&WarmStart>,
+    ) -> Result<(Compressed, Option<Codebook>), CuszError> {
         let cfg = &self.cfg;
         if cfg.radius == 0 {
             return Err(CuszError::InvalidConfig("radius must be >= 1"));
@@ -162,20 +310,121 @@ impl CuszI {
         if !(eb_abs.is_finite() && eb_abs > 0.0) {
             return Err(CuszError::InvalidErrorBound);
         }
+        let mut kernels = Vec::new();
 
-        let (graph, mut job) = match mode {
-            SessionMode::Warm(warm) => (
-                StageGraph::compress_warm(cfg),
-                CompressJob::new_warm(data, cfg, eb_abs, rel_eb, warm),
-            ),
-            _ => (StageGraph::compress(cfg), CompressJob::new(data, cfg, eb_abs, rel_eb)),
+        // § V-C: profiling + auto-tuning (the untuned ablation still
+        // applies Eq. 1's alpha from the relative bound).
+        let interp = match warm {
+            Some(w) => w.interp.clone(),
+            None => stage("tune", || {
+                Ok(if cfg.auto_tune {
+                    profile_and_tune(data, rel_eb).0
+                } else {
+                    InterpConfig {
+                        alpha: alpha_from_rel_eb(rel_eb),
+                        ..InterpConfig::untuned(data.shape().rank())
+                    }
+                })
+            })?,
         };
-        stage::run_compress(&graph, &mut job)?;
-        let harvest = match mode {
-            SessionMode::Harvest => job.harvest_warm(),
-            _ => None,
+
+        // § V: G-Interp prediction + quantization, streamed into the
+        // fidelity audit when one was asked for (decode-verify is filled
+        // in later by whoever holds both fields — see
+        // [`crate::audit::verify_decode`]).
+        let (pred, audit) = stage("predict-quant", || {
+            let pred = ginterp::compress(data, eb_abs, cfg.radius, &interp, &cfg.device);
+            let audit = cfg.audit.then(|| {
+                crate::audit::audit_codes(&pred.codes, data.shape(), cfg.radius, eb_abs)
+            });
+            Ok((pred, audit))
+        })?;
+        kernels.extend(pred.kernels.iter().copied());
+
+        // § VI-A: quant-code histogram, then the CPU codebook (serial
+        // host work — exactly what overlaps with other fields' kernels
+        // under the scheduler).
+        let mut built = None;
+        let book: &Codebook = match warm {
+            Some(w) => &w.book,
+            None => {
+                let (hist, hstats) = stage("histogram", || {
+                    let alphabet = 2 * cfg.radius as usize;
+                    let (hist, hstats) = histogram_gpu(
+                        &pred.codes,
+                        alphabet,
+                        cfg.radius,
+                        cfg.histogram_topk,
+                        &cfg.device,
+                    );
+                    observe_entropy(&hist);
+                    Ok((hist, hstats))
+                })?;
+                kernels.push(hstats);
+                built.insert(stage("codebook", || {
+                    Codebook::from_histogram(&hist)
+                        .map_err(|_| CuszError::LosslessStage("codebook construction"))
+                })?)
+            }
         };
-        Ok((job.into_compressed()?, harvest))
+
+        // § VI-A: coarse-grained Huffman encode.
+        let (stream, estats) =
+            stage("huffman-encode", || Ok(encode_gpu(&pred.codes, book, &cfg.device)))?;
+        kernels.extend(estats);
+
+        let (payload, sections, sizes) = stage("assemble", || Ok(assemble(&pred, book, &stream)))?;
+
+        // § VI-B: Bitcomp-lossless pass over the whole payload.
+        let (payload, flags) = if cfg.bitcomp {
+            let (packed, bstats) = stage("bitcomp", || {
+                let packed = cuszi_bitcomp::compress(&payload, &cfg.device);
+                crate::arena::put(payload);
+                Ok(packed)
+            })?;
+            kernels.extend(bstats);
+            (packed, FLAG_BITCOMP)
+        } else {
+            (payload, 0)
+        };
+
+        // Prepend the self-describing header.
+        let bytes = stage("finalize", || {
+            let header = Header {
+                version: VERSION,
+                flags,
+                shape: data.shape(),
+                eb_abs,
+                alpha: interp.alpha,
+                radius: cfg.radius,
+                variants: interp.variants,
+                order: interp.order.clone(),
+                const_value: 0.0,
+                sections,
+            };
+            let mut bytes = header.to_bytes();
+            bytes.extend_from_slice(&payload);
+            crate::arena::put(payload);
+            if cuszi_profile::metrics_active() {
+                let bytes_in = (data.len() * 4) as u64;
+                let bytes_out = bytes.len() as u64;
+                let outliers = pred.outliers.indices().len() as u64;
+                cuszi_profile::count("compress.fields", 1);
+                cuszi_profile::count("compress.bytes_in", bytes_in);
+                cuszi_profile::count("compress.bytes_out", bytes_out);
+                cuszi_profile::count("compress.outliers", outliers);
+                // Per-field distributions: CR in parts-per-thousand,
+                // outlier rate in parts-per-million.
+                cuszi_profile::observe("compress.cr_ppt", bytes_in * 1000 / bytes_out.max(1));
+                cuszi_profile::observe(
+                    "compress.outlier_rate_ppm",
+                    outliers * 1_000_000 / (data.len() as u64).max(1),
+                );
+            }
+            Ok(bytes)
+        })?;
+
+        Ok((Compressed { bytes, kernels, sections: sizes, eb_abs, interp, audit }, built))
     }
 
     /// Decompress an archive produced by [`CuszI::compress`].
@@ -199,17 +448,49 @@ impl CuszI {
         if header.eb_abs <= 0.0 {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
+        let device = &self.cfg.device;
+        let mut kernels = Vec::new();
 
-        let graph = StageGraph::decompress(header.flags & FLAG_BITCOMP != 0);
-        let mut job = DecompressJob::new(bytes, &header, &self.cfg);
-        stage::run_decompress(&graph, &mut job)?;
-        let d = job.into_decompressed()?;
+        let raw = &bytes[HEADER_LEN..];
+        let unpacked;
+        let payload = if header.flags & FLAG_BITCOMP != 0 {
+            let (p, bstats) = stage("bitcomp-decode", || {
+                cuszi_bitcomp::decompress(raw, device).map_err(|e| CuszError::LosslessStage(e.0))
+            })?;
+            kernels.push(bstats);
+            unpacked = p;
+            &unpacked[..]
+        } else {
+            raw
+        };
+        let (anchors, book, stream, outliers) =
+            stage("split-sections", || split_payload(payload, &header))?;
+        let decoded = stage("huffman-decode", || {
+            let decoded = decode_gpu(&stream, &book, device)?;
+            cuszi_profile::count("huffman_decode.sectors", decoded.report.sectors);
+            Ok(decoded)
+        })?;
+        kernels.extend(decoded.kernels);
+        let (data, gstats) = stage("g-interp-reconstruct", || {
+            Ok(ginterp::decompress(
+                &decoded.syms,
+                &anchors,
+                &outliers,
+                header.shape,
+                header.eb_abs,
+                header.radius,
+                &header.interp_config(),
+                device,
+            ))
+        })?;
+        kernels.extend(gstats);
+
         if cuszi_profile::metrics_active() {
             cuszi_profile::count("decompress.fields", 1);
             cuszi_profile::count("decompress.bytes_in", bytes.len() as u64);
-            cuszi_profile::count("decompress.bytes_out", (d.data.len() * 4) as u64);
+            cuszi_profile::count("decompress.bytes_out", (data.len() * 4) as u64);
         }
-        Ok(d)
+        Ok(Decompressed { data, kernels })
     }
 }
 
@@ -247,6 +528,22 @@ mod tests {
                 + ((z as f32) * 0.06).sin()
                 + 0.3 * ((x + 2 * y + 3 * z) as f32 * 0.11).sin()
         })
+    }
+
+    #[test]
+    fn a_stage_closes_its_bracket_on_success_and_leaves_it_open_on_error() {
+        use cuszi_profile::{flight, FlightKind};
+        assert_eq!(stage("t-stage-ok", || Ok(7)), Ok(7));
+        let err = stage("t-stage-err", || -> Result<(), _> { Err(CuszError::NonFiniteInput) });
+        assert_eq!(err, Err(CuszError::NonFiniteInput), "the body's own error comes back");
+        let (evs, _) = flight::snapshot();
+        let count = |kind, name: &str| {
+            evs.iter().filter(|e| e.kind == kind && e.name.as_str() == name).count()
+        };
+        assert_eq!(count(FlightKind::StageBegin, "t-stage-ok"), 1);
+        assert_eq!(count(FlightKind::StageEnd, "t-stage-ok"), 1);
+        assert_eq!(count(FlightKind::StageBegin, "t-stage-err"), 1);
+        assert_eq!(count(FlightKind::StageEnd, "t-stage-err"), 0, "a failed stage stays open");
     }
 
     #[test]

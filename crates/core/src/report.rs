@@ -9,22 +9,34 @@ use cuszi_gpu_sim::{KernelStats, TimingModel};
 
 use crate::pipeline::Compressed;
 
-/// Stage labels of the compression pipeline, in launch order.
+/// Kernels of a cold compress with Bitcomp, in launch order. Every
+/// other run launches a subsequence of these.
+const COMPRESS_KERNELS: [&str; 7] = [
+    "anchor-gather",
+    "g-interp",
+    "histogram",
+    "huffman-len",
+    "huffman-emit",
+    "bitcomp-encode",
+    "bitcomp-emit",
+];
+
+/// Stage labels of the compression pipeline, in launch order. The
+/// kernel count tells the runs apart: a warm (engine cache hit) run
+/// skips the histogram, a run without Bitcomp skips its two kernels.
 pub fn compress_stage_names(n_kernels: usize) -> Vec<&'static str> {
-    match n_kernels {
-        0 => vec![], // constant-field fast path
-        5 => vec!["anchor-gather", "g-interp", "histogram", "huffman-len", "huffman-emit"],
-        7 => vec![
-            "anchor-gather",
-            "g-interp",
-            "histogram",
-            "huffman-len",
-            "huffman-emit",
-            "bitcomp-encode",
-            "bitcomp-emit",
-        ],
-        n => (0..n).map(|_| "kernel").collect(),
-    }
+    let (warm, bitcomp) = match n_kernels {
+        0 => return vec![], // constant-field fast path
+        4 => (true, false),
+        5 => (false, false),
+        6 => (true, true),
+        7 => (false, true),
+        n => return vec!["kernel"; n],
+    };
+    COMPRESS_KERNELS
+        .into_iter()
+        .filter(|&k| !(warm && k == "histogram") && (bitcomp || !k.starts_with("bitcomp-")))
+        .collect()
 }
 
 /// One labelled stage with its modelled time.
@@ -72,10 +84,12 @@ mod tests {
     use cuszi_quant::ErrorBound;
     use cuszi_tensor::{NdArray, Shape};
 
+    fn field() -> NdArray<f32> {
+        NdArray::from_fn(Shape::d3(16, 16, 32), |z, y, x| ((x + y + z) as f32 * 0.1).sin())
+    }
+
     fn compressed(bitcomp: bool) -> Compressed {
-        let data = NdArray::from_fn(Shape::d3(16, 16, 32), |z, y, x| {
-            ((x + y + z) as f32 * 0.1).sin()
-        });
+        let data = field();
         let cfg = if bitcomp {
             Config::new(ErrorBound::Rel(1e-3))
         } else {
@@ -108,6 +122,30 @@ mod tests {
         let text = render_breakdown(&c, &TimingModel::new(A100));
         for name in ["anchor-gather", "g-interp", "histogram", "bitcomp-encode", "total"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn warm_engine_results_render_named_rows() {
+        use crate::engine::{Engine, EngineConfig};
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        for cfg in [
+            Config::new(ErrorBound::Rel(1e-3)),
+            Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
+        ] {
+            engine.compress("t", field(), cfg).unwrap();
+            let warm = engine.compress("t", field(), cfg).unwrap();
+            assert!(warm.cache_hit);
+            let c = warm.output.into_compressed().unwrap();
+            let names: Vec<_> =
+                stage_breakdown(&c, &TimingModel::new(A100)).iter().map(|r| r.name).collect();
+            let mut want = vec!["anchor-gather", "g-interp", "huffman-len", "huffman-emit"];
+            if cfg.bitcomp {
+                want.extend(["bitcomp-encode", "bitcomp-emit"]);
+            }
+            assert_eq!(names, want);
+            let text = render_breakdown(&c, &TimingModel::new(A100));
+            assert!(!text.contains("kernel"), "unnamed row in:\n{text}");
         }
     }
 

@@ -340,7 +340,7 @@ pub fn snapshot() -> (Vec<FlightEvent>, u64) {
 
 /// Where dumps land: `CUSZI_FLIGHT_DIR` or the system temp directory.
 pub fn dump_dir() -> PathBuf {
-    std::env::var_os("CUSZI_FLIGHT_DIR").map(PathBuf::from).unwrap_or_else(std::env::temp_dir)
+    std::env::var_os("CUSZI_FLIGHT_DIR").map(Into::into).unwrap_or_else(std::env::temp_dir)
 }
 
 /// The dump path for one sequenced failure:

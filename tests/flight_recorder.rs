@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use cuszi_repro::core::{Config, CuszError, CuszI};
+use cuszi_repro::core::{Config, CuszError, CuszI, Engine, EngineConfig};
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::gpu_sim::fault::{self, FaultSpec};
 use cuszi_repro::profile::{self, flight, minjson};
@@ -60,6 +60,37 @@ fn now_marker() -> u64 {
     evs.iter().rev().find(|e| e.name.as_str() == "test-marker").map(|e| e.ts_ns).unwrap_or(0)
 }
 
+/// The stage brackets opened since `t0`, in order: the stages a run
+/// actually executed, outer `compress`/`decompress` spans included.
+fn stage_begins(t0: u64) -> Vec<String> {
+    use cuszi_repro::profile::{Category, FlightKind};
+    events_since(t0)
+        .iter()
+        .filter(|e| e.kind == FlightKind::StageBegin && e.cat == Category::Stage)
+        .map(|e| e.name.as_str().to_string())
+        .filter(|n| n != "test-marker")
+        .collect()
+}
+
+/// The compress stages in order: `tune`, `histogram` and `codebook`
+/// only on a cold run, `bitcomp` only with Bitcomp on.
+fn compress_roster(cold: bool, bitcomp: bool) -> Vec<&'static str> {
+    let mut want = vec!["compress"];
+    if cold {
+        want.push("tune");
+    }
+    want.push("predict-quant");
+    if cold {
+        want.extend(["histogram", "codebook"]);
+    }
+    want.extend(["huffman-encode", "assemble"]);
+    if bitcomp {
+        want.push("bitcomp");
+    }
+    want.push("finalize");
+    want
+}
+
 #[test]
 fn clean_roundtrip_journals_stages_and_named_launches() {
     let _g = guard();
@@ -73,7 +104,7 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
     let evs = events_since(t0);
 
     use cuszi_repro::profile::FlightKind;
-    // Every stage of both graphs has a matched begin/end pair.
+    // Every stage of both directions has a matched begin/end pair.
     for stage in [
         "tune",
         "predict-quant",
@@ -99,6 +130,16 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
         assert_eq!(begins, 1, "stage '{stage}' begin count");
         assert_eq!(ends, 1, "stage '{stage}' end count");
     }
+    // ... and they ran in the pipeline's one order.
+    let mut want = compress_roster(true, true);
+    want.extend([
+        "decompress",
+        "bitcomp-decode",
+        "split-sections",
+        "huffman-decode",
+        "g-interp-reconstruct",
+    ]);
+    assert_eq!(stage_begins(t0), want);
 
     // Kernel launches are journaled, and every launch site passes a
     // real name — a bare `launch()` would show up as the "kernel"
@@ -122,6 +163,49 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
     let c2 = codec.compress(&data).expect("compress");
     assert!(!c2.bytes.is_empty());
     assert!(flight::latest_dump().is_none(), "clean run wrote a flight dump");
+}
+
+#[test]
+fn one_shot_runs_journal_their_fixed_stage_rosters() {
+    let _g = guard();
+    let data = small_field();
+    let decode = ["decompress", "split-sections", "huffman-decode", "g-interp-reconstruct"];
+    for (cfg, bitcomp) in [
+        (Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(), false),
+        (Config::new(ErrorBound::Rel(1e-3)).without_tuning(), true),
+    ] {
+        // One-shot compress, then decompress: an archive without
+        // Bitcomp journals no `bitcomp-decode`.
+        let codec = CuszI::new(cfg);
+        let t0 = now_marker();
+        let c = codec.compress(&data).expect("compress");
+        codec.decompress(&c.bytes).expect("decompress");
+        let mut want = compress_roster(true, bitcomp);
+        if bitcomp {
+            want.extend(["decompress", "bitcomp-decode"]);
+            want.extend(&decode[1..]);
+        } else {
+            want.extend(decode);
+        }
+        assert_eq!(stage_begins(t0), want, "bitcomp={bitcomp}");
+    }
+}
+
+#[test]
+fn engine_cache_hit_skips_tune_histogram_and_codebook_stages() {
+    let _g = guard();
+    let data = small_field();
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
+    for bitcomp in [true, false] {
+        let cfg = Config::new(ErrorBound::Rel(1e-3));
+        let cfg = if bitcomp { cfg } else { cfg.without_bitcomp() };
+        let t0 = now_marker();
+        assert!(!engine.compress("t", data.clone(), cfg).expect("cold").cache_hit);
+        assert_eq!(stage_begins(t0), compress_roster(true, bitcomp), "cold bitcomp={bitcomp}");
+        let t0 = now_marker();
+        assert!(engine.compress("t", data.clone(), cfg).expect("warm").cache_hit);
+        assert_eq!(stage_begins(t0), compress_roster(false, bitcomp), "warm bitcomp={bitcomp}");
+    }
 }
 
 #[test]
