@@ -91,6 +91,17 @@ fn compress_roster(cold: bool, bitcomp: bool) -> Vec<&'static str> {
     want
 }
 
+/// The decompress stages in order: `bitcomp-decode` only for a packed
+/// archive.
+fn decompress_roster(bitcomp: bool) -> Vec<&'static str> {
+    let mut want = vec!["decompress"];
+    if bitcomp {
+        want.push("bitcomp-decode");
+    }
+    want.extend(["split-sections", "huffman-decode", "g-interp-reconstruct"]);
+    want
+}
+
 #[test]
 fn clean_roundtrip_journals_stages_and_named_launches() {
     let _g = guard();
@@ -131,15 +142,7 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
         assert_eq!(ends, 1, "stage '{stage}' end count");
     }
     // ... and they ran in the pipeline's one order.
-    let mut want = compress_roster(true, true);
-    want.extend([
-        "decompress",
-        "bitcomp-decode",
-        "split-sections",
-        "huffman-decode",
-        "g-interp-reconstruct",
-    ]);
-    assert_eq!(stage_begins(t0), want);
+    assert_eq!(stage_begins(t0), [compress_roster(true, true), decompress_roster(true)].concat());
 
     // Kernel launches are journaled, and every launch site passes a
     // real name — a bare `launch()` would show up as the "kernel"
@@ -169,7 +172,6 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
 fn one_shot_runs_journal_their_fixed_stage_rosters() {
     let _g = guard();
     let data = small_field();
-    let decode = ["decompress", "split-sections", "huffman-decode", "g-interp-reconstruct"];
     for (cfg, bitcomp) in [
         (Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(), false),
         (Config::new(ErrorBound::Rel(1e-3)).without_tuning(), true),
@@ -180,13 +182,7 @@ fn one_shot_runs_journal_their_fixed_stage_rosters() {
         let t0 = now_marker();
         let c = codec.compress(&data).expect("compress");
         codec.decompress(&c.bytes).expect("decompress");
-        let mut want = compress_roster(true, bitcomp);
-        if bitcomp {
-            want.extend(["decompress", "bitcomp-decode"]);
-            want.extend(&decode[1..]);
-        } else {
-            want.extend(decode);
-        }
+        let want = [compress_roster(true, bitcomp), decompress_roster(bitcomp)].concat();
         assert_eq!(stage_begins(t0), want, "bitcomp={bitcomp}");
     }
 }
