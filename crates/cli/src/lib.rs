@@ -119,7 +119,7 @@ USAGE:
                    [--prom[=METRICS.prom]]
   cuszi decompress -i <in.cszi> -o <out.f32> [--streams N]
                    [--profile[=TRACE.json]]
-  cuszi info       -i <in.cszi>
+  cuszi info       -i <in.cszi|in.cszs|in.cszm>
   cuszi serve      [--addr HOST:PORT] [--workers N] [--max-inflight N]
                    [--devices M]
 
@@ -147,7 +147,7 @@ serve starts a multi-tenant daemon (default 127.0.0.1:7070): a
 length-prefixed TCP frame protocol feeding a shared engine with a
 session cache, per-tenant token-bucket fairness, and in-flight
 backpressure. --devices M places jobs onto M simulated devices
-(least-loaded, with session-cache affinity — see docs/SHARDING.md).
+(least-loaded, ties rotating — see docs/SHARDING.md).
 A stats frame returns Prometheus text; SIGINT (or a shutdown frame)
 drains gracefully. See docs/SERVING.md.";
 
@@ -541,6 +541,32 @@ fn info_text(input: &str) -> Result<String, CliError> {
             "  total:      {} B (CR {:.1} vs raw f32)",
             bytes.len(),
             compression_ratio(geo.shape.len() * 4, bytes.len())
+        )
+        .ok();
+        return Ok(out);
+    }
+    if bytes.starts_with(b"CSZM") {
+        let entries = cuszi_core::batch::parse_container(&bytes)?;
+        writeln!(out, "cuSZ-i multi-field container").ok();
+        writeln!(out, "  fields:     {}", entries.len()).ok();
+        let (mut raw, mut archived) = (0, 0);
+        for (name, archive) in &entries {
+            let shape = Header::from_bytes(archive)?.shape;
+            raw += shape.len() * 4;
+            archived += archive.len();
+            writeln!(
+                out,
+                "  {name}: {shape}, {} B (CR {:.1})",
+                archive.len(),
+                compression_ratio(shape.len() * 4, archive.len())
+            )
+            .ok();
+        }
+        writeln!(
+            out,
+            "  total:      {} B (aggregate CR {:.1} over the field archives)",
+            bytes.len(),
+            compression_ratio(raw, archived)
         )
         .ok();
         return Ok(out);
@@ -1095,6 +1121,52 @@ mod tests {
         for f in [fin, farc] {
             let _ = fs::remove_file(f);
         }
+    }
+
+    /// A two-field CSZM container written to a temp file.
+    fn write_container(path: &str) -> cuszi_core::Container {
+        let a = NdArray::from_fn(Shape::d3(8, 12, 16), |z, y, x| (x + 2 * y + z) as f32 * 0.05);
+        let b = NdArray::from_fn(Shape::d2(24, 20), |_, y, x| ((x * y) as f32 * 0.01).sin());
+        let fields = [
+            cuszi_core::NamedField { name: "pressure", data: &a },
+            cuszi_core::NamedField { name: "velocity", data: &b },
+        ];
+        let (c, _) = cuszi_core::compress_fields_streams(
+            &fields,
+            Config::new(ErrorBound::Rel(1e-3)),
+            1,
+        )
+        .unwrap();
+        fs::write(path, &c.bytes).unwrap();
+        c
+    }
+
+    #[test]
+    fn info_lists_the_fields_of_a_container() {
+        let farc = tmp("fields.cszm");
+        let c = write_container(&farc);
+        let info = cli(&["info", "-i", &farc]).unwrap();
+        let [pa, va] = [0, 1].map(|i| c.fields[i].archive_bytes);
+        for want in [
+            "multi-field container".to_string(),
+            "fields:     2".to_string(),
+            format!("pressure: 8x12x16, {pa} B (CR {:.1})", (8 * 12 * 16 * 4) as f64 / pa as f64),
+            format!("velocity: 24x20, {va} B (CR {:.1})", (24 * 20 * 4) as f64 / va as f64),
+            format!("total:      {} B (aggregate CR {:.1}", c.bytes.len(), c.aggregate_cr()),
+        ] {
+            assert!(info.contains(&want), "{want}: {info}");
+        }
+        let _ = fs::remove_file(farc);
+    }
+
+    #[test]
+    fn info_rejects_a_truncated_container() {
+        let farc = tmp("fields-cut.cszm");
+        let c = write_container(&farc);
+        fs::write(&farc, &c.bytes[..c.bytes.len() - 1]).unwrap();
+        let err = cli(&["info", "-i", &farc]).unwrap_err();
+        assert!(err.0.contains("corrupt archive: container"), "{err}");
+        let _ = fs::remove_file(farc);
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub struct ServeConfig {
     pub addr: String,
     pub workers: usize,
     pub max_inflight: usize,
-    /// Simulated devices the engine places jobs onto (least-loaded
-    /// with session-cache affinity).
+    /// Simulated devices the engine places jobs onto (least-loaded,
+    /// ties rotating).
     pub devices: usize,
 }
 

@@ -63,17 +63,16 @@ impl Container {
         Ok(Container { bytes, fields: Vec::with_capacity(fields.len()) })
     }
 
-    /// Append one field's entry and recycle its archive buffer.
-    pub(crate) fn push(&mut self, f: &NamedField<'_>, archive: Vec<u8>) {
+    /// Append one field's entry.
+    pub(crate) fn push(&mut self, f: &NamedField<'_>, archive: &[u8]) {
         self.bytes.extend_from_slice(&(f.name.len() as u16).to_le_bytes());
         self.bytes.extend_from_slice(f.name.as_bytes());
-        crate::wire::put_entry(&mut self.bytes, &archive);
+        crate::wire::put_entry(&mut self.bytes, archive);
         self.fields.push(FieldSummary {
             name: f.name.to_string(),
             input_bytes: (f.data.len() * 4) as u64,
             archive_bytes: archive.len() as u64,
         });
-        crate::arena::put(archive);
     }
 }
 
@@ -91,7 +90,7 @@ pub fn compress_fields_streams(
 /// Walk a container's entry table, returning each field's name and
 /// archive slice. Offsets are checked (see [`crate::wire::entry`]), so a
 /// crafted length surfaces as [`CuszError::CorruptArchive`].
-pub(crate) fn parse_container(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, CuszError> {
+pub fn parse_container(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, CuszError> {
     if bytes.len() < 8 || &bytes[0..4] != MAGIC {
         return Err(CuszError::CorruptArchive("container magic"));
     }

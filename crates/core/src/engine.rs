@@ -7,11 +7,11 @@
 //! 1. **A keyed session cache** — a content fingerprint of the field
 //!    plus every byte-affecting config knob maps to the tuned
 //!    [`InterpConfig`] + canonical [`Codebook`] from a previous run
-//!    (a `WarmStart`) and a warm [`ScratchArena`]. A hit skips the
-//!    `tune`/`histogram`/`codebook` stages entirely while producing a
-//!    byte-identical archive (quant codes are a deterministic function
-//!    of content + config, so reusing the artifacts is exact). Entries
-//!    are LRU-evicted against a byte budget (`CACHE_BUDGET_BYTES`).
+//!    (a `WarmStart`). A hit skips the `tune`/`histogram`/`codebook`
+//!    stages entirely while producing a byte-identical archive (quant
+//!    codes are a deterministic function of content + config, so
+//!    reusing the artifacts is exact). Entries are LRU-evicted against
+//!    a byte budget (`CACHE_BUDGET_BYTES`).
 //! 2. **An admission controller** — one FIFO per tenant; per-tenant
 //!    token buckets pick the next job by *highest balance* (deficit
 //!    fairness: a heavy tenant's balance goes negative, so a light
@@ -31,7 +31,6 @@
 //!
 //! [`InterpConfig`]: cuszi_predict::tuning::InterpConfig
 //! [`Codebook`]: cuszi_huffman::Codebook
-//! [`ScratchArena`]: crate::arena::ScratchArena
 //! [`Registry`]: cuszi_profile::Registry
 
 use std::collections::{HashMap, VecDeque};
@@ -44,7 +43,6 @@ use cuszi_gpu_sim::MAX_DEVICES;
 use cuszi_profile::{Registry, Snapshot};
 use cuszi_tensor::NdArray;
 
-use crate::arena::{self, ScratchArena};
 use crate::config::Config;
 use crate::error::CuszError;
 use crate::pipeline::{Compressed, CuszI, Decompressed, WarmStart};
@@ -63,8 +61,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// rejected with [`EngineError::Overloaded`].
 const QUEUE_CAP: usize = 64;
 
-/// LRU byte budget for the session cache (warm-start artifacts + warm
-/// scratch arenas).
+/// LRU byte budget for the session cache's warm-start artifacts.
 const CACHE_BUDGET_BYTES: usize = 32 << 20;
 
 /// Token-bucket refill rate per tenant, in jobs/second.
@@ -83,10 +80,10 @@ pub struct EngineConfig {
     /// backpressure bound of the admission controller).
     pub max_inflight: usize,
     /// Simulated devices jobs are placed onto (1..=[`MAX_DEVICES`]).
-    /// Placement is least-loaded with session-cache affinity: a job
-    /// whose warm-start entry lives on device `d` runs on `d` again
-    /// (the cached arena is "resident" there); everything else goes to
-    /// the device with the fewest in-flight jobs.
+    /// Placement is least-loaded: a job goes to the device with the
+    /// fewest in-flight jobs, ties broken by a rotating cursor. Which
+    /// device runs a job never changes its bytes, and the session cache
+    /// serves every device.
     pub devices: usize,
 }
 
@@ -284,22 +281,12 @@ impl SessionKey {
 
 struct SessionEntry {
     warm: WarmStart,
-    arena: ScratchArena,
     last_used: u64,
-    /// Device the entry's arena last lived on — the affinity hint the
-    /// placement policy prefers for repeat requests.
-    device: usize,
-}
-
-impl SessionEntry {
-    fn bytes(&self) -> usize {
-        self.warm.approx_bytes() + self.arena.bytes()
-    }
 }
 
 /// Checkout-model cache: a lookup *removes* the entry (the job owns it
-/// while running, so a concurrent identical request misses cleanly
-/// instead of sharing a hot arena), and completion reinserts it.
+/// while running, so a concurrent identical request misses cleanly),
+/// and completion reinserts it.
 struct SessionCache {
     map: HashMap<SessionKey, SessionEntry>,
     budget: usize,
@@ -313,11 +300,6 @@ impl SessionCache {
 
     fn checkout(&mut self, key: &SessionKey) -> Option<SessionEntry> {
         self.map.remove(key)
-    }
-
-    /// Device affinity for `key`, if a warm entry is resident.
-    fn device_of(&self, key: &SessionKey) -> Option<usize> {
-        self.map.get(key).map(|e| e.device)
     }
 
     fn insert(&mut self, key: SessionKey, mut entry: SessionEntry) {
@@ -340,7 +322,7 @@ impl SessionCache {
     }
 
     fn total_bytes(&self) -> usize {
-        self.map.values().map(SessionEntry::bytes).sum()
+        self.map.values().map(|e| e.warm.approx_bytes()).sum()
     }
 }
 
@@ -425,15 +407,9 @@ impl SchedState {
     /// head of the highest-balance tenant's queue, ties broken
     /// round-robin from the cursor.
     fn pick(&mut self, now_ns: u64) -> Option<Job> {
+        self.refill(now_ns);
         if self.total_queued == 0 || self.rr.is_empty() {
             return None;
-        }
-        for name in &self.rr {
-            if let Some(t) = self.tenants.get_mut(name) {
-                let dt = now_ns.saturating_sub(t.last_refill_ns) as f64 / 1e9;
-                t.tokens = (t.tokens + dt * TOKENS_PER_SEC).min(BURST);
-                t.last_refill_ns = now_ns;
-            }
         }
         let n = self.rr.len();
         let mut best: Option<(usize, f64)> = None;
@@ -454,6 +430,32 @@ impl SchedState {
         self.total_queued -= 1;
         self.cursor = (i + 1) % n;
         Some(job)
+    }
+
+    /// Refill every tenant's bucket to `now_ns`, then forget each tenant
+    /// with no queued job and a full bucket: that state is a newcomer's,
+    /// so admission recreates it exactly, and the ring only holds
+    /// tenants seen within one refill period. The cursor moves to the
+    /// first kept tenant at or after its old position.
+    fn refill(&mut self, now_ns: u64) {
+        let (tenants, cursor) = (&mut self.tenants, self.cursor);
+        let (mut at, mut kept_before_cursor) = (0, 0);
+        self.rr.retain(|name| {
+            let keep = tenants.get_mut(name).is_some_and(|t| {
+                let dt = now_ns.saturating_sub(t.last_refill_ns) as f64 / 1e9;
+                t.tokens = (t.tokens + dt * TOKENS_PER_SEC).min(BURST);
+                t.last_refill_ns = now_ns;
+                !t.queue.is_empty() || t.tokens < BURST
+            });
+            if keep {
+                kept_before_cursor += usize::from(at < cursor);
+            } else {
+                tenants.remove(name);
+            }
+            at += 1;
+            keep
+        });
+        self.cursor = if kept_before_cursor < self.rr.len() { kept_before_cursor } else { 0 };
     }
 }
 
@@ -484,21 +486,12 @@ impl Shared {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Pick the device a job runs on: session-cache affinity first
-    /// (the warm arena is "resident" on the device that produced it),
-    /// otherwise least-loaded by in-flight count, ties broken by a
-    /// rotating cursor.
-    fn place(&self, key: Option<&SessionKey>) -> usize {
+    /// Pick the device a job runs on: least-loaded by in-flight count,
+    /// ties broken by a rotating cursor.
+    fn place(&self) -> usize {
         let m = self.cfg.devices.max(1);
         if m == 1 {
             return 0;
-        }
-        if let Some(k) = key {
-            if let Some(d) = lock(&self.cache).device_of(k) {
-                if d < m {
-                    return d;
-                }
-            }
         }
         let start = self.dev_cursor.fetch_add(1, Ordering::Relaxed) % m;
         let mut best = start;
@@ -724,17 +717,10 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(job) = job else { return };
-        // Place the job on a device before executing: affinity needs
-        // the session key, so compute it once here and hand it down
-        // (run_compress reuses it instead of re-fingerprinting).
-        let key = match &job.kind {
-            JobKind::Compress { data, cfg } => Some(SessionKey::of(data, cfg)),
-            JobKind::Decompress { .. } => None,
-        };
-        let device = shared.place(key.as_ref());
+        let device = shared.place();
         shared.dev_inflight[device].fetch_add(1, Ordering::Relaxed);
         cuszi_gpu_sim::on_device(device, || {
-            cuszi_gpu_sim::pool::with_threads(budget, || execute(shared, job, device, key));
+            cuszi_gpu_sim::pool::with_threads(budget, || execute(shared, job, device));
         });
         shared.dev_inflight[device].fetch_sub(1, Ordering::Relaxed);
         shared.dev_jobs[device].fetch_add(1, Ordering::Relaxed);
@@ -749,7 +735,7 @@ fn worker_loop(shared: &Shared) {
 /// Run one job under its scopes: engine + request metric registries,
 /// flight-recorder job context. A failure is delivered to this job's
 /// ticket only — concurrent jobs are unaffected.
-fn execute(shared: &Shared, job: Job, device: usize, key: Option<SessionKey>) {
+fn execute(shared: &Shared, job: Job, device: usize) {
     let started_ns = shared.now_ns();
     let req_reg = Arc::new(Registry::new());
     let _eng_scope = cuszi_profile::scope(Arc::clone(&shared.registry));
@@ -760,10 +746,7 @@ fn execute(shared: &Shared, job: Job, device: usize, key: Option<SessionKey>) {
     cuszi_profile::count(&format!("engine.dev{device}.jobs"), 1);
 
     let outcome: Result<(JobOutput, bool), CuszError> = match job.kind {
-        JobKind::Compress { data, cfg } => {
-            let key = key.unwrap_or_else(|| SessionKey::of(&data, &cfg));
-            run_compress(shared, &data, cfg, device, key)
-        }
+        JobKind::Compress { data, cfg } => run_compress(shared, &data, cfg),
         JobKind::Decompress { bytes, cfg } => CuszI::new(cfg)
             .decompress(&bytes)
             .map(|d| (JobOutput::Decompressed(d), false)),
@@ -793,25 +776,23 @@ fn execute(shared: &Shared, job: Job, device: usize, key: Option<SessionKey>) {
     let _ = job.tx.send(msg);
 }
 
+/// Compress through the session cache: the key is computed once here,
+/// a hit reuses the cached tuned config + codebook, a miss caches the
+/// ones this run built.
 fn run_compress(
     shared: &Shared,
     data: &NdArray<f32>,
     cfg: Config,
-    device: usize,
-    key: SessionKey,
 ) -> Result<(JobOutput, bool), CuszError> {
     let codec = CuszI::new(cfg);
+    let key = SessionKey::of(data, &cfg);
     let entry = lock(&shared.cache).checkout(&key);
     match entry {
-        Some(SessionEntry { warm, arena: sess_arena, .. }) => {
-            // Warm hit: install the session's arena, reuse the cached
-            // tuned config + codebook (skipping tune/histogram/codebook).
-            let prev = arena::swap(sess_arena);
+        Some(SessionEntry { warm, .. }) => {
+            // Warm hit: skip tune/histogram/codebook.
             let result = codec.compress_with(data, Some(&warm));
-            let warmed = arena::swap(prev);
             // The warm artifacts stay valid either way; reinsert.
-            lock(&shared.cache)
-                .insert(key, SessionEntry { warm, arena: warmed, last_used: 0, device });
+            lock(&shared.cache).insert(key, SessionEntry { warm, last_used: 0 });
             let (c, _) = result?;
             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             cuszi_profile::count("engine.cache_hit", 1);
@@ -820,14 +801,10 @@ fn run_compress(
         None => {
             shared.cache_misses.fetch_add(1, Ordering::Relaxed);
             cuszi_profile::count("engine.cache_miss", 1);
-            let prev = arena::swap(ScratchArena::new());
-            let result = codec.compress_with(data, None);
-            let warmed = arena::swap(prev);
-            let (c, book) = result?;
+            let (c, book) = codec.compress_with(data, None)?;
             if let Some(book) = book {
                 let warm = WarmStart { interp: c.interp.clone(), book };
-                lock(&shared.cache)
-                    .insert(key, SessionEntry { warm, arena: warmed, last_used: 0, device });
+                lock(&shared.cache).insert(key, SessionEntry { warm, last_used: 0 });
             }
             Ok((JobOutput::Compressed(c), false))
         }
@@ -949,10 +926,7 @@ mod tests {
             book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
         };
         let key = SessionKey::of(&field(), &cfg());
-        cache.insert(
-            key.clone(),
-            SessionEntry { warm, arena: ScratchArena::new(), last_used: 0, device: 0 },
-        );
+        cache.insert(key.clone(), SessionEntry { warm, last_used: 0 });
         assert!(cache.map.is_empty(), "entry over budget is evicted");
         assert!(cache.checkout(&key).is_none());
     }
@@ -969,9 +943,8 @@ mod tests {
 
     #[test]
     fn idle_devices_share_sequential_jobs() {
-        // Distinct fields (no affinity): the rotating tie-break spreads
-        // back-to-back jobs across idle devices instead of pinning all
-        // of them to device 0.
+        // The rotating tie-break spreads back-to-back jobs across idle
+        // devices instead of pinning all of them to device 0.
         let engine = Engine::new(EngineConfig::default().with_workers(1).with_devices(2));
         let other = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
             ((x as f32) * 0.4).cos() + (y as f32) * 0.03 + (z as f32) * 0.07
@@ -993,25 +966,11 @@ mod tests {
         assert_eq!(s.device_jobs.iter().sum::<u64>(), 2);
         assert_eq!(s.device_jobs[r1.device], 1);
         assert_eq!(s.device_jobs[r2.device], 1);
-    }
-
-    #[test]
-    fn session_affinity_pins_repeat_requests() {
-        let engine = Engine::new(EngineConfig::default().with_workers(1).with_devices(4));
-        let cold = engine.compress("t", field(), cfg()).unwrap();
-        let warm = engine.compress("t", field(), cfg()).unwrap();
-        assert!(warm.cache_hit);
-        assert_eq!(
-            warm.device, cold.device,
-            "warm repeat follows its cached arena's device, not the cursor"
-        );
         let m = engine.metrics();
-        let dev_jobs = m
-            .counters
-            .get(&format!("engine.dev{}.jobs", cold.device))
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(dev_jobs, 2, "per-device job counter tracks placement");
+        for d in [r1.device, r2.device] {
+            let jobs = m.counters.get(&format!("engine.dev{d}.jobs")).copied();
+            assert_eq!(jobs, Some(1), "per-device job counter tracks placement");
+        }
     }
 
     #[test]
@@ -1116,6 +1075,41 @@ mod tests {
     }
 
     #[test]
+    fn idle_tenants_with_full_buckets_are_forgotten() {
+        // A client that names a new tenant on every request: each one is
+        // admitted, served and then idle. Its bucket refills in
+        // 1 / TOKENS_PER_SEC = 20 ms, after which it must be forgotten,
+        // or the ring grows (and every pick walks it) without bound.
+        const MS: u64 = 1_000_000;
+        let mut st = SchedState::new();
+        for i in 0..10_000u64 {
+            enqueue(&mut st, &format!("tenant-{i}"), i * MS);
+            pick_n(&mut st, i * MS, 1);
+            assert!(st.rr.len() <= 32, "{} tenants held after {i} picks", st.rr.len());
+            assert!(st.cursor < st.rr.len().max(1));
+        }
+        assert!(st.pick(10_000 * MS + 1_000 * MS).is_none());
+        assert!(st.tenants.is_empty() && st.rr.is_empty(), "{} tenants left", st.tenants.len());
+        assert_eq!(st.cursor, 0);
+    }
+
+    #[test]
+    fn forgetting_tenants_keeps_the_cursor_on_the_next_in_line() {
+        let mut st = SchedState::new();
+        for t in ["a", "b", "b", "c", "d"] {
+            enqueue(&mut st, t, 0);
+        }
+        let order: Vec<String> = pick_n(&mut st, 0, 3).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, ["a", "b", "c"]);
+        assert_eq!(st.cursor, 3, "d is next in line");
+        // A second later a and c are idle with full buckets and are
+        // forgotten; b and d tie, and the tie-break still starts at d.
+        assert_eq!(pick_n(&mut st, 1_000_000_000, 1)[0].0, "d");
+        assert_eq!(st.rr, ["b", "d"]);
+        assert!(!st.tenants.contains_key("a") && !st.tenants.contains_key("c"));
+    }
+
+    #[test]
     fn admission_refuses_past_the_queue_cap_until_a_pick_frees_a_slot() {
         let mut st = SchedState::new();
         for i in 0..QUEUE_CAP {
@@ -1147,12 +1141,10 @@ mod tests {
                 interp: cuszi_predict::tuning::InterpConfig::untuned(3),
                 book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
             },
-            arena: ScratchArena::new(),
             last_used: 0,
-            device: 0,
         };
         let key = |fp: u64| SessionKey { fp, ..SessionKey::of(&field(), &cfg()) };
-        let mut cache = SessionCache::new(2 * entry().bytes());
+        let mut cache = SessionCache::new(2 * entry().warm.approx_bytes());
         cache.insert(key(1), entry());
         cache.insert(key(2), entry());
         // Checking key 1 out and back in makes key 2 the oldest.
@@ -1163,7 +1155,7 @@ mod tests {
         assert!(cache.map.contains_key(&key(1)));
         assert!(!cache.map.contains_key(&key(2)), "least recently used goes first");
         assert!(cache.map.contains_key(&key(3)));
-        assert_eq!(cache.total_bytes(), 2 * entry().bytes());
+        assert_eq!(cache.total_bytes(), 2 * entry().warm.approx_bytes());
     }
 
     #[test]

@@ -45,7 +45,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod archive;
-pub mod arena;
 pub mod audit;
 pub mod batch;
 pub mod config;
@@ -60,7 +59,6 @@ pub(crate) mod telemetry;
 pub mod traits;
 pub(crate) mod wire;
 
-pub use arena::ScratchArena;
 pub use audit::{AuditReport, LevelAudit};
 pub use config::Config;
 pub use engine::{Engine, EngineConfig, EngineError, EngineStats, JobOutput, JobResult, Ticket};

@@ -2,11 +2,12 @@
 //!
 //! Compress calls its stages in order (paper Fig. 1): `tune →
 //! predict-quant → histogram → codebook → huffman-encode → assemble →
-//! [bitcomp] → finalize`. `assemble` gathers the five payload sections
-//! from arena-backed buffers (see [`crate::arena`]); `bitcomp` (present
-//! iff [`Config::bitcomp`]) packs the payload; `finalize` prepends the
-//! header. An engine cache hit (a `WarmStart`) skips `tune`,
-//! `histogram` and `codebook`. Decompress mirrors it:
+//! [bitcomp] → finalize`. The archive is one buffer: `assemble` writes
+//! the five payload sections into it behind room for the header;
+//! `bitcomp` (present iff [`Config::bitcomp`]) packs that payload in
+//! place; `finalize` writes the header into the room left for it. An
+//! engine cache hit (a `WarmStart`) skips `tune`, `histogram` and
+//! `codebook`. Decompress mirrors it:
 //! `[bitcomp-decode] → split-sections → huffman-decode →
 //! g-interp-reconstruct`. Each stage's output is a local value handed to
 //! the next, and every stage body runs through one helper, `stage`.
@@ -139,54 +140,50 @@ fn observe_entropy(hist: &[u32]) {
     }
 }
 
-/// Gather the five payload sections from arena-backed buffers: the
-/// payload, the section table for the header, and the logical sizes.
+/// Write the five payload sections straight into the one buffer that
+/// becomes the archive, behind `HEADER_LEN` reserved bytes that
+/// `finalize` fills. Every section length is known once `huffman-encode`
+/// has run, so the buffer is sized once and each byte written once.
+/// Returns the buffer, the section table for the header, and the
+/// logical sizes.
 fn assemble(
     pred: &PredictOutput,
     book: &Codebook,
     stream: &EncodedStream,
 ) -> (Vec<u8>, [u64; 5], SectionSizes) {
-    let mut anchors_bytes = crate::arena::take(pred.anchors.len() * 4);
-    for v in &pred.anchors {
-        anchors_bytes.extend_from_slice(&v.to_le_bytes());
-    }
     let book_bytes = book.to_bytes();
-    let stream_bytes = stream.to_bytes();
-    let mut oidx_bytes = crate::arena::take(pred.outliers.indices().len() * 8);
-    for v in pred.outliers.indices() {
-        oidx_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut oval_bytes = crate::arena::take(pred.outliers.values().len() * 4);
-    for v in pred.outliers.values() {
-        oval_bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    let sections = [
-        anchors_bytes.len() as u64,
-        book_bytes.len() as u64,
-        stream_bytes.len() as u64,
-        oidx_bytes.len() as u64,
-        oval_bytes.len() as u64,
+    let (oidx, oval) = (pred.outliers.indices(), pred.outliers.values());
+    let lens = [
+        pred.anchors.len() * 4,
+        book_bytes.len(),
+        stream.serialized_len(),
+        oidx.len() * 8,
+        oval.len() * 4,
     ];
-    let mut payload = crate::arena::take(sections.iter().map(|&s| s as usize).sum::<usize>());
-    payload.extend_from_slice(&anchors_bytes);
-    payload.extend_from_slice(&book_bytes);
-    payload.extend_from_slice(&stream_bytes);
-    payload.extend_from_slice(&oidx_bytes);
-    payload.extend_from_slice(&oval_bytes);
+    let total = HEADER_LEN + lens.iter().sum::<usize>();
+    let mut buf = Vec::with_capacity(total);
+    buf.resize(HEADER_LEN, 0);
+    for v in &pred.anchors {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    buf.extend_from_slice(&book_bytes);
+    stream.write_to(&mut buf);
+    for v in oidx {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    for v in oval {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+    debug_assert_eq!(buf.len(), total);
 
     let sizes = SectionSizes {
         header: HEADER_LEN,
-        anchors: anchors_bytes.len(),
-        codebook: book_bytes.len(),
-        huffman: stream_bytes.len(),
-        outliers: oidx_bytes.len() + oval_bytes.len(),
+        anchors: lens[0],
+        codebook: lens[1],
+        huffman: lens[2],
+        outliers: lens[3] + lens[4],
     };
-    crate::arena::put(anchors_bytes);
-    crate::arena::put(book_bytes);
-    crate::arena::put(stream_bytes);
-    crate::arena::put(oidx_bytes);
-    crate::arena::put(oval_bytes);
-    (payload, sections, sizes)
+    (buf, lens.map(|l| l as u64), sizes)
 }
 
 /// Split a (Bitcomp-unpacked) payload into anchors, codebook, Huffman
@@ -373,22 +370,24 @@ impl CuszI {
             stage("huffman-encode", || Ok(encode_gpu(&pred.codes, book, &cfg.device)))?;
         kernels.extend(estats);
 
-        let (payload, sections, sizes) = stage("assemble", || Ok(assemble(&pred, book, &stream)))?;
+        let (mut buf, sections, sizes) = stage("assemble", || Ok(assemble(&pred, book, &stream)))?;
 
-        // § VI-B: Bitcomp-lossless pass over the whole payload.
-        let (payload, flags) = if cfg.bitcomp {
-            let (packed, bstats) = stage("bitcomp", || {
-                let packed = cuszi_bitcomp::compress(&payload, &cfg.device);
-                crate::arena::put(payload);
-                Ok(packed)
+        // § VI-B: Bitcomp-lossless pass over the whole payload, packed
+        // in place behind the reserved header bytes.
+        let flags = if cfg.bitcomp {
+            let bstats = stage("bitcomp", || {
+                let (packed, bstats) = cuszi_bitcomp::compress(&buf[HEADER_LEN..], &cfg.device);
+                buf.truncate(HEADER_LEN);
+                buf.extend_from_slice(&packed);
+                Ok(bstats)
             })?;
             kernels.extend(bstats);
-            (packed, FLAG_BITCOMP)
+            FLAG_BITCOMP
         } else {
-            (payload, 0)
+            0
         };
 
-        // Prepend the self-describing header.
+        // Write the self-describing header into the reserved bytes.
         let bytes = stage("finalize", || {
             let header = Header {
                 version: VERSION,
@@ -402,12 +401,10 @@ impl CuszI {
                 const_value: 0.0,
                 sections,
             };
-            let mut bytes = header.to_bytes();
-            bytes.extend_from_slice(&payload);
-            crate::arena::put(payload);
+            buf[..HEADER_LEN].copy_from_slice(&header.to_bytes());
             if cuszi_profile::metrics_active() {
                 let bytes_in = (data.len() * 4) as u64;
-                let bytes_out = bytes.len() as u64;
+                let bytes_out = buf.len() as u64;
                 let outliers = pred.outliers.indices().len() as u64;
                 cuszi_profile::count("compress.fields", 1);
                 cuszi_profile::count("compress.bytes_in", bytes_in);
@@ -421,7 +418,7 @@ impl CuszI {
                     outliers * 1_000_000 / (data.len() as u64).max(1),
                 );
             }
-            Ok(bytes)
+            Ok(buf)
         })?;
 
         Ok((Compressed { bytes, kernels, sections: sizes, eb_abs, interp, audit }, built))

@@ -153,7 +153,7 @@ pub fn compress_fields_sharded(
         },
         |c| c.bytes.len() as u64,
         |i, c| {
-            container.push(&fields[i], c?.bytes);
+            container.push(&fields[i], &c?.bytes);
             Ok(())
         },
     )?;
@@ -194,7 +194,7 @@ pub fn compress_slabs_sharded(
         },
         |archive| archive.len() as u64,
         |_, archive| {
-            crate::stream::push_slab(&mut out, archive?);
+            crate::stream::push_slab(&mut out, &archive?);
             Ok(())
         },
     )?;

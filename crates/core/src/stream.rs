@@ -67,11 +67,10 @@ impl SlabGeometry {
     }
 }
 
-/// Append one slab's entry and recycle its archive buffer.
-pub(crate) fn push_slab(out: &mut Vec<u8>, archive: Vec<u8>) {
+/// Append one slab's entry.
+pub(crate) fn push_slab(out: &mut Vec<u8>, archive: &[u8]) {
     cuszi_profile::observe("stream.slab_archive_bytes", archive.len() as u64);
-    crate::wire::put_entry(out, &archive);
-    crate::arena::put(archive);
+    crate::wire::put_entry(out, archive);
 }
 
 /// Validate the stream header and walk the entry table (checked, see

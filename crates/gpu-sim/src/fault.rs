@@ -45,7 +45,7 @@
 //!
 //! All three fault kinds are deterministic given a deterministic
 //! workload: kernel names and stream ids are stable, and the
-//! allocation counter counts pool/arena draws in a fixed per-thread
+//! allocation counter counts pool draws in a fixed per-thread
 //! order (with one stream / one worker the global order is fixed too).
 //! When no fault is armed the fast path is a single relaxed atomic
 //! load, and the substrate's behaviour is bit-for-bit identical to a
@@ -55,7 +55,7 @@
 //! # Syntax (`CUSZI_FAULT`)
 //!
 //! ```text
-//! CUSZI_FAULT=alloc:7          # flag the 7th pooled/arena allocation
+//! CUSZI_FAULT=alloc:7          # flag the 7th pooled allocation
 //! CUSZI_FAULT=launch:g-interp  # drop every launch of kernel "g-interp"
 //! CUSZI_FAULT=stream:1         # poison stream id 1 in every scope
 //! CUSZI_FAULT=dev2:stream:0    # same, but only in device 2's domain
@@ -74,7 +74,7 @@ use crate::multi::{current_device, MAX_DEVICES};
 /// Which site to fail. Armed with [`arm`] or `CUSZI_FAULT`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// Flag the `n`th (1-based) pooled-buffer / arena allocation after
+    /// Flag the `n`th (1-based) pooled-buffer allocation after
     /// arming. The buffer is still returned (no mid-kernel unwinding);
     /// the fault surfaces at the next sticky-error check.
     AllocNth(u64),
@@ -127,7 +127,7 @@ impl FaultSpec {
 /// The category of a tripped fault, for typed error mapping upstream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A pooled/arena allocation was flagged.
+    /// A pooled allocation was flagged.
     Alloc,
     /// A kernel launch was dropped.
     Launch,
@@ -318,9 +318,9 @@ fn set_sticky(dev: usize, f: Fault) {
     }
 }
 
-/// Notify the injector of one pooled/arena allocation. Called by the
-/// substrate's buffer pool and by core's assembly arena; a no-op (one
-/// relaxed load) when nothing is armed in the calling thread's domain.
+/// Notify the injector of one pooled allocation. Called by the
+/// substrate's buffer pool; a no-op (one relaxed load) when nothing is
+/// armed in the calling thread's domain.
 pub fn on_alloc() {
     if !armed() {
         return;

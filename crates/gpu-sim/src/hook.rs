@@ -55,7 +55,7 @@ pub enum Signal<'a> {
     Launch(&'a LaunchRecord<'a>),
     /// A launch the fault injector dropped — the grid never executed.
     LaunchDropped { name: &'a str, stream: Option<u32> },
-    /// The `seq`-th pooled/arena allocation. Pool draws are sampled
+    /// The `seq`-th pooled allocation. Pool draws are sampled
     /// (one signal per [`ALLOC_SAMPLE`]); `seq` is the true count.
     Alloc { seq: u64 },
     /// A stream lifecycle or synchronization operation.
@@ -98,7 +98,7 @@ pub fn emit(sig: Signal<'_>) {
     }
 }
 
-/// Count one pooled/arena allocation and deliver a sampled
+/// Count one pooled allocation and deliver a sampled
 /// [`Signal::Alloc`]. Called by the buffer pool next to the fault
 /// injector's `on_alloc`; one load when no hook is registered.
 #[inline]

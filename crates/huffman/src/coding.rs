@@ -68,11 +68,18 @@ impl EncodedStream {
         STREAM_HEAD + self.offsets.len() * 8 + 8 + self.gaps.len() + self.bits.len()
     }
 
-    /// Flatten to bytes (little-endian, length-prefixed sections):
-    /// `n u64 · chunk_size u32 · chunks u64 · offsets u64⋯ · gaps u64 ·
-    /// gap bytes · bits`.
+    /// Flatten to bytes: [`EncodedStream::write_to`] into a fresh buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_len());
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Append the serialized stream to `out` — exactly
+    /// [`EncodedStream::serialized_len`] bytes, little-endian,
+    /// length-prefixed sections: `n u64 · chunk_size u32 · chunks u64 ·
+    /// offsets u64⋯ · gaps u64 · gap bytes · bits`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.n.to_le_bytes());
         out.extend_from_slice(&self.chunk_size.to_le_bytes());
         out.extend_from_slice(&(self.offsets.len() as u64).to_le_bytes());
@@ -82,7 +89,6 @@ impl EncodedStream {
         out.extend_from_slice(&(self.gaps.len() as u64).to_le_bytes());
         out.extend_from_slice(&self.gaps);
         out.extend_from_slice(&self.bits);
-        out
     }
 
     /// Inverse of [`EncodedStream::to_bytes`]. Returns `None` on any
@@ -766,6 +772,18 @@ mod tests {
         let (stream, _) = encode_gpu(&codes, &book, &A100);
         let back = EncodedStream::from_bytes(&stream.to_bytes()).unwrap();
         assert_eq!(stream, back);
+    }
+
+    #[test]
+    fn write_to_appends_exactly_the_serialized_stream() {
+        let codes: Vec<u16> = (0..30_000).map(|i| ((i * 11) % 200) as u16).collect();
+        let book = book_for(&codes, 256);
+        let (stream, _) = encode_gpu(&codes, &book, &A100);
+        let mut buf = vec![0xEE; 7];
+        stream.write_to(&mut buf);
+        assert_eq!(buf.len(), 7 + stream.serialized_len());
+        assert_eq!(buf[..7], [0xEE; 7], "the caller's prefix is left alone");
+        assert_eq!(buf[7..], stream.to_bytes());
     }
 
     #[test]

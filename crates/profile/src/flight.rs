@@ -71,7 +71,7 @@ pub enum FlightKind {
     Launch,
     /// A launch the fault injector dropped — the grid never ran.
     LaunchDropped,
-    /// A sampled pooled/arena allocation (`arg` = true running count).
+    /// A sampled pooled allocation (`arg` = true running count).
     Alloc,
     /// A stream lifecycle/sync operation (`name` = op, `arg` = id).
     StreamOp,

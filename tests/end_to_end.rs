@@ -239,3 +239,66 @@ fn soak_quarter_paper_scale_turbulence() {
     let d = distortion(data.as_slice(), recon.as_slice()).unwrap();
     assert!(cr > 8.0 && d.psnr > 60.0, "CR {cr:.1}, PSNR {:.1}", d.psnr);
 }
+
+#[test]
+fn archive_layout_matches_a_rebuild_from_the_public_stages() {
+    // The archive is header ++ anchors ++ codebook ++ Huffman stream ++
+    // outlier indices ++ outlier values, with Bitcomp (when on) packing
+    // everything after the header. Rebuild it from the public stages in
+    // pipeline order and compare byte for byte.
+    use cuszi_repro::core::archive::{Header, FLAG_BITCOMP, VERSION};
+    use cuszi_repro::huffman::{encode_gpu, histogram_gpu, Codebook};
+    use cuszi_repro::predict::{ginterp, tuning::profile_and_tune};
+    use cuszi_repro::tensor::stats::ValueRange;
+
+    for kind in [DatasetKind::ALL[0], DatasetKind::ALL[1]] {
+        let field = shrink(&generate(kind, Scale::Small, 42).fields[0].data);
+        for eb in [ErrorBound::Rel(1e-3), ErrorBound::Rel(1e-5)] {
+            let cfg = Config::new(eb);
+            let dev = &cfg.device;
+            let range = ValueRange::of(field.as_slice()).unwrap().range() as f64;
+            let (eb_abs, rel_eb) = (eb.absolute(range), eb.relative(range));
+            let interp = profile_and_tune(&field, rel_eb).0;
+            let pred = ginterp::compress(&field, eb_abs, cfg.radius, &interp, dev);
+            let alphabet = 2 * cfg.radius as usize;
+            let (hist, _) =
+                histogram_gpu(&pred.codes, alphabet, cfg.radius, cfg.histogram_topk, dev);
+            let book = Codebook::from_histogram(&hist).unwrap();
+            let (stream, _) = encode_gpu(&pred.codes, &book, dev);
+            let sections: [Vec<u8>; 5] = [
+                pred.anchors.iter().flat_map(|v| v.to_le_bytes()).collect(),
+                book.to_bytes(),
+                stream.to_bytes(),
+                pred.outliers.indices().iter().flat_map(|v| v.to_le_bytes()).collect(),
+                pred.outliers.values().iter().flat_map(|v| v.to_le_bytes()).collect(),
+            ];
+            let payload = sections.concat();
+            for bitcomp in [false, true] {
+                let header = Header {
+                    version: VERSION,
+                    flags: if bitcomp { FLAG_BITCOMP } else { 0 },
+                    shape: field.shape(),
+                    eb_abs,
+                    alpha: interp.alpha,
+                    radius: cfg.radius,
+                    variants: interp.variants,
+                    order: interp.order.clone(),
+                    const_value: 0.0,
+                    sections: sections.each_ref().map(|s| s.len() as u64),
+                };
+                let body = match bitcomp {
+                    true => cuszi_repro::bitcomp::compress(&payload, dev).0,
+                    false => payload.clone(),
+                };
+                let rebuilt = [header.to_bytes(), body].concat();
+                let codec = CuszI::new(if bitcomp { cfg } else { cfg.without_bitcomp() });
+                let archive = codec.compress(&field).unwrap().bytes;
+                assert!(
+                    archive == rebuilt,
+                    "{} at {eb:?}, bitcomp {bitcomp}: the archive differs from its stages",
+                    kind.name()
+                );
+            }
+        }
+    }
+}

@@ -224,9 +224,9 @@ fn alloc_faults_error_without_panicking() {
     let (_, data) = &fields_of(DatasetKind::ALL[0])[0];
     let archive = codec.compress(data).expect("unarmed compress").bytes;
 
-    // Small N always trips (every kernel draws scratch buffers; the
-    // assembly arena draws too). Each N may surface at a different
-    // stage — the sweep asserts the kind, not the site.
+    // Small N always trips (every kernel draws scratch buffers). Each N
+    // may surface at a different stage — the sweep asserts the kind, not
+    // the site.
     for n in [1u64, 2, 3, 5, 8, 13, 21, 34] {
         clear_flight_dump();
         let _armed = Armed::new(FaultSpec::AllocNth(n));
