@@ -71,6 +71,56 @@ fn rle0_encode(src: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Length of [`rle0_encode`]'s output, from the run structure alone:
+/// one control byte per token plus the literal bytes. A token starts
+/// where the bytes switch between zero and non-zero, or where the
+/// current token has reached 128 bytes — the encoder's own rule.
+fn rle0_size(src: &[u8]) -> usize {
+    // The token being built: its kind and length. Length 128 makes the
+    // first byte start a token.
+    let mut t = Rle0Tokens { zero: false, run: 128, size: 0 };
+    let mut words = src.chunks_exact(8);
+    for w in &mut words {
+        // Eight bytes that only extend the current token, taken whole.
+        let x = u64::from_le_bytes(w.try_into().unwrap());
+        let same_kind = if t.zero { x == 0 } else { !has_zero_byte(x) };
+        if same_kind && t.run + 8 <= 128 {
+            t.run += 8;
+            t.size += if t.zero { 0 } else { 8 };
+        } else {
+            w.iter().for_each(|&b| t.byte(b));
+        }
+    }
+    words.remainder().iter().for_each(|&b| t.byte(b));
+    t.size
+}
+
+/// [`rle0_size`]'s scan state: the current token and the bytes so far.
+struct Rle0Tokens {
+    zero: bool,
+    run: usize,
+    size: usize,
+}
+
+impl Rle0Tokens {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        if (b == 0) != self.zero || self.run == 128 {
+            (self.zero, self.run) = (b == 0, 0);
+            self.size += 1;
+        }
+        self.run += 1;
+        self.size += !self.zero as usize;
+    }
+}
+
+/// Whether any byte of `x` is zero.
+#[inline]
+fn has_zero_byte(x: u64) -> bool {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    x.wrapping_sub(LO) & !x & (LO << 7) != 0
+}
+
 fn rle0_decode(src: &[u8], expect: usize) -> Result<Vec<u8>, BitcompError> {
     let mut out = Vec::with_capacity(expect);
     let mut i = 0;
@@ -112,27 +162,33 @@ fn unzigzag(v: u64) -> i64 {
 /// behaviour).
 const DELTA_GROUP: usize = 32;
 
+/// Zigzagged differences of consecutive little-endian u32 words of
+/// `src` (a trailing partial word is not a word).
+fn word_deltas(src: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let words = src.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()));
+    words.clone().zip(words.skip(1)).map(|(a, b)| zigzag(b as i64 - a as i64))
+}
+
+/// Bit width of a group whose zigzagged deltas OR to `or`.
+#[inline]
+fn group_width(or: u64) -> u8 {
+    64 - or.leading_zeros() as u8
+}
+
 /// Delta + grouped fixed-width bit-packing over little-endian u32 words.
 ///
 /// Body: `[u8 tail_len][tail bytes][u32 first]`, then per group of up to
 /// [`DELTA_GROUP`] deltas: `[u8 width][packed zigzag deltas]`.
 fn delta_bp_encode(src: &[u8], out: &mut Vec<u8>) {
-    let words: Vec<u32> = src
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let tail = &src[words.len() * 4..];
-    let deltas: Vec<u64> = words
-        .windows(2)
-        .map(|w| zigzag(w[1] as i64 - w[0] as i64))
-        .collect();
+    let tail = &src[src.len() / 4 * 4..];
+    let deltas: Vec<u64> = word_deltas(src).collect();
     out.push(tail.len() as u8);
     out.extend_from_slice(tail);
-    if let Some(&first) = words.first() {
-        out.extend_from_slice(&first.to_le_bytes());
+    if src.len() >= 4 {
+        out.extend_from_slice(&src[..4]);
     }
     for group in deltas.chunks(DELTA_GROUP) {
-        let width = group.iter().map(|&d| 64 - d.leading_zeros() as u8).max().unwrap_or(0);
+        let width = group_width(group.iter().fold(0, |or, &d| or | d));
         out.push(width);
         let mut bitbuf = 0u128;
         let mut nbits = 0u32;
@@ -148,6 +204,27 @@ fn delta_bp_encode(src: &[u8], out: &mut Vec<u8>) {
             out.push((bitbuf << (8 - nbits)) as u8);
         }
     }
+}
+
+/// Length of [`delta_bp_encode`]'s output, from each group's OR-ed
+/// delta width alone.
+fn delta_bp_size(src: &[u8]) -> usize {
+    let tail = src.len() % 4;
+    let first = if src.len() >= 4 { 4 } else { 0 };
+    let group_bytes = |n: usize, or: u64| 1 + (n * group_width(or) as usize).div_ceil(8);
+    let (mut size, mut n, mut or) = (1 + tail + first, 0, 0u64);
+    for d in word_deltas(src) {
+        or |= d;
+        n += 1;
+        if n == DELTA_GROUP {
+            size += group_bytes(n, or);
+            (n, or) = (0, 0);
+        }
+    }
+    if n > 0 {
+        size += group_bytes(n, or);
+    }
+    size
 }
 
 fn delta_bp_decode(src: &[u8], expect: usize) -> Result<Vec<u8>, BitcompError> {
@@ -217,19 +294,31 @@ fn delta_bp_decode(src: &[u8], expect: usize) -> Result<Vec<u8>, BitcompError> {
     Ok(out)
 }
 
-/// Encode one block: best of RLE0 / delta-bitpack / raw.
-fn encode_block(src: &[u8]) -> Vec<u8> {
-    let mut rle = Vec::with_capacity(src.len() + 8);
-    rle0_encode(src, &mut rle);
-    let mut dbp = Vec::with_capacity(src.len() + 8);
-    delta_bp_encode(src, &mut dbp);
-    let mut best = if rle.len() <= dbp.len() { (MODE_RLE0, rle) } else { (MODE_DELTA_BP, dbp) };
-    if best.1.len() >= src.len() {
-        best = (MODE_RAW, src.to_vec());
+/// The mode [`encode_block`] writes and its body length: the smaller of
+/// RLE0 and delta-bitpack (RLE0 on a tie), or raw when neither is
+/// shorter than the block.
+fn choose_mode(src: &[u8]) -> (u8, usize) {
+    let (rle, dbp) = (rle0_size(src), delta_bp_size(src));
+    let (mode, size) = if rle <= dbp { (MODE_RLE0, rle) } else { (MODE_DELTA_BP, dbp) };
+    if size >= src.len() {
+        (MODE_RAW, src.len())
+    } else {
+        (mode, size)
     }
-    let mut out = Vec::with_capacity(best.1.len() + 1);
-    out.push(best.0);
-    out.extend_from_slice(&best.1);
+}
+
+/// Encode one block: size both coders, then write only the winner
+/// after its mode byte.
+fn encode_block(src: &[u8]) -> Vec<u8> {
+    let (mode, size) = choose_mode(src);
+    let mut out = Vec::with_capacity(1 + size);
+    out.push(mode);
+    match mode {
+        MODE_RLE0 => rle0_encode(src, &mut out),
+        MODE_DELTA_BP => delta_bp_encode(src, &mut out),
+        _ => out.extend_from_slice(src),
+    }
+    debug_assert_eq!(out.len(), 1 + size);
     out
 }
 
@@ -456,6 +545,81 @@ mod tests {
         assert!(decompress(&bad3, &A100).is_err());
     }
 
+    /// Blocks of every shape the size functions must get right.
+    fn block_kinds() -> Vec<(&'static str, Vec<u8>)> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut random = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        };
+        let ramp = |n: u32, step: u32| -> Vec<u8> {
+            (0..n).flat_map(|i| (70_000 + i * step).to_le_bytes()).collect()
+        };
+        let sparse: Vec<u8> = (0..BLOCK).map(|i| if i % 300 < 2 { 0x41 } else { 0 }).collect();
+        let mut ramp_tail = ramp(1000, 5);
+        ramp_tail.extend_from_slice(&[9, 0, 3]);
+        vec![
+            ("all zero", vec![0; BLOCK]),
+            ("zero runs past 128", sparse),
+            ("random", random(BLOCK)),
+            ("ramp", ramp(1024, 3)),
+            ("ramp, wide steps", ramp(1024, 40_000)),
+            ("ramp, len % 4 == 3", ramp_tail),
+            ("random, len % 4 == 1", random(4093)),
+            // Both coders take 6 bytes: the tie goes to RLE0.
+            ("tie", vec![1, 0, 0, 0, 1, 0, 0, 0]),
+            ("three bytes", vec![0, 7, 0]),
+            ("one byte", vec![5]),
+            ("empty", vec![]),
+        ]
+    }
+
+    #[test]
+    fn size_functions_match_the_encoders() {
+        for (kind, src) in block_kinds() {
+            let mut rle = Vec::new();
+            rle0_encode(&src, &mut rle);
+            assert_eq!(rle0_size(&src), rle.len(), "{kind}");
+            let mut dbp = Vec::new();
+            delta_bp_encode(&src, &mut dbp);
+            assert_eq!(delta_bp_size(&src), dbp.len(), "{kind}");
+
+            // Encode both and keep the shorter: RLE0 on a tie, raw
+            // unless something is shorter than the block.
+            let mut want = if rle.len() <= dbp.len() { (MODE_RLE0, rle) } else { (MODE_DELTA_BP, dbp) };
+            if want.1.len() >= src.len() {
+                want = (MODE_RAW, src.clone());
+            }
+            assert_eq!(choose_mode(&src), (want.0, want.1.len()), "{kind}");
+            let mut block = vec![want.0];
+            block.extend_from_slice(&want.1);
+            assert_eq!(encode_block(&src), block, "{kind}");
+        }
+    }
+
+    #[test]
+    fn block_kinds_reach_every_mode() {
+        let modes: Vec<u8> = block_kinds().iter().map(|(_, src)| choose_mode(src).0).collect();
+        for mode in [MODE_RAW, MODE_RLE0, MODE_DELTA_BP] {
+            assert!(modes.contains(&mode), "no block kind picks mode {mode}: {modes:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_payload_archive_is_pinned() {
+        // Every block kind back to back, so blocks straddle the kinds.
+        let data: Vec<u8> = block_kinds().into_iter().flat_map(|(_, src)| src).collect();
+        let (arc, _) = compress(&data, &A100);
+        let fnv = arc.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        assert_eq!((data.len(), arc.len(), fnv), (28_588, 11_595, 0x0E4A_2DCF_AD38_9B5F));
+    }
+
     #[test]
     fn zigzag_roundtrip() {
         for v in [0i64, 1, -1, i32::MAX as i64, i32::MIN as i64, -123456] {
@@ -467,6 +631,15 @@ mod tests {
         #[test]
         fn prop_roundtrip_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
             roundtrip(&data);
+        }
+
+        #[test]
+        fn prop_sizes_match_the_encoders(src in proptest::collection::vec(prop_oneof![3 => Just(0u8), 1 => any::<u8>()], 0..600)) {
+            let (mut rle, mut dbp) = (Vec::new(), Vec::new());
+            rle0_encode(&src, &mut rle);
+            delta_bp_encode(&src, &mut dbp);
+            prop_assert_eq!(rle0_size(&src), rle.len());
+            prop_assert_eq!(delta_bp_size(&src), dbp.len());
         }
 
         #[test]

@@ -742,7 +742,6 @@ fn execute(shared: &Shared, job: Job, device: usize) {
     let _req_scope = cuszi_profile::scope(Arc::clone(&req_reg));
     let _job_scope = cuszi_profile::flight::job_scope(job.id, &job.tenant);
     cuszi_profile::count("engine.jobs", 1);
-    cuszi_profile::count(&format!("engine.tenant.{}.jobs", job.tenant), 1);
     cuszi_profile::count(&format!("engine.dev{device}.jobs"), 1);
 
     let outcome: Result<(JobOutput, bool), CuszError> = match job.kind {
@@ -866,6 +865,26 @@ mod tests {
         let b2 = r2.metrics.counters.get("compress.bytes_in").copied().unwrap_or(0);
         assert_eq!(b1, (small.len() * 4) as u64, "request 1 sees only its own bytes");
         assert_eq!(b2, (big.len() * 4) as u64, "request 2 sees only its own bytes");
+    }
+
+    #[test]
+    fn tenant_names_do_not_grow_the_engine_registry() {
+        // Tenant names come off the wire; the engine-wide registry must
+        // not keep a counter per name ever seen. A constant field is the
+        // cheapest job that still runs every per-job counter.
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        let flat = NdArray::from_fn(Shape::d3(2, 2, 2), |_, _, _| 1.0f32);
+        let run = |t: &str| {
+            engine.compress(t, flat.clone(), cfg()).unwrap();
+        };
+        run("warm-up");
+        let counters = engine.metrics().counters.len();
+        for i in 0..10_000 {
+            run(&format!("tenant-{i}"));
+        }
+        let m = engine.metrics();
+        assert_eq!(m.counters.get("engine.jobs"), Some(&10_001));
+        assert_eq!(m.counters.len(), counters, "{:?}", m.counters.keys().take(8).collect::<Vec<_>>());
     }
 
     #[test]

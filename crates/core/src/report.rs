@@ -11,11 +11,10 @@ use crate::pipeline::Compressed;
 
 /// Kernels of a cold compress with Bitcomp, in launch order. Every
 /// other run launches a subsequence of these.
-const COMPRESS_KERNELS: [&str; 7] = [
+const COMPRESS_KERNELS: [&str; 6] = [
     "anchor-gather",
     "g-interp",
     "histogram",
-    "huffman-len",
     "huffman-emit",
     "bitcomp-encode",
     "bitcomp-emit",
@@ -27,10 +26,10 @@ const COMPRESS_KERNELS: [&str; 7] = [
 pub fn compress_stage_names(n_kernels: usize) -> Vec<&'static str> {
     let (warm, bitcomp) = match n_kernels {
         0 => return vec![], // constant-field fast path
-        4 => (true, false),
-        5 => (false, false),
-        6 => (true, true),
-        7 => (false, true),
+        3 => (true, false),
+        4 => (false, false),
+        5 => (true, true),
+        6 => (false, true),
         n => return vec!["kernel"; n],
     };
     COMPRESS_KERNELS
@@ -99,20 +98,20 @@ mod tests {
     }
 
     #[test]
-    fn full_pipeline_has_seven_labelled_stages() {
+    fn full_pipeline_has_six_labelled_stages() {
         let c = compressed(true);
         let rows = stage_breakdown(&c, &TimingModel::new(A100));
-        assert_eq!(rows.len(), 7);
+        assert_eq!(rows.len(), 6);
         assert_eq!(rows[0].name, "anchor-gather");
         assert_eq!(rows[1].name, "g-interp");
         assert!(rows.iter().all(|r| r.seconds > 0.0));
     }
 
     #[test]
-    fn no_bitcomp_pipeline_has_five_stages() {
+    fn no_bitcomp_pipeline_has_four_stages() {
         let c = compressed(false);
         let rows = stage_breakdown(&c, &TimingModel::new(A100));
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 4);
         assert_eq!(rows.last().unwrap().name, "huffman-emit");
     }
 
@@ -139,7 +138,7 @@ mod tests {
             let c = warm.output.into_compressed().unwrap();
             let names: Vec<_> =
                 stage_breakdown(&c, &TimingModel::new(A100)).iter().map(|r| r.name).collect();
-            let mut want = vec!["anchor-gather", "g-interp", "huffman-len", "huffman-emit"];
+            let mut want = vec!["anchor-gather", "g-interp", "huffman-emit"];
             if cfg.bitcomp {
                 want.extend(["bitcomp-encode", "bitcomp-emit"]);
             }

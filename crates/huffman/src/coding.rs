@@ -1,12 +1,12 @@
 //! Chunked coarse-grained Huffman encoding/decoding kernels.
 //!
-//! cuSZ's coarse-grained scheme: the code plane is split into fixed-size
-//! chunks; pass 1 computes each chunk's encoded bit length, a prefix sum
-//! assigns byte-aligned output offsets, and pass 2 writes the bits —
-//! every chunk independent, so both passes (and decoding) are
-//! block-parallel.
+//! cuSZ+'s coarse-grained scheme: the code plane is split into
+//! fixed-size chunks and one block encodes each chunk into bounded
+//! scratch (chunk length × longest code); the host concatenates the
+//! byte-aligned chunks, which fixes their offsets — every chunk
+//! independent, so encoding (and decoding) is block-parallel.
 //!
-//! Pass 2 also records the *gap array*: for every
+//! The encoder also records the *gap array*: for every
 //! [`GAP_SECTOR_BYTES`]-byte sector of a chunk, the bit offset of the
 //! first codeword that starts in it. With those starts stored,
 //! [`decode_gpu`] decodes every sector of every chunk in one launch,
@@ -132,6 +132,11 @@ impl EncodedStream {
 /// Encode a quant-code plane with a codebook, recording the gap array
 /// ([`EncodedStream::gaps`]) as the bits are emitted.
 ///
+/// One launch (`huffman-emit`), one block per chunk: each block encodes
+/// its chunk into pooled scratch sized by the longest code, then
+/// publishes the chunk's exact bytes and sector gaps. The host
+/// concatenates the chunks in order, which fixes their offsets.
+///
 /// Every symbol must have a non-zero code length (guaranteed when the
 /// codebook was built from this plane's histogram); symbols without a
 /// code make the affected chunk panic — a caller contract, screened at
@@ -143,102 +148,154 @@ pub fn encode_gpu(
 ) -> (EncodedStream, Vec<KernelStats>) {
     let nchunks = codes.len().div_ceil(ENC_CHUNK);
     let mut stats = Vec::new();
-
-    // Pass 1: per-chunk bit lengths.
-    let mut bitlens = vec![0u64; nchunks];
+    let chunks: BlockSlots<(Vec<u8>, Vec<u8>)> = BlockSlots::new(nchunks);
     if nchunks > 0 {
         let src = GlobalRead::new(codes);
-        let dst = GlobalWrite::new(&mut bitlens);
-        stats.push(launch_named(device, Grid::linear(nchunks as u32, 256), "huffman-len", |ctx| {
-            let b = ctx.block_linear() as usize;
-            let start = b * ENC_CHUNK;
-            let end = (start + ENC_CHUNK).min(codes.len());
-            let mut buf = ctx.scratch(end - start, 0u16);
-            ctx.read_span(&src, start, &mut buf);
-            let mut bits = 0u64;
-            for &c in buf.iter() {
-                let l = book.len_of(c);
-                assert!(l > 0, "symbol {c} has no Huffman code");
-                bits += l as u64;
-            }
-            ctx.write_one(&dst, b, bits);
-        }));
-    }
-
-    // Prefix sum -> byte-aligned chunk offsets and each chunk's first
-    // gap-array slot (host side, as in cuSZ's coarse pipeline; its cost
-    // is in the kernels' launch overhead).
-    let mut offsets = vec![0u64; nchunks];
-    let mut gap_at = vec![0usize; nchunks];
-    let mut acc = 0u64;
-    let mut nsectors = 0usize;
-    for (i, &bl) in bitlens.iter().enumerate() {
-        let nbytes = bl.div_ceil(8);
-        offsets[i] = acc;
-        gap_at[i] = nsectors;
-        acc += nbytes;
-        nsectors += (nbytes as usize).div_ceil(GAP_SECTOR_BYTES);
-    }
-    let total_bytes = acc as usize;
-
-    // Pass 2: emit bits and the gap array.
-    let mut bits = vec![0u8; total_bytes];
-    let mut gaps = vec![GAP_NONE; nsectors];
-    if nchunks > 0 {
-        let src = GlobalRead::new(codes);
-        let dst = GlobalWrite::new(&mut bits);
-        let gap_dst = GlobalWrite::new(&mut gaps);
+        let max_len = book.max_len() as usize;
+        // `(code, length)` per symbol, one load per codeword.
+        let table: Vec<(u64, u32)> =
+            (0..book.alphabet()).map(|s| book.code_of(s as u16)).map(|(c, l)| (c, l as u32)).collect();
+        let code_of = |c: u16| {
+            let (code, len) = table[c as usize];
+            assert!(len > 0, "symbol {c} has no Huffman code");
+            (code, len)
+        };
         stats.push(launch_named(device, Grid::linear(nchunks as u32, 256), "huffman-emit", |ctx| {
             let b = ctx.block_linear() as usize;
             let start = b * ENC_CHUNK;
             let end = (start + ENC_CHUNK).min(codes.len());
             let mut buf = ctx.scratch(end - start, 0u16);
             ctx.read_span(&src, start, &mut buf);
-
-            // Chunk byte length is known from pass 1, so the output
-            // buffers come from the worker pool at their exact size.
-            let nbytes = bitlens[b].div_ceil(8) as usize;
-            let mut out = ctx.scratch(nbytes, 0u8);
-            let mut sector_gaps = ctx.scratch(nbytes.div_ceil(GAP_SECTOR_BYTES), GAP_NONE);
-            let mut w = 0usize;
-            let mut bitbuf = 0u64;
-            let mut nbits = 0u8;
-            // The first sector still waiting for its gap, and its first
-            // byte. The next codeword starts at bit `8 * w + nbits` with
-            // `nbits < 8`, so it is past that byte exactly when `w` is.
-            // Codewords are under 64 bits: starts never skip a sector.
-            let mut sector = 0usize;
-            let mut sector_byte = 0usize;
-            for &c in buf.iter() {
-                if w >= sector_byte {
-                    sector_gaps[sector] = ((w - sector_byte) * 8) as u8 + nbits;
-                    sector += 1;
-                    sector_byte += GAP_SECTOR_BYTES;
-                }
-                let (code, len) = book.code_of(c);
-                bitbuf = (bitbuf << len) | code;
-                nbits += len;
-                while nbits >= 8 {
-                    out[w] = (bitbuf >> (nbits - 8)) as u8;
-                    w += 1;
-                    nbits -= 8;
+            let cap = buf.len() * max_len / 8 + 8;
+            let mut out = ctx.scratch(cap, 0u8);
+            let mut sector_gaps = ctx.scratch(cap.div_ceil(GAP_SECTOR_BYTES), GAP_NONE);
+            let mut words = WordWriter { out: &mut out, w: 0, acc: 0, nbits: 0 };
+            let mut sectors = Sectors { gaps: &mut sector_gaps, next: 0, first_bit: 0 };
+            // Codewords two at a time: one sector check and, when the
+            // pair fits 32 bits, one accumulator update per pair.
+            let mut pairs = buf.chunks_exact(2);
+            for p in &mut pairs {
+                let ((c0, l0), (c1, l1)) = (code_of(p[0]), code_of(p[1]));
+                let pos = words.bit_pos();
+                sectors.note(pos, pos + l0 as u64);
+                if l0 + l1 <= 32 {
+                    words.put(c0 << l1 | c1, l0 + l1);
+                } else {
+                    words.put(c0, l0);
+                    words.put(c1, l1);
                 }
             }
-            if nbits > 0 {
-                out[w] = (bitbuf << (8 - nbits)) as u8;
-                w += 1;
+            for &c in pairs.remainder() {
+                let (code, len) = code_of(c);
+                let pos = words.bit_pos();
+                sectors.note(pos, pos);
+                words.put(code, len);
             }
-            debug_assert_eq!(w, out.len());
+            let n = words.finish();
             ctx.add_flops(buf.len() as u64 * 2);
-            ctx.write_span(&dst, offsets[b] as usize, &out);
-            ctx.write_span(&gap_dst, gap_at[b], &sector_gaps);
+            chunks.put(b, (out[..n].to_vec(), sector_gaps[..n.div_ceil(GAP_SECTOR_BYTES)].to_vec()));
         }));
     }
 
+    let chunks = chunks.into_compact();
+    let mut offsets = Vec::with_capacity(chunks.len());
+    let mut bits = Vec::with_capacity(chunks.iter().map(|c| c.0.len()).sum());
+    let mut gaps = Vec::with_capacity(chunks.iter().map(|c| c.1.len()).sum());
+    for (chunk_bits, chunk_gaps) in &chunks {
+        offsets.push(bits.len() as u64);
+        bits.extend_from_slice(chunk_bits);
+        gaps.extend_from_slice(chunk_gaps);
+    }
     (
         EncodedStream { n: codes.len() as u64, chunk_size: ENC_CHUNK as u32, offsets, gaps, bits },
         stats,
     )
+}
+
+/// A chunk's gap array as it is filled: the next sector still waiting
+/// for its first codeword start, and that sector's first bit.
+struct Sectors<'a> {
+    gaps: &'a mut [u8],
+    next: usize,
+    first_bit: u64,
+}
+
+impl Sectors<'_> {
+    /// Record the codewords starting at `first` and `last` (`first <=
+    /// last < first + 64`, consecutive starts). Codewords are under 64
+    /// bits, so starts never skip a sector and at most one of the two
+    /// is the first start in the next sector.
+    #[inline]
+    fn note(&mut self, first: u64, last: u64) {
+        if last >= self.first_bit {
+            let start = if first >= self.first_bit { first } else { last };
+            self.gaps[self.next] = (start - self.first_bit) as u8;
+            self.next += 1;
+            self.first_bit += SECTOR_BITS;
+        }
+    }
+}
+
+/// MSB-first bit packer that stores whole 32-bit big-endian words.
+///
+/// Between codewords at most 32 bits wait in `acc`, so a code fits the
+/// 64-bit accumulator whole unless `nbits + len > 64`; such a code
+/// (longer than 32 bits, at most 63) goes in as its high part and then
+/// its low 32 bits, each of which fits.
+struct WordWriter<'a> {
+    out: &'a mut [u8],
+    /// Bytes stored so far.
+    w: usize,
+    /// Pending bits, in the low `nbits` bits.
+    acc: u64,
+    nbits: u32,
+}
+
+impl WordWriter<'_> {
+    /// Chunk-relative bit position of the next codeword.
+    #[inline]
+    fn bit_pos(&self) -> u64 {
+        self.w as u64 * 8 + self.nbits as u64
+    }
+
+    #[inline]
+    fn put(&mut self, code: u64, len: u32) {
+        if self.nbits + len > 64 {
+            self.push(code >> 32, len - 32);
+            self.push(code & u32::MAX as u64, 32);
+        } else {
+            self.push(code, len);
+        }
+    }
+
+    /// Append `len` bits (`1 <= len` and `nbits + len <= 64`), storing a
+    /// word once 32 are pending.
+    #[inline]
+    fn push(&mut self, code: u64, len: u32) {
+        self.acc = self.acc << len | code;
+        self.nbits += len;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.out[self.w..self.w + 4].copy_from_slice(&word.to_be_bytes());
+            self.w += 4;
+        }
+    }
+
+    /// Store the pending bits, zero-padding the last byte; returns the
+    /// chunk's byte length.
+    fn finish(mut self) -> usize {
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.out[self.w] = (self.acc >> self.nbits) as u8;
+            self.w += 1;
+        }
+        if self.nbits > 0 {
+            self.out[self.w] = (self.acc << (8 - self.nbits)) as u8;
+            self.w += 1;
+        }
+        self.w
+    }
 }
 
 /// Decoding failure: the bitstream did not resolve to valid symbols.
@@ -826,14 +883,98 @@ mod tests {
     }
 
     #[test]
-    fn encode_traffic_is_two_pass() {
+    fn encode_is_one_pass_over_the_plane() {
         let codes: Vec<u16> = (0..1 << 17).map(|i| ((i * 3) % 512) as u16).collect();
         let book = book_for(&codes, 1024);
-        let (_, stats) = encode_gpu(&codes, &book, &A100);
-        assert_eq!(stats.len(), 2);
-        // Both passes read the full code plane.
-        let plane = (codes.len() * 2) as u64;
-        assert!(stats[0].load_bytes >= plane);
-        assert!(stats[1].load_bytes >= plane);
+        let (stream, stats) = encode_gpu(&codes, &book, &A100);
+        assert_eq!(stats.len(), 1);
+        // The one launch reads the code plane once, one block per chunk.
+        assert_eq!(stats[0].load_bytes, (codes.len() * 2) as u64);
+        assert_eq!(stats[0].blocks, stream.offsets.len() as u64);
+    }
+
+    /// The encoder's output contract, one bit at a time:
+    /// every chunk starts on a byte boundary at the sum of the earlier
+    /// chunks' bytes, its last byte is zero-padded, and each of its
+    /// sectors records the offset of the first codeword starting in it.
+    fn reference_encode(codes: &[u16], book: &Codebook) -> EncodedStream {
+        let (mut offsets, mut gaps, mut bits) = (Vec::new(), Vec::new(), Vec::new());
+        for chunk in codes.chunks(ENC_CHUNK) {
+            offsets.push(bits.len() as u64);
+            let mut chunk_bits: Vec<bool> = Vec::new();
+            let mut chunk_gaps: Vec<u8> = Vec::new();
+            for &c in chunk {
+                let pos = chunk_bits.len() as u64;
+                if pos >= chunk_gaps.len() as u64 * SECTOR_BITS {
+                    chunk_gaps.push((pos - chunk_gaps.len() as u64 * SECTOR_BITS) as u8);
+                }
+                let (code, len) = book.code_of(c);
+                chunk_bits.extend((0..len).rev().map(|i| code >> i & 1 == 1));
+            }
+            let nbytes = chunk_bits.len().div_ceil(8);
+            chunk_gaps.resize(nbytes.div_ceil(GAP_SECTOR_BYTES), GAP_NONE);
+            gaps.extend(chunk_gaps);
+            for byte in chunk_bits.chunks(8) {
+                bits.push(byte.iter().enumerate().fold(0u8, |b, (i, &on)| b | (on as u8) << (7 - i)));
+            }
+        }
+        EncodedStream { n: codes.len() as u64, chunk_size: ENC_CHUNK as u32, offsets, gaps, bits }
+    }
+
+    /// `encode_gpu` equals the reference, offsets and gaps included, and
+    /// the stream decodes back to the plane.
+    fn assert_matches_reference(codes: &[u16], book: &Codebook) {
+        let (stream, _) = encode_gpu(codes, book, &A100);
+        assert_eq!(stream, reference_encode(codes, book));
+        assert_eq!(decode_gpu(&stream, book, &A100).unwrap().syms, codes);
+    }
+
+    #[test]
+    fn encoder_matches_the_bit_at_a_time_reference() {
+        // A skewed random plane over several chunks, its length not a
+        // multiple of the chunk.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let codes: Vec<u16> = (0..3 * ENC_CHUNK + 1234)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Centred on 512, thinning towards ±30.
+                let r = (x >> 33) as i32;
+                (512 + (r % 61 - 30) / (1 + (r >> 8) % 8)) as u16
+            })
+            .collect();
+        assert_ne!(codes.len() % ENC_CHUNK, 0);
+        assert_matches_reference(&codes, &book_for(&codes, 1024));
+        // One symbol: a one-bit code, short and multi-chunk planes.
+        for n in [1, 7, ENC_CHUNK, 2 * ENC_CHUNK + 5] {
+            let single = vec![300u16; n];
+            assert_matches_reference(&single, &book_for(&single, 1024));
+        }
+        assert_matches_reference(&[], &book_for(&[1], 4));
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_on_codes_past_32_bits() {
+        // Lengths 1, 2, …, 63, 63: a complete prefix code whose longest
+        // codes need the split put at every accumulator fill level.
+        let mut lengths: Vec<u8> = (1..=63).collect();
+        lengths.push(63);
+        let book = Codebook::from_lengths(lengths).unwrap();
+        assert_eq!(book.max_len(), 63);
+        let codes: Vec<u16> =
+            (0..2 * ENC_CHUNK + 999).map(|i| ((i * 7 + i / 3) % 64) as u16).collect();
+        assert_matches_reference(&codes, &book);
+        let mixed: Vec<u16> = (0..5000).map(|i| if i % 5 == 0 { 63 } else { (i % 3) as u16 }).collect();
+        assert_matches_reference(&mixed, &book);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_encoder_matches_the_reference(
+            codes in proptest::collection::vec(0u16..40, 0..3 * ENC_CHUNK)
+        ) {
+            if !codes.is_empty() {
+                assert_matches_reference(&codes, &book_for(&codes, 64));
+            }
+        }
     }
 }

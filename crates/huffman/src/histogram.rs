@@ -53,19 +53,38 @@ pub fn histogram_gpu(
             let mut buf = ctx.scratch(end - start, 0u16);
             ctx.read_span(&src, start, &mut buf);
 
-            // Thread-private register bins for the hot centre...
+            // Four interleaved tallies, `tally[4 * code + lane]`: runs of
+            // one code bump four different counters, so consecutive
+            // increments do not wait on each other.
+            let mut tally = ctx.scratch(4 * alphabet, 0u32);
+            let mut quads = buf.chunks_exact(4);
+            for q in &mut quads {
+                tally[4 * q[0] as usize] += 1;
+                tally[4 * q[1] as usize + 1] += 1;
+                tally[4 * q[2] as usize + 2] += 1;
+                tally[4 * q[3] as usize + 3] += 1;
+            }
+            for &c in quads.remainder() {
+                tally[4 * c as usize] += 1;
+            }
+
+            // Thread-private register bins for the hot centre, and the
+            // shared-memory private histogram for the rest. Register
+            // traffic is free; each out-of-band code is one shared
+            // read-modify-write, billed in bulk.
             let mut reg = ctx.scratch(hi - lo, 0u32);
-            // ...and the shared-memory private histogram for the rest.
             let mut shared = ctx.alloc_shared::<u32>(alphabet);
-            for &c in buf.iter() {
-                let c = c as usize;
-                if c >= lo && c < hi {
-                    reg[c - lo] += 1; // register traffic: free
+            let mut out_of_band = 0u64;
+            for (s, t) in tally.chunks_exact(4).enumerate() {
+                let v = t[0] + t[1] + t[2] + t[3];
+                if (lo..hi).contains(&s) {
+                    reg[s - lo] = v;
                 } else {
-                    let v = shared.get(c);
-                    shared.set(c, v + 1);
+                    shared.set_untracked(s, v);
+                    out_of_band += v as u64;
                 }
             }
+            shared.add_accesses(2 * out_of_band);
             ctx.sync();
 
             // Merge: registers first, then the shared histogram's
@@ -153,6 +172,39 @@ mod tests {
             s_k.shared_bytes,
             s_no.shared_bytes
         );
+    }
+
+    #[test]
+    fn counts_and_accounting_are_pinned_inside_and_outside_the_band() {
+        // Three blocks, the last partial; a third of the codes spread
+        // over the whole alphabet, the rest in [496, 528).
+        let c: Vec<u16> = (0..150_000usize)
+            .map(|i| if i % 3 == 0 { (i * 7 % 1024) as u16 } else { (496 + i % 32) as u16 })
+            .collect();
+        let shared = |in_band: u64| {
+            let out_of_band = c.len() as u64 - in_band;
+            // One shared read-modify-write per out-of-band code, then the
+            // merge reads all 1024 shared bins once per block.
+            (2 * out_of_band + 3 * 1024) * 4
+        };
+        for (topk, store_sectors, shared_bytes) in [(1, 435, 1_186_896), (32, 384, 399_792)] {
+            let (h, stats) = histogram_gpu(&c, 1024, 512, topk, &A100);
+            assert_eq!(h, histogram_reference(&c, 1024));
+            let lo = 512 - topk / 2;
+            let in_band: u64 = h[lo..lo + topk].iter().map(|&v| v as u64).sum();
+            assert_eq!(shared(in_band), shared_bytes);
+            let want = KernelStats {
+                load_sectors: 9375,
+                store_sectors,
+                load_bytes: 300_000,
+                store_bytes: 12_288,
+                flops: 0,
+                shared_bytes,
+                barriers: 3,
+                blocks: 3,
+            };
+            assert_eq!(stats, want, "topk {topk}");
+        }
     }
 
     #[test]

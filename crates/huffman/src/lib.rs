@@ -10,9 +10,9 @@
 //! 2. [`codebook`] — canonical Huffman construction on the **CPU**
 //!    (§ VI-A moved it there: with G-Interp the live alphabet `r*` is so
 //!    small that a GPU tree build is not worthwhile).
-//! 3. [`coding`] — chunked two-pass encoding: each thread block encodes
-//!    one chunk; a prefix sum over per-chunk bit lengths assigns
-//!    byte-aligned output offsets, so decoding is chunk-parallel too.
+//! 3. [`coding`] — chunked one-pass encoding: each thread block encodes
+//!    one chunk into bounded scratch and the host concatenates the
+//!    byte-aligned chunks, so decoding is chunk-parallel too.
 
 pub mod codebook;
 pub mod coding;

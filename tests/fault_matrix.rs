@@ -103,7 +103,7 @@ fn assert_flight_dump(err: &CuszError, expect_stage: Option<&str>) {
 const COMPRESS_STAGES: &[(&str, &[&str])] = &[
     ("predict-quant", &["anchor-gather", "g-interp"]),
     ("histogram", &["histogram"]),
-    ("huffman-encode", &["huffman-len", "huffman-emit"]),
+    ("huffman-encode", &["huffman-emit"]),
     ("bitcomp", &["bitcomp-encode", "bitcomp-emit"]),
 ];
 

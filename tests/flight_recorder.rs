@@ -152,7 +152,7 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
         .filter(|e| e.kind == FlightKind::Launch)
         .map(|e| e.name.as_str())
         .collect();
-    assert!(launches.len() >= 10, "expected the full kernel roster, got {launches:?}");
+    assert!(launches.len() >= 9, "expected the full kernel roster, got {launches:?}");
     assert!(
         !launches.contains(&"kernel"),
         "anonymous launch site reached the pipeline: {launches:?}"
