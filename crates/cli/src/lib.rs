@@ -131,9 +131,9 @@ trace (default <out>.trace.json), a per-kernel roofline table with
 bottleneck verdicts, and a span time summary.
 
 --streams overlaps slab compression (with --slab) or slab-stream
-decompression across N gpu-sim streams (default: auto from
-CUSZI_STREAMS or core count). Archives and reconstructions are
-byte-identical for any stream count.
+decompression across N gpu-sim streams (default: the core count,
+at most 4). Archives and reconstructions are byte-identical for any
+stream count.
 
 --audit streams the fidelity audit: per-interp-level element/outlier
 counts, quant-code entropy, anchor share, hot-block outlier counts,
@@ -144,10 +144,11 @@ printed as a per-level table.
 Prometheus text exposition (default <out>.prom); implies profiling.
 
 serve starts a multi-tenant daemon (default 127.0.0.1:7070): a
-length-prefixed TCP frame protocol feeding a shared engine with a
-session cache, per-tenant token-bucket fairness, and in-flight
-backpressure. --devices M places jobs onto M simulated devices
-(least-loaded, ties rotating — see docs/SHARDING.md).
+length-prefixed TCP frame protocol feeding a shared engine with
+per-tenant token-bucket fairness and in-flight backpressure; each
+job runs the one-shot pipeline, so its archive is the CLI's.
+--devices M places jobs onto M simulated devices (least-loaded,
+ties rotating — see docs/SHARDING.md).
 A stats frame returns Prometheus text; SIGINT (or a shutdown frame)
 drains gracefully. See docs/SERVING.md.";
 

@@ -522,15 +522,10 @@ impl Server {
             String::new()
         };
         Ok(format!(
-            "drained: {} requests served, {} jobs completed ({} rejected), \
-             session cache {} hits / {} misses ({} entries, {:.1} KB){by_device}\n",
+            "drained: {} requests served, {} jobs completed ({} rejected){by_device}\n",
             self.requests.load(Ordering::Relaxed),
             s.completed,
             s.rejected,
-            s.cache_hits,
-            s.cache_misses,
-            s.cache_entries,
-            s.cache_bytes as f64 / 1e3,
         ))
     }
 }

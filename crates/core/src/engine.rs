@@ -1,36 +1,26 @@
 //! A multi-tenant compression engine: the one-shot [`CuszI`] pipeline
 //! lifted into a shared, long-lived service.
 //!
-//! The engine owns three pieces of cross-request state that a one-shot
+//! The engine owns two pieces of cross-request state that a one-shot
 //! call cannot amortize:
 //!
-//! 1. **A keyed session cache** — a content fingerprint of the field
-//!    plus every byte-affecting config knob maps to the tuned
-//!    [`InterpConfig`] + canonical [`Codebook`] from a previous run
-//!    (a `WarmStart`). A hit skips the `tune`/`histogram`/`codebook`
-//!    stages entirely while producing a byte-identical archive (quant
-//!    codes are a deterministic function of content + config, so
-//!    reusing the artifacts is exact). Entries are LRU-evicted against
-//!    a byte budget (`CACHE_BUDGET_BYTES`).
-//! 2. **An admission controller** — one FIFO per tenant; per-tenant
+//! 1. **An admission controller** — one FIFO per tenant; per-tenant
 //!    token buckets pick the next job by *highest balance* (deficit
 //!    fairness: a heavy tenant's balance goes negative, so a light
 //!    tenant wins every contended dispatch and starvation is bounded),
 //!    with a global queue cap (`QUEUE_CAP`) + ≤N-in-flight
 //!    backpressure.
-//! 3. **Scoped observability** — each job runs under a per-engine and
+//! 2. **Scoped observability** — each job runs under a per-engine and
 //!    a per-request [`Registry`] scope (see `cuszi_profile::scope`) so
 //!    per-request counters never bleed across tenants, and under a
 //!    flight-recorder job scope so fault dumps carry the job/tenant id.
 //!
-//! [`CuszI::compress`]/[`CuszI::decompress`] remain thin single-job
-//! wrappers — existing callers and their archives are untouched; the
-//! engine runs the same stages through `CuszI::compress_with`, passing
-//! the cached warm start on a hit and taking the freshly built codebook
-//! back on a miss.
+//! A job runs exactly what a one-shot caller runs —
+//! `CuszI::new(cfg).compress(&data)` or `.decompress(&bytes)` — so every
+//! engine archive is byte-identical to [`CuszI::compress`]'s. Nothing is
+//! reused across requests: each field's codebook is built from its own
+//! histogram, as cuSZ does.
 //!
-//! [`InterpConfig`]: cuszi_predict::tuning::InterpConfig
-//! [`Codebook`]: cuszi_huffman::Codebook
 //! [`Registry`]: cuszi_profile::Registry
 
 use std::collections::{HashMap, VecDeque};
@@ -45,7 +35,7 @@ use cuszi_tensor::NdArray;
 
 use crate::config::Config;
 use crate::error::CuszError;
-use crate::pipeline::{Compressed, CuszI, Decompressed, WarmStart};
+use crate::pipeline::{Compressed, CuszI, Decompressed};
 
 /// Lock a mutex, riding through poisoning (a worker that panicked has
 /// already failed its own job; the shared state stays usable).
@@ -60,9 +50,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Total queued jobs across all tenants before new submissions are
 /// rejected with [`EngineError::Overloaded`].
 const QUEUE_CAP: usize = 64;
-
-/// LRU byte budget for the session cache's warm-start artifacts.
-const CACHE_BUDGET_BYTES: usize = 32 << 20;
 
 /// Token-bucket refill rate per tenant, in jobs/second.
 const TOKENS_PER_SEC: f64 = 50.0;
@@ -82,8 +69,7 @@ pub struct EngineConfig {
     /// Simulated devices jobs are placed onto (1..=[`MAX_DEVICES`]).
     /// Placement is least-loaded: a job goes to the device with the
     /// fewest in-flight jobs, ties broken by a rotating cursor. Which
-    /// device runs a job never changes its bytes, and the session cache
-    /// serves every device.
+    /// device runs a job never changes its bytes.
     pub devices: usize,
 }
 
@@ -157,7 +143,8 @@ pub struct JobResult {
     pub started_ns: u64,
     /// When it finished.
     pub done_ns: u64,
-    /// Whether the session cache supplied a warm start (compress only).
+    /// Always `false`: the engine reuses nothing across requests. Kept
+    /// only because the benchmark harness still reads it.
     pub cache_hit: bool,
     /// The simulated device the job ran on (0 when `devices == 1`).
     pub device: usize,
@@ -224,106 +211,6 @@ struct Job {
     kind: JobKind,
     submitted_ns: u64,
     tx: mpsc::Sender<Result<JobResult, EngineError>>,
-}
-
-// ---------------------------------------------------------------------------
-// Session cache
-// ---------------------------------------------------------------------------
-
-/// FNV-1a over the field's f32 bit patterns. The cache key must be a
-/// *content* fingerprint — a `Rel` error bound resolves against the
-/// field's value range, so family-level reuse (same dataset, new
-/// timestep) would silently change the effective bound. Keying by
-/// content makes warm reuse exact for both bound modes.
-fn content_fingerprint(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        h ^= u64::from(v.to_bits());
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Cache key: content fingerprint + every config field that affects
-/// archive bytes or the reusable artifacts.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct SessionKey {
-    fp: u64,
-    elements: usize,
-    eb_mode: u8,
-    eb_bits: u64,
-    radius: u16,
-    auto_tune: bool,
-    bitcomp: bool,
-    topk: usize,
-    device: &'static str,
-}
-
-impl SessionKey {
-    fn of(data: &NdArray<f32>, cfg: &Config) -> SessionKey {
-        let (eb_mode, eb_bits) = match cfg.error_bound {
-            cuszi_quant::ErrorBound::Abs(e) => (0u8, e.to_bits()),
-            cuszi_quant::ErrorBound::Rel(e) => (1u8, e.to_bits()),
-        };
-        SessionKey {
-            fp: content_fingerprint(data.as_slice()),
-            elements: data.len(),
-            eb_mode,
-            eb_bits,
-            radius: cfg.radius,
-            auto_tune: cfg.auto_tune,
-            bitcomp: cfg.bitcomp,
-            topk: cfg.histogram_topk,
-            device: cfg.device.name,
-        }
-    }
-}
-
-struct SessionEntry {
-    warm: WarmStart,
-    last_used: u64,
-}
-
-/// Checkout-model cache: a lookup *removes* the entry (the job owns it
-/// while running, so a concurrent identical request misses cleanly),
-/// and completion reinserts it.
-struct SessionCache {
-    map: HashMap<SessionKey, SessionEntry>,
-    budget: usize,
-    tick: u64,
-}
-
-impl SessionCache {
-    fn new(budget: usize) -> Self {
-        SessionCache { map: HashMap::new(), budget, tick: 0 }
-    }
-
-    fn checkout(&mut self, key: &SessionKey) -> Option<SessionEntry> {
-        self.map.remove(key)
-    }
-
-    fn insert(&mut self, key: SessionKey, mut entry: SessionEntry) {
-        self.tick += 1;
-        entry.last_used = self.tick;
-        self.map.insert(key, entry);
-        // LRU-evict down to the byte budget.
-        while self.total_bytes() > self.budget && !self.map.is_empty() {
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.map.values().map(|e| e.warm.approx_bytes()).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -467,11 +354,8 @@ struct Shared {
     cfg: EngineConfig,
     state: Mutex<SchedState>,
     cv: Condvar,
-    cache: Mutex<SessionCache>,
     registry: Arc<Registry>,
     epoch: Instant,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     /// In-flight jobs per device — the placement policy's load signal.
     dev_inflight: Vec<AtomicUsize>,
     /// Completed jobs per device.
@@ -515,10 +399,6 @@ pub struct EngineStats {
     pub rejected: u64,
     pub inflight: usize,
     pub queued: usize,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_entries: usize,
-    pub cache_bytes: usize,
     /// Simulated devices this engine places onto.
     pub devices: usize,
     /// Completed jobs per device (`[..devices]` meaningful).
@@ -538,14 +418,11 @@ impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
         let devices = cfg.devices.clamp(1, MAX_DEVICES);
         let shared = Arc::new(Shared {
-            cache: Mutex::new(SessionCache::new(CACHE_BUDGET_BYTES)),
             cfg: EngineConfig { devices, ..cfg },
             state: Mutex::new(SchedState::new()),
             cv: Condvar::new(),
             registry: Arc::new(Registry::new()),
             epoch: Instant::now(),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             dev_inflight: (0..devices).map(|_| AtomicUsize::new(0)).collect(),
             dev_jobs: (0..devices).map(|_| AtomicU64::new(0)).collect(),
             dev_cursor: AtomicUsize::new(0),
@@ -630,7 +507,6 @@ impl Engine {
     /// Current counters.
     pub fn stats(&self) -> EngineStats {
         let st = lock(&self.shared.state);
-        let cache = lock(&self.shared.cache);
         let mut device_jobs = [0u64; MAX_DEVICES];
         let mut device_inflight = [0usize; MAX_DEVICES];
         for (d, v) in self.shared.dev_jobs.iter().enumerate() {
@@ -644,10 +520,6 @@ impl Engine {
             rejected: st.rejected,
             inflight: st.inflight,
             queued: st.total_queued,
-            cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.shared.cache_misses.load(Ordering::Relaxed),
-            cache_entries: cache.map.len(),
-            cache_bytes: cache.total_bytes(),
             devices: self.shared.cfg.devices,
             device_jobs,
             device_inflight,
@@ -744,11 +616,13 @@ fn execute(shared: &Shared, job: Job, device: usize) {
     cuszi_profile::count("engine.jobs", 1);
     cuszi_profile::count(&format!("engine.dev{device}.jobs"), 1);
 
-    let outcome: Result<(JobOutput, bool), CuszError> = match job.kind {
-        JobKind::Compress { data, cfg } => run_compress(shared, &data, cfg),
-        JobKind::Decompress { bytes, cfg } => CuszI::new(cfg)
-            .decompress(&bytes)
-            .map(|d| (JobOutput::Decompressed(d), false)),
+    let outcome = match job.kind {
+        JobKind::Compress { data, cfg } => {
+            CuszI::new(cfg).compress(&data).map(JobOutput::Compressed)
+        }
+        JobKind::Decompress { bytes, cfg } => {
+            CuszI::new(cfg).decompress(&bytes).map(JobOutput::Decompressed)
+        }
     };
 
     let done_ns = shared.now_ns();
@@ -758,12 +632,12 @@ fn execute(shared: &Shared, job: Job, device: usize) {
     cuszi_profile::observe("engine.service_us", done_ns.saturating_sub(started_ns) / 1000);
 
     let msg = match outcome {
-        Ok((output, cache_hit)) => Ok(JobResult {
+        Ok(output) => Ok(JobResult {
             output,
             submitted_ns: job.submitted_ns,
             started_ns,
             done_ns,
-            cache_hit,
+            cache_hit: false,
             device,
             metrics: req_reg.snapshot(),
         }),
@@ -773,41 +647,6 @@ fn execute(shared: &Shared, job: Job, device: usize) {
         }
     };
     let _ = job.tx.send(msg);
-}
-
-/// Compress through the session cache: the key is computed once here,
-/// a hit reuses the cached tuned config + codebook, a miss caches the
-/// ones this run built.
-fn run_compress(
-    shared: &Shared,
-    data: &NdArray<f32>,
-    cfg: Config,
-) -> Result<(JobOutput, bool), CuszError> {
-    let codec = CuszI::new(cfg);
-    let key = SessionKey::of(data, &cfg);
-    let entry = lock(&shared.cache).checkout(&key);
-    match entry {
-        Some(SessionEntry { warm, .. }) => {
-            // Warm hit: skip tune/histogram/codebook.
-            let result = codec.compress_with(data, Some(&warm));
-            // The warm artifacts stay valid either way; reinsert.
-            lock(&shared.cache).insert(key, SessionEntry { warm, last_used: 0 });
-            let (c, _) = result?;
-            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            cuszi_profile::count("engine.cache_hit", 1);
-            Ok((JobOutput::Compressed(c), true))
-        }
-        None => {
-            shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-            cuszi_profile::count("engine.cache_miss", 1);
-            let (c, book) = codec.compress_with(data, None)?;
-            if let Some(book) = book {
-                let warm = WarmStart { interp: c.interp.clone(), book };
-                lock(&shared.cache).insert(key, SessionEntry { warm, last_used: 0 });
-            }
-            Ok((JobOutput::Compressed(c), false))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -833,25 +672,6 @@ mod tests {
         let r = engine.compress("t0", field(), cfg()).unwrap();
         let c = r.output.into_compressed().unwrap();
         assert_eq!(c.bytes, serial.bytes, "engine archives are byte-identical");
-        assert!(!r.cache_hit);
-    }
-
-    #[test]
-    fn warm_hit_skips_tune_histogram_codebook() {
-        let engine = Engine::new(EngineConfig::default().with_workers(1));
-        let cold = engine.compress("t0", field(), cfg()).unwrap();
-        let warm = engine.compress("t0", field(), cfg()).unwrap();
-        assert!(!cold.cache_hit);
-        assert!(warm.cache_hit, "second identical request hits the session cache");
-        let cold_c = cold.output.into_compressed().unwrap();
-        let warm_c = warm.output.into_compressed().unwrap();
-        assert_eq!(cold_c.bytes, warm_c.bytes, "warm archive is byte-identical");
-        // Of the three skipped stages only the histogram launches a
-        // kernel.
-        assert_eq!(warm_c.kernels.len(), cold_c.kernels.len() - 1, "warm drops the histogram");
-        let s = engine.stats();
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 1);
     }
 
     #[test]
@@ -935,19 +755,6 @@ mod tests {
         // Engine decompress runs the gap-array decode path: bitcomp +
         // gap decode + interp.
         assert_eq!(out.kernels.len(), 3);
-    }
-
-    #[test]
-    fn session_cache_evicts_to_budget() {
-        let mut cache = SessionCache::new(1);
-        let warm = WarmStart {
-            interp: cuszi_predict::tuning::InterpConfig::untuned(3),
-            book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
-        };
-        let key = SessionKey::of(&field(), &cfg());
-        cache.insert(key.clone(), SessionEntry { warm, last_used: 0 });
-        assert!(cache.map.is_empty(), "entry over budget is evicted");
-        assert!(cache.checkout(&key).is_none());
     }
 
     #[test]
@@ -1151,44 +958,6 @@ mod tests {
         st.shutting_down = true;
         assert!(matches!(try_enqueue(&mut st, "a", 0), Err(EngineError::ShuttingDown)));
         assert_eq!((st.rejected, st.total_queued), (0, 0));
-    }
-
-    #[test]
-    fn session_cache_evicts_the_least_recently_used_entry() {
-        let entry = || SessionEntry {
-            warm: WarmStart {
-                interp: cuszi_predict::tuning::InterpConfig::untuned(3),
-                book: cuszi_huffman::Codebook::from_histogram(&[1, 2, 3, 4]).unwrap(),
-            },
-            last_used: 0,
-        };
-        let key = |fp: u64| SessionKey { fp, ..SessionKey::of(&field(), &cfg()) };
-        let mut cache = SessionCache::new(2 * entry().warm.approx_bytes());
-        cache.insert(key(1), entry());
-        cache.insert(key(2), entry());
-        // Checking key 1 out and back in makes key 2 the oldest.
-        let e = cache.checkout(&key(1)).expect("resident");
-        assert!(cache.checkout(&key(1)).is_none(), "a checked-out entry is not shared");
-        cache.insert(key(1), e);
-        cache.insert(key(3), entry());
-        assert!(cache.map.contains_key(&key(1)));
-        assert!(!cache.map.contains_key(&key(2)), "least recently used goes first");
-        assert!(cache.map.contains_key(&key(3)));
-        assert_eq!(cache.total_bytes(), 2 * entry().warm.approx_bytes());
-    }
-
-    #[test]
-    fn session_keys_separate_bound_modes_and_content() {
-        let data = field();
-        let k = SessionKey::of(&data, &cfg());
-        assert_eq!(k, SessionKey::of(&data.clone(), &cfg()), "same content, same key");
-        let abs = Config::new(ErrorBound::Abs(1e-3));
-        assert_ne!(k, SessionKey::of(&data, &abs), "Abs and Rel of one value differ");
-        let mut nudged = data.clone();
-        nudged.as_mut_slice()[100] = f32::from_bits(data.as_slice()[100].to_bits() ^ 1);
-        assert_ne!(k, SessionKey::of(&nudged, &cfg()), "one flipped bit changes the key");
-        let filled = |v: f32| SessionKey::of(&NdArray::from_fn(Shape::d1(4), |_, _, _| v), &cfg());
-        assert_ne!(filled(0.0), filled(-0.0), "keys hash bit patterns, not values");
     }
 
     #[test]

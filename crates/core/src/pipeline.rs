@@ -5,9 +5,8 @@
 //! [bitcomp] → finalize`. The archive is one buffer: `assemble` writes
 //! the five payload sections into it behind room for the header;
 //! `bitcomp` (present iff [`Config::bitcomp`]) packs that payload in
-//! place; `finalize` writes the header into the room left for it. An
-//! engine cache hit (a `WarmStart`) skips `tune`, `histogram` and
-//! `codebook`. Decompress mirrors it:
+//! place; `finalize` writes the header into the room left for it.
+//! Decompress mirrors it:
 //! `[bitcomp-decode] → split-sections → huffman-decode →
 //! g-interp-reconstruct`. Each stage's output is a local value handed to
 //! the next, and every stage body runs through one helper, `stage`.
@@ -65,32 +64,6 @@ pub struct Compressed {
 pub struct Decompressed {
     pub data: NdArray<f32>,
     pub kernels: Vec<KernelStats>,
-}
-
-/// Session-cache warm start: the per-field artifacts a previous
-/// compression of the *same content* derived, reusable verbatim. The
-/// quant-code plane is a deterministic function of (field bytes, interp
-/// config, eb, radius, device), so reusing the tuned [`InterpConfig`]
-/// and the [`Codebook`] built from that plane's histogram skips the
-/// `tune`, `histogram`, and `codebook` stages while producing a
-/// byte-identical archive — the engine's session cache keys entries by
-/// a content fingerprint for exactly this reason (see
-/// [`crate::engine`]).
-#[derive(Clone, Debug)]
-pub(crate) struct WarmStart {
-    /// The tuned interpolation configuration (skips `tune`).
-    pub interp: InterpConfig,
-    /// The Huffman codebook (skips `histogram` + `codebook`).
-    pub book: Codebook,
-}
-
-impl WarmStart {
-    /// Approximate resident bytes, for the session cache's LRU budget.
-    pub fn approx_bytes(&self) -> usize {
-        // Codebook storage dominates: ~16 bytes per alphabet symbol
-        // across its code/length/canonical tables.
-        std::mem::size_of::<WarmStart>() + self.book.alphabet() * 16
-    }
 }
 
 /// Run one pipeline stage. `body` runs inside a `Category::Stage`
@@ -232,88 +205,59 @@ impl CuszI {
 
     /// Compress a field: validation, the constant-field fast path and
     /// error-bound resolution, then the stages in order. The
-    /// multi-stream scheduler runs this same function per job, so
-    /// archives are byte-identical either route.
+    /// multi-stream scheduler and the engine run this same function per
+    /// job, so archives are byte-identical every route.
     pub fn compress(&self, data: &NdArray<f32>) -> Result<Compressed, CuszError> {
-        self.compress_with(data, None).map(|(c, _)| c)
-    }
+        crate::telemetry::entry("compress", || {
+            let cfg = &self.cfg;
+            if cfg.radius == 0 {
+                return Err(CuszError::InvalidConfig("radius must be >= 1"));
+            }
+            let hist_shared = cuszi_huffman::histogram_shared_bytes(2 * cfg.radius as usize);
+            if hist_shared > cfg.device.shared_mem_per_block as usize {
+                return Err(CuszError::InvalidConfig(
+                    "radius overflows the histogram's shared memory",
+                ));
+            }
+            if !cfg.error_bound.is_valid() {
+                return Err(CuszError::InvalidErrorBound);
+            }
+            let range = ValueRange::of(data.as_slice()).ok_or(CuszError::NonFiniteInput)?;
 
-    /// Compress for [`crate::engine::Engine`]: a `warm` start reuses a
-    /// previous run's tuned config + codebook, skipping `tune`,
-    /// `histogram` and `codebook` with a byte-identical archive — valid
-    /// only for identical field content, which the engine guarantees
-    /// via content fingerprinting. A cold run hands back the codebook
-    /// it built, by move, for the engine to cache (`None` after a warm
-    /// run and on the constant-field fast path).
-    pub(crate) fn compress_with(
-        &self,
-        data: &NdArray<f32>,
-        warm: Option<&WarmStart>,
-    ) -> Result<(Compressed, Option<Codebook>), CuszError> {
-        crate::telemetry::init();
-        // The dump is written inside the span, so it ends at the failed
-        // stage's open bracket and the error, not at this span's end.
-        let _span = cuszi_profile::span("compress", Category::Stage);
-        crate::telemetry::dump_on_err(self.compress_inner(data, warm))
-    }
-
-    fn compress_inner(
-        &self,
-        data: &NdArray<f32>,
-        warm: Option<&WarmStart>,
-    ) -> Result<(Compressed, Option<Codebook>), CuszError> {
-        let cfg = &self.cfg;
-        if cfg.radius == 0 {
-            return Err(CuszError::InvalidConfig("radius must be >= 1"));
-        }
-        let hist_shared = cuszi_huffman::histogram_shared_bytes(2 * cfg.radius as usize);
-        if hist_shared > cfg.device.shared_mem_per_block as usize {
-            return Err(CuszError::InvalidConfig("radius overflows the histogram's shared memory"));
-        }
-        if !cfg.error_bound.is_valid() {
-            return Err(CuszError::InvalidErrorBound);
-        }
-        let range = ValueRange::of(data.as_slice()).ok_or(CuszError::NonFiniteInput)?;
-
-        // Constant-field fast path: nothing to predict or encode.
-        if range.range() == 0.0 {
-            let header = Header {
-                version: VERSION,
-                flags: FLAG_CONSTANT,
-                shape: data.shape(),
-                eb_abs: 0.0,
-                alpha: 1.0,
-                radius: cfg.radius,
-                variants: Default::default(),
-                order: cuszi_predict::sweep::active_axes(data.shape().rank()).to_vec(),
-                const_value: range.min,
-                sections: [0; 5],
-            };
-            return Ok((
-                Compressed {
+            // Constant-field fast path: nothing to predict or encode.
+            if range.range() == 0.0 {
+                let header = Header {
+                    version: VERSION,
+                    flags: FLAG_CONSTANT,
+                    shape: data.shape(),
+                    eb_abs: 0.0,
+                    alpha: 1.0,
+                    radius: cfg.radius,
+                    variants: Default::default(),
+                    order: cuszi_predict::sweep::active_axes(data.shape().rank()).to_vec(),
+                    const_value: range.min,
+                    sections: [0; 5],
+                };
+                return Ok(Compressed {
                     bytes: header.to_bytes(),
                     kernels: Vec::new(),
                     sections: SectionSizes { header: HEADER_LEN, ..Default::default() },
                     eb_abs: 0.0,
                     interp: InterpConfig::untuned(data.shape().rank()),
                     audit: None,
-                },
-                None,
-            ));
-        }
+                });
+            }
 
-        let eb_abs = cfg.error_bound.absolute(range.range() as f64);
-        let rel_eb = cfg.error_bound.relative(range.range() as f64);
-        if !(eb_abs.is_finite() && eb_abs > 0.0) {
-            return Err(CuszError::InvalidErrorBound);
-        }
-        let mut kernels = Vec::new();
+            let eb_abs = cfg.error_bound.absolute(range.range() as f64);
+            let rel_eb = cfg.error_bound.relative(range.range() as f64);
+            if !(eb_abs.is_finite() && eb_abs > 0.0) {
+                return Err(CuszError::InvalidErrorBound);
+            }
+            let mut kernels = Vec::new();
 
-        // § V-C: profiling + auto-tuning (the untuned ablation still
-        // applies Eq. 1's alpha from the relative bound).
-        let interp = match warm {
-            Some(w) => w.interp.clone(),
-            None => stage("tune", || {
+            // § V-C: profiling + auto-tuning (the untuned ablation still
+            // applies Eq. 1's alpha from the relative bound).
+            let interp = stage("tune", || {
                 Ok(if cfg.auto_tune {
                     profile_and_tune(data, rel_eb).0
                 } else {
@@ -322,106 +266,101 @@ impl CuszI {
                         ..InterpConfig::untuned(data.shape().rank())
                     }
                 })
-            })?,
-        };
-
-        // § V: G-Interp prediction + quantization, streamed into the
-        // fidelity audit when one was asked for (decode-verify is filled
-        // in later by whoever holds both fields — see
-        // [`crate::audit::verify_decode`]).
-        let (pred, audit) = stage("predict-quant", || {
-            let pred = ginterp::compress(data, eb_abs, cfg.radius, &interp, &cfg.device);
-            let audit = cfg.audit.then(|| {
-                crate::audit::audit_codes(&pred.codes, data.shape(), cfg.radius, eb_abs)
-            });
-            Ok((pred, audit))
-        })?;
-        kernels.extend(pred.kernels.iter().copied());
-
-        // § VI-A: quant-code histogram, then the CPU codebook (serial
-        // host work — exactly what overlaps with other fields' kernels
-        // under the scheduler).
-        let mut built = None;
-        let book: &Codebook = match warm {
-            Some(w) => &w.book,
-            None => {
-                let (hist, hstats) = stage("histogram", || {
-                    let alphabet = 2 * cfg.radius as usize;
-                    let (hist, hstats) = histogram_gpu(
-                        &pred.codes,
-                        alphabet,
-                        cfg.radius,
-                        cfg.histogram_topk,
-                        &cfg.device,
-                    );
-                    observe_entropy(&hist);
-                    Ok((hist, hstats))
-                })?;
-                kernels.push(hstats);
-                built.insert(stage("codebook", || {
-                    Codebook::from_histogram(&hist)
-                        .map_err(|_| CuszError::LosslessStage("codebook construction"))
-                })?)
-            }
-        };
-
-        // § VI-A: coarse-grained Huffman encode.
-        let (stream, estats) =
-            stage("huffman-encode", || Ok(encode_gpu(&pred.codes, book, &cfg.device)))?;
-        kernels.extend(estats);
-
-        let (mut buf, sections, sizes) = stage("assemble", || Ok(assemble(&pred, book, &stream)))?;
-
-        // § VI-B: Bitcomp-lossless pass over the whole payload, packed
-        // in place behind the reserved header bytes.
-        let flags = if cfg.bitcomp {
-            let bstats = stage("bitcomp", || {
-                let (packed, bstats) = cuszi_bitcomp::compress(&buf[HEADER_LEN..], &cfg.device);
-                buf.truncate(HEADER_LEN);
-                buf.extend_from_slice(&packed);
-                Ok(bstats)
             })?;
-            kernels.extend(bstats);
-            FLAG_BITCOMP
-        } else {
-            0
-        };
 
-        // Write the self-describing header into the reserved bytes.
-        let bytes = stage("finalize", || {
-            let header = Header {
-                version: VERSION,
-                flags,
-                shape: data.shape(),
-                eb_abs,
-                alpha: interp.alpha,
-                radius: cfg.radius,
-                variants: interp.variants,
-                order: interp.order.clone(),
-                const_value: 0.0,
-                sections,
-            };
-            buf[..HEADER_LEN].copy_from_slice(&header.to_bytes());
-            if cuszi_profile::metrics_active() {
-                let bytes_in = (data.len() * 4) as u64;
-                let bytes_out = buf.len() as u64;
-                let outliers = pred.outliers.indices().len() as u64;
-                cuszi_profile::count("compress.fields", 1);
-                cuszi_profile::count("compress.bytes_in", bytes_in);
-                cuszi_profile::count("compress.bytes_out", bytes_out);
-                cuszi_profile::count("compress.outliers", outliers);
-                // Per-field distributions: CR in parts-per-thousand,
-                // outlier rate in parts-per-million.
-                cuszi_profile::observe("compress.cr_ppt", bytes_in * 1000 / bytes_out.max(1));
-                cuszi_profile::observe(
-                    "compress.outlier_rate_ppm",
-                    outliers * 1_000_000 / (data.len() as u64).max(1),
+            // § V: G-Interp prediction + quantization, streamed into the
+            // fidelity audit when one was asked for (decode-verify is filled
+            // in later by whoever holds both fields — see
+            // [`crate::audit::verify_decode`]).
+            let (pred, audit) = stage("predict-quant", || {
+                let pred = ginterp::compress(data, eb_abs, cfg.radius, &interp, &cfg.device);
+                let audit = cfg.audit.then(|| {
+                    crate::audit::audit_codes(&pred.codes, data.shape(), cfg.radius, eb_abs)
+                });
+                Ok((pred, audit))
+            })?;
+            kernels.extend(pred.kernels.iter().copied());
+
+            // § VI-A: quant-code histogram, then the CPU codebook (serial
+            // host work — exactly what overlaps with other fields' kernels
+            // under the scheduler).
+            let (hist, hstats) = stage("histogram", || {
+                let alphabet = 2 * cfg.radius as usize;
+                let (hist, hstats) = histogram_gpu(
+                    &pred.codes,
+                    alphabet,
+                    cfg.radius,
+                    cfg.histogram_topk,
+                    &cfg.device,
                 );
-            }
-            Ok(buf)
-        })?;
+                observe_entropy(&hist);
+                Ok((hist, hstats))
+            })?;
+            kernels.push(hstats);
+            let book = stage("codebook", || {
+                Codebook::from_histogram(&hist)
+                    .map_err(|_| CuszError::LosslessStage("codebook construction"))
+            })?;
 
-        Ok((Compressed { bytes, kernels, sections: sizes, eb_abs, interp, audit }, built))
+            // § VI-A: coarse-grained Huffman encode.
+            let (stream, estats) =
+                stage("huffman-encode", || Ok(encode_gpu(&pred.codes, &book, &cfg.device)))?;
+            kernels.extend(estats);
+
+            let (mut buf, sections, sizes) =
+                stage("assemble", || Ok(assemble(&pred, &book, &stream)))?;
+
+            // § VI-B: Bitcomp-lossless pass over the whole payload, packed
+            // in place behind the reserved header bytes.
+            let flags = if cfg.bitcomp {
+                let bstats = stage("bitcomp", || {
+                    let (packed, bstats) = cuszi_bitcomp::compress(&buf[HEADER_LEN..], &cfg.device);
+                    buf.truncate(HEADER_LEN);
+                    buf.extend_from_slice(&packed);
+                    Ok(bstats)
+                })?;
+                kernels.extend(bstats);
+                FLAG_BITCOMP
+            } else {
+                0
+            };
+
+            // Write the self-describing header into the reserved bytes.
+            let bytes = stage("finalize", || {
+                let header = Header {
+                    version: VERSION,
+                    flags,
+                    shape: data.shape(),
+                    eb_abs,
+                    alpha: interp.alpha,
+                    radius: cfg.radius,
+                    variants: interp.variants,
+                    order: interp.order.clone(),
+                    const_value: 0.0,
+                    sections,
+                };
+                buf[..HEADER_LEN].copy_from_slice(&header.to_bytes());
+                if cuszi_profile::metrics_active() {
+                    let bytes_in = (data.len() * 4) as u64;
+                    let bytes_out = buf.len() as u64;
+                    let outliers = pred.outliers.indices().len() as u64;
+                    cuszi_profile::count("compress.fields", 1);
+                    cuszi_profile::count("compress.bytes_in", bytes_in);
+                    cuszi_profile::count("compress.bytes_out", bytes_out);
+                    cuszi_profile::count("compress.outliers", outliers);
+                    // Per-field distributions: CR in parts-per-thousand,
+                    // outlier rate in parts-per-million.
+                    cuszi_profile::observe("compress.cr_ppt", bytes_in * 1000 / bytes_out.max(1));
+                    cuszi_profile::observe(
+                        "compress.outlier_rate_ppm",
+                        outliers * 1_000_000 / (data.len() as u64).max(1),
+                    );
+                }
+                Ok(buf)
+            })?;
+
+            Ok(Compressed { bytes, kernels, sections: sizes, eb_abs, interp, audit })
+        })
     }
 
     /// Decompress an archive produced by [`CuszI::compress`].
@@ -429,65 +368,62 @@ impl CuszI {
     /// The archive is self-describing; only the device model comes from
     /// this codec's configuration.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Decompressed, CuszError> {
-        crate::telemetry::init();
-        let _span = cuszi_profile::span("decompress", Category::Stage);
-        crate::telemetry::dump_on_err(self.decompress_inner(bytes))
-    }
+        crate::telemetry::entry("decompress", || {
+            let header = Header::from_bytes(bytes)?;
 
-    fn decompress_inner(&self, bytes: &[u8]) -> Result<Decompressed, CuszError> {
-        let header = Header::from_bytes(bytes)?;
+            if header.flags & FLAG_CONSTANT != 0 {
+                let mut data = NdArray::zeros(header.shape);
+                data.as_mut_slice().fill(header.const_value);
+                return Ok(Decompressed { data, kernels: Vec::new() });
+            }
+            if header.eb_abs <= 0.0 {
+                return Err(CuszError::CorruptArchive("non-positive error bound"));
+            }
+            let device = &self.cfg.device;
+            let mut kernels = Vec::new();
 
-        if header.flags & FLAG_CONSTANT != 0 {
-            let mut data = NdArray::zeros(header.shape);
-            data.as_mut_slice().fill(header.const_value);
-            return Ok(Decompressed { data, kernels: Vec::new() });
-        }
-        if header.eb_abs <= 0.0 {
-            return Err(CuszError::CorruptArchive("non-positive error bound"));
-        }
-        let device = &self.cfg.device;
-        let mut kernels = Vec::new();
-
-        let raw = &bytes[HEADER_LEN..];
-        let unpacked;
-        let payload = if header.flags & FLAG_BITCOMP != 0 {
-            let (p, bstats) = stage("bitcomp-decode", || {
-                cuszi_bitcomp::decompress(raw, device).map_err(|e| CuszError::LosslessStage(e.0))
+            let raw = &bytes[HEADER_LEN..];
+            let unpacked;
+            let payload = if header.flags & FLAG_BITCOMP != 0 {
+                let (p, bstats) = stage("bitcomp-decode", || {
+                    cuszi_bitcomp::decompress(raw, device)
+                        .map_err(|e| CuszError::LosslessStage(e.0))
+                })?;
+                kernels.push(bstats);
+                unpacked = p;
+                &unpacked[..]
+            } else {
+                raw
+            };
+            let (anchors, book, stream, outliers) =
+                stage("split-sections", || split_payload(payload, &header))?;
+            let decoded = stage("huffman-decode", || {
+                let decoded = decode_gpu(&stream, &book, device)?;
+                cuszi_profile::count("huffman_decode.sectors", decoded.report.sectors);
+                Ok(decoded)
             })?;
-            kernels.push(bstats);
-            unpacked = p;
-            &unpacked[..]
-        } else {
-            raw
-        };
-        let (anchors, book, stream, outliers) =
-            stage("split-sections", || split_payload(payload, &header))?;
-        let decoded = stage("huffman-decode", || {
-            let decoded = decode_gpu(&stream, &book, device)?;
-            cuszi_profile::count("huffman_decode.sectors", decoded.report.sectors);
-            Ok(decoded)
-        })?;
-        kernels.extend(decoded.kernels);
-        let (data, gstats) = stage("g-interp-reconstruct", || {
-            Ok(ginterp::decompress(
-                &decoded.syms,
-                &anchors,
-                &outliers,
-                header.shape,
-                header.eb_abs,
-                header.radius,
-                &header.interp_config(),
-                device,
-            ))
-        })?;
-        kernels.extend(gstats);
+            kernels.extend(decoded.kernels);
+            let (data, gstats) = stage("g-interp-reconstruct", || {
+                Ok(ginterp::decompress(
+                    &decoded.syms,
+                    &anchors,
+                    &outliers,
+                    header.shape,
+                    header.eb_abs,
+                    header.radius,
+                    &header.interp_config(),
+                    device,
+                ))
+            })?;
+            kernels.extend(gstats);
 
-        if cuszi_profile::metrics_active() {
-            cuszi_profile::count("decompress.fields", 1);
-            cuszi_profile::count("decompress.bytes_in", bytes.len() as u64);
-            cuszi_profile::count("decompress.bytes_out", (data.len() * 4) as u64);
-        }
-        Ok(Decompressed { data, kernels })
+            if cuszi_profile::metrics_active() {
+                cuszi_profile::count("decompress.fields", 1);
+                cuszi_profile::count("decompress.bytes_in", bytes.len() as u64);
+                cuszi_profile::count("decompress.bytes_out", (data.len() * 4) as u64);
+            }
+            Ok(Decompressed { data, kernels })
+        })
     }
 }
 

@@ -9,8 +9,8 @@ use cuszi_gpu_sim::{KernelStats, TimingModel};
 
 use crate::pipeline::Compressed;
 
-/// Kernels of a cold compress with Bitcomp, in launch order. Every
-/// other run launches a subsequence of these.
+/// Kernels of a compress with Bitcomp, in launch order. A run without
+/// Bitcomp launches the first four.
 const COMPRESS_KERNELS: [&str; 6] = [
     "anchor-gather",
     "g-interp",
@@ -20,22 +20,13 @@ const COMPRESS_KERNELS: [&str; 6] = [
     "bitcomp-emit",
 ];
 
-/// Stage labels of the compression pipeline, in launch order. The
-/// kernel count tells the runs apart: a warm (engine cache hit) run
-/// skips the histogram, a run without Bitcomp skips its two kernels.
+/// Stage labels of the compression pipeline, in launch order: none for
+/// the constant-field fast path, four without Bitcomp, six with it.
 pub fn compress_stage_names(n_kernels: usize) -> Vec<&'static str> {
-    let (warm, bitcomp) = match n_kernels {
-        0 => return vec![], // constant-field fast path
-        3 => (true, false),
-        4 => (false, false),
-        5 => (true, true),
-        6 => (false, true),
-        n => return vec!["kernel"; n],
-    };
-    COMPRESS_KERNELS
-        .into_iter()
-        .filter(|&k| !(warm && k == "histogram") && (bitcomp || !k.starts_with("bitcomp-")))
-        .collect()
+    match n_kernels {
+        0 | 4 | 6 => COMPRESS_KERNELS[..n_kernels].to_vec(),
+        n => vec!["kernel"; n],
+    }
 }
 
 /// One labelled stage with its modelled time.
@@ -117,33 +108,15 @@ mod tests {
 
     #[test]
     fn render_includes_every_stage_and_total() {
-        let c = compressed(true);
-        let text = render_breakdown(&c, &TimingModel::new(A100));
-        for name in ["anchor-gather", "g-interp", "histogram", "bitcomp-encode", "total"] {
-            assert!(text.contains(name), "missing {name} in:\n{text}");
-        }
-    }
-
-    #[test]
-    fn warm_engine_results_render_named_rows() {
         use crate::engine::{Engine, EngineConfig};
         let engine = Engine::new(EngineConfig::default().with_workers(1));
-        for cfg in [
-            Config::new(ErrorBound::Rel(1e-3)),
-            Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
-        ] {
-            engine.compress("t", field(), cfg).unwrap();
-            let warm = engine.compress("t", field(), cfg).unwrap();
-            assert!(warm.cache_hit);
-            let c = warm.output.into_compressed().unwrap();
-            let names: Vec<_> =
-                stage_breakdown(&c, &TimingModel::new(A100)).iter().map(|r| r.name).collect();
-            let mut want = vec!["anchor-gather", "g-interp", "huffman-emit"];
-            if cfg.bitcomp {
-                want.extend(["bitcomp-encode", "bitcomp-emit"]);
-            }
-            assert_eq!(names, want);
+        let cfg = Config::new(ErrorBound::Rel(1e-3));
+        let served = engine.compress("t", field(), cfg).unwrap().output.into_compressed().unwrap();
+        for c in [compressed(true), served] {
             let text = render_breakdown(&c, &TimingModel::new(A100));
+            for name in ["anchor-gather", "g-interp", "histogram", "bitcomp-encode", "total"] {
+                assert!(text.contains(name), "missing {name} in:\n{text}");
+            }
             assert!(!text.contains("kernel"), "unnamed row in:\n{text}");
         }
     }

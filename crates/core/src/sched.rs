@@ -67,16 +67,10 @@ impl ScheduleReport {
 }
 
 /// The stream count used when the caller doesn't pick one:
-/// `CUSZI_STREAMS` if set, else `min(cores, 4)`. Four streams is
-/// where the overlap win saturates — per-job serial stages are a
-/// minority of the pipeline, so more streams mostly split the worker
-/// budget thinner.
+/// `min(cores, 4)`. Four streams is where the overlap win saturates —
+/// per-job serial stages are a minority of the pipeline, so more
+/// streams mostly split the worker budget thinner.
 pub fn default_streams() -> usize {
-    if let Ok(v) = std::env::var("CUSZI_STREAMS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
 }
 
@@ -429,11 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn default_streams_respects_env_override() {
-        // Don't mutate the process env (tests run threaded); just pin
-        // the fallback's bounds.
-        let n = default_streams();
-        assert!((1..=4).contains(&n) || std::env::var("CUSZI_STREAMS").is_ok());
+    fn default_streams_is_the_core_count_capped_at_four() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(default_streams(), cores.min(4));
     }
 
     #[test]

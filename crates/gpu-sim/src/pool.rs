@@ -11,8 +11,7 @@
 //! counters, whose addition is exact and commutative, so stats too are
 //! identical for any thread count or interleaving.
 //!
-//! Thread count resolution order: [`with_threads`] scope override, then
-//! the `CUSZI_NUM_THREADS` environment variable, then
+//! Thread count: the innermost [`with_threads`] scope, else
 //! `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
@@ -28,13 +27,6 @@ pub fn current_threads() -> usize {
     let forced = THREAD_OVERRIDE.with(|c| c.get());
     if forced > 0 {
         return forced;
-    }
-    if let Ok(v) = std::env::var("CUSZI_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -13,13 +13,15 @@
 //!
 //! Two views read the rings:
 //!
-//! * **The black box.** When a `CuszError` propagates out of the
-//!   pipeline, the rings are rendered into a `flight_<pid>_<seq>.json`
-//!   dump: the last [`DUMP_TAIL`] events before the failure, with exact
-//!   stage attribution (and the failing job/tenant id when an engine
-//!   set one via [`job_scope`]), parseable by [`crate::minjson`]. The
-//!   sequence number makes every failure in a long-lived server its own
-//!   dump; at most [`DUMP_KEEP`] are retained (oldest evicted).
+//! * **The black box.** When a device or lossless-stage `CuszError`
+//!   propagates out of the pipeline (the pipeline decides which; errors
+//!   the input alone decides write none), the rings are rendered into a
+//!   `flight_<pid>_<seq>.json` dump: the last [`DUMP_TAIL`] events
+//!   before the failure, with exact stage attribution (and the failing
+//!   job/tenant id when an engine set one via [`job_scope`]), parseable
+//!   by [`crate::minjson`]. The sequence number makes every dumped
+//!   failure in a long-lived server its own dump; at most [`DUMP_KEEP`]
+//!   are retained (oldest evicted).
 //!   `CUSZI_FLIGHT_DIR` overrides where dumps are written (default: the
 //!   system temp directory).
 //! * **The profile capture.** Events recorded while [`crate::enable`]

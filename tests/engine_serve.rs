@@ -1,8 +1,7 @@
 //! Multi-tenant engine behaviour under concurrency: archives from
 //! concurrent jobs must be byte-identical to serial one-shot
-//! compression on every dataset analogue, the session cache must turn
-//! repeat content into cheaper warm hits without changing bytes, the
-//! token-bucket scheduler must keep a heavy tenant from
+//! compression on every dataset analogue (a resend of the same content
+//! included), the token-bucket scheduler must keep a heavy tenant from
 //! starving a light one, and a fault injected into one tenant's job
 //! must fail that job alone — typed — while everyone else's work
 //! completes. The last three tests put a real `cuszi serve` daemon on
@@ -106,23 +105,15 @@ fn eight_concurrent_jobs_match_serial_one_shot_on_all_datasets() {
         assert_eq!(d.data.shape(), data.shape(), "{tenant}: decompressed shape");
     }
 
-    // Steady state: resubmitting now-cached content is a warm hit that
-    // still produces identical bytes with fewer kernel launches.
+    // A resend of the same content runs the same stages again: the
+    // one-shot bytes, with the one-shot kernel count.
     for (tenant, data) in crops.iter().take(2) {
-        let warm = engine.compress(tenant, data.clone(), cfg()).unwrap();
-        assert!(warm.cache_hit, "{tenant}: repeat content should hit the session cache");
-        let warm_c = warm.output.into_compressed().unwrap();
+        let again = engine.compress(tenant, data.clone(), cfg()).unwrap();
+        let again = again.output.into_compressed().unwrap();
         let serial = one_shot.compress(data).unwrap();
-        assert_eq!(warm_c.bytes, serial.bytes, "{tenant}: warm archive differs");
-        assert!(
-            warm_c.kernels.len() < serial.kernels.len(),
-            "{tenant}: warm hit should skip tune/histogram/codebook kernels ({} vs {})",
-            warm_c.kernels.len(),
-            serial.kernels.len()
-        );
+        assert_eq!(again.bytes, serial.bytes, "{tenant}: resent archive differs");
+        assert_eq!(again.kernels.len(), serial.kernels.len(), "{tenant}: resent kernel count");
     }
-    let s = engine.stats();
-    assert!(s.cache_hits >= 2, "expected warm hits, stats: {s:?}");
 }
 
 #[test]

@@ -154,33 +154,31 @@ fn launch_faults_error_at_owning_stage_on_all_datasets() {
 }
 
 #[test]
-fn warm_engine_launch_faults_error_at_owning_stage_on_all_datasets() {
-    // An engine cache hit skips the histogram; its other launches
-    // still fail in the stage that owns them.
+fn engine_launch_faults_error_at_owning_stage_on_all_datasets() {
+    // An engine job runs the one-shot stages, so every compress launch
+    // fails in the stage that owns it, the same content each time.
     let _g = guard();
     let cfg = Config::new(ErrorBound::Rel(1e-3));
     for kind in DatasetKind::ALL {
         let engine = Engine::new(EngineConfig::default().with_workers(1));
         let data = &fields_of(kind)[0].1;
-        engine.compress("t", data.clone(), cfg).expect("cold engine compress");
-        for &(stage, kernels) in COMPRESS_STAGES.iter().filter(|(s, _)| *s != "histogram") {
+        for &(stage, kernels) in COMPRESS_STAGES {
             for &kernel in kernels {
                 clear_flight_dump();
                 let _armed = Armed::new(FaultSpec::LaunchNamed(kernel.into()));
                 let err = match engine.compress("t", data.clone(), cfg) {
                     Err(EngineError::Job(e)) => e,
-                    other => panic!("{}: warm launch:{kernel} gave {other:?}", kind.name()),
+                    other => panic!("{}: engine launch:{kernel} gave {other:?}", kind.name()),
                 };
                 let want = CuszError::StageError {
                     stage,
                     kind: StageFaultKind::LaunchFailed,
                     site: kernel.to_string(),
                 };
-                assert_eq!(err, want, "{}: warm job", kind.name());
+                assert_eq!(err, want, "{}: engine job", kind.name());
                 assert_flight_dump(&err, Some(stage));
             }
         }
-        assert_eq!(engine.stats().cache_misses, 1, "{}: every faulted job was warm", kind.name());
     }
 }
 

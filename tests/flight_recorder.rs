@@ -10,7 +10,7 @@
 
 use std::sync::Mutex;
 
-use cuszi_repro::core::{Config, CuszError, CuszI, Engine, EngineConfig};
+use cuszi_repro::core::{Config, CuszError, CuszI, Engine, EngineConfig, EngineError};
 use cuszi_repro::datagen::{generate, DatasetKind, Scale};
 use cuszi_repro::gpu_sim::fault::{self, FaultSpec};
 use cuszi_repro::profile::{self, flight, minjson};
@@ -72,17 +72,9 @@ fn stage_begins(t0: u64) -> Vec<String> {
         .collect()
 }
 
-/// The compress stages in order: `tune`, `histogram` and `codebook`
-/// only on a cold run, `bitcomp` only with Bitcomp on.
-fn compress_roster(cold: bool, bitcomp: bool) -> Vec<&'static str> {
-    let mut want = vec!["compress"];
-    if cold {
-        want.push("tune");
-    }
-    want.push("predict-quant");
-    if cold {
-        want.extend(["histogram", "codebook"]);
-    }
+/// The compress stages in order: `bitcomp` only with Bitcomp on.
+fn compress_roster(bitcomp: bool) -> Vec<&'static str> {
+    let mut want = vec!["compress", "tune", "predict-quant", "histogram", "codebook"];
     want.extend(["huffman-encode", "assemble"]);
     if bitcomp {
         want.push("bitcomp");
@@ -142,7 +134,7 @@ fn clean_roundtrip_journals_stages_and_named_launches() {
         assert_eq!(ends, 1, "stage '{stage}' end count");
     }
     // ... and they ran in the pipeline's one order.
-    assert_eq!(stage_begins(t0), [compress_roster(true, true), decompress_roster(true)].concat());
+    assert_eq!(stage_begins(t0), [compress_roster(true), decompress_roster(true)].concat());
 
     // Kernel launches are journaled, and every launch site passes a
     // real name — a bare `launch()` would show up as the "kernel"
@@ -182,26 +174,50 @@ fn one_shot_runs_journal_their_fixed_stage_rosters() {
         let t0 = now_marker();
         let c = codec.compress(&data).expect("compress");
         codec.decompress(&c.bytes).expect("decompress");
-        let want = [compress_roster(true, bitcomp), decompress_roster(bitcomp)].concat();
+        let want = [compress_roster(bitcomp), decompress_roster(bitcomp)].concat();
         assert_eq!(stage_begins(t0), want, "bitcomp={bitcomp}");
     }
 }
 
 #[test]
-fn engine_cache_hit_skips_tune_histogram_and_codebook_stages() {
+fn repeated_engine_jobs_journal_the_one_shot_roster() {
     let _g = guard();
     let data = small_field();
     let engine = Engine::new(EngineConfig::default().with_workers(1));
     for bitcomp in [true, false] {
         let cfg = Config::new(ErrorBound::Rel(1e-3));
         let cfg = if bitcomp { cfg } else { cfg.without_bitcomp() };
-        let t0 = now_marker();
-        assert!(!engine.compress("t", data.clone(), cfg).expect("cold").cache_hit);
-        assert_eq!(stage_begins(t0), compress_roster(true, bitcomp), "cold bitcomp={bitcomp}");
-        let t0 = now_marker();
-        assert!(engine.compress("t", data.clone(), cfg).expect("warm").cache_hit);
-        assert_eq!(stage_begins(t0), compress_roster(false, bitcomp), "warm bitcomp={bitcomp}");
+        for send in ["first", "second"] {
+            let t0 = now_marker();
+            engine.compress("t", data.clone(), cfg).expect(send);
+            assert_eq!(stage_begins(t0), compress_roster(bitcomp), "{send} bitcomp={bitcomp}");
+        }
     }
+}
+
+#[test]
+fn input_errors_write_no_dump_and_device_faults_still_do() {
+    let _g = guard();
+    flight::install();
+    let engine = Engine::new(EngineConfig::default().with_workers(1));
+    let cfg = Config::new(ErrorBound::Rel(1e-3));
+    let before = flight::written_dumps();
+    for _ in 0..1_000 {
+        match engine.decompress("t", Vec::new(), cfg) {
+            Err(EngineError::Job(CuszError::CorruptArchive(_))) => {}
+            other => panic!("an empty archive gave {other:?}"),
+        }
+    }
+    assert_eq!(flight::written_dumps(), before, "a malformed archive wrote a dump");
+
+    let err = {
+        let _armed = Armed::new(FaultSpec::LaunchNamed("g-interp".into()));
+        engine.compress("t", small_field(), cfg).expect_err("armed compress succeeded")
+    };
+    assert!(matches!(err, EngineError::Job(CuszError::StageError { .. })), "{err}");
+    let after = flight::written_dumps();
+    assert_eq!(after.len(), (before.len() + 1).min(flight::DUMP_KEEP), "{after:?}");
+    assert!(!before.contains(after.last().expect("a dump")), "the fault wrote no new dump");
 }
 
 #[test]
