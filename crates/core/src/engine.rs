@@ -675,6 +675,22 @@ mod tests {
     }
 
     #[test]
+    fn repeated_requests_rebuild_every_stage() {
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        let first = engine.compress("t0", field(), cfg()).unwrap();
+        let again = engine.compress("t0", field(), cfg()).unwrap();
+        assert!(!first.cache_hit && !again.cache_hit, "nothing is reused across requests");
+        let first = first.output.into_compressed().unwrap();
+        let again = again.output.into_compressed().unwrap();
+        assert_eq!(first.bytes, again.bytes);
+        // The resend tunes again and launches all six kernels, the
+        // histogram included, with the same traffic.
+        assert_eq!(again.interp, first.interp);
+        assert_eq!(first.kernels.len(), 6);
+        assert_eq!(again.kernels, first.kernels);
+    }
+
+    #[test]
     fn per_request_metrics_do_not_bleed() {
         let engine = Engine::new(EngineConfig::default().with_workers(1));
         let small = NdArray::from_fn(Shape::d2(32, 32), |_z, y, x| (x + y) as f32 * 0.13);

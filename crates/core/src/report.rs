@@ -122,6 +122,35 @@ mod tests {
     }
 
     #[test]
+    fn stage_names_follow_the_kernel_count() {
+        assert!(compress_stage_names(0).is_empty(), "constant-field fast path");
+        assert_eq!(
+            compress_stage_names(4),
+            ["anchor-gather", "g-interp", "histogram", "huffman-emit"]
+        );
+        assert_eq!(compress_stage_names(6), COMPRESS_KERNELS);
+        for n in [1, 3, 5, 7] {
+            assert_eq!(compress_stage_names(n), vec!["kernel"; n], "{n} kernels");
+        }
+    }
+
+    #[test]
+    fn engine_results_render_named_rows() {
+        use crate::engine::{Engine, EngineConfig};
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        for cfg in [
+            Config::new(ErrorBound::Rel(1e-3)),
+            Config::new(ErrorBound::Rel(1e-3)).without_bitcomp(),
+        ] {
+            let c = engine.compress("t", field(), cfg).unwrap().output.into_compressed().unwrap();
+            let names: Vec<_> =
+                stage_breakdown(&c, &TimingModel::new(A100)).iter().map(|r| r.name).collect();
+            let want = if cfg.bitcomp { &COMPRESS_KERNELS[..] } else { &COMPRESS_KERNELS[..4] };
+            assert_eq!(names, want);
+        }
+    }
+
+    #[test]
     fn ginterp_dominates_compression_time() {
         // The paper's premise for optimising the predictor: it is the
         // expensive stage.

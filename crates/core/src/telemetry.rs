@@ -65,3 +65,16 @@ pub(crate) fn dump(err: &CuszError) {
     }
     cuszi_profile::flight::dump_on_error(err.stage(), &err.to_string());
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entry_returns_the_body_result_unchanged() {
+        assert_eq!(entry("compress", || Ok::<_, CuszError>(7)), Ok(7));
+        // An input error: passed through as is, and it writes no dump.
+        let e = entry("compress", || Err::<u8, _>(CuszError::InvalidErrorBound));
+        assert_eq!(e, Err(CuszError::InvalidErrorBound));
+    }
+}

@@ -179,6 +179,14 @@ mod tests {
     }
 
     #[test]
+    fn current_threads_outside_any_scope_is_the_core_count() {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(current_threads(), cores);
+        with_threads(2, || assert_eq!(current_threads(), 2));
+        assert_eq!(current_threads(), cores, "leaving the scope restores the default");
+    }
+
+    #[test]
     fn with_threads_restores_previous_override() {
         with_threads(3, || {
             assert_eq!(current_threads(), 3);
