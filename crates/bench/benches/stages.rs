@@ -21,6 +21,8 @@ fn main() {
     let cfg = InterpConfig::untuned(3);
 
     section("predictors (Miranda-small, eb 1e-3)");
+    // The range scan every compress runs before prediction (§ V-C.1).
+    b.run("value_range", bytes, || ValueRange::of(field.as_slice()));
     b.run("ginterp_compress", bytes, || ginterp::compress(field, eb, 512, &cfg, &A100));
     // The ginterp block body with the scalar oracle forced, then in
     // lanes — archives are bit-identical, only the host time differs.

@@ -556,6 +556,17 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_last_element_rejected() {
+        // The range scan folds 16 lanes then a tail; a lone NaN in the
+        // tail of a length that is not a multiple of 16 must still count.
+        let mut data = field(Shape::d3(5, 7, 9));
+        let last = data.len() - 1;
+        data.as_mut_slice()[last] = f32::NAN;
+        let codec = CuszI::new(Config::new(ErrorBound::Rel(1e-3)));
+        assert!(matches!(codec.compress(&data), Err(CuszError::NonFiniteInput)));
+    }
+
+    #[test]
     fn invalid_bound_rejected() {
         let data = field(Shape::d1(64));
         for eb in [ErrorBound::Abs(0.0), ErrorBound::Rel(-1.0), ErrorBound::Abs(f64::NAN)] {

@@ -71,7 +71,7 @@ impl ScheduleReport {
 /// per-job serial stages are a minority of the pipeline, so more
 /// streams mostly split the worker budget thinner.
 pub fn default_streams() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
+    cuszi_gpu_sim::pool::cores().min(4)
 }
 
 /// Run `count` jobs on the plan's devices × streams and report every

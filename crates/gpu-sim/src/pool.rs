@@ -11,15 +11,24 @@
 //! counters, whose addition is exact and commutative, so stats too are
 //! identical for any thread count or interleaving.
 //!
-//! Thread count: the innermost [`with_threads`] scope, else
-//! `std::thread::available_parallelism()`.
+//! Thread count: the innermost [`with_threads`] scope, else the
+//! process's [`cores`].
 
 use std::cell::Cell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `std::thread::available_parallelism()`, read once per process: the
+/// call reads cgroup files (tens of µs), which every launch outside a
+/// [`with_threads`] scope would otherwise pay.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Number of worker threads the next launch on this thread will use.
@@ -28,7 +37,7 @@ pub fn current_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    cores()
 }
 
 /// Run `f` with launches on this thread pinned to `n` worker threads

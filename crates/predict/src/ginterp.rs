@@ -275,9 +275,9 @@ fn quantizer_for(qs: &[(u32, Quantizer)], level: u32) -> &Quantizer {
 
 /// Compress-side G-Interp: predict + quantize the whole field.
 ///
-/// Returns the full artifact set; `codes` is initialised to the
-/// zero-error code so anchor positions (never visited by the sweep)
-/// encode "no correction".
+/// Returns the full artifact set. Anchor positions are never visited by
+/// the sweep: their codes come from each block's local code tile, which
+/// starts at the zero-error code, so they encode "no correction".
 pub fn compress(
     data: &NdArray<f32>,
     eb: f64,
@@ -413,7 +413,9 @@ pub fn compress_with(
 
     let (anchors, anchor_stats) = gather_anchors_with(data, astride, device);
 
-    let mut codes = vec![radius; shape.len()];
+    // No fill needed: the owned regions partition the field, so the
+    // owning blocks' stage-3 stores write every element.
+    let mut codes = vec![0u16; shape.len()];
     // One outlier slot per block, written disjointly during the launch
     // and compacted in block order afterwards — no lock on the hot path.
     let grid = launch_grid(shape, chunk);
@@ -848,6 +850,40 @@ mod tests {
                     }
                 }
             });
+        }
+    }
+
+    #[test]
+    fn anchor_codes_are_the_zero_error_code() {
+        // Anchors are stored losslessly, so their code slots must hold
+        // `radius` — written by the owning block, not by a global fill.
+        let radius = 512;
+        let shapes = [
+            Shape::d3(11, 13, 37),
+            Shape::d3(17, 18, 70),
+            Shape::d2(40, 52),
+            Shape::d2(33, 17),
+            Shape::d1(1025),
+            Shape::d1(3000),
+        ];
+        for shape in shapes {
+            let data = smooth_field(shape);
+            let rank = shape.rank();
+            let out = compress(&data, 1e-6, radius, &InterpConfig::untuned(rank), &A100);
+            let stride = Geometry::for_rank(rank).anchor_stride;
+            let d = shape.dims3();
+            let counts = anchor_counts(shape, stride);
+            let step = |a: usize| if a < 3 - rank { 1 } else { stride };
+            let mut seen = 0;
+            for z in (0..d[0]).step_by(step(0)) {
+                for y in (0..d[1]).step_by(step(1)) {
+                    for x in (0..d[2]).step_by(step(2)) {
+                        assert_eq!(out.codes[shape.index3(z, y, x)], radius, "{shape:?} anchor ({z},{y},{x})");
+                        seen += 1;
+                    }
+                }
+            }
+            assert_eq!(seen, counts.iter().product::<usize>(), "{shape:?}");
         }
     }
 
