@@ -9,7 +9,6 @@ pub mod csv;
 pub mod report;
 pub mod roster;
 pub mod run;
-pub mod timing;
 
 pub use csv::Csv;
 pub use report::Table;

@@ -489,9 +489,14 @@ fn compress_whole(
         bit_rate(data.len(), bytes.len()),
     )
     .ok();
-    if opts.verify {
-        let d = CuszI::new(base).decompress(&bytes)?;
-        let m = distortion(data.as_slice(), d.data.as_slice())
+    // Both checks read the same reconstruction: decode it once.
+    let recon = if opts.verify || opts.audit {
+        Some(CuszI::new(base).decompress(&bytes)?.data)
+    } else {
+        None
+    };
+    if let Some(d) = recon.as_ref().filter(|_| opts.verify) {
+        let m = distortion(data.as_slice(), d.as_slice())
             .ok_or_else(|| CliError("empty field".into()))?;
         if m.max_abs_err > eb_abs * (1.0 + 1e-6) {
             return Err(CliError(format!(
@@ -502,16 +507,15 @@ fn compress_whole(
         writeln!(out, "verified: PSNR {:.1} dB, max err {:.3e}", m.psnr, m.max_abs_err)
             .ok();
     }
-    if opts.audit {
+    if let Some(d) = recon.as_ref().filter(|_| opts.audit) {
         let mut rep = audit_rep
             .ok_or_else(|| CliError("audit report missing from compressed output".into()))?;
         // Sampled decode-verify: close the loop against the actual
         // reconstruction, attributing max error per interp level.
-        let d = CuszI::new(base).decompress(&bytes)?;
         cuszi_core::audit::verify_decode(
             &mut rep,
             &data,
-            &d.data,
+            d,
             cuszi_core::audit::default_sample_stride(data.len()),
         );
         writeln!(out, "\n{}", rep.render_table().trim_end()).ok();

@@ -10,10 +10,10 @@
 //!    tenant wins every contended dispatch and starvation is bounded),
 //!    with a global queue cap (`QUEUE_CAP`) + ≤N-in-flight
 //!    backpressure.
-//! 2. **Scoped observability** — each job runs under a per-engine and
-//!    a per-request [`Registry`] scope (see `cuszi_profile::scope`) so
-//!    per-request counters never bleed across tenants, and under a
-//!    flight-recorder job scope so fault dumps carry the job/tenant id.
+//! 2. **Scoped observability** — each job runs under the engine's
+//!    [`Registry`] scope (see `cuszi_profile::scope`), which the serve
+//!    stats frame renders, and under a flight-recorder job scope so
+//!    fault dumps carry the job/tenant id.
 //!
 //! A job runs exactly what a one-shot caller runs —
 //! `CuszI::new(cfg).compress(&data)` or `.decompress(&bytes)` — so every
@@ -130,10 +130,10 @@ impl JobOutput {
     }
 }
 
-/// A completed job: the output plus the request-scoped telemetry the
-/// engine collected around it. Timestamps are nanoseconds since the
-/// engine's epoch ([`Engine::now_ns`] uses the same clock, so callers
-/// can compute queue/service latency).
+/// A completed job: the output plus when it was admitted, started and
+/// finished. Timestamps are nanoseconds since the engine's epoch
+/// ([`Engine::now_ns`] uses the same clock, so callers can compute
+/// queue/service latency).
 #[derive(Debug)]
 pub struct JobResult {
     pub output: JobOutput,
@@ -148,8 +148,6 @@ pub struct JobResult {
     pub cache_hit: bool,
     /// The simulated device the job ran on (0 when `devices == 1`).
     pub device: usize,
-    /// Per-request metrics (scoped — no bleed from concurrent jobs).
-    pub metrics: Snapshot,
 }
 
 /// Why a job did not produce a result.
@@ -604,14 +602,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Run one job under its scopes: engine + request metric registries,
+/// Run one job under its scopes: the engine metric registry and the
 /// flight-recorder job context. A failure is delivered to this job's
 /// ticket only — concurrent jobs are unaffected.
 fn execute(shared: &Shared, job: Job, device: usize) {
     let started_ns = shared.now_ns();
-    let req_reg = Arc::new(Registry::new());
     let _eng_scope = cuszi_profile::scope(Arc::clone(&shared.registry));
-    let _req_scope = cuszi_profile::scope(Arc::clone(&req_reg));
     let _job_scope = cuszi_profile::flight::job_scope(job.id, &job.tenant);
     cuszi_profile::count("engine.jobs", 1);
     cuszi_profile::count(&format!("engine.dev{device}.jobs"), 1);
@@ -639,7 +635,6 @@ fn execute(shared: &Shared, job: Job, device: usize) {
             done_ns,
             cache_hit: false,
             device,
-            metrics: req_reg.snapshot(),
         }),
         Err(e) => {
             cuszi_profile::count("engine.job_errors", 1);
@@ -688,19 +683,6 @@ mod tests {
         assert_eq!(again.interp, first.interp);
         assert_eq!(first.kernels.len(), 6);
         assert_eq!(again.kernels, first.kernels);
-    }
-
-    #[test]
-    fn per_request_metrics_do_not_bleed() {
-        let engine = Engine::new(EngineConfig::default().with_workers(1));
-        let small = NdArray::from_fn(Shape::d2(32, 32), |_z, y, x| (x + y) as f32 * 0.13);
-        let big = field();
-        let r1 = engine.compress("a", small.clone(), cfg()).unwrap();
-        let r2 = engine.compress("b", big.clone(), cfg()).unwrap();
-        let b1 = r1.metrics.counters.get("compress.bytes_in").copied().unwrap_or(0);
-        let b2 = r2.metrics.counters.get("compress.bytes_in").copied().unwrap_or(0);
-        assert_eq!(b1, (small.len() * 4) as u64, "request 1 sees only its own bytes");
-        assert_eq!(b2, (big.len() * 4) as u64, "request 2 sees only its own bytes");
     }
 
     #[test]

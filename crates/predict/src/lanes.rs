@@ -14,7 +14,7 @@
 //! elementwise loops the compiler vectorizes for the build's target
 //! (SSE2 on a default x86-64 build). There is one lane body and no
 //! build flag or runtime option; the hidden [`force_scalar_sweep`]
-//! test/bench hook swaps in the one-point-at-a-time oracle.
+//! test hook swaps in the one-point-at-a-time oracle.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -129,8 +129,8 @@ pub(crate) fn lane_sweep() -> bool {
     !SCALAR_SWEEP.load(Ordering::Relaxed)
 }
 
-/// Oracle hook for differential tests and A/B benches: force the
-/// one-point-at-a-time sweep (`true`) or go back to lane runs (`false`).
+/// Oracle hook for differential tests: force the one-point-at-a-time
+/// sweep (`true`) or go back to lane runs (`false`).
 /// Process-global — callers serialise themselves.
 #[doc(hidden)]
 pub fn force_scalar_sweep(on: bool) {

@@ -178,12 +178,10 @@ pub fn span_with(name: &str, cat: Category, arg: u64) -> SpanGuard {
 static ACTIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Registries scoped onto this thread (innermost last). Metric
-    /// records fan out to every scoped registry in addition to the
-    /// global profiler, so an engine can capture per-request and
-    /// per-engine views of the same stage-level counters without the
-    /// process-global registry bleeding jobs into each other.
-    static SCOPES: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
+    /// The registry scoped onto this thread, if any. Metric records go
+    /// to it in addition to the global profiler, so an engine collects
+    /// its jobs' stage-level counters with the profiler off.
+    static SCOPE: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
 /// RAII guard for a scoped registry (see [`scope`]).
@@ -193,43 +191,42 @@ pub struct MetricsScope {
 
 impl Drop for MetricsScope {
     fn drop(&mut self) {
-        SCOPES.with(|s| {
-            s.borrow_mut().pop();
-        });
+        SCOPE.with(|s| s.borrow_mut().take());
         ACTIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Route this thread's [`count`]/[`observe`] calls into `reg` (in
-/// addition to any outer scopes and the global profiler) until the
-/// returned guard drops. Scopes nest: an engine typically installs its
-/// per-engine registry and a per-request registry for the same job, so
-/// one stage-level record lands in both.
+/// addition to the global profiler) until the returned guard drops.
+/// Scopes do not nest: a thread holds at most one.
 pub fn scope(reg: Arc<Registry>) -> MetricsScope {
+    SCOPE.with(|s| {
+        let prev = s.borrow_mut().replace(reg);
+        debug_assert!(prev.is_none(), "metric scopes do not nest");
+    });
     ACTIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
-    SCOPES.with(|s| s.borrow_mut().push(reg));
     MetricsScope { _priv: () }
 }
 
-/// Whether the calling thread has at least one scoped registry.
+/// Whether the calling thread has a scoped registry.
 pub fn scope_active() -> bool {
-    ACTIVE_SCOPES.load(Ordering::Relaxed) != 0 && SCOPES.with(|s| !s.borrow().is_empty())
+    ACTIVE_SCOPES.load(Ordering::Relaxed) != 0 && SCOPE.with(|s| s.borrow().is_some())
 }
 
 /// Whether a [`count`]/[`observe`] call would record anywhere — the
 /// global profiler ([`enabled`]) or a scoped registry. Call sites that
 /// precompute metric values guard on this instead of [`enabled`] so
-/// scoped (per-request) recording works with the profiler off.
+/// scoped (engine) recording works with the profiler off.
 #[inline]
 pub fn metrics_active() -> bool {
     enabled() || scope_active()
 }
 
-/// Fan a metric record out to this thread's scoped registries.
+/// Send a metric record to this thread's scoped registry.
 #[cold]
 fn record_scoped(name: &str, value: u64, histogram: bool) {
-    SCOPES.with(|s| {
-        for r in s.borrow().iter() {
+    SCOPE.with(|s| {
+        if let Some(r) = s.borrow().as_ref() {
             if histogram {
                 r.observe(name, value);
             } else {
@@ -239,7 +236,7 @@ fn record_scoped(name: &str, value: u64, histogram: bool) {
     });
 }
 
-/// Add to a global monotonic counter (and any scoped registries;
+/// Add to a global monotonic counter (and the scoped registry;
 /// no-op when disabled and unscoped).
 #[inline]
 pub fn count(name: &str, delta: u64) {
@@ -253,7 +250,7 @@ pub fn count(name: &str, delta: u64) {
     }
 }
 
-/// Record a global histogram sample (and any scoped registries;
+/// Record a global histogram sample (and the scoped registry;
 /// no-op when disabled and unscoped).
 #[inline]
 pub fn observe(name: &str, value: u64) {
@@ -323,27 +320,22 @@ mod tests {
 
     #[test]
     fn scoped_registries_capture_without_profiler() {
-        // Profiler off: records land only in the scoped registries,
-        // innermost and outer both, and stop at guard drop.
+        // Profiler off: records land only in the scoped registry, and
+        // stop at guard drop.
         let _g = test_lock();
         assert!(!enabled());
         let engine = Arc::new(Registry::new());
-        let request = Arc::new(Registry::new());
         {
             let _e = scope(Arc::clone(&engine));
             assert!(metrics_active(), "a scope alone activates metrics");
-            {
-                let _r = scope(Arc::clone(&request));
-                count("bytes", 10);
-                observe("cr", 4);
-            }
-            count("bytes", 5); // after the request scope closed
+            count("bytes", 10);
+            count("bytes", 5);
+            observe("cr", 4);
         }
         assert!(!metrics_active());
         count("bytes", 99); // unscoped: dropped
         assert_eq!(engine.snapshot().counters["bytes"], 15);
-        assert_eq!(request.snapshot().counters["bytes"], 10);
-        assert_eq!(request.snapshot().histograms["cr"].count, 1);
+        assert_eq!(engine.snapshot().histograms["cr"].count, 1);
     }
 
     #[test]

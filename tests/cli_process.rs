@@ -149,3 +149,40 @@ fn bad_flags_exit_nonzero_with_one_line_errors() {
         assert_one_line_error(&out);
     }
 }
+
+#[test]
+fn verify_and_audit_share_one_decompress() {
+    let Some(bin) = binary() else {
+        eprintln!("cuszi binary not built; skipping process-level test");
+        return;
+    };
+    let fin = workdir("va-in.f32");
+    let farc = workdir("va.cszi");
+    let fprom = workdir("va.prom");
+    let raw: Vec<u8> = (0..8 * 10 * 12)
+        .flat_map(|i| (((i % 12) as f32 * 0.2).sin() + (i / 120) as f32 * 0.05).to_le_bytes())
+        .collect();
+    std::fs::write(&fin, &raw).unwrap();
+
+    let out = Command::new(&bin)
+        .args(["compress", "-i"])
+        .arg(&fin)
+        .arg("-o")
+        .arg(&farc)
+        .args(["--dims", "8x10x12", "--rel-eb", "1e-3", "--verify", "--audit"])
+        .arg(format!("--prom={}", fprom.display()))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("verified") && stdout.contains("fidelity audit"), "{stdout}");
+    // The subprocess has the process-global profiler to itself, so the
+    // count is this run's alone: both checks read one reconstruction.
+    let prom = std::fs::read_to_string(&fprom).unwrap();
+    assert!(prom.lines().any(|l| l == "cuszi_decompress_fields 1"), "{prom}");
+
+    let trace = PathBuf::from(format!("{}.trace.json", farc.display()));
+    for f in [fin, farc, fprom, trace] {
+        let _ = std::fs::remove_file(f);
+    }
+}
