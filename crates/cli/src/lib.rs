@@ -387,13 +387,18 @@ fn trace_path(profile: &Option<String>, output: &str) -> String {
 
 /// Run `f`, profiled when `trace` names a trace path: on success, write
 /// the Chrome trace (and the Prometheus text to `prom`) and append the
-/// kernel table and the span summary to the command's output.
+/// kernel table and the span summary to the command's output. The
+/// profiler is process-global, so profiled runs in one process take
+/// turns: another's `enable(false)` or draining `report()` would
+/// otherwise cut this run's trace and metrics short.
 fn profiled(
     trace: Option<String>,
     prom: Option<String>,
     f: impl FnOnce() -> Result<String, CliError>,
 ) -> Result<String, CliError> {
+    static PROFILED: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let Some(trace_path) = trace else { return f() };
+    let _turn = PROFILED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let profiler = cuszi_profile::install();
     cuszi_profile::enable(true);
     let mut result = f();
@@ -1050,6 +1055,38 @@ mod tests {
         assert!(text.contains("cuszi_audit_elements"), "{text}");
         for f in [fin, farc, fprom, ftrace] {
             let _ = fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn concurrent_profiled_runs_each_keep_their_metrics() {
+        // The profiler is process-global: without turns, one run's
+        // enable(false) or report() empties the other's exposition.
+        let data = NdArray::from_fn(Shape::d3(16, 16, 16), |z, y, x| {
+            ((x * y) as f32 * 0.05).sin() + z as f32 * 0.03
+        });
+        let runs: Vec<_> = (0..4)
+            .map(|i| {
+                let fin = tmp(&format!("turns{i}-in.f32"));
+                write_f32_field(Path::new(&fin), &data).unwrap();
+                std::thread::spawn(move || {
+                    let farc = tmp(&format!("turns{i}.cszi"));
+                    let fprom = tmp(&format!("turns{i}.prom"));
+                    let ftrace = tmp(&format!("turns{i}.trace.json"));
+                    cli(&["compress", "-i", &fin, "-o", &farc, "--dims", "16x16x16", "--rel-eb",
+                        "1e-3", &format!("--profile={ftrace}"), &format!("--prom={fprom}")])
+                    .unwrap();
+                    let text = fs::read_to_string(&fprom).unwrap();
+                    for f in [fin, farc, fprom, ftrace] {
+                        let _ = fs::remove_file(f);
+                    }
+                    text
+                })
+            })
+            .collect();
+        for r in runs {
+            let text = r.join().unwrap();
+            assert!(text.contains("cuszi_compress_bytes_in"), "{text}");
         }
     }
 

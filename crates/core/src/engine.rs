@@ -686,6 +686,26 @@ mod tests {
     }
 
     #[test]
+    fn engine_registry_sums_every_job_and_no_other_engine() {
+        // The engine-wide registry (what the serve stats frame renders)
+        // collects each of its jobs' stage counters, and only its own.
+        let engine = Engine::new(EngineConfig::default().with_workers(1));
+        let other = Engine::new(EngineConfig::default().with_workers(1));
+        let small = NdArray::from_fn(Shape::d2(32, 32), |_z, y, x| (x + y) as f32 * 0.13);
+        let big = field();
+        engine.compress("a", small.clone(), cfg()).unwrap();
+        engine.compress("b", big.clone(), cfg()).unwrap();
+        other.compress("c", small.clone(), cfg()).unwrap();
+        let both = ((small.len() + big.len()) * 4) as u64;
+        let m = engine.metrics();
+        assert_eq!(m.counters.get("engine.jobs"), Some(&2));
+        assert_eq!(m.counters.get("compress.bytes_in"), Some(&both));
+        let o = other.metrics();
+        assert_eq!(o.counters.get("engine.jobs"), Some(&1));
+        assert_eq!(o.counters.get("compress.bytes_in"), Some(&((small.len() * 4) as u64)));
+    }
+
+    #[test]
     fn tenant_names_do_not_grow_the_engine_registry() {
         // Tenant names come off the wire; the engine-wide registry must
         // not keep a counter per name ever seen. A constant field is the

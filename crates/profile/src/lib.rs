@@ -339,6 +339,49 @@ mod tests {
     }
 
     #[test]
+    fn each_scope_on_a_thread_sees_only_its_own_records() {
+        // One slot per thread: a guard's drop empties it, so the next
+        // scope starts clean and the previous registry stops growing.
+        let _g = test_lock();
+        assert!(!enabled());
+        let first = Arc::new(Registry::new());
+        let second = Arc::new(Registry::new());
+        {
+            let _s = scope(Arc::clone(&first));
+            count("jobs", 1);
+        }
+        assert!(!scope_active());
+        {
+            let _s = scope(Arc::clone(&second));
+            assert!(scope_active());
+            count("jobs", 2);
+            observe("lat", 7);
+        }
+        assert_eq!(first.snapshot().counters["jobs"], 1);
+        assert!(first.snapshot().histograms.is_empty());
+        assert_eq!(second.snapshot().counters["jobs"], 2);
+        assert_eq!(second.snapshot().histograms["lat"].count, 1);
+    }
+
+    #[test]
+    fn a_scope_does_not_capture_other_threads() {
+        // The slot is thread-local: a worker recording while the main
+        // thread holds a scope lands nowhere with the profiler off.
+        let _g = test_lock();
+        assert!(!enabled());
+        let reg = Arc::new(Registry::new());
+        let _s = scope(Arc::clone(&reg));
+        std::thread::spawn(|| {
+            assert!(!scope_active(), "the scope belongs to the thread that made it");
+            count("bytes", 1000);
+        })
+        .join()
+        .unwrap();
+        count("bytes", 3);
+        assert_eq!(reg.snapshot().counters["bytes"], 3);
+    }
+
+    #[test]
     fn profiler_collects_spans_metrics_and_reports() {
         let _g = test_lock();
         let p = install();

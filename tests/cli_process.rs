@@ -186,3 +186,52 @@ fn verify_and_audit_share_one_decompress() {
         let _ = std::fs::remove_file(f);
     }
 }
+
+/// Run `cuszi compress` on a small field with `checks` and return its
+/// stdout and the `cuszi_decompress_fields` line of its Prometheus dump.
+fn compress_with_checks(bin: &PathBuf, tag: &str, checks: &[&str]) -> (String, Option<String>) {
+    let fin = workdir(&format!("{tag}-in.f32"));
+    let farc = workdir(&format!("{tag}.cszi"));
+    let fprom = workdir(&format!("{tag}.prom"));
+    let raw: Vec<u8> = (0..8 * 10 * 12)
+        .flat_map(|i| (((i % 12) as f32 * 0.2).sin() + (i / 120) as f32 * 0.05).to_le_bytes())
+        .collect();
+    std::fs::write(&fin, &raw).unwrap();
+    let out = Command::new(bin)
+        .args(["compress", "-i"])
+        .arg(&fin)
+        .arg("-o")
+        .arg(&farc)
+        .args(["--dims", "8x10x12", "--rel-eb", "1e-3"])
+        .args(checks)
+        .arg(format!("--prom={}", fprom.display()))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let prom = std::fs::read_to_string(&fprom).unwrap();
+    let line = prom.lines().find(|l| l.starts_with("cuszi_decompress_fields ")).map(str::to_string);
+    let trace = PathBuf::from(format!("{}.trace.json", farc.display()));
+    for f in [fin, farc, fprom, trace] {
+        let _ = std::fs::remove_file(f);
+    }
+    (String::from_utf8_lossy(&out.stdout).into_owned(), line)
+}
+
+#[test]
+fn each_check_alone_decodes_once_and_none_decodes_nothing() {
+    let Some(bin) = binary() else {
+        eprintln!("cuszi binary not built; skipping process-level test");
+        return;
+    };
+    let (stdout, line) = compress_with_checks(&bin, "v", &["--verify"]);
+    assert!(stdout.contains("verified: PSNR") && !stdout.contains("fidelity audit"), "{stdout}");
+    assert_eq!(line.as_deref(), Some("cuszi_decompress_fields 1"));
+
+    let (stdout, line) = compress_with_checks(&bin, "a", &["--audit"]);
+    assert!(stdout.contains("fidelity audit") && !stdout.contains("verified: PSNR"), "{stdout}");
+    assert_eq!(line.as_deref(), Some("cuszi_decompress_fields 1"));
+
+    let (stdout, line) = compress_with_checks(&bin, "n", &[]);
+    assert!(!stdout.contains("verified: PSNR") && !stdout.contains("fidelity audit"), "{stdout}");
+    assert!(line.is_none() || line.as_deref() == Some("cuszi_decompress_fields 0"), "{line:?}");
+}
