@@ -474,12 +474,12 @@ fn compress_whole(
         // The PSNR search replaces the bound and keeps everything else.
         BoundMode::Psnr(_) => ErrorBound::Rel(1e-3),
     }));
-    let (c, achieved) = match mode {
+    let (c, achieved, searched) = match mode {
         BoundMode::Psnr(db) => {
-            let (c, psnr) = psnr::compress_at_psnr(&data, db, base)?;
-            (c, Some((db, psnr)))
+            let (c, psnr, recon) = psnr::compress_at_psnr(&data, db, base)?;
+            (c, Some((db, psnr)), Some(recon))
         }
-        _ => (CuszI::new(base).compress(&data)?, None),
+        _ => (CuszI::new(base).compress(&data)?, None, None),
     };
     let Compressed { bytes, eb_abs, audit: audit_rep, .. } = c;
     if let Some((db, psnr)) = achieved {
@@ -494,11 +494,12 @@ fn compress_whole(
         bit_rate(data.len(), bytes.len()),
     )
     .ok();
-    // Both checks read the same reconstruction: decode it once.
-    let recon = if opts.verify || opts.audit {
-        Some(CuszI::new(base).decompress(&bytes)?.data)
-    } else {
-        None
+    // Both checks read the same reconstruction: decode it once, and not
+    // at all after a PSNR search, which already decoded the archive.
+    let recon = match searched {
+        _ if !(opts.verify || opts.audit) => None,
+        Some(recon) => Some(recon),
+        None => Some(CuszI::new(base).decompress(&bytes)?.data),
     };
     if let Some(d) = recon.as_ref().filter(|_| opts.verify) {
         let m = distortion(data.as_slice(), d.as_slice())

@@ -17,7 +17,9 @@ const TOL_DB: f64 = 1.0;
 
 /// Compress `data` so the decompressed PSNR lands within [`TOL_DB`] of
 /// `target_db` (or as close as the bound range [1e-7, 0.5] allows);
-/// returns the archive and its achieved PSNR.
+/// returns the archive, its achieved PSNR and the reconstruction that
+/// PSNR was measured on, so a caller checking the archive need not
+/// decode it again.
 ///
 /// `base` supplies everything except the error bound (device, Bitcomp,
 /// tuning, radius). Each iteration runs a full compress+decompress, so
@@ -26,7 +28,7 @@ pub(crate) fn compress_at_psnr(
     data: &NdArray<f32>,
     target_db: f64,
     base: Config,
-) -> Result<(Compressed, f64), CuszError> {
+) -> Result<(Compressed, f64, NdArray<f32>), CuszError> {
     if !(target_db.is_finite() && target_db > 0.0) {
         return Err(CuszError::InvalidConfig("target PSNR must be positive and finite"));
     }
@@ -35,7 +37,8 @@ pub(crate) fn compress_at_psnr(
     // with C ~ 7 dB for the quantizer's noise shape.
     let mut rel = 10f64.powf(-(target_db - 7.0) / 20.0).clamp(1e-7, 0.5);
 
-    let mut best: Option<(f64, f64, Compressed)> = None; // (|gap|, psnr, result)
+    // (|gap|, psnr, result, reconstruction)
+    let mut best: Option<(f64, f64, Compressed, NdArray<f32>)> = None;
     let mut prev: Option<(f64, f64)> = None; // (log10 rel, psnr)
     for _ in 0..10 {
         let codec = CuszI::new(Config { error_bound: ErrorBound::Rel(rel), ..base });
@@ -45,8 +48,8 @@ pub(crate) fn compress_at_psnr(
             .map(|m| m.psnr)
             .unwrap_or(f64::INFINITY);
         let gap = psnr - target_db;
-        if best.as_ref().is_none_or(|(g, _, _)| gap.abs() < *g) {
-            best = Some((gap.abs(), psnr, c));
+        if best.as_ref().is_none_or(|(g, ..)| gap.abs() < *g) {
+            best = Some((gap.abs(), psnr, c, d.data));
         }
         if gap.abs() <= TOL_DB {
             break;
@@ -70,9 +73,9 @@ pub(crate) fn compress_at_psnr(
     }
     // The loop body runs at least once and only `break`s after filling
     // `best`, but keep the no-panic contract total anyway.
-    let (_, psnr, compressed) =
+    let (_, psnr, compressed, recon) =
         best.ok_or(CuszError::InvalidConfig("PSNR search produced no candidate"))?;
-    Ok((compressed, psnr))
+    Ok((compressed, psnr, recon))
 }
 
 #[cfg(test)]
@@ -93,15 +96,15 @@ mod tests {
 
     #[test]
     fn hits_a_moderate_target() {
-        let (_, psnr) = compress_at_psnr(&field(), 70.0, base()).unwrap();
+        let (_, psnr, _) = compress_at_psnr(&field(), 70.0, base()).unwrap();
         assert!((psnr - 70.0).abs() <= TOL_DB, "achieved {psnr:.2} dB");
     }
 
     #[test]
     fn higher_target_costs_more_bytes() {
         let data = field();
-        let (lo, _) = compress_at_psnr(&data, 55.0, base()).unwrap();
-        let (hi, _) = compress_at_psnr(&data, 90.0, base()).unwrap();
+        let (lo, ..) = compress_at_psnr(&data, 55.0, base()).unwrap();
+        let (hi, ..) = compress_at_psnr(&data, 90.0, base()).unwrap();
         assert!(hi.bytes.len() > lo.bytes.len());
         assert!(hi.eb_abs < lo.eb_abs);
     }
@@ -118,7 +121,7 @@ mod tests {
         // 1 dB needs a bound past the 0.5 clamp: the search stops at the
         // range edge and returns its best archive instead of failing.
         let data = field();
-        let (c, psnr) = compress_at_psnr(&data, 1.0, base()).unwrap();
+        let (c, psnr, _) = compress_at_psnr(&data, 1.0, base()).unwrap();
         assert!(psnr > 1.0 + TOL_DB, "achieved {psnr:.2} dB");
         let range = cuszi_tensor::stats::ValueRange::of(data.as_slice()).unwrap().range() as f64;
         assert!((c.eb_abs / range - 0.5).abs() < 1e-9, "eb_abs {}", c.eb_abs);
@@ -127,14 +130,14 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let data = field();
-        let (a, pa) = compress_at_psnr(&data, 70.0, base()).unwrap();
-        let (b, pb) = compress_at_psnr(&data, 70.0, base()).unwrap();
+        let (a, pa, _) = compress_at_psnr(&data, 70.0, base()).unwrap();
+        let (b, pb, _) = compress_at_psnr(&data, 70.0, base()).unwrap();
         assert_eq!((a.bytes, pa), (b.bytes, pb));
     }
 
     #[test]
     fn search_keeps_the_base_settings() {
-        let (c, _) = compress_at_psnr(&field(), 70.0, base().without_bitcomp()).unwrap();
+        let (c, ..) = compress_at_psnr(&field(), 70.0, base().without_bitcomp()).unwrap();
         let h = cuszi_core::archive::Header::from_bytes(&c.bytes).unwrap();
         assert_eq!(h.flags & cuszi_core::archive::FLAG_BITCOMP, 0);
     }
@@ -142,8 +145,10 @@ mod tests {
     #[test]
     fn archive_is_a_normal_cuszi_archive() {
         let data = field();
-        let (c, _) = compress_at_psnr(&data, 65.0, base()).unwrap();
+        let (c, _, recon) = compress_at_psnr(&data, 65.0, base()).unwrap();
         let d = CuszI::new(base()).decompress(&c.bytes).unwrap();
         assert_eq!(d.data.shape(), data.shape());
+        // The returned reconstruction is the archive's own.
+        assert_eq!(recon.as_slice(), d.data.as_slice());
     }
 }

@@ -42,15 +42,7 @@ pub struct Codebook {
     first_index: Vec<u32>,
     /// Symbols sorted by (length, symbol) — the canonical order.
     sorted_symbols: Vec<u16>,
-    /// Primary decode table: for every [`LUT_BITS`]-bit prefix whose
-    /// leading code is at most that long, `symbol << 8 | len`;
-    /// [`LUT_MISS`] otherwise (fall back to the canonical walk).
-    lut: Vec<u32>,
 }
-
-/// Width of the primary decode table (4096 entries, 16 KiB).
-pub const LUT_BITS: u8 = 12;
-const LUT_MISS: u32 = u32::MAX;
 
 impl Codebook {
     /// Build from a histogram (one count per symbol).
@@ -119,22 +111,7 @@ impl Codebook {
                 next[l] += 1;
             }
         }
-        // Primary decode table for the hot path: short codes (which
-        // cover virtually all symbols on G-Interp's centralized
-        // distributions) resolve in one indexed load.
-        let mut lut = vec![LUT_MISS; 1usize << LUT_BITS];
-        for (sym, (&len, &code)) in lengths.iter().zip(&codes).enumerate() {
-            if len == 0 || len > LUT_BITS {
-                continue;
-            }
-            let shift = LUT_BITS - len;
-            let base = (code << shift) as usize;
-            let fill = (sym as u32) << 8 | len as u32;
-            for e in lut[base..base + (1usize << shift)].iter_mut() {
-                *e = fill;
-            }
-        }
-        Ok(Codebook { lengths, codes, max_len, first_code, first_index, sorted_symbols, lut })
+        Ok(Codebook { lengths, codes, max_len, first_code, first_index, sorted_symbols })
     }
 
     /// The alphabet size the book was built over.
@@ -176,23 +153,10 @@ impl Codebook {
         }
     }
 
-    /// Fast-path decode: `prefix` is the next [`LUT_BITS`] bits
-    /// MSB-first (zero-padded past end of stream). Returns the symbol
-    /// and its true length when a short code matches; `None` sends the
-    /// caller to [`Codebook::decode_one`].
-    #[inline]
-    pub fn decode_lut(&self, prefix: u64) -> Option<(u16, u8)> {
-        let e = self.lut[(prefix as usize) & ((1 << LUT_BITS) - 1)];
-        if e == LUT_MISS {
-            return None;
-        }
-        Some(((e >> 8) as u16, (e & 0xFF) as u8))
-    }
-
     /// Canonical decode of the codeword at the top of `window` (the next
     /// 64 stream bits MSB-first, zero-padded past the end of stream):
     /// one `first_code` compare per length. The complete decoder — the
-    /// hot loop only lands here after a [`Codebook::decode_lut`] miss.
+    /// hot loop only lands here after a [`DecodeTable`] miss.
     /// Returns `(symbol, length)` or `None` if no code matches (corrupt
     /// stream).
     #[inline]
@@ -227,6 +191,114 @@ impl Codebook {
             return Err(CodebookError::Corrupt("length mismatch"));
         }
         Self::from_lengths(data[4..].to_vec())
+    }
+}
+
+/// Prefix width of the [`DecodeTable`] (4096 entries, 32 KiB).
+pub const LUT_BITS: u8 = 12;
+const LUT_MASK: usize = (1 << LUT_BITS) - 1;
+
+/// Codewords one [`DecodeTable`] entry holds at most.
+pub const PROBE_SYMS: usize = 4;
+
+// Entry layout, low bits first: bits consumed (4), first codeword's
+// length (4), codeword count (3), first symbol (16), then three 12-bit
+// symbols. Only the first slot holds a whole `u16`, so a symbol of 4096
+// or more ends an entry it does not start. All-zero is a miss.
+const LEN_SHIFT: u32 = 4;
+const COUNT_SHIFT: u32 = 8;
+const SYM_SHIFT: u32 = 11;
+const TAIL_BITS: u32 = 12;
+
+/// The decode table: for every [`LUT_BITS`]-bit prefix, the whole
+/// codewords it holds — up to [`PROBE_SYMS`] of them, each ending within
+/// the prefix — as one [`Probe`]. Built by the decoders from the book
+/// (compress never needs it); a prefix whose first codeword is longer
+/// than [`LUT_BITS`] is a miss, resolved by [`Codebook::decode_one`].
+pub struct DecodeTable {
+    entries: Box<[u64; 1 << LUT_BITS]>,
+}
+
+impl DecodeTable {
+    /// Build the table for `book`.
+    pub fn new(book: &Codebook) -> DecodeTable {
+        let mut entries: Box<[u64; 1 << LUT_BITS]> =
+            vec![0u64; 1 << LUT_BITS].into_boxed_slice().try_into().expect("table length");
+        // Every code of at most LUT_BITS bits heads the prefixes that
+        // start with it.
+        for (sym, (&len, &code)) in book.lengths.iter().zip(&book.codes).enumerate() {
+            if len == 0 || len > LUT_BITS {
+                continue;
+            }
+            let shift = LUT_BITS - len;
+            let base = (code << shift) as usize;
+            let len = len as u64;
+            let head = (sym as u64) << SYM_SHIFT | 1 << COUNT_SHIFT | len << LEN_SHIFT | len;
+            entries[base..base + (1 << shift)].fill(head);
+        }
+        // Append the codewords that follow while they end inside the
+        // prefix. The rest of prefix `p` past `used` bits, zero-padded,
+        // is itself a prefix whose head codeword is the next one if it
+        // fits in the bits `p` really has.
+        for p in 0..entries.len() {
+            let mut e = entries[p];
+            if e == 0 {
+                continue;
+            }
+            for slot in 1..PROBE_SYMS as u32 {
+                let used = (e & 0xF) as u32;
+                let next = Probe(entries[(p << used) & LUT_MASK]);
+                let Some((sym, len)) = next.first() else { break };
+                if used + len as u32 > LUT_BITS as u32 || sym >> TAIL_BITS != 0 {
+                    break;
+                }
+                let at = SYM_SHIFT + 16 + (slot - 1) * TAIL_BITS;
+                e += len as u64 + (1 << COUNT_SHIFT) + ((sym as u64) << at);
+            }
+            entries[p] = e;
+        }
+        DecodeTable { entries }
+    }
+
+    /// The entry for `prefix`, the next [`LUT_BITS`] stream bits
+    /// MSB-first (higher bits are ignored).
+    #[inline]
+    pub fn probe(&self, prefix: u64) -> Probe {
+        Probe(self.entries[prefix as usize & LUT_MASK])
+    }
+}
+
+/// One [`DecodeTable`] entry: the whole codewords at the head of a
+/// prefix, in stream order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Probe(u64);
+
+impl Probe {
+    /// Codewords held (0 on a miss, at most [`PROBE_SYMS`]).
+    #[inline]
+    pub fn count(self) -> usize {
+        (self.0 >> COUNT_SHIFT & 0x7) as usize
+    }
+
+    /// Bits the held codewords take together (0 on a miss, at most
+    /// [`LUT_BITS`]).
+    #[inline]
+    pub fn bits(self) -> u32 {
+        (self.0 & 0xF) as u32
+    }
+
+    /// `(symbol, length)` of the first codeword, or `None` on a miss.
+    #[inline]
+    pub fn first(self) -> Option<(u16, u8)> {
+        let len = (self.0 >> LEN_SHIFT & 0xF) as u8;
+        (len > 0).then_some(((self.0 >> SYM_SHIFT) as u16, len))
+    }
+
+    /// The held symbols in order; slots past [`Probe::count`] are 0.
+    #[inline]
+    pub fn syms(self) -> [u16; PROBE_SYMS] {
+        let tail = |slot: u32| (self.0 >> (SYM_SHIFT + 16 + slot * TAIL_BITS)) as u16 & 0xFFF;
+        [(self.0 >> SYM_SHIFT) as u16, tail(0), tail(1), tail(2)]
     }
 }
 
@@ -396,46 +468,142 @@ mod tests {
 }
 
 #[cfg(test)]
-mod lut_tests {
+mod table_tests {
     use super::*;
 
     #[test]
-    fn lut_agrees_with_canonical_walk_for_every_symbol() {
+    fn table_agrees_with_canonical_walk_for_every_symbol() {
         // A skewed histogram that produces both short (<= LUT_BITS) and
         // long (> LUT_BITS) codes.
         let counts: Vec<u32> = (0..4000u32).map(|i| 1 + (i < 4) as u32 * 1_000_000).collect();
         let cb = Codebook::from_histogram(&counts).unwrap();
         assert!(cb.max_len() > LUT_BITS, "need long codes for the fallback path");
+        let table = DecodeTable::new(&cb);
         for s in 0..4000u16 {
             let (code, len) = cb.code_of(s);
             if len == 0 {
                 continue;
             }
-            // Build the padded LUT prefix for this code.
+            // Build the padded table prefix for this code.
             let prefix = if len <= LUT_BITS {
                 code << (LUT_BITS - len)
             } else {
                 code >> (len - LUT_BITS)
             };
-            match cb.decode_lut(prefix) {
+            match table.probe(prefix).first() {
                 Some((sym, l)) => {
-                    assert!(len <= LUT_BITS, "long code {s} must miss the LUT");
+                    assert!(len <= LUT_BITS, "long code {s} must miss the table");
                     assert_eq!((sym, l), (s, len));
                 }
-                None => assert!(len > LUT_BITS, "short code {s} must hit the LUT"),
+                None => assert!(len > LUT_BITS, "short code {s} must hit the table"),
             }
         }
     }
 
     #[test]
-    fn lut_padding_bits_do_not_change_the_match() {
+    fn table_padding_bits_do_not_change_the_first_match() {
         let counts = vec![100u32, 50, 25, 10];
         let cb = Codebook::from_histogram(&counts).unwrap();
+        let table = DecodeTable::new(&cb);
         let (code, len) = cb.code_of(0);
         assert!(len <= LUT_BITS);
         let base = code << (LUT_BITS - len);
         for garbage in 0..(1u64 << (LUT_BITS - len)) {
-            assert_eq!(cb.decode_lut(base | garbage), Some((0, len)));
+            assert_eq!(table.probe(base | garbage).first(), Some((0, len)));
         }
+    }
+
+    /// The entry every prefix should have: successive canonical decodes
+    /// of the zero-padded prefix, as long as each codeword ends within it
+    /// and each after the first fits a 12-bit slot.
+    fn expected(cb: &Codebook, prefix: u64) -> Vec<(u16, u8)> {
+        let mut got = Vec::new();
+        let mut used = 0u32;
+        while got.len() < PROBE_SYMS {
+            let window = prefix << (64 - LUT_BITS as u32) << used;
+            let Some((sym, len)) = cb.decode_one(window) else { break };
+            if used + len as u32 > LUT_BITS as u32 || (!got.is_empty() && sym >= 1 << 12) {
+                break;
+            }
+            got.push((sym, len));
+            used += len as u32;
+        }
+        got
+    }
+
+    /// Check all 4096 entries of `cb`'s table; returns how many hit.
+    fn check_every_entry(cb: &Codebook) -> usize {
+        let table = DecodeTable::new(cb);
+        let mut hits = 0;
+        for prefix in 0..1u64 << LUT_BITS {
+            let probe = table.probe(prefix);
+            let want = expected(cb, prefix);
+            assert_eq!(probe.count(), want.len(), "prefix {prefix:#05x}");
+            let bits: u32 = want.iter().map(|&(_, l)| l as u32).sum();
+            assert_eq!(probe.bits(), bits, "prefix {prefix:#05x}");
+            assert!(probe.bits() <= LUT_BITS as u32, "prefix {prefix:#05x} claims past bit 12");
+            assert_eq!(probe.first(), want.first().copied(), "prefix {prefix:#05x}");
+            let syms: Vec<u16> = want.iter().map(|&(s, _)| s).collect();
+            assert_eq!(probe.syms()[..want.len()], syms[..], "prefix {prefix:#05x}");
+            hits += (probe.count() > 0) as usize;
+        }
+        hits
+    }
+
+    #[test]
+    fn every_entry_equals_successive_canonical_decodes() {
+        // Short and long codes together: the prefixes the long codes
+        // head miss, the rest hit.
+        let counts: Vec<u32> = (0..4000u32).map(|i| 1 + (i < 4) as u32 * 1_000_000).collect();
+        let hits = check_every_entry(&Codebook::from_histogram(&counts).unwrap());
+        assert!(hits > 0 && hits < 1 << LUT_BITS, "{hits}");
+        // A centralised G-Interp-like histogram.
+        let counts: Vec<u32> =
+            (0..1024u32).map(|i| 1 + (1 << 20) / (1 + i.abs_diff(512).pow(2))).collect();
+        assert!(check_every_entry(&Codebook::from_histogram(&counts).unwrap()) > 0);
+        // Lengths 1..=63: codes of every length, a complete book. Only
+        // the all-ones prefix starts with a code past 12 bits.
+        let mut lengths: Vec<u8> = (1..=63).collect();
+        lengths.push(63);
+        let book = Codebook::from_lengths(lengths).unwrap();
+        assert_eq!(check_every_entry(&book), (1 << LUT_BITS) - 1);
+    }
+
+    #[test]
+    fn single_symbol_book_packs_four_codewords_per_entry() {
+        let mut counts = vec![0u32; 16];
+        counts[9] = 5;
+        let cb = Codebook::from_histogram(&counts).unwrap();
+        // The one-bit code 0 heads half the prefixes; the other half miss.
+        assert_eq!(check_every_entry(&cb), 1 << (LUT_BITS - 1));
+        let probe = DecodeTable::new(&cb).probe(0);
+        assert_eq!((probe.count(), probe.bits(), probe.syms()), (4, 4, [9; 4]));
+    }
+
+    #[test]
+    fn book_of_only_long_codes_misses_every_entry() {
+        // An incomplete book whose shortest code is 13 bits.
+        let cb = Codebook::from_lengths(vec![13, 14, 15, 15]).unwrap();
+        assert_eq!(check_every_entry(&cb), 0);
+        assert_eq!(DecodeTable::new(&cb).probe(0).first(), None);
+    }
+
+    #[test]
+    fn symbols_past_twelve_bits_are_kept_whole() {
+        // The histogram ceiling's alphabet, the short codes on symbols
+        // above 4096: each such symbol can only head an entry.
+        let mut counts = vec![0u32; 41_984];
+        for (s, c) in [(41_983, 1000), (20_000, 900), (4096, 800), (7, 700), (1, 10), (30_000, 5)] {
+            counts[s] = c;
+        }
+        let cb = Codebook::from_histogram(&counts).unwrap();
+        assert_eq!(check_every_entry(&cb), 1 << LUT_BITS);
+        let table = DecodeTable::new(&cb);
+        let (code, len) = cb.code_of(41_983);
+        let probe = table.probe(code << (LUT_BITS - len));
+        assert_eq!(probe.first(), Some((41_983, len)));
+        // Padding zeros decode to whatever heads them — but never a
+        // truncated high symbol in a later slot.
+        assert!(probe.syms()[1..probe.count()].iter().all(|&s| s < 1 << 12));
     }
 }

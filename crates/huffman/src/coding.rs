@@ -15,7 +15,7 @@
 
 use cuszi_gpu_sim::{launch_named, BlockSlots, DeviceSpec, GlobalRead, GlobalWrite, Grid, KernelStats};
 
-use crate::codebook::{Codebook, LUT_BITS};
+use crate::codebook::{Codebook, DecodeTable, LUT_BITS, PROBE_SYMS};
 
 /// Quant-codes per encoding chunk. Large enough that the per-block
 /// codebook load is amortised (§ VI-A's concern), small enough for good
@@ -368,15 +368,28 @@ fn window_at(buf: &[u8], pos: u64) -> u64 {
 /// The symbol loop both decoders share: decode the codewords that start
 /// in bits `pos..end` of `buf` into `out`, stopping early only when
 /// `out` is full. `buf` is the stream bytes from bit 0 of the caller's
-/// frame followed by [`WINDOW_SLACK`] zero bytes; `limit` is the last
-/// real stream bit, so bits past it read as the encoder's zero pad and a
-/// codeword reaching past it is an underrun.
+/// frame followed by [`WINDOW_SLACK`] zero bytes; `limit` (at least
+/// `end`) is the last real stream bit, so bits past it read as the
+/// encoder's zero pad and a codeword reaching past it is an underrun.
 ///
 /// The window holds the stream from `pos` in its top `avail` bits and is
 /// reloaded by byte offset only when fewer than a table probe's worth
-/// remain, so the per-symbol chain is probe, shift, probe.
+/// remain. A hit whose codewords all end by `end` (so none can underrun),
+/// with room in `out` for all [`PROBE_SYMS`] slots it stores, takes them
+/// in one step; any other probe takes one codeword — the canonical walk
+/// on a miss — with the underrun and no-match checks. The
+/// multi-codeword step takes exactly the codewords the one-codeword
+/// steps would, so both stop at the same bit.
 #[inline]
-fn decode_run(book: &Codebook, buf: &[u8], mut pos: u64, end: u64, limit: u64, out: &mut [u16]) -> Run {
+fn decode_run(
+    book: &Codebook,
+    table: &DecodeTable,
+    buf: &[u8],
+    mut pos: u64,
+    end: u64,
+    limit: u64,
+    out: &mut [u16],
+) -> Run {
     let mut count = 0usize;
     let mut fail = None;
     let mut window = 0u64;
@@ -386,7 +399,17 @@ fn decode_run(book: &Codebook, buf: &[u8], mut pos: u64, end: u64, limit: u64, o
             window = window_at(buf, pos);
             avail = 64;
         }
-        let hit = match book.decode_lut(window >> (64 - LUT_BITS as u32)) {
+        let probe = table.probe(window >> (64 - LUT_BITS as u32));
+        let bits = probe.bits();
+        if bits > 0 && pos + bits as u64 <= end && count + PROBE_SYMS <= out.len() {
+            out[count..count + PROBE_SYMS].copy_from_slice(&probe.syms());
+            count += probe.count();
+            pos += bits as u64;
+            window <<= bits;
+            avail -= bits;
+            continue;
+        }
+        let hit = match probe.first() {
             Some(hit) => Some(hit),
             // Longer than the table: the canonical compare needs up to
             // 63 real bits, which only a fresh window guarantees.
@@ -475,6 +498,7 @@ pub fn decode_gpu_serial(
     // One failure slot per chunk, written disjointly; the lowest failed
     // chunk wins deterministically after the launch.
     let failed: BlockSlots<&'static str> = BlockSlots::new(spans.len());
+    let table = DecodeTable::new(book);
     let stats = {
         let src = GlobalRead::new(&stream.bits);
         let dst = GlobalWrite::new(&mut out);
@@ -487,7 +511,7 @@ pub fn decode_gpu_serial(
 
             let mut syms = ctx.scratch(chunk.min(n - start_sym), 0u16);
             let total_bits = (be - bs) as u64 * 8;
-            let run = decode_run(book, &buf, 0, total_bits, total_bits, &mut syms);
+            let run = decode_run(book, &table, &buf, 0, total_bits, total_bits, &mut syms);
             let fault = if run.count < syms.len() {
                 Some(run.fail.unwrap_or("bitstream underrun"))
             } else {
@@ -586,6 +610,7 @@ pub fn decode_gpu(
     // Each block reads its sector plus an 8-byte spill (a codeword that
     // starts inside the sector ends inside the window).
     let rec_slots: BlockSlots<SectorRec> = BlockSlots::new(total_sectors);
+    let table = DecodeTable::new(book);
     let kernel = {
         let src = GlobalRead::new(&stream.bits);
         let gaps = GlobalRead::new(&stream.gaps);
@@ -610,7 +635,7 @@ pub fn decode_gpu(
 
             // A symbol takes at least one bit, so `own` bounds the run.
             let mut syms = ctx.scratch(own as usize, 0u16);
-            let run = decode_run(book, &buf, gap as u64, own, left, &mut syms);
+            let run = decode_run(book, &table, &buf, gap as u64, own, left, &mut syms);
             ctx.add_flops(run.count as u64 * 2);
             rec_slots.put(
                 g,
@@ -965,6 +990,174 @@ mod tests {
         assert_matches_reference(&codes, &book);
         let mixed: Vec<u16> = (0..5000).map(|i| if i % 5 == 0 { 63 } else { (i % 3) as u16 }).collect();
         assert_matches_reference(&mixed, &book);
+    }
+
+    /// The decoder's contract, one codeword at a time: each chunk's
+    /// symbols by canonical walks over a bit-at-a-time window, with no
+    /// table. `None` when a codeword does not resolve within its chunk.
+    fn reference_decode(stream: &EncodedStream, book: &Codebook) -> Option<Vec<u16>> {
+        let mut out = Vec::with_capacity(stream.n as usize);
+        for (c, &start) in stream.offsets.iter().enumerate() {
+            let end = stream.offsets.get(c + 1).map_or(stream.bits.len(), |&o| o as usize);
+            let bytes = &stream.bits[start as usize..end];
+            let bit = |b: u64| {
+                bytes.get((b / 8) as usize).map_or(0, |&x| (x >> (7 - b % 8) & 1) as u64)
+            };
+            let syms = (stream.n as usize - out.len()).min(stream.chunk_size as usize);
+            let mut pos = 0u64;
+            for _ in 0..syms {
+                let window = (0..64).fold(0u64, |w, i| w << 1 | bit(pos + i));
+                let (sym, len) = book.decode_one(window)?;
+                pos += len as u64;
+                if pos > bytes.len() as u64 * 8 {
+                    return None;
+                }
+                out.push(sym);
+            }
+        }
+        Some(out)
+    }
+
+    /// Both decoders and the reference give back the plane.
+    fn assert_decoders_agree(codes: &[u16], book: &Codebook) {
+        let (stream, _) = encode_gpu(codes, book, &A100);
+        let reference = reference_decode(&stream, book).expect("reference decode");
+        assert_eq!(reference, codes, "reference");
+        assert_eq!(decode_gpu_serial(&stream, book, &A100).unwrap().0, reference, "serial");
+        assert_eq!(decode_gpu(&stream, book, &A100).unwrap().syms, reference, "gap");
+    }
+
+    /// A random complete prefix code of `leaves` codes (1-bit for one
+    /// leaf): split leaves of the code tree, half the time the newest so
+    /// chains of long codes grow, never past 63 bits. Absent symbols are
+    /// scattered through the alphabet.
+    fn random_book(rng: &mut u64, leaves: usize) -> Codebook {
+        let mut next = || {
+            *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *rng >> 33
+        };
+        let mut depths = vec![if leaves == 1 { 1u8 } else { 0 }];
+        while depths.len() < leaves {
+            let newest = depths.len() - 1;
+            let i = if next() % 2 == 0 && depths[newest] < 63 {
+                newest
+            } else {
+                next() as usize % depths.len()
+            };
+            if depths[i] < 63 {
+                depths[i] += 1;
+                depths.push(depths[i]);
+            }
+        }
+        let mut lengths = Vec::new();
+        for d in depths {
+            if next() % 8 == 0 {
+                lengths.push(0);
+            }
+            lengths.push(d);
+        }
+        Codebook::from_lengths(lengths).unwrap()
+    }
+
+    /// `n` symbols of `book`, each with probability 2^-length: the
+    /// codeword a run of random bits starts with.
+    fn plane_for(rng: &mut u64, book: &Codebook, n: usize) -> Vec<u16> {
+        (0..n)
+            .map(|_| {
+                *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let bits = *rng ^ rng.rotate_left(29).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                book.decode_one(bits).or_else(|| book.decode_one(0)).unwrap().0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decoders_agree_on_an_alphabet_past_4096_symbols() {
+        // The histogram ceiling's alphabet; the short codes go to symbols
+        // above 4096, which a table entry can only start with.
+        let mut counts = vec![0u32; 41_984];
+        for (s, c) in [(41_983, 9000), (20_000, 8000), (4096, 7000), (30_000, 3000)] {
+            counts[s] = c;
+        }
+        for (c, s) in counts[100..160].iter_mut().zip(100u32..) {
+            *c = 50 + s;
+        }
+        let book = Codebook::from_histogram(&counts).unwrap();
+        assert!(book.len_of(41_983) <= 3 && book.len_of(20_000) <= 3);
+        let mut rng = 7u64;
+        let codes = plane_for(&mut rng, &book, 2 * ENC_CHUNK + 777);
+        assert!(codes.iter().any(|&c| c >= 4096) && codes.iter().any(|&c| c < 4096));
+        assert_decoders_agree(&codes, &book);
+    }
+
+    #[test]
+    fn decoders_agree_when_the_plane_ends_inside_a_table_entry() {
+        // Codes of 1 to 6 bits: a probe holds two to four of them, so a
+        // chunk's symbol budget runs out partway into an entry.
+        let book = Codebook::from_lengths(vec![1, 2, 3, 4, 5, 6, 6]).unwrap();
+        let mut rng = 11u64;
+        for k in 0..=4 {
+            let codes = plane_for(&mut rng, &book, 3 * ENC_CHUNK + k);
+            assert_decoders_agree(&codes, &book);
+        }
+    }
+
+    /// Drop the last byte of chunk `c`, shifting the chunks after it and
+    /// dropping the gap byte of a sector that no longer exists.
+    fn truncate_chunk(stream: &EncodedStream, c: usize) -> EncodedStream {
+        let mut bad = stream.clone();
+        let end = stream.offsets.get(c + 1).map_or(stream.bits.len(), |&o| o as usize);
+        let len = end - stream.offsets[c] as usize;
+        bad.bits.remove(end - 1);
+        for o in &mut bad.offsets[c + 1..] {
+            *o -= 1;
+        }
+        if (len - 1).div_ceil(GAP_SECTOR_BYTES) < len.div_ceil(GAP_SECTOR_BYTES) {
+            let sectors_through_c: usize = (0..=c)
+                .map(|i| {
+                    let e = stream.offsets.get(i + 1).map_or(stream.bits.len(), |&o| o as usize);
+                    (e - stream.offsets[i] as usize).div_ceil(GAP_SECTOR_BYTES)
+                })
+                .sum();
+            bad.gaps.remove(sectors_through_c - 1);
+        }
+        bad
+    }
+
+    #[test]
+    fn a_chunk_short_one_byte_is_an_underrun_at_that_chunk() {
+        // Short codes packed four to a probe, and a flatter book.
+        let mut rng = 3u64;
+        let short = Codebook::from_lengths(vec![1, 2, 3, 4, 5, 6, 6]).unwrap();
+        let packed = plane_for(&mut rng, &short, 4 * ENC_CHUNK - 5);
+        let flat: Vec<u16> =
+            (0..4 * ENC_CHUNK - 99).map(|i| ((i * 31 + i / 7) % 600) as u16).collect();
+        let flat_book = book_for(&flat, 1024);
+        for (codes, book) in [(packed, short), (flat, flat_book)] {
+            let (stream, _) = encode_gpu(&codes, &book, &A100);
+            for c in 0..stream.offsets.len() {
+                let bad = truncate_chunk(&stream, c);
+                let se = decode_gpu_serial(&bad, &book, &A100).unwrap_err();
+                assert_eq!((se.msg, se.chunk), ("bitstream underrun", Some(c as u64)), "serial");
+                let ge = decode_gpu(&bad, &book, &A100).unwrap_err();
+                assert_eq!((ge.msg, ge.chunk), ("bitstream underrun", Some(c as u64)), "gap");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_decoders_agree_on_random_length_books(
+            seed in proptest::prelude::any::<u64>(),
+            leaves in 1usize..300,
+            n in 1usize..2 * ENC_CHUNK + 100,
+        ) {
+            let mut rng = seed;
+            let book = random_book(&mut rng, leaves);
+            let codes = plane_for(&mut rng, &book, n);
+            assert_decoders_agree(&codes, &book);
+        }
     }
 
     proptest::proptest! {

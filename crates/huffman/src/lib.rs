@@ -18,7 +18,7 @@ pub mod codebook;
 pub mod coding;
 pub mod histogram;
 
-pub use codebook::{Codebook, CodebookError};
+pub use codebook::{Codebook, CodebookError, DecodeTable, Probe};
 pub use coding::{
     decode_gpu, decode_gpu_serial, encode_gpu, DecodeError, Decoded, EncodedStream, GapReport,
     GAP_NONE, GAP_SECTOR_BYTES,

@@ -4,7 +4,7 @@
 //! can leave a histogram zeroed — so they must be valid-or-rejected,
 //! never a panic.
 
-use cuszi_huffman::{decode_gpu, encode_gpu, Codebook, CodebookError};
+use cuszi_huffman::{decode_gpu, encode_gpu, Codebook, CodebookError, DecodeTable};
 use cuszi_gpu_sim::A100;
 
 #[test]
@@ -15,7 +15,11 @@ fn single_symbol_histogram_round_trips() {
     counts[5] = 1000;
     let book = Codebook::from_histogram(&counts).expect("single-symbol book is valid");
     assert_eq!(book.len_of(5), 1);
-    assert_eq!(book.decode_lut(0), Some((5, 1)));
+    // The all-zero prefix is twelve of its one-bit codewords; the table
+    // holds four of them.
+    let probe = DecodeTable::new(&book).probe(0);
+    assert_eq!(probe.first(), Some((5, 1)));
+    assert_eq!((probe.count(), probe.bits(), probe.syms()), (4, 4, [5; 4]));
 
     let codes = vec![5u16; 4321];
     let (stream, _) = encode_gpu(&codes, &book, &A100);

@@ -235,3 +235,47 @@ fn each_check_alone_decodes_once_and_none_decodes_nothing() {
     assert!(!stdout.contains("verified: PSNR") && !stdout.contains("fidelity audit"), "{stdout}");
     assert!(line.is_none() || line.as_deref() == Some("cuszi_decompress_fields 0"), "{line:?}");
 }
+
+#[test]
+fn psnr_search_with_verify_decodes_no_more_than_it_compresses() {
+    let Some(bin) = binary() else {
+        eprintln!("cuszi binary not built; skipping process-level test");
+        return;
+    };
+    let fin = workdir("pv-in.f32");
+    let farc = workdir("pv.cszi");
+    let fprom = workdir("pv.prom");
+    let raw: Vec<u8> = (0..20 * 24 * 28)
+        .flat_map(|i| (((i % 28) as f32 * 0.2).sin() + (i / 672) as f32 * 0.05).to_le_bytes())
+        .collect();
+    std::fs::write(&fin, &raw).unwrap();
+    let out = Command::new(&bin)
+        .args(["compress", "-i"])
+        .arg(&fin)
+        .arg("-o")
+        .arg(&farc)
+        .args(["--dims", "20x24x28", "--psnr", "60", "--verify"])
+        .arg(format!("--prom={}", fprom.display()))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("achieved") && stdout.contains("verified: PSNR"), "{stdout}");
+    // Each search candidate is compressed and decoded once; --verify
+    // reads the winner's reconstruction instead of decoding it again.
+    let prom = std::fs::read_to_string(&fprom).unwrap();
+    let count = |name: &str| -> u64 {
+        let line = prom.lines().find(|l| l.starts_with(&format!("{name} "))).unwrap_or_else(|| {
+            panic!("{name} missing: {prom}");
+        });
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let compressed = count("cuszi_compress_fields");
+    assert!(compressed >= 1, "{prom}");
+    assert_eq!(count("cuszi_decompress_fields"), compressed, "{prom}");
+
+    let trace = PathBuf::from(format!("{}.trace.json", farc.display()));
+    for f in [fin, farc, fprom, trace] {
+        let _ = std::fs::remove_file(f);
+    }
+}
