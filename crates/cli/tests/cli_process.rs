@@ -4,16 +4,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-fn binary() -> Option<PathBuf> {
-    // target/<profile>/cuszi next to the test executable.
-    let mut p = std::env::current_exe().ok()?;
-    p.pop(); // test binary name
-    if p.ends_with("deps") {
-        p.pop();
-    }
-    p.push("cuszi");
-    p.exists().then_some(p)
-}
+/// Cargo builds the binary before it runs these tests, so they always
+/// drive the `cuszi` of the current source.
+const BIN: &str = env!("CARGO_BIN_EXE_cuszi");
 
 fn workdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,12 +16,6 @@ fn workdir(name: &str) -> PathBuf {
 
 #[test]
 fn binary_roundtrip_and_error_paths() {
-    let Some(bin) = binary() else {
-        // The binary is only present when the whole workspace was built
-        // (cargo test --workspace); skip quietly under partial builds.
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
     let fin = workdir("in.f32");
     let farc = workdir("a.cszi");
     let fout = workdir("out.f32");
@@ -40,7 +27,7 @@ fn binary_roundtrip_and_error_paths() {
     std::fs::write(&fin, &raw).unwrap();
 
     // Happy path.
-    let out = Command::new(&bin)
+    let out = Command::new(BIN)
         .args(["compress", "-i"])
         .arg(&fin)
         .arg("-o")
@@ -51,7 +38,7 @@ fn binary_roundtrip_and_error_paths() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("verified"));
 
-    let out = Command::new(&bin)
+    let out = Command::new(BIN)
         .args(["decompress", "-i"])
         .arg(&farc)
         .arg("-o")
@@ -63,7 +50,7 @@ fn binary_roundtrip_and_error_paths() {
     assert_eq!(recon.len(), raw.len());
 
     // Error paths exit nonzero with a message on stderr.
-    let out = Command::new(&bin)
+    let out = Command::new(BIN)
         .args(["compress", "-i"])
         .arg(&fin)
         .arg("-o")
@@ -74,11 +61,11 @@ fn binary_roundtrip_and_error_paths() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("need"));
 
-    let out = Command::new(&bin).args(["frobnicate"]).output().unwrap();
+    let out = Command::new(BIN).args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
 
     // Help prints usage and exits zero.
-    let out = Command::new(&bin).args(["--help"]).output().unwrap();
+    let out = Command::new(BIN).args(["--help"]).output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 
@@ -100,10 +87,6 @@ fn assert_one_line_error(out: &std::process::Output) {
 
 #[test]
 fn corrupt_archives_exit_nonzero_with_one_line_errors() {
-    let Some(bin) = binary() else {
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
     let fin = workdir("bad.cszi");
     let fout = workdir("bad-out.f32");
 
@@ -115,7 +98,7 @@ fn corrupt_archives_exit_nonzero_with_one_line_errors() {
         ("empty", Vec::new()),
     ] {
         std::fs::write(&fin, &bytes).unwrap_or_else(|e| panic!("{name}: write: {e}"));
-        let out = Command::new(&bin)
+        let out = Command::new(BIN)
             .args(["decompress", "-i"])
             .arg(&fin)
             .arg("-o")
@@ -123,7 +106,7 @@ fn corrupt_archives_exit_nonzero_with_one_line_errors() {
             .output()
             .unwrap();
         assert_one_line_error(&out);
-        let out = Command::new(&bin).args(["info", "-i"]).arg(&fin).output().unwrap();
+        let out = Command::new(BIN).args(["info", "-i"]).arg(&fin).output().unwrap();
         assert_one_line_error(&out);
     }
 
@@ -134,10 +117,6 @@ fn corrupt_archives_exit_nonzero_with_one_line_errors() {
 
 #[test]
 fn bad_flags_exit_nonzero_with_one_line_errors() {
-    let Some(bin) = binary() else {
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
     for args in [
         vec!["compress", "--frobnicate"],
         vec!["frobnicate", "-i", "x"],
@@ -145,17 +124,13 @@ fn bad_flags_exit_nonzero_with_one_line_errors() {
         vec!["compress", "-i", "/nonexistent", "-o", "/tmp/x", "--dims", "4x4", "--rel-eb", "nope"],
         vec!["compress", "-i", "/nonexistent", "-o", "/tmp/x", "--dims", "4x4", "--rel-eb", "1e-3", "--streams", "0"],
     ] {
-        let out = Command::new(&bin).args(&args).output().unwrap();
+        let out = Command::new(BIN).args(&args).output().unwrap();
         assert_one_line_error(&out);
     }
 }
 
 #[test]
 fn verify_and_audit_share_one_decompress() {
-    let Some(bin) = binary() else {
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
     let fin = workdir("va-in.f32");
     let farc = workdir("va.cszi");
     let fprom = workdir("va.prom");
@@ -164,7 +139,7 @@ fn verify_and_audit_share_one_decompress() {
         .collect();
     std::fs::write(&fin, &raw).unwrap();
 
-    let out = Command::new(&bin)
+    let out = Command::new(BIN)
         .args(["compress", "-i"])
         .arg(&fin)
         .arg("-o")
@@ -189,7 +164,7 @@ fn verify_and_audit_share_one_decompress() {
 
 /// Run `cuszi compress` on a small field with `checks` and return its
 /// stdout and the `cuszi_decompress_fields` line of its Prometheus dump.
-fn compress_with_checks(bin: &PathBuf, tag: &str, checks: &[&str]) -> (String, Option<String>) {
+fn compress_with_checks(tag: &str, checks: &[&str]) -> (String, Option<String>) {
     let fin = workdir(&format!("{tag}-in.f32"));
     let farc = workdir(&format!("{tag}.cszi"));
     let fprom = workdir(&format!("{tag}.prom"));
@@ -197,7 +172,7 @@ fn compress_with_checks(bin: &PathBuf, tag: &str, checks: &[&str]) -> (String, O
         .flat_map(|i| (((i % 12) as f32 * 0.2).sin() + (i / 120) as f32 * 0.05).to_le_bytes())
         .collect();
     std::fs::write(&fin, &raw).unwrap();
-    let out = Command::new(bin)
+    let out = Command::new(BIN)
         .args(["compress", "-i"])
         .arg(&fin)
         .arg("-o")
@@ -219,29 +194,21 @@ fn compress_with_checks(bin: &PathBuf, tag: &str, checks: &[&str]) -> (String, O
 
 #[test]
 fn each_check_alone_decodes_once_and_none_decodes_nothing() {
-    let Some(bin) = binary() else {
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
-    let (stdout, line) = compress_with_checks(&bin, "v", &["--verify"]);
+    let (stdout, line) = compress_with_checks("v", &["--verify"]);
     assert!(stdout.contains("verified: PSNR") && !stdout.contains("fidelity audit"), "{stdout}");
     assert_eq!(line.as_deref(), Some("cuszi_decompress_fields 1"));
 
-    let (stdout, line) = compress_with_checks(&bin, "a", &["--audit"]);
+    let (stdout, line) = compress_with_checks("a", &["--audit"]);
     assert!(stdout.contains("fidelity audit") && !stdout.contains("verified: PSNR"), "{stdout}");
     assert_eq!(line.as_deref(), Some("cuszi_decompress_fields 1"));
 
-    let (stdout, line) = compress_with_checks(&bin, "n", &[]);
+    let (stdout, line) = compress_with_checks("n", &[]);
     assert!(!stdout.contains("verified: PSNR") && !stdout.contains("fidelity audit"), "{stdout}");
     assert!(line.is_none() || line.as_deref() == Some("cuszi_decompress_fields 0"), "{line:?}");
 }
 
 #[test]
 fn psnr_search_with_verify_decodes_no_more_than_it_compresses() {
-    let Some(bin) = binary() else {
-        eprintln!("cuszi binary not built; skipping process-level test");
-        return;
-    };
     let fin = workdir("pv-in.f32");
     let farc = workdir("pv.cszi");
     let fprom = workdir("pv.prom");
@@ -249,7 +216,7 @@ fn psnr_search_with_verify_decodes_no_more_than_it_compresses() {
         .flat_map(|i| (((i % 28) as f32 * 0.2).sin() + (i / 672) as f32 * 0.05).to_le_bytes())
         .collect();
     std::fs::write(&fin, &raw).unwrap();
-    let out = Command::new(&bin)
+    let out = Command::new(BIN)
         .args(["compress", "-i"])
         .arg(&fin)
         .arg("-o")

@@ -1,5 +1,13 @@
 //! The field generators behind each dataset analogue.
+//!
+//! Fields fill in parallel, one z-plane per work item on the host pool
+//! ([`cuszi_gpu_sim::pool`]), with bits independent of the thread count:
+//! every element is computed by the same operations in the same order
+//! whichever worker owns its plane, and every RNG draw (mode, blob and
+//! source parameters, [`add_noise`]) happens on the calling thread, in
+//! a fixed order, before or after the parallel fill.
 
+use cuszi_gpu_sim::pool;
 use cuszi_tensor::{NdArray, Shape};
 
 use crate::rng::ChaCha8Rng;
@@ -12,33 +20,91 @@ struct Mode {
     amp: f32,
 }
 
-/// Evaluate a sum of modes over a grid with an incremental sin/cos
-/// recurrence along the contiguous axis (O(1) trig per point per mode).
-fn mode_sum(shape: Shape, modes: &[Mode]) -> NdArray<f32> {
-    let [nz, ny, nx] = shape.dims3();
+/// Run `f(z, plane)` over the z-planes of `data` (laid out as `shape`)
+/// across the host pool; a 2-d shape is a single plane.
+fn for_each_plane(data: &mut [f32], shape: Shape, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let [_, ny, nx] = shape.dims3();
+    pool::par_chunks_mut(data, (ny * nx).max(1), f);
+}
+
+/// `NdArray::from_fn` with the planes filled in parallel: `f` must be a
+/// pure function of its coordinates.
+fn par_from_fn(shape: Shape, f: impl Fn(usize, usize, usize) -> f32 + Sync) -> NdArray<f32> {
+    let nx = shape.dims3()[2].max(1);
     let mut data = vec![0f32; shape.len()];
-    for m in modes {
-        let (sdx, cdx) = m.k[2].sin_cos();
-        let mut i = 0usize;
-        for z in 0..nz {
-            for y in 0..ny {
-                let phase0 = m.k[0] * z as f32 + m.k[1] * y as f32 + m.phase;
-                let (mut s, mut c) = phase0.sin_cos();
-                for _x in 0..nx {
-                    data[i] += m.amp * s;
-                    // Rotate (s, c) by k_x: the recurrence drifts at
-                    // O(n·ulp), negligible over one grid line.
-                    let ns = s * cdx + c * sdx;
-                    c = c * cdx - s * sdx;
-                    s = ns;
-                    i += 1;
-                }
+    for_each_plane(&mut data, shape, |z, plane| {
+        for (y, row) in plane.chunks_exact_mut(nx).enumerate() {
+            for (x, v) in row.iter_mut().enumerate() {
+                *v = f(z, y, x);
             }
         }
-        i = 0;
-        let _ = i;
-    }
+    });
     NdArray::from_vec(shape, data)
+}
+
+/// Grid lines of a plane whose mode recurrences run in lockstep.
+const LANES: usize = 8;
+
+/// Evaluate a sum of modes over a grid with an incremental sin/cos
+/// recurrence along the contiguous axis (O(1) trig per point per mode).
+///
+/// Planes fill in parallel; within a plane, each group of [`LANES`]
+/// y-lines takes every mode in order, and a mode advances its lines'
+/// independent recurrences together, so the loop carries eight
+/// dependency chains instead of one. Each element still receives its
+/// modes in order through the same per-element operations, so the sums
+/// are bit-identical to a one-line-at-a-time evaluation.
+fn mode_sum(shape: Shape, modes: &[Mode]) -> NdArray<f32> {
+    let [_, ny, nx] = shape.dims3();
+    let rotations: Vec<(f32, f32)> = modes.iter().map(|m| m.k[2].sin_cos()).collect();
+    let mut data = vec![0f32; shape.len()];
+    for_each_plane(&mut data, shape, |z, plane| {
+        let mut y = 0;
+        while y < ny {
+            let group = &mut plane[y * nx..];
+            if ny - y >= LANES {
+                for (m, &rot) in modes.iter().zip(&rotations) {
+                    add_mode_lines::<LANES>(group, nx, [z, y], m, rot);
+                }
+                y += LANES;
+            } else {
+                for (m, &rot) in modes.iter().zip(&rotations) {
+                    add_mode_lines::<1>(group, nx, [z, y], m, rot);
+                }
+                y += 1;
+            }
+        }
+    });
+    NdArray::from_vec(shape, data)
+}
+
+/// Add mode `m` to the `L` lines of length `nx` at the head of `lines`,
+/// the first of which is line `y` of plane `z`; `(sdx, cdx)` is the
+/// sine and cosine of the mode's x wavenumber.
+#[inline(always)]
+fn add_mode_lines<const L: usize>(
+    lines: &mut [f32],
+    nx: usize,
+    [z, y]: [usize; 2],
+    m: &Mode,
+    (sdx, cdx): (f32, f32),
+) {
+    let (mut s, mut c) = ([0f32; L], [0f32; L]);
+    for l in 0..L {
+        let phase0 = m.k[0] * z as f32 + m.k[1] * (y + l) as f32 + m.phase;
+        (s[l], c[l]) = phase0.sin_cos();
+    }
+    let lines = &mut lines[..L * nx];
+    for x in 0..nx {
+        for l in 0..L {
+            lines[l * nx + x] += m.amp * s[l];
+            // Rotate (s, c) by k_x: the recurrence drifts at O(n·ulp),
+            // negligible over one grid line.
+            let ns = s[l] * cdx + c[l] * sdx;
+            c[l] = c[l] * cdx - s[l] * sdx;
+            s[l] = ns;
+        }
+    }
 }
 
 /// Small deterministic texture (models instrument/simulation noise at a
@@ -102,7 +168,7 @@ pub fn hydro_bubbles(shape: Shape, rng: &mut ChaCha8Rng, offset: f32) -> NdArray
         })
         .collect();
     let iface_z = (0.3 + 0.4 * rng.gen::<f32>()) * nz as f32;
-    NdArray::from_fn(shape, |z, y, x| {
+    par_from_fn(shape, |z, y, x| {
         let (zf, yf, xf) = (z as f32, y as f32, x as f32);
         let mut v = offset + 0.002 * zf + 0.001 * yf;
         for (c, r, w) in &blobs {
@@ -121,9 +187,11 @@ pub fn hydro_bubbles(shape: Shape, rng: &mut ChaCha8Rng, offset: f32) -> NdArray
 pub fn lognormal_density(shape: Shape, rng: &mut ChaCha8Rng) -> NdArray<f32> {
     let mut base = smooth_modes(shape, rng, 24, 0.0);
     // Scale fluctuations then exponentiate.
-    for v in base.as_mut_slice() {
-        *v = (*v * 5.0).exp();
-    }
+    for_each_plane(base.as_mut_slice(), shape, |_, plane| {
+        for v in plane {
+            *v = (*v * 5.0).exp();
+        }
+    });
     base
 }
 
@@ -159,7 +227,7 @@ pub fn orbitals(shape: Shape, rng: &mut ChaCha8Rng) -> NdArray<f32> {
             )
         })
         .collect();
-    NdArray::from_fn(shape, |z, y, x| {
+    par_from_fn(shape, |z, y, x| {
         // Each z slice mixes two orbitals with a slice-dependent phase —
         // smooth within a slice, only slowly varying across slices.
         let t = z as f32 * 0.05;
@@ -198,7 +266,7 @@ pub fn rtm_snapshot(shape: Shape, t: u32, seed: u64) -> NdArray<f32> {
         let a = d / 6.0;
         (1.0 - 2.0 * a * a) * (-a * a).exp()
     };
-    NdArray::from_fn(shape, |z, y, x| {
+    par_from_fn(shape, |z, y, x| {
         let (zf, yf, xf) = (z as f32, y as f32, x as f32);
         let mut v = 0.0f32;
         for s in &sources {
@@ -236,7 +304,7 @@ pub fn combustion(shape: Shape, rng: &mut ChaCha8Rng, offset: f32) -> NdArray<f3
         })
         .collect();
     let background = smooth_modes(shape, rng, 10, 0.0);
-    let mut out = NdArray::from_fn(shape, |z, y, x| {
+    let mut out = par_from_fn(shape, |z, y, x| {
         let p = [z as f32, y as f32, x as f32];
         let mut v = offset + 0.2 * background.get3(z, y, x);
         for (dir, off, w) in &fronts {
@@ -355,7 +423,7 @@ pub fn detector_frame(shape: Shape, t: u32, seed: u64) -> NdArray<f32> {
             )
         })
         .collect();
-    let mut out = NdArray::from_fn(shape, |_z, y, x| {
+    let mut out = par_from_fn(shape, |_z, y, x| {
         let (dy, dx) = (y as f32 - cy, x as f32 - cx);
         let r = (dy * dy + dx * dx).sqrt();
         let theta = dy.atan2(dx);

@@ -97,10 +97,11 @@ const MAX_WARP: usize = 64;
 
 /// Per-block execution context handed to the kernel closure.
 ///
-/// The context flushes its counters into the launch-wide
-/// [`AtomicKernelStats`] sink when it drops — a drop guard, so the
-/// flush also happens when the kernel body panics or returns early and
-/// traffic from partially-executed blocks is never lost.
+/// The context adds its counters to its worker's running total when it
+/// drops — a drop guard, so the add also happens when the kernel body
+/// panics or returns early and traffic from partially-executed blocks
+/// is never lost. The worker total reaches the launch-wide
+/// [`AtomicKernelStats`] once per worker (see [`WorkerStats`]).
 pub struct BlockCtx<'l> {
     /// This block's coordinates in the grid.
     pub block: Dim3,
@@ -111,18 +112,34 @@ pub struct BlockCtx<'l> {
     stats: KernelStats,
     shared_alloc_bytes: usize,
     shared_traffic: Rc<Cell<u64>>,
-    sink: &'l AtomicKernelStats,
+    sink: &'l mut KernelStats,
 }
 
 impl Drop for BlockCtx<'_> {
     fn drop(&mut self) {
         self.stats.shared_bytes += self.shared_traffic.get();
-        self.sink.add(&self.stats);
+        self.sink.merge(&self.stats);
+    }
+}
+
+/// One worker's running total of its blocks' counters, flushed into the
+/// launch-wide sink once, when it drops: after the worker's last block,
+/// or while a panicking block unwinds, so a failed launch still reports
+/// its partial traffic. Eight atomic adds per block on one shared cache
+/// line would otherwise make the workers contend on every block.
+struct WorkerStats<'l> {
+    total: KernelStats,
+    sink: &'l AtomicKernelStats,
+}
+
+impl Drop for WorkerStats<'_> {
+    fn drop(&mut self) {
+        self.sink.add(&self.total);
     }
 }
 
 impl<'l> BlockCtx<'l> {
-    fn new(block: Dim3, grid: Grid, device: &'l DeviceSpec, sink: &'l AtomicKernelStats) -> Self {
+    fn new(block: Dim3, grid: Grid, device: &'l DeviceSpec, sink: &'l mut KernelStats) -> Self {
         BlockCtx {
             block,
             grid,
@@ -670,21 +687,27 @@ where
     let total = grid.blocks.count();
     let gx = grid.blocks.x as u64;
     let gy = grid.blocks.y as u64;
-    // Launch-wide stats sink: every block's context flushes into it on
+    // Launch-wide stats sink: every worker's total flushes into it on
     // drop (normal or unwinding), and integer adds commute, so the
     // snapshot below is exact and scheduling-independent.
     let sink = AtomicKernelStats::default();
     let _report = LaunchReport { name, grid, device, sink: &sink, t0: Instant::now() };
-    pool::par_for_each_index(total as usize, |i| {
-        let i = i as u64;
-        let block = Dim3 {
-            x: (i % gx) as u32,
-            y: ((i / gx) % gy) as u32,
-            z: (i / (gx * gy)) as u32,
-        };
-        let mut ctx = BlockCtx::new(block, grid, device, &sink);
-        kernel(&mut ctx);
-    });
+    // Dropping the last worker total flushes it too.
+    drop(pool::fold_indexed(
+        total as usize,
+        || WorkerStats { total: KernelStats::default(), sink: &sink },
+        |mut worker, i| {
+            let i = i as u64;
+            let block = Dim3 {
+                x: (i % gx) as u32,
+                y: ((i / gx) % gy) as u32,
+                z: (i / (gx * gy)) as u32,
+            };
+            kernel(&mut BlockCtx::new(block, grid, device, &mut worker.total));
+            worker
+        },
+        |a, _flushed_on_drop| a,
+    ));
     let stats = sink.snapshot();
     // If this launch was issued from a stream worker, charge its
     // simulated roofline time to that stream's clock (overlap shows up
@@ -999,9 +1022,22 @@ mod hook_tests {
             })
         }));
         assert!(result.is_err());
+        // The same abort with two workers: each worker's total flushes
+        // on its own way out, the aborting block's included.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::pool::with_threads(2, || {
+                launch_named(&A100, Grid::linear(8, 32), "obs-panic-par", |ctx| {
+                    ctx.add_flops(1);
+                    if ctx.block_linear() == 3 {
+                        panic!("kernel abort");
+                    }
+                });
+            })
+        }));
+        assert!(result.is_err());
 
         let records = RECORDS.lock().unwrap();
-        for name in ["obs-normal", "obs-panic"] {
+        for name in ["obs-normal", "obs-panic", "obs-panic-par"] {
             assert_eq!(records.iter().filter(|r| r.0 == name).count(), 1, "{name} reported once");
         }
         let normal = records.iter().find(|r| r.0 == "obs-normal").expect("normal record");
@@ -1015,6 +1051,11 @@ mod hook_tests {
         assert_eq!(panicked.1.blocks, 4);
         assert_eq!(panicked.1.flops, 4);
         assert!(!panicked.2, "unwound launch reports completed=false");
+
+        let par = records.iter().find(|r| r.0 == "obs-panic-par").expect("parallel panic record");
+        assert!((1..=8).contains(&par.1.blocks), "blocks {}", par.1.blocks);
+        assert_eq!(par.1.flops, par.1.blocks, "every block that ran is counted");
+        assert!(!par.2);
     }
 }
 
@@ -1117,9 +1158,11 @@ mod determinism_tests {
             })
         };
         let (o1, s1) = run(1);
-        let (o8, s8) = run(8);
-        assert_eq!(o1, o8);
-        assert_eq!(s1, s8);
+        for threads in [2, 4, 8] {
+            let (o, s) = run(threads);
+            assert_eq!(o1, o, "threads={threads}");
+            assert_eq!(s1, s, "threads={threads}");
+        }
     }
 
     /// Same guarantee for the per-block slot funnel replacement: the

@@ -1,10 +1,10 @@
 //! Host-side parallel execution for kernel launches.
 //!
 //! Replaces the former rayon pool with a std-only executor. Work items
-//! (thread blocks, batch fields) are dealt to worker threads through an
-//! atomic counter; each worker folds its items into a private
-//! accumulator, and per-item *outputs* never flow through the reduction
-//! at all — kernels write them into disjoint per-block slots
+//! (thread blocks, batch fields, dataset planes) are dealt to worker
+//! threads through an atomic counter; each worker folds its items into
+//! a private accumulator, and per-item *outputs* never flow through the
+//! reduction at all — kernels write them into disjoint per-block slots
 //! ([`crate::exec::BlockSlots`] / [`crate::GlobalWrite`]), which makes
 //! results independent of scheduling order *by construction*. The only
 //! values merged across workers are [`crate::KernelStats`]-style integer
@@ -17,7 +17,7 @@
 use std::cell::Cell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
@@ -139,6 +139,27 @@ where
         .collect()
 }
 
+/// Run `f(i, chunk)` for every `chunk_len`-element chunk of `data` (the
+/// last one may be shorter) across the worker pool. Each chunk is one
+/// work item written by exactly one worker, so results cannot depend on
+/// the thread count; with one thread the chunks run inline, in order.
+/// Nothing is allocated per chunk.
+pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk_len > 0, "chunk length must be positive");
+    let n = data.len().div_ceil(chunk_len);
+    // Workers take the next chunk under the lock and fill it outside it.
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    par_for_each_index(n, |_| {
+        let next = chunks.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let (i, chunk) = next.expect("one chunk per dealt item");
+        f(i, chunk);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +205,56 @@ mod tests {
             let payload = caught.expect_err("the item panic must propagate");
             let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
             assert_eq!(msg, "kernel body failed at item 40", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once() {
+        for threads in [1, 2, 5] {
+            // 103 = 10 full chunks of 10 and a short last chunk of 3.
+            let mut data = vec![0u32; 103];
+            with_threads(threads, || {
+                par_chunks_mut(&mut data, 10, |i, chunk| {
+                    let want = if i == 10 { 3 } else { 10 };
+                    assert_eq!(chunk.len(), want, "chunk {i}");
+                    for (j, v) in chunk.iter_mut().enumerate() {
+                        *v += (i * 10 + j) as u32 + 1;
+                    }
+                })
+            });
+            let want: Vec<u32> = (1..=103).collect();
+            assert_eq!(data, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_runs_inline_in_order_at_one_thread() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let mut data = [0u8; 7];
+        with_threads(1, || {
+            par_chunks_mut(&mut data, 2, |i, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(i);
+            })
+        });
+        assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn par_chunks_mut_worker_panic_keeps_its_message() {
+        for threads in [2, 4] {
+            let mut data = vec![0f32; 64 * 3];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_threads(threads, || {
+                    par_chunks_mut(&mut data, 3, |i, _| {
+                        assert!(i != 40, "plane fill failed at chunk {i}")
+                    })
+                })
+            }));
+            let payload = caught.expect_err("the chunk panic must propagate");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert_eq!(msg, "plane fill failed at chunk 40", "threads={threads}");
         }
     }
 

@@ -87,9 +87,10 @@ impl KernelStats {
 
 /// Shared launch-wide stats accumulator.
 ///
-/// Every [`crate::BlockCtx`] flushes its private counters here when it
-/// drops — including on panic/unwind paths, so a profiler observing a
-/// launch never under-counts traffic from blocks that did run. Addition
+/// Each launch worker sums its [`crate::BlockCtx`]s' counters privately
+/// and flushes the total here once, when it drops — including on
+/// panic/unwind paths, so a profiler observing a launch never
+/// under-counts traffic from blocks that did run. Addition
 /// of integer counters is exact and commutative, so the final snapshot
 /// is identical for any worker-thread count or scheduling order.
 #[derive(Debug, Default)]
