@@ -88,7 +88,7 @@ pub fn compress_fields_streams(
 }
 
 /// Walk a container's entry table, returning each field's name and
-/// archive slice. Offsets are checked (see [`crate::wire::entry`]), so a
+/// archive slice. Offsets are checked (see `wire::entry`), so a
 /// crafted length surfaces as [`CuszError::CorruptArchive`].
 pub fn parse_container(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, CuszError> {
     if bytes.len() < 8 || &bytes[0..4] != MAGIC {

@@ -40,7 +40,7 @@
 //! Everything reachable from hostile input — bad bounds, NaN fields,
 //! corrupt archives, injected device faults — is a typed [`CuszError`],
 //! never a panic. The lint gate below enforces it; the one sanctioned
-//! exception is [`wire`]'s length-checked little-endian readers.
+//! exception is `wire`'s length-checked little-endian readers.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

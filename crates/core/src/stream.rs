@@ -74,7 +74,7 @@ pub(crate) fn push_slab(out: &mut Vec<u8>, archive: &[u8]) {
 }
 
 /// Validate the stream header and walk the entry table (checked, see
-/// [`crate::wire::entry`]), returning the geometry and each slab
+/// `wire::entry`), returning the geometry and each slab
 /// archive's byte range.
 pub fn parse_slab_container(
     bytes: &[u8],

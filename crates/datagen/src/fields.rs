@@ -4,7 +4,7 @@
 //! ([`cuszi_gpu_sim::pool`]), with bits independent of the thread count:
 //! every element is computed by the same operations in the same order
 //! whichever worker owns its plane, and every RNG draw (mode, blob and
-//! source parameters, [`add_noise`]) happens on the calling thread, in
+//! source parameters, `add_noise`) happens on the calling thread, in
 //! a fixed order, before or after the parallel fill.
 
 use cuszi_gpu_sim::pool;

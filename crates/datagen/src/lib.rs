@@ -104,13 +104,6 @@ pub struct Dataset {
     pub fields: Vec<Field>,
 }
 
-impl Dataset {
-    /// Total bytes across fields.
-    pub fn total_bytes(&self) -> usize {
-        self.fields.iter().map(|f| f.data.len() * 4).sum()
-    }
-}
-
 /// Generate a dataset (a representative subset of its fields).
 pub fn generate(kind: DatasetKind, scale: Scale, seed: u64) -> Dataset {
     let shape = scale.shape(kind);

@@ -101,7 +101,7 @@ const MAX_WARP: usize = 64;
 /// drops — a drop guard, so the add also happens when the kernel body
 /// panics or returns early and traffic from partially-executed blocks
 /// is never lost. The worker total reaches the launch-wide
-/// [`AtomicKernelStats`] once per worker (see [`WorkerStats`]).
+/// [`AtomicKernelStats`] once per worker (see `WorkerStats`).
 pub struct BlockCtx<'l> {
     /// This block's coordinates in the grid.
     pub block: Dim3,
@@ -299,32 +299,6 @@ impl<'l> BlockCtx<'l> {
         self.stats.store_bytes += eb - sb;
     }
 
-    /// Write one element, charging a whole sector.
-    #[inline]
-    pub fn write_one<T: Copy>(&mut self, view: &GlobalWrite<'_, T>, idx: usize, v: T) {
-        view.write_range(idx, std::slice::from_ref(&v));
-        self.stats.store_sectors += 1;
-        self.stats.store_bytes += std::mem::size_of::<T>() as u64;
-    }
-
-    /// Gather arbitrary indices from a *writable* view (global memory is
-    /// readable and writable in CUDA; scans read a line before rewriting
-    /// it in place). Coalescing accounting matches [`Self::read_gather`].
-    pub fn read_gather_rw<T: Copy>(
-        &mut self,
-        view: &GlobalWrite<'_, T>,
-        indices: &[usize],
-        out: &mut [T],
-    ) {
-        assert_eq!(indices.len(), out.len(), "gather index/out length mismatch");
-        let elt = std::mem::size_of::<T>() as u64;
-        for (i, &idx) in indices.iter().enumerate() {
-            out[i] = view.read_at(idx);
-        }
-        self.stats.load_bytes += indices.len() as u64 * elt;
-        self.stats.load_sectors += self.warp_sector_count(indices, elt);
-    }
-
     /// Read a contiguous span from a writable view.
     pub fn read_span_rw<T: Copy>(
         &mut self,
@@ -357,17 +331,6 @@ impl<'l> BlockCtx<'l> {
         }
         self.stats.store_bytes += indices.len() as u64 * elt;
         self.stats.store_sectors += self.warp_sector_count(indices, elt);
-    }
-
-    /// Atomically add to one global counter. A solitary atomic is a
-    /// whole-sector transaction; batch per-warp traffic with
-    /// [`Self::atomic_add_warp`] where the kernel issues one atomic per
-    /// lane (atomics serialise on conflicts in real hardware; the
-    /// roofline absorbs that into the efficiency factor).
-    pub fn atomic_add(&mut self, view: &GlobalAtomicU32<'_>, idx: usize, v: u32) -> u32 {
-        self.stats.store_sectors += 1;
-        self.stats.store_bytes += 4;
-        view.data[idx].fetch_add(v, Ordering::Relaxed)
     }
 
     /// Warp-batched atomic adds: one `fetch_add` per `(index, value)`
@@ -692,11 +655,11 @@ where
     // snapshot below is exact and scheduling-independent.
     let sink = AtomicKernelStats::default();
     let _report = LaunchReport { name, grid, device, sink: &sink, t0: Instant::now() };
-    // Dropping the last worker total flushes it too.
-    drop(pool::fold_indexed(
+    // Each worker's running total flushes into the sink when it drops.
+    pool::for_each_index(
         total as usize,
         || WorkerStats { total: KernelStats::default(), sink: &sink },
-        |mut worker, i| {
+        |worker, i| {
             let i = i as u64;
             let block = Dim3 {
                 x: (i % gx) as u32,
@@ -704,14 +667,12 @@ where
                 z: (i / (gx * gy)) as u32,
             };
             kernel(&mut BlockCtx::new(block, grid, device, &mut worker.total));
-            worker
         },
-        |a, _flushed_on_drop| a,
-    ));
+    );
     let stats = sink.snapshot();
     // If this launch was issued from a stream worker, charge its
     // simulated roofline time to that stream's clock (overlap shows up
-    // as max-over-streams elapsed time; see `stream::sim_elapsed_ns`).
+    // as max-over-streams elapsed time; see `stream`'s module docs).
     crate::stream::note_launch(device, &stats);
     stats
 }
@@ -849,7 +810,7 @@ mod tests {
         let mut out = vec![0u32; 4];
         let view = GlobalWrite::new_checked(&mut out);
         launch(&A100, Grid::linear(2, 32), |ctx| {
-            ctx.write_one(&view, 0, 1);
+            ctx.write_span(&view, 0, &[1]);
         });
     }
 
@@ -865,16 +826,6 @@ mod tests {
     #[should_panic(expected = "threads_per_block")]
     fn thread_limit_is_enforced() {
         launch(&A100, Grid::linear(1, 2048), |_| {});
-    }
-
-    #[test]
-    fn atomic_add_accumulates_across_blocks() {
-        let counters: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        launch(&A100, Grid::linear(16, 32), |ctx| {
-            let view = GlobalAtomicU32::new(&counters);
-            ctx.atomic_add(&view, 2, 3);
-        });
-        assert_eq!(counters[2].load(Ordering::Relaxed), 48);
     }
 
     #[test]
@@ -1080,24 +1031,6 @@ mod rw_view_tests {
             });
         }
         assert_eq!(buf[..16], [14i32; 16]);
-    }
-
-    #[test]
-    fn read_gather_rw_counts_coalescing_like_read_gather() {
-        let mut buf = vec![0f32; 32 * 8];
-        let idx_strided: Vec<usize> = (0..32).map(|i| i * 8).collect();
-        let idx_dense: Vec<usize> = (0..32).collect();
-        let stats = {
-            let view = GlobalWrite::new(&mut buf);
-            launch(&A100, Grid::linear(1, 32), |ctx| {
-                let mut out = [0f32; 32];
-                ctx.read_gather_rw(&view, &idx_strided, &mut out);
-                ctx.read_gather_rw(&view, &idx_dense, &mut out);
-            })
-        };
-        // strided: 32 sectors; dense: 4 sectors.
-        assert_eq!(stats.load_sectors, 36);
-        assert_eq!(stats.load_bytes, 2 * 32 * 4);
     }
 
     #[test]

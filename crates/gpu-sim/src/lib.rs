@@ -50,5 +50,5 @@ pub use multi::{current_device, on_device, MAX_DEVICES};
 pub use hook::LaunchRecord;
 pub use shared::{ScratchVec, SharedTile};
 pub use stats::{AtomicKernelStats, KernelStats};
-pub use stream::{sim_elapsed_ns, sim_serial_ns, with_streams, Event, Stream};
+pub use stream::{with_streams, Event, Stream};
 pub use timing::{Bottleneck, TimeBreakdown, TimingModel};

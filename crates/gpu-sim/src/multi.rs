@@ -83,9 +83,11 @@ mod tests {
         let seen = AtomicUsize::new(usize::MAX);
         on_device(3, || {
             crate::pool::with_threads(4, || {
-                crate::pool::par_for_each_index(64, |_| {
-                    seen.store(current_device(), Ordering::Relaxed);
-                });
+                crate::pool::for_each_index(
+                    64,
+                    || (),
+                    |(), _| seen.store(current_device(), Ordering::Relaxed),
+                );
             });
         });
         assert_eq!(seen.load(Ordering::Relaxed), 3, "pool workers inherit the device");

@@ -1,10 +1,10 @@
 //! Host-side parallel execution for kernel launches.
 //!
-//! Replaces the former rayon pool with a std-only executor. Work items
-//! (thread blocks, batch fields, dataset planes) are dealt to worker
-//! threads through an atomic counter; each worker folds its items into
-//! a private accumulator, and per-item *outputs* never flow through the
-//! reduction at all — kernels write them into disjoint per-block slots
+//! One primitive, [`for_each_index`], runs every parallel loop: work
+//! items (thread blocks, dataset planes) are dealt to worker threads
+//! through an atomic counter; each worker keeps a private state across
+//! its items, and per-item *outputs* never flow through that state at
+//! all — kernels write them into disjoint per-block slots
 //! ([`crate::exec::BlockSlots`] / [`crate::GlobalWrite`]), which makes
 //! results independent of scheduling order *by construction*. The only
 //! values merged across workers are [`crate::KernelStats`]-style integer
@@ -15,7 +15,6 @@
 //! process's [`cores`].
 
 use std::cell::Cell;
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -50,93 +49,57 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Execute `f(i)` for every `i in 0..n` across the worker pool. Items are
-/// dealt dynamically (atomic counter), so callers must make `f`'s side
-/// effects disjoint per item — the same contract CUDA kernels have.
-pub fn par_for_each_index<F>(n: usize, f: F)
+/// Run `item(&mut state, i)` for every `i in 0..n` across the worker
+/// pool. Items are dealt dynamically (atomic counter), so callers must
+/// make the items' side effects disjoint — the same contract CUDA
+/// kernels have.
+///
+/// Each worker makes its own `state` with `worker()` on its own thread
+/// and drops it there after its last item, also while a panicking item
+/// unwinds, so a state's `Drop` is the place to flush per-worker
+/// totals. With one thread, one state is made on the caller's thread
+/// and the items run inline, in order. A worker's panic reaches the
+/// caller with its own payload.
+pub fn for_each_index<S, W, F>(n: usize, worker: W, item: F)
 where
-    F: Fn(usize) + Sync,
-{
-    fold_indexed(n, || (), |(), i| f(i), |(), ()| ());
-}
-
-/// Fold `0..n` into per-worker accumulators (`make` one per worker,
-/// `fold` per item) and combine them with `merge`. Deterministic iff
-/// `merge`/`fold` are commutative+associative over items — true for the
-/// integer counters this crate reduces.
-pub fn fold_indexed<A, MK, F, MG>(n: usize, make: MK, fold: F, merge: MG) -> A
-where
-    A: Send,
-    MK: Fn() -> A + Sync,
-    F: Fn(A, usize) -> A + Sync,
-    MG: Fn(A, A) -> A,
+    W: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
     let threads = current_threads().min(n.max(1));
     if threads <= 1 {
-        let mut acc = make();
+        let mut state = worker();
         for i in 0..n {
-            acc = fold(acc, i);
+            item(&mut state, i);
         }
-        return acc;
+        return;
     }
     let next = AtomicUsize::new(0);
-    let worker = |_w: usize| {
-        let mut acc = make();
+    let run = || {
+        let mut state = worker();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            acc = fold(acc, i);
+            item(&mut state, i);
         }
-        acc
     };
     // Forward the caller's device binding: allocations and fault checks
     // inside kernel bodies must attribute to the launching device.
     let dev = crate::multi::current_device();
-    let mut parts = std::thread::scope(|s| {
-        let worker = &worker;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| s.spawn(move || crate::multi::on_device(dev, || worker(w))))
-            .collect();
+    std::thread::scope(|s| {
+        let run = &run;
+        let handles: Vec<_> =
+            (0..threads).map(|_| s.spawn(move || crate::multi::on_device(dev, run))).collect();
         // Re-raise a worker's panic with its own payload, so a kernel
         // body's message reaches the launch's caller (and the flight
         // recorder) exactly as it does on the inline single-thread path.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect::<Vec<A>>()
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
-    let mut acc = parts.remove(0);
-    for p in parts {
-        acc = merge(acc, p);
-    }
-    acc
-}
-
-/// Map `f` over `items` in parallel, returning results in item order
-/// regardless of scheduling (each result lands in its own slot).
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    struct Slot<U>(UnsafeCell<Option<U>>);
-    // SAFETY: each index is claimed exactly once by the atomic deal in
-    // `par_for_each_index`, so no slot is written concurrently, and the
-    // scope join orders all writes before the collection below.
-    unsafe impl<U: Send> Sync for Slot<U> {}
-
-    let slots: Vec<Slot<U>> = (0..items.len()).map(|_| Slot(UnsafeCell::new(None))).collect();
-    par_for_each_index(items.len(), |i| {
-        let v = f(&items[i]);
-        unsafe { *slots[i].0.get() = Some(v) };
-    });
-    slots
-        .into_iter()
-        .map(|s| s.0.into_inner().expect("worker skipped an item"))
-        .collect()
 }
 
 /// Run `f(i, chunk)` for every `chunk_len`-element chunk of `data` (the
@@ -153,7 +116,7 @@ where
     let n = data.len().div_ceil(chunk_len);
     // Workers take the next chunk under the lock and fill it outside it.
     let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    par_for_each_index(n, |_| {
+    for_each_index(n, || (), |(), _| {
         let next = chunks.lock().unwrap_or_else(PoisonError::into_inner).next();
         let (i, chunk) = next.expect("one chunk per dealt item");
         f(i, chunk);
@@ -164,32 +127,116 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
-    #[test]
-    fn fold_matches_serial_sum() {
-        let serial: u64 = (0..10_000u64).map(|i| i * 3).sum();
-        for threads in [1, 2, 8] {
-            let got = with_threads(threads, || {
-                fold_indexed(10_000, || 0u64, |a, i| a + i as u64 * 3, |a, b| a + b)
-            });
-            assert_eq!(got, serial, "threads={threads}");
+    /// A per-worker partial sum that flushes into a shared total when
+    /// it drops.
+    struct PartialSum<'a> {
+        sum: u64,
+        total: &'a AtomicU64,
+    }
+
+    impl Drop for PartialSum<'_> {
+        fn drop(&mut self) {
+            self.total.fetch_add(self.sum, Ordering::Relaxed);
         }
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..999).collect();
-        let out = with_threads(7, || par_map(&items, |&i| i * i));
-        assert_eq!(out, items.iter().map(|&i| i * i).collect::<Vec<_>>());
+    fn worker_sums_flushed_on_drop_match_serial_sum() {
+        let serial: u64 = (0..10_000u64).map(|i| i * 3).sum();
+        for threads in [1, 2, 8] {
+            let total = AtomicU64::new(0);
+            with_threads(threads, || {
+                for_each_index(
+                    10_000,
+                    || PartialSum { sum: 0, total: &total },
+                    |p, i| p.sum += i as u64 * 3,
+                )
+            });
+            assert_eq!(total.into_inner(), serial, "threads={threads}");
+        }
+    }
+
+    /// Records the thread that made each worker state and, per drop,
+    /// `(maker, dropper)`.
+    struct Tracked<'a> {
+        maker: ThreadId,
+        drops: &'a Mutex<Vec<(ThreadId, ThreadId)>>,
+    }
+
+    impl<'a> Tracked<'a> {
+        fn new(made: &Mutex<Vec<ThreadId>>, drops: &'a Mutex<Vec<(ThreadId, ThreadId)>>) -> Self {
+            let maker = std::thread::current().id();
+            made.lock().unwrap().push(maker);
+            Tracked { maker, drops }
+        }
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            let pair = (self.maker, std::thread::current().id());
+            self.drops.lock().unwrap_or_else(PoisonError::into_inner).push(pair);
+        }
+    }
+
+    #[test]
+    fn worker_states_live_and_die_on_worker_threads() {
+        let caller = std::thread::current().id();
+        for threads in [2, 4] {
+            for panic_at in [None, Some(17)] {
+                let made = Mutex::new(Vec::new());
+                let drops = Mutex::new(Vec::new());
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    with_threads(threads, || {
+                        for_each_index(
+                            64,
+                            || Tracked::new(&made, &drops),
+                            |_, i| assert!(Some(i) != panic_at, "item {i} failed"),
+                        )
+                    })
+                }));
+                assert_eq!(run.is_err(), panic_at.is_some(), "threads={threads}");
+                let made = made.into_inner().unwrap();
+                let drops = drops.into_inner().unwrap();
+                let case = format!("threads={threads} panic_at={panic_at:?}");
+                assert!((1..=threads).contains(&made.len()), "{case}: {} states", made.len());
+                assert!(!made.contains(&caller), "{case}: a state was made on the caller");
+                assert_eq!(drops.len(), made.len(), "{case}: drops != states");
+                for m in &made {
+                    let n = drops.iter().filter(|(d, _)| d == m).count();
+                    assert_eq!(n, 1, "{case}: a state dropped {n} times");
+                }
+                assert!(drops.iter().all(|(m, d)| m == d), "{case}: dropped off its thread");
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_makes_one_state_on_the_caller() {
+        let caller = std::thread::current().id();
+        let made = Mutex::new(Vec::new());
+        let drops = Mutex::new(Vec::new());
+        let order = Mutex::new(Vec::new());
+        with_threads(1, || {
+            for_each_index(5, || Tracked::new(&made, &drops), |_, i| order.lock().unwrap().push(i))
+        });
+        assert_eq!(made.into_inner().unwrap(), [caller]);
+        assert_eq!(drops.into_inner().unwrap(), [(caller, caller)]);
+        assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3, 4], "inline, in order");
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let counts: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
         with_threads(4, || {
-            par_for_each_index(500, |i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            })
+            for_each_index(
+                500,
+                || (),
+                |(), i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                },
+            )
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
@@ -199,7 +246,9 @@ mod tests {
         for threads in [2, 4] {
             let caught = std::panic::catch_unwind(|| {
                 with_threads(threads, || {
-                    par_for_each_index(64, |i| assert!(i != 40, "kernel body failed at item {i}"))
+                    for_each_index(64, || (), |(), i| {
+                        assert!(i != 40, "kernel body failed at item {i}")
+                    })
                 })
             });
             let payload = caught.expect_err("the item panic must propagate");

@@ -96,14 +96,6 @@ impl<T: Copy + 'static> SharedTile<T> {
         self.data[i] = v;
     }
 
-    /// Bulk-fill a contiguous range (tile initialisation from a staged
-    /// global load).
-    pub fn fill_from(&mut self, start: usize, src: &[T]) {
-        self.traffic
-            .set(self.traffic.get() + std::mem::size_of_val(src) as u64);
-        self.data[start..start + src.len()].copy_from_slice(src);
-    }
-
     /// Copy a contiguous range out (staged global store).
     pub fn copy_to(&self, start: usize, dst: &mut [T]) {
         self.traffic
@@ -202,9 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_fill_and_copy() {
+    fn bulk_copy_out_counts_traffic() {
         let (mut t, c) = tile(8);
-        t.fill_from(2, &[1.0, 2.0, 3.0]);
+        for (i, v) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+            t.set(2 + i, v);
+        }
         let mut out = [0.0f32; 3];
         t.copy_to(2, &mut out);
         assert_eq!(out, [1.0, 2.0, 3.0]);

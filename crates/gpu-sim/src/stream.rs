@@ -3,11 +3,10 @@
 //! A [`Stream`] is an ordered asynchronous command queue: work submitted
 //! to it runs on a dedicated worker thread in submission order, exactly
 //! like kernels enqueued on a `cudaStream_t`. Work on *different*
-//! streams overlaps. An [`Event`] is the CUDA `cudaEvent_t` analogue:
-//! [`Stream::record`] marks a point in a stream's command sequence,
-//! [`Stream::wait_event`] makes another stream (or, via
-//! [`Event::synchronize`], the host) block until that point has
-//! executed.
+//! streams overlaps; streams never wait on each other. An [`Event`] is
+//! the CUDA `cudaEvent_t` analogue: [`Stream::record`] marks a point in
+//! a stream's command sequence, and [`Event::synchronize`] blocks the
+//! host until that point has executed.
 //!
 //! # Launch attribution
 //!
@@ -27,14 +26,11 @@
 //! t=0 and execute their launches back-to-back, so
 //!
 //! * [`Stream::sim_time_ns`] is the simulated busy time of one stream,
-//! * [`sim_elapsed_ns`] (max over streams) is the simulated wall time
-//!   of the whole schedule, and
-//! * [`sim_serial_ns`] (sum over streams) is what the same work would
-//!   cost on a single stream.
+//! * the max over streams is the simulated wall time of the whole
+//!   schedule, and
+//! * the sum over streams is what the same work would cost on a single
+//!   stream.
 //!
-//! `record` captures the recording stream's clock into the event;
-//! `wait_event` raises the waiting stream's clock to the event's
-//! timestamp (a cross-stream dependency cannot make time go backwards).
 //! The ratio `serial / elapsed` is the overlap speedup the roofline
 //! model predicts — the simulated counterpart of the host wall-clock
 //! win the benchmark reports as `core.sched.wall_speedup_*`.
@@ -77,10 +73,6 @@ impl StreamShared {
         self.clock_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    fn raise_to(&self, ns: u64) {
-        self.clock_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
     fn now_ns(&self) -> u64 {
         self.clock_ns.load(Ordering::Relaxed)
     }
@@ -115,52 +107,39 @@ pub fn stream_label(dev: usize, id: u32) -> String {
     }
 }
 
-enum SignalState {
-    Pending,
-    /// Sim timestamp captured when the event was recorded/executed.
-    Done(u64),
-}
-
+/// Whether an event's recorded point has executed.
+#[derive(Default)]
 struct EventState {
-    state: Mutex<SignalState>,
+    done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl EventState {
-    fn signal(&self, ts_ns: u64) {
-        *self.state.lock().unwrap() = SignalState::Done(ts_ns);
+    fn signal(&self) {
+        *self.done.lock().unwrap() = true;
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let SignalState::Done(ts) = *st {
-                return ts;
-            }
-            st = self.cv.wait(st).unwrap();
+    fn wait(&self) {
+        let mut done = self.done.lock().unwrap();
+        while !*done {
+            done = self.cv.wait(done).unwrap();
         }
     }
 }
 
 /// A recorded point in a stream's command sequence (CUDA `cudaEvent_t`).
 ///
-/// Created by [`Stream::record`]. Another stream can order itself after
-/// it with [`Stream::wait_event`]; the host can block on it with
+/// Created by [`Stream::record`]; the host blocks on it with
 /// [`Event::synchronize`].
 pub struct Event {
     st: Arc<EventState>,
 }
 
 impl Event {
-    /// Whether the recorded point has executed (CUDA `cudaEventQuery`).
-    pub fn query(&self) -> bool {
-        matches!(*self.st.state.lock().unwrap(), SignalState::Done(_))
-    }
-
-    /// Block the host until the recorded point has executed, returning
-    /// the recording stream's sim clock (ns) at that point.
-    pub fn synchronize(&self) -> u64 {
+    /// Block the host until the recorded point has executed (CUDA
+    /// `cudaEventSynchronize`).
+    pub fn synchronize(&self) {
         self.st.wait()
     }
 }
@@ -168,7 +147,6 @@ impl Event {
 enum Cmd<'env> {
     Run(Box<dyn FnOnce() + Send + 'env>),
     Record(Arc<EventState>),
-    Wait(Arc<EventState>),
 }
 
 /// An ordered asynchronous command queue with a dedicated worker thread
@@ -179,16 +157,6 @@ pub struct Stream<'env> {
 }
 
 impl<'env> Stream<'env> {
-    /// Stream id (dense, 0-based within one [`with_streams`] scope).
-    pub fn id(&self) -> u32 {
-        self.shared.id
-    }
-
-    /// Display label (`stream-<id>`), also the Perfetto lane name.
-    pub fn label(&self) -> &str {
-        &self.shared.label
-    }
-
     /// Enqueue `f` on this stream. It runs on the stream's worker
     /// thread after everything previously submitted; kernel launches
     /// inside it are attributed to this stream.
@@ -199,19 +167,9 @@ impl<'env> Stream<'env> {
     /// Enqueue an event-record (CUDA `cudaEventRecord`): the returned
     /// [`Event`] fires once every command submitted before it has run.
     pub fn record(&self) -> Event {
-        let st = Arc::new(EventState {
-            state: Mutex::new(SignalState::Pending),
-            cv: Condvar::new(),
-        });
+        let st = Arc::new(EventState::default());
         self.tx.send(Cmd::Record(Arc::clone(&st))).expect("stream worker exited");
         Event { st }
-    }
-
-    /// Enqueue a wait (CUDA `cudaStreamWaitEvent`): commands submitted
-    /// after this do not run until `ev` has fired. Raises this stream's
-    /// sim clock to the event's timestamp.
-    pub fn wait_event(&self, ev: &Event) {
-        self.tx.send(Cmd::Wait(Arc::clone(&ev.st))).expect("stream worker exited");
     }
 
     /// Block the host until every command submitted so far has run
@@ -243,41 +201,25 @@ impl<'env> Stream<'env> {
     }
 }
 
-/// Simulated wall time of a multi-stream schedule: the busiest stream's
-/// clock (all streams run concurrently from t=0).
-pub fn sim_elapsed_ns(streams: &[Stream<'_>]) -> u64 {
-    streams.iter().map(|s| s.sim_time_ns()).max().unwrap_or(0)
-}
-
-/// Simulated time the same work would take issued on a single stream.
-pub fn sim_serial_ns(streams: &[Stream<'_>]) -> u64 {
-    streams.iter().map(|s| s.sim_time_ns()).sum()
-}
-
 fn worker(shared: Arc<StreamShared>, rx: mpsc::Receiver<Cmd<'_>>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&shared)));
     // A panicking command must not wedge the queue: later events still
-    // have to fire or the host (or a sibling stream) would deadlock
-    // waiting on them. Defer the payload and re-raise once the queue
+    // have to fire or the host would deadlock waiting on them. Defer the payload and re-raise once the queue
     // drains, so `with_streams` still propagates the panic.
     let mut panicked = None;
     for cmd in rx {
         match cmd {
             Cmd::Run(f) => {
                 // A poisoned stream drains: submitted closures are
-                // dropped unrun, but Record/Wait still execute so
-                // sibling streams and the host never deadlock.
+                // dropped unrun, but events still fire so the host
+                // never deadlocks.
                 if panicked.is_none() && !shared.poisoned {
                     if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
                         panicked = Some(p);
                     }
                 }
             }
-            Cmd::Record(ev) => ev.signal(shared.now_ns()),
-            Cmd::Wait(ev) => {
-                let ts = ev.wait();
-                shared.raise_to(ts);
-            }
+            Cmd::Record(ev) => ev.signal(),
         }
     }
     CURRENT.with(|c| *c.borrow_mut() = None);
@@ -357,42 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn streams_overlap_and_events_order_across_streams() {
-        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        let stage = AtomicUsize::new(0);
-        with_streams(2, |s| {
-            s[0].submit(|| {
-                stage.store(1, Ordering::SeqCst);
-            });
-            let ev = s[0].record();
-            s[1].wait_event(&ev);
-            s[1].submit(|| {
-                // Must observe stream 0's write: the wait orders us.
-                assert_eq!(stage.load(Ordering::SeqCst), 1);
-                stage.store(2, Ordering::SeqCst);
-            });
-            s[1].synchronize().expect("sync");
-        });
-        assert_eq!(stage.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn event_query_and_host_synchronize() {
-        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        with_streams(1, |s| {
-            let (tx, rx) = mpsc::channel::<()>();
-            s[0].submit(move || {
-                rx.recv().unwrap();
-            });
-            let ev = s[0].record();
-            assert!(!ev.query(), "event cannot fire before the blocker runs");
-            tx.send(()).unwrap();
-            ev.synchronize();
-            assert!(ev.query());
-        });
-    }
-
-    #[test]
     fn launches_advance_the_current_stream_clock() {
         let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let data = vec![1.0f32; 1 << 16];
@@ -421,33 +327,6 @@ mod tests {
             s[1].synchronize().expect("sync");
             assert_eq!(s[0].sim_time_ns(), expect);
             assert_eq!(s[1].sim_time_ns(), 0, "idle stream spends no sim time");
-            assert_eq!(sim_elapsed_ns(s), expect, "overlap = max over streams");
-            assert_eq!(sim_serial_ns(s), expect);
-        });
-    }
-
-    #[test]
-    fn wait_event_propagates_sim_time() {
-        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        with_streams(2, |s| {
-            let data = vec![0.0f32; 1 << 14];
-            s[0].submit(move || {
-                launch_named(&A100, Grid::linear(16, 128), "wait-prop", |ctx| {
-                    let view = crate::exec::GlobalRead::new(&data);
-                    let mut buf = [0.0f32; 128];
-                    let b = ctx.block.x as usize;
-                    ctx.read_span(&view, b * 128, &mut buf);
-                });
-            });
-            let ev = s[0].record();
-            s[1].wait_event(&ev);
-            s[1].synchronize().expect("sync");
-            assert!(s[0].sim_time_ns() > 0);
-            assert_eq!(
-                s[1].sim_time_ns(),
-                s[0].sim_time_ns(),
-                "waiting raises the dependent stream's clock"
-            );
         });
     }
 
@@ -474,10 +353,8 @@ mod tests {
             s[1].submit(|| {
                 ran[1].fetch_add(1, Ordering::SeqCst);
             });
-            // Events on the poisoned stream still fire: cross-stream
-            // waits and host syncs must not deadlock.
-            let ev = s[1].record();
-            s[0].wait_event(&ev);
+            // Events on the poisoned stream still fire: the host sync
+            // below must not deadlock.
             assert!(s[0].synchronize().is_ok(), "sibling stream is unaffected");
             let err = s[1].synchronize().expect_err("poisoned stream reports");
             assert_eq!(err.kind, crate::fault::FaultKind::Stream);

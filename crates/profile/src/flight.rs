@@ -4,7 +4,7 @@
 //! the fault injector dropped, a sampled stream of pooled allocations,
 //! stream operations and fault arm/trip transitions are recorded — at
 //! all times — as one fixed-size [`FlightEvent`] into a per-thread
-//! lock-free seqlock ring ([`crate::ring::Ring`]), at roughly one
+//! lock-free seqlock ring (`ring::Ring`), at roughly one
 //! relaxed atomic store plus a clock read per event. A full ring wraps
 //! and overwrites the oldest events: the recorder never blocks or
 //! allocates on the hot path, and never grows without bound (rings are

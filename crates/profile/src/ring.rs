@@ -2,7 +2,7 @@
 //! of fixed-size `Copy` records, the inline names those records carry,
 //! span categories, and the process-wide timestamp epoch.
 //!
-//! Each recording thread owns one [`Ring`] (see [`crate::flight`]):
+//! Each recording thread owns one `Ring` (see [`crate::flight`]):
 //! pushing an event is an index bump plus a slot write in the owner's
 //! own buffer — no lock, no allocation, no cross-thread contention.
 //! Events are fixed-size with inline names, so a full ring simply wraps

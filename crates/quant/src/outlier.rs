@@ -5,7 +5,7 @@
 /// Compacted `(index, exact value)` pairs for out-of-band elements.
 ///
 /// Indices are stored in ascending order when produced by a forward
-/// sweep; [`Outliers::scatter_into`] does not require ordering.
+/// sweep.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Outliers {
     indices: Vec<u64>,
@@ -50,22 +50,6 @@ impl Outliers {
         &self.values
     }
 
-    /// Scatter the exact values back into a reconstruction buffer.
-    ///
-    /// Returns `false` (without writing anything further) if any index is
-    /// out of bounds — a corrupt-archive symptom the caller turns into a
-    /// typed error.
-    #[must_use]
-    pub fn scatter_into(&self, out: &mut [f32]) -> bool {
-        if self.indices.iter().any(|&i| i as usize >= out.len()) {
-            return false;
-        }
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] = v;
-        }
-        true
-    }
-
     /// Merge per-chunk outlier stores produced by parallel sweeps into a
     /// single store (chunks must be pushed in index order for the result
     /// to be ordered, as with GPU stream compaction over a prefix sum).
@@ -93,24 +77,6 @@ impl Outliers {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_and_scatter() {
-        let mut o = Outliers::new();
-        o.push(1, 10.0);
-        o.push(3, 30.0);
-        let mut buf = [0.0f32; 4];
-        assert!(o.scatter_into(&mut buf));
-        assert_eq!(buf, [0.0, 10.0, 0.0, 30.0]);
-    }
-
-    #[test]
-    fn out_of_bounds_index_is_reported() {
-        let mut o = Outliers::new();
-        o.push(10, 1.0);
-        let mut buf = [0.0f32; 4];
-        assert!(!o.scatter_into(&mut buf));
-    }
 
     #[test]
     fn concat_preserves_order() {

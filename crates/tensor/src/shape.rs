@@ -102,13 +102,6 @@ impl Shape {
         z * sz + y * sy + x * sx
     }
 
-    /// Whether a padded rank-3 coordinate lies inside the array.
-    #[inline]
-    pub fn contains3(&self, z: isize, y: isize, x: isize) -> bool {
-        let [nz, ny, nx] = self.extents;
-        z >= 0 && y >= 0 && x >= 0 && (z as usize) < nz && (y as usize) < ny && (x as usize) < nx
-    }
-
     /// Decompose into blocks of `block` elements per axis (rank-3 padded;
     /// edge blocks are truncated). Iterates in row-major block order.
     pub fn blocks(&self, block: [usize; 3]) -> BlockIter {
@@ -248,16 +241,6 @@ mod tests {
         assert_eq!(s.dims3(), [1, 3, 4]);
         assert_eq!(s.index3(0, 2, 1), 9);
         assert_eq!(s.len(), 12);
-    }
-
-    #[test]
-    fn contains3_bounds() {
-        let s = Shape::d3(2, 3, 4);
-        assert!(s.contains3(0, 0, 0));
-        assert!(s.contains3(1, 2, 3));
-        assert!(!s.contains3(2, 0, 0));
-        assert!(!s.contains3(0, -1, 0));
-        assert!(!s.contains3(0, 0, 4));
     }
 
     #[test]
