@@ -605,6 +605,27 @@ mod tests {
     }
 
     #[test]
+    fn outlier_index_past_the_field_is_a_corrupt_archive() {
+        // A spike no neighbour predicts within the radius is stored as
+        // an outlier; point its index past the field's last element.
+        let mut data = field(Shape::d3(16, 16, 16));
+        data.as_mut_slice()[1234] = 1.0e6;
+        let codec = CuszI::new(Config::new(ErrorBound::Abs(1e-3)).without_bitcomp());
+        let c = codec.compress(&data).unwrap();
+        let n = c.sections.outliers / 12;
+        assert!(n > 0, "the spike must be stored as an outlier");
+        codec.decompress(&c.bytes).unwrap();
+
+        let mut bad = c.bytes.clone();
+        let at = bad.len() - c.sections.outliers;
+        bad[at..at + 8].copy_from_slice(&(data.len() as u64).to_le_bytes());
+        assert!(matches!(
+            codec.decompress(&bad),
+            Err(CuszError::CorruptArchive("outlier index out of range"))
+        ));
+    }
+
+    #[test]
     fn untuned_config_still_roundtrips() {
         let data = field(Shape::d3(20, 20, 20));
         let codec = CuszI::new(Config::new(ErrorBound::Rel(1e-3)).without_tuning());

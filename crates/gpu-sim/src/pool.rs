@@ -143,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_sums_flushed_on_drop_match_serial_sum() {
+    fn fold_matches_serial_sum() {
         let serial: u64 = (0..10_000u64).map(|i| i * 3).sum();
         for threads in [1, 2, 8] {
             let total = AtomicU64::new(0);
@@ -224,6 +224,48 @@ mod tests {
         assert_eq!(made.into_inner().unwrap(), [caller]);
         assert_eq!(drops.into_inner().unwrap(), [(caller, caller)]);
         assert_eq!(order.into_inner().unwrap(), [0, 1, 2, 3, 4], "inline, in order");
+    }
+
+    #[test]
+    fn zero_items_run_no_item() {
+        for threads in [1, 4] {
+            let made = Mutex::new(Vec::new());
+            let drops = Mutex::new(Vec::new());
+            let items = AtomicU64::new(0);
+            with_threads(threads, || {
+                for_each_index(
+                    0,
+                    || Tracked::new(&made, &drops),
+                    |_, _| {
+                        items.fetch_add(1, Ordering::Relaxed);
+                    },
+                )
+            });
+            assert_eq!(items.into_inner(), 0, "threads={threads}");
+            let made = made.into_inner().unwrap();
+            assert!(made.len() <= 1, "threads={threads}: {} states", made.len());
+            assert_eq!(drops.into_inner().unwrap().len(), made.len(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fewer_items_than_threads_cap_the_states() {
+        let made = Mutex::new(Vec::new());
+        let drops = Mutex::new(Vec::new());
+        let counts: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
+        with_threads(8, || {
+            for_each_index(
+                3,
+                || Tracked::new(&made, &drops),
+                |_, i| {
+                    counts[i].fetch_add(1, Ordering::Relaxed);
+                },
+            )
+        });
+        let made = made.into_inner().unwrap();
+        assert!((1..=3).contains(&made.len()), "{} states for 3 items", made.len());
+        assert_eq!(drops.into_inner().unwrap().len(), made.len());
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -194,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_copy_out_counts_traffic() {
+    fn bulk_fill_and_copy() {
         let (mut t, c) = tile(8);
         for (i, v) in [1.0, 2.0, 3.0].into_iter().enumerate() {
             t.set(2 + i, v);

@@ -299,6 +299,75 @@ mod tests {
     }
 
     #[test]
+    fn streams_run_their_queues_concurrently() {
+        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        // Stream 0's command can only finish once stream 1's runs, so
+        // the two queues must be live at the same time.
+        let (tx, rx) = mpsc::channel::<()>();
+        let got = Mutex::new(None);
+        with_streams(2, |s| {
+            let got = &got;
+            s[0].submit(move || {
+                *got.lock().unwrap() = Some(rx.recv_timeout(std::time::Duration::from_secs(30)));
+            });
+            s[1].submit(move || tx.send(()).unwrap());
+            s[0].synchronize().expect("sync");
+        });
+        let got = got.into_inner().unwrap().expect("stream 0's command ran");
+        assert!(got.is_ok(), "stream 1 ran while stream 0 was blocked");
+    }
+
+    #[test]
+    fn event_synchronize_waits_for_earlier_commands() {
+        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let ran = AtomicUsize::new(0);
+        with_streams(1, |s| {
+            s[0].submit(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                ran.store(1, Ordering::SeqCst);
+            });
+            let ev = s[0].record();
+            s[0].submit(|| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            ev.synchronize();
+            assert!(ran.load(Ordering::SeqCst) >= 1, "the event fired before the command ran");
+            s[0].synchronize().expect("sync");
+            assert_eq!(ran.load(Ordering::SeqCst), 2);
+        });
+    }
+
+    #[test]
+    fn device_binding_reaches_stream_workers() {
+        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let seen = AtomicUsize::new(usize::MAX);
+        crate::multi::on_device(2, || {
+            with_streams(2, |s| {
+                s[1].submit(|| seen.store(crate::multi::current_device(), Ordering::SeqCst));
+                s[1].synchronize().expect("sync");
+            });
+        });
+        assert_eq!(seen.load(Ordering::SeqCst), 2, "stream workers inherit the device");
+    }
+
+    #[test]
+    fn poisoned_stream_off_device_zero_names_its_device() {
+        let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(stream_label(0, 3), "stream-3");
+        assert_eq!(stream_label(2, 1), "dev2.stream-1");
+        crate::fault::arm_on(2, crate::fault::FaultSpec::PoisonStream(1));
+        let err = crate::multi::on_device(2, || {
+            with_streams(2, |s| {
+                assert!(s[0].synchronize().is_ok(), "sibling stream is unaffected");
+                s[1].synchronize().expect_err("poisoned stream reports")
+            })
+        });
+        crate::fault::disarm();
+        assert_eq!(err.kind, crate::fault::FaultKind::Stream);
+        assert_eq!(err.site, "dev2.stream-1");
+    }
+
+    #[test]
     fn launches_advance_the_current_stream_clock() {
         let _g = crate::fault::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let data = vec![1.0f32; 1 << 16];
