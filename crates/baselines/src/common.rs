@@ -1,9 +1,12 @@
 //! Shared mini-archive plumbing for the baselines.
 //!
 //! Each baseline uses a small fixed header (its own magic, shape, error
-//! bound / rate) followed by length-prefixed sections — enough structure
-//! to be self-describing and to reject corrupt input with typed errors.
+//! bound / rate) followed by `[u64 len][body]` entries, written and
+//! walked with core's checked `archive::{put_entry, entry}` — enough
+//! structure to be self-describing and to reject corrupt input with
+//! typed errors.
 
+use cuszi_core::archive::{entry, f32_section, f64_le, put_entry, u64_le, u64_section};
 use cuszi_core::CuszError;
 use cuszi_quant::{ErrorBound, Outliers};
 use cuszi_tensor::stats::ValueRange;
@@ -39,7 +42,7 @@ pub fn read_header(bytes: &[u8], magic: &[u8; 4]) -> Result<(Shape, f64), CuszEr
     }
     let mut dims3 = [0usize; 3];
     for (i, d) in dims3.iter_mut().enumerate() {
-        let v = u64::from_le_bytes(bytes[8 + i * 8..16 + i * 8].try_into().unwrap());
+        let v = u64_le(bytes, 8 + i * 8);
         if v == 0 || v > (1 << 40) {
             return Err(CuszError::CorruptArchive("dimension out of range"));
         }
@@ -54,32 +57,11 @@ pub fn read_header(bytes: &[u8], magic: &[u8; 4]) -> Result<(Shape, f64), CuszEr
         .ok_or(CuszError::CorruptArchive("element count out of range"))?;
     let shape = Shape::from_dims(&dims3[3 - rank..])
         .ok_or(CuszError::CorruptArchive("invalid shape"))?;
-    let param = f64::from_le_bytes(bytes[32..40].try_into().unwrap());
+    let param = f64_le(bytes, 32);
     if !param.is_finite() {
         return Err(CuszError::CorruptArchive("bad parameter"));
     }
     Ok((shape, param))
-}
-
-/// Append a `u64`-length-prefixed section.
-pub fn push_section(out: &mut Vec<u8>, body: &[u8]) {
-    out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    out.extend_from_slice(body);
-}
-
-/// Read the next length-prefixed section, advancing `at`.
-pub fn next_section<'a>(bytes: &'a [u8], at: &mut usize) -> Result<&'a [u8], CuszError> {
-    if *at + 8 > bytes.len() {
-        return Err(CuszError::CorruptArchive("section length truncated"));
-    }
-    let len = u64::from_le_bytes(bytes[*at..*at + 8].try_into().unwrap()) as usize;
-    *at += 8;
-    if *at + len > bytes.len() {
-        return Err(CuszError::CorruptArchive("section body truncated"));
-    }
-    let body = &bytes[*at..*at + len];
-    *at += len;
-    Ok(body)
 }
 
 /// Resolve a bound against data, screening the invalid cases the way
@@ -103,26 +85,19 @@ pub fn resolve_eb(data: &NdArray<f32>, eb: ErrorBound) -> Result<f64, CuszError>
     Ok(abs)
 }
 
-/// Serialize outliers as two sections (indices, values).
+/// Serialize outliers as two entries (indices, values).
 pub fn push_outliers(out: &mut Vec<u8>, o: &Outliers) {
     let idx: Vec<u8> = o.indices().iter().flat_map(|v| v.to_le_bytes()).collect();
     let val: Vec<u8> = o.values().iter().flat_map(|v| v.to_le_bytes()).collect();
-    push_section(out, &idx);
-    push_section(out, &val);
+    put_entry(out, &idx);
+    put_entry(out, &val);
 }
 
-/// Parse the two outlier sections.
-pub fn read_outliers(bytes: &[u8], at: &mut usize, max_index: usize) -> Result<Outliers, CuszError> {
-    let idx_b = next_section(bytes, at)?;
-    let val_b = next_section(bytes, at)?;
-    if idx_b.len() % 8 != 0 || val_b.len() % 4 != 0 {
-        return Err(CuszError::CorruptArchive("outlier section misaligned"));
-    }
-    let idx: Vec<u64> =
-        idx_b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
-    let val: Vec<f32> =
-        val_b.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
-    if idx.iter().any(|&i| i as usize >= max_index) {
+/// Parse the two outlier entries at `*at`, advancing it past them.
+pub fn read_outliers(bytes: &[u8], at: &mut u64, max_index: usize) -> Result<Outliers, CuszError> {
+    let idx = u64_section(&bytes[entry(bytes, at, "outlier indices truncated")?])?;
+    let val = f32_section(&bytes[entry(bytes, at, "outlier values truncated")?])?;
+    if idx.iter().any(|&i| i >= max_index as u64) {
         return Err(CuszError::CorruptArchive("outlier index out of range"));
     }
     Outliers::from_parts(idx, val).ok_or(CuszError::CorruptArchive("outlier sections disagree"))
@@ -143,27 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn sections_roundtrip() {
-        let mut out = Vec::new();
-        push_section(&mut out, b"hello");
-        push_section(&mut out, b"");
-        push_section(&mut out, &[1, 2, 3]);
-        let mut at = 0;
-        assert_eq!(next_section(&out, &mut at).unwrap(), b"hello");
-        assert_eq!(next_section(&out, &mut at).unwrap(), b"");
-        assert_eq!(next_section(&out, &mut at).unwrap(), &[1, 2, 3]);
-        assert!(next_section(&out, &mut at).is_err());
-    }
-
-    #[test]
-    fn truncated_section_detected() {
-        let mut out = Vec::new();
-        push_section(&mut out, &[9; 100]);
-        let mut at = 0;
-        assert!(next_section(&out[..50], &mut at).is_err());
-    }
-
-    #[test]
     fn outliers_roundtrip_and_validation() {
         let mut o = Outliers::new();
         o.push(3, 1.5);
@@ -173,6 +127,7 @@ mod tests {
         let mut at = 0;
         let back = read_outliers(&buf, &mut at, 10).unwrap();
         assert_eq!(back, o);
+        assert_eq!(at, buf.len() as u64);
         let mut at = 0;
         assert!(read_outliers(&buf, &mut at, 9).is_err(), "index 9 out of range for len 9");
     }

@@ -2,16 +2,16 @@
 //! (§ II, § III-A) — the strongest GPU baseline in Table III and the
 //! design basis of cuSZ-i.
 
+use cuszi_core::archive::{entry, put_entry};
 use cuszi_core::{Codec, CodecArtifacts, CuszError};
 use cuszi_gpu_sim::DeviceSpec;
-use cuszi_huffman::{decode_gpu_serial, encode_gpu, histogram_gpu, Codebook, EncodedStream};
+use cuszi_huffman::{decode_gpu, encode_gpu, histogram_gpu, Codebook, EncodedStream};
 use cuszi_predict::lorenzo;
 use cuszi_quant::ErrorBound;
 use cuszi_tensor::NdArray;
 
 use crate::common::{
-    next_section, push_outliers, push_section, read_header, read_outliers, resolve_eb,
-    write_header,
+    push_outliers, read_header, read_outliers, resolve_eb, write_header, BASE_HEADER_LEN,
 };
 
 const MAGIC: &[u8; 4] = b"CUSZ";
@@ -50,8 +50,8 @@ impl Codec for Cusz {
         kernels.extend(estats);
 
         let mut out = write_header(MAGIC, data.shape(), eb);
-        push_section(&mut out, &book.to_bytes());
-        push_section(&mut out, &stream.to_bytes());
+        put_entry(&mut out, &book.to_bytes());
+        put_entry(&mut out, &stream.to_bytes());
         push_outliers(&mut out, &pred.outliers);
         Ok((out, CodecArtifacts { kernels }))
     }
@@ -61,21 +61,21 @@ impl Codec for Cusz {
         if eb <= 0.0 {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
-        let mut at = crate::common::BASE_HEADER_LEN;
-        let book = Codebook::from_bytes(next_section(bytes, &mut at)?)
+        let mut at = BASE_HEADER_LEN as u64;
+        let book = Codebook::from_bytes(&bytes[entry(bytes, &mut at, "codebook truncated")?])
             .map_err(|_| CuszError::CorruptArchive("codebook"))?;
-        let stream = EncodedStream::from_bytes(next_section(bytes, &mut at)?)
-            .ok_or(CuszError::CorruptArchive("huffman stream"))?;
+        let stream =
+            EncodedStream::from_bytes(&bytes[entry(bytes, &mut at, "huffman stream truncated")?])
+                .ok_or(CuszError::CorruptArchive("huffman stream"))?;
         if stream.n as usize != shape.len() {
             return Err(CuszError::CorruptArchive("stream length != shape"));
         }
         let outliers = read_outliers(bytes, &mut at, shape.len())?;
 
-        let mut kernels = Vec::new();
-        let (codes, dstats) =
-            decode_gpu_serial(&stream, &book, &self.device).map_err(|e| CuszError::LosslessStage(e.msg))?;
-        kernels.push(dstats);
-        let (data, lstats) = lorenzo::decompress(&codes, &outliers, shape, eb, RADIUS, &self.device);
+        let decoded = decode_gpu(&stream, &book, &self.device)?;
+        let mut kernels = decoded.kernels;
+        let (data, lstats) =
+            lorenzo::decompress(&decoded.syms, &outliers, shape, eb, RADIUS, &self.device);
         kernels.extend(lstats);
         Ok((data, CodecArtifacts { kernels }))
     }
@@ -125,5 +125,26 @@ mod tests {
         let data = field(Shape::d3(8, 8, 8));
         let (bytes, _) = codec.compress_bytes(&data).unwrap();
         assert!(codec.decompress_bytes(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn tampered_gap_is_attributed_decode_corrupt() {
+        // cuSZ decodes with cuSZ-i's gap-array decoder, so a stored
+        // codeword start that disagrees with the bitstream surfaces as
+        // the same chunk- and sector-attributed error.
+        let codec = Cusz::new(ErrorBound::Abs(1e-3), A100);
+        let (bytes, _) = codec.compress_bytes(&field(Shape::d3(16, 20, 24))).unwrap();
+        let mut at = BASE_HEADER_LEN as u64;
+        let book = entry(&bytes, &mut at, "codebook").unwrap();
+        let body = entry(&bytes, &mut at, "stream").unwrap();
+        let mut stream = EncodedStream::from_bytes(&bytes[body.clone()]).unwrap();
+        stream.gaps[0] ^= 1;
+        let mut bad = bytes[..book.end].to_vec();
+        put_entry(&mut bad, &stream.to_bytes());
+        bad.extend_from_slice(&bytes[body.end..]);
+        match codec.decompress_bytes(&bad) {
+            Err(CuszError::DecodeCorrupt { chunk: Some(0), sector: Some(0), .. }) => {}
+            other => panic!("expected DecodeCorrupt at chunk 0 sector 0, got {:?}", other.err()),
+        }
     }
 }

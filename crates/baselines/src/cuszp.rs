@@ -5,13 +5,14 @@
 //! Very fast, but the fixed-length encoding caps its ratio well below
 //! cuSZ's (the Table III ordering).
 
+use cuszi_core::archive::{entry, put_entry, u32_le};
 use cuszi_core::{Codec, CodecArtifacts, CuszError};
 use cuszi_gpu_sim::{launch_named, DeviceSpec, GlobalRead, GlobalWrite, Grid};
 use cuszi_quant::{prequant_reconstruct, prequantize, ErrorBound};
 use cuszi_gpu_sim::BlockSlots;
 use cuszi_tensor::NdArray;
 
-use crate::common::{next_section, push_section, read_header, resolve_eb, write_header};
+use crate::common::{read_header, resolve_eb, write_header, BASE_HEADER_LEN};
 
 const MAGIC: &[u8; 4] = b"CSZP";
 /// Elements per encoding block (cuSZp's warp-sized unit).
@@ -59,7 +60,7 @@ fn decode_block(src: &[u8], n: usize) -> Result<Vec<i32>, CuszError> {
     if width > 34 {
         return Err(CuszError::CorruptArchive("cuszp width out of range"));
     }
-    let first = i32::from_le_bytes(src[1..5].try_into().unwrap());
+    let first = u32_le(src, 1) as i32;
     let payload = &src[5..];
     let mut out = Vec::with_capacity(n);
     out.push(first);
@@ -161,8 +162,8 @@ impl Codec for Cuszp {
         let lens_bytes: Vec<u8> = lens.iter().flat_map(|v| v.to_le_bytes()).collect();
 
         let mut out = write_header(MAGIC, data.shape(), eb);
-        push_section(&mut out, &lens_bytes);
-        push_section(&mut out, &payload);
+        put_entry(&mut out, &lens_bytes);
+        put_entry(&mut out, &payload);
         Ok((out, CodecArtifacts { kernels: vec![stats] }))
     }
 
@@ -171,14 +172,13 @@ impl Codec for Cuszp {
         if eb <= 0.0 {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
-        let mut at = crate::common::BASE_HEADER_LEN;
-        let lens_b = next_section(bytes, &mut at)?;
-        let payload = next_section(bytes, &mut at)?;
-        if lens_b.len() % 4 != 0 {
+        let mut at = BASE_HEADER_LEN as u64;
+        let lens_b = &bytes[entry(bytes, &mut at, "cuszp lens truncated")?];
+        let payload = &bytes[entry(bytes, &mut at, "cuszp payload truncated")?];
+        if !lens_b.len().is_multiple_of(4) {
             return Err(CuszError::CorruptArchive("cuszp lens misaligned"));
         }
-        let lens: Vec<u32> =
-            lens_b.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+        let lens: Vec<u32> = lens_b.chunks_exact(4).map(|c| u32_le(c, 0)).collect();
         let n = shape.len();
         let nblocks = n.div_ceil(BLOCK);
         if lens.len() != nblocks {

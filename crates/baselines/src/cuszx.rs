@@ -6,13 +6,14 @@
 //! fields like RTM, where constant blocks dominate (the Table III
 //! anomaly the paper notes).
 
+use cuszi_core::archive::{entry, f32_le, put_entry, u32_le};
 use cuszi_core::{Codec, CodecArtifacts, CuszError};
 use cuszi_gpu_sim::{launch_named, DeviceSpec, GlobalRead, GlobalWrite, Grid};
 use cuszi_quant::ErrorBound;
 use cuszi_gpu_sim::BlockSlots;
 use cuszi_tensor::NdArray;
 
-use crate::common::{next_section, push_section, read_header, resolve_eb, write_header};
+use crate::common::{read_header, resolve_eb, write_header, BASE_HEADER_LEN};
 
 const MAGIC: &[u8; 4] = b"CSZX";
 /// Elements per block.
@@ -45,10 +46,10 @@ fn encode_block(vals: &[f32], eb: f64, out: &mut Vec<u8>) {
                 let recon = (mean as f64 + r as f64 * twice_eb) as f32;
                 ((v as f64) - (recon as f64)).abs()
             };
-            [r0 - 1, r0, r0 + 1]
+            // Strict `<` keeps the first minimum on ties.
+            [r0, r0 + 1]
                 .into_iter()
-                .min_by(|&a, &b| err(a).partial_cmp(&err(b)).unwrap())
-                .unwrap()
+                .fold(r0 - 1, |best, r| if err(r) < err(best) { r } else { best })
         })
         .collect();
     if resid.iter().all(|&r| r == 0) {
@@ -83,14 +84,14 @@ fn decode_block(src: &[u8], n: usize, eb: f64) -> Result<Vec<f32>, CuszError> {
             if body.len() != 4 {
                 return Err(CuszError::CorruptArchive("cuszx const block size"));
             }
-            let mean = f32::from_le_bytes(body.try_into().unwrap());
+            let mean = f32_le(body, 0);
             Ok(vec![mean; n])
         }
         1 => {
             if body.len() < 5 {
                 return Err(CuszError::CorruptArchive("cuszx block truncated"));
             }
-            let mean = f32::from_le_bytes(body[0..4].try_into().unwrap());
+            let mean = f32_le(body, 0);
             let width = body[4];
             if width > 50 {
                 return Err(CuszError::CorruptArchive("cuszx width out of range"));
@@ -163,8 +164,8 @@ impl Codec for Cuszx {
             parts.iter().flat_map(|p| (p.len() as u32).to_le_bytes()).collect();
         let payload: Vec<u8> = parts.into_iter().flatten().collect();
         let mut out = write_header(MAGIC, data.shape(), eb);
-        push_section(&mut out, &lens);
-        push_section(&mut out, &payload);
+        put_entry(&mut out, &lens);
+        put_entry(&mut out, &payload);
         Ok((out, CodecArtifacts { kernels: vec![stats] }))
     }
 
@@ -173,14 +174,13 @@ impl Codec for Cuszx {
         if eb <= 0.0 {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
-        let mut at = crate::common::BASE_HEADER_LEN;
-        let lens_b = next_section(bytes, &mut at)?;
-        let payload = next_section(bytes, &mut at)?;
-        if lens_b.len() % 4 != 0 {
+        let mut at = BASE_HEADER_LEN as u64;
+        let lens_b = &bytes[entry(bytes, &mut at, "cuszx lens truncated")?];
+        let payload = &bytes[entry(bytes, &mut at, "cuszx payload truncated")?];
+        if !lens_b.len().is_multiple_of(4) {
             return Err(CuszError::CorruptArchive("cuszx lens misaligned"));
         }
-        let lens: Vec<u32> =
-            lens_b.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+        let lens: Vec<u32> = lens_b.chunks_exact(4).map(|c| u32_le(c, 0)).collect();
         let n = shape.len();
         let nblocks = n.div_ceil(BLOCK);
         if lens.len() != nblocks {

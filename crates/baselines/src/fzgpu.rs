@@ -4,6 +4,7 @@
 //! (the bitshuffle+dedup can't exploit symbol frequencies the way
 //! Huffman does), which is exactly its Table III position.
 
+use cuszi_core::archive::{entry, put_entry, u32_le};
 use cuszi_core::{Codec, CodecArtifacts, CuszError};
 use cuszi_gpu_sim::{launch_named, DeviceSpec, GlobalRead, GlobalWrite, Grid};
 use cuszi_predict::lorenzo;
@@ -12,8 +13,7 @@ use cuszi_gpu_sim::BlockSlots;
 use cuszi_tensor::NdArray;
 
 use crate::common::{
-    next_section, push_outliers, push_section, read_header, read_outliers, resolve_eb,
-    write_header,
+    push_outliers, read_header, read_outliers, resolve_eb, write_header, BASE_HEADER_LEN,
 };
 
 const MAGIC: &[u8; 4] = b"FZGP";
@@ -201,9 +201,9 @@ impl Codec for FzGpu {
         let lens_bytes: Vec<u8> = word_lens.iter().flat_map(|v| v.to_le_bytes()).collect();
 
         let mut out = write_header(MAGIC, data.shape(), eb);
-        push_section(&mut out, &bitmap_all);
-        push_section(&mut out, &lens_bytes);
-        push_section(&mut out, &words_all);
+        put_entry(&mut out, &bitmap_all);
+        put_entry(&mut out, &lens_bytes);
+        put_entry(&mut out, &words_all);
         push_outliers(&mut out, &pred.outliers);
         Ok((out, CodecArtifacts { kernels }))
     }
@@ -213,10 +213,10 @@ impl Codec for FzGpu {
         if eb <= 0.0 {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
-        let mut at = crate::common::BASE_HEADER_LEN;
-        let bitmap_all = next_section(bytes, &mut at)?;
-        let lens_b = next_section(bytes, &mut at)?;
-        let words_all = next_section(bytes, &mut at)?;
+        let mut at = BASE_HEADER_LEN as u64;
+        let bitmap_all = &bytes[entry(bytes, &mut at, "fzgpu bitmap truncated")?];
+        let lens_b = &bytes[entry(bytes, &mut at, "fzgpu lens truncated")?];
+        let words_all = &bytes[entry(bytes, &mut at, "fzgpu words truncated")?];
         let outliers = read_outliers(bytes, &mut at, shape.len())?;
 
         let n = shape.len();
@@ -224,11 +224,10 @@ impl Codec for FzGpu {
         let plane_bytes_full = TILE.div_ceil(8);
         let tile_out_len = 16 * plane_bytes_full;
         let tile_bitmap_len = (tile_out_len / WORD).div_ceil(8);
-        if lens_b.len() % 4 != 0 {
+        if !lens_b.len().is_multiple_of(4) {
             return Err(CuszError::CorruptArchive("fzgpu lens misaligned"));
         }
-        let word_lens: Vec<u32> =
-            lens_b.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+        let word_lens: Vec<u32> = lens_b.chunks_exact(4).map(|c| u32_le(c, 0)).collect();
         if word_lens.len() != ntiles || bitmap_all.len() != ntiles * tile_bitmap_len {
             return Err(CuszError::CorruptArchive("fzgpu tile table mismatch"));
         }

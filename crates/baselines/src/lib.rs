@@ -13,6 +13,12 @@
 //! them with the external Bitcomp pass used for the right half of
 //! Table III ("for fairness, we apply Bitcomp-lossless to all other
 //! compressors' outputs").
+//!
+//! Archives are a small header plus core's checked `[u64 len][body]`
+//! entries, and cuSZ and QoZ decode with cuSZ-i's gap-array decoder, so
+//! corrupt input is a typed [`CuszError`] here exactly as in core.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod common;
 pub mod cusz;

@@ -5,9 +5,10 @@
 //! the case studies is the published single-core figure
 //! ([`QOZ_CPU_THROUGHPUT_GBPS`]).
 
+use cuszi_core::archive::{entry, f32_section, f64_le, put_entry};
 use cuszi_core::{Codec, CodecArtifacts, CuszError};
 use cuszi_gpu_sim::{DeviceSpec, A100};
-use cuszi_huffman::{decode_gpu_serial, encode_gpu, histogram_gpu, Codebook, EncodedStream};
+use cuszi_huffman::{decode_gpu, encode_gpu, histogram_gpu, Codebook, EncodedStream};
 use cuszi_predict::cpu_interp::{self, CpuInterpParams};
 use cuszi_predict::splines::CubicVariant;
 use cuszi_predict::tuning::profile_and_tune;
@@ -16,8 +17,7 @@ use cuszi_tensor::stats::ValueRange;
 use cuszi_tensor::NdArray;
 
 use crate::common::{
-    next_section, push_outliers, push_section, read_header, read_outliers, resolve_eb,
-    write_header,
+    push_outliers, read_header, read_outliers, resolve_eb, write_header, BASE_HEADER_LEN,
 };
 
 const MAGIC: &[u8; 4] = b"QOZ_";
@@ -79,11 +79,11 @@ impl Codec for Qoz {
         );
         cfg_bytes.push(cfg.order.len() as u8);
         cfg_bytes.extend(cfg.order.iter().map(|&o| o as u8));
-        push_section(&mut payload, &cfg_bytes);
+        put_entry(&mut payload, &cfg_bytes);
         let anchors_b: Vec<u8> = pred.anchors.iter().flat_map(|v| v.to_le_bytes()).collect();
-        push_section(&mut payload, &anchors_b);
-        push_section(&mut payload, &book.to_bytes());
-        push_section(&mut payload, &stream.to_bytes());
+        put_entry(&mut payload, &anchors_b);
+        put_entry(&mut payload, &book.to_bytes());
+        put_entry(&mut payload, &stream.to_bytes());
         push_outliers(&mut payload, &pred.outliers);
 
         let (packed, _) = cuszi_bitcomp::compress(&payload, &Self::device());
@@ -98,14 +98,14 @@ impl Codec for Qoz {
             return Err(CuszError::CorruptArchive("non-positive error bound"));
         }
         let (payload, _) =
-            cuszi_bitcomp::decompress(&bytes[crate::common::BASE_HEADER_LEN..], &Self::device())
+            cuszi_bitcomp::decompress(&bytes[BASE_HEADER_LEN..], &Self::device())
                 .map_err(|e| CuszError::LosslessStage(e.0))?;
-        let mut at = 0usize;
-        let cfg_b = next_section(&payload, &mut at)?;
+        let mut at = 0u64;
+        let cfg_b = &payload[entry(&payload, &mut at, "qoz config truncated")?];
         if cfg_b.len() < 10 {
             return Err(CuszError::CorruptArchive("qoz config truncated"));
         }
-        let alpha = f64::from_le_bytes(cfg_b[0..8].try_into().unwrap());
+        let alpha = f64_le(cfg_b, 0);
         if !(alpha.is_finite() && alpha >= 1.0) {
             return Err(CuszError::CorruptArchive("qoz alpha"));
         }
@@ -132,28 +132,24 @@ impl Codec for Qoz {
             order,
         };
 
-        let anchors_b = next_section(&payload, &mut at)?;
-        if anchors_b.len() % 4 != 0 {
-            return Err(CuszError::CorruptArchive("qoz anchors misaligned"));
-        }
-        let anchors: Vec<f32> =
-            anchors_b.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
+        let anchors = f32_section(&payload[entry(&payload, &mut at, "qoz anchors truncated")?])?;
         let params = CpuInterpParams::qoz();
         let expected =
             cuszi_predict::ginterp::anchor_len(shape, params.anchor_stride);
         if anchors.len() != expected {
             return Err(CuszError::CorruptArchive("qoz anchor count"));
         }
-        let book = Codebook::from_bytes(next_section(&payload, &mut at)?)
-            .map_err(|_| CuszError::CorruptArchive("qoz codebook"))?;
-        let stream = EncodedStream::from_bytes(next_section(&payload, &mut at)?)
-            .ok_or(CuszError::CorruptArchive("qoz stream"))?;
+        let book =
+            Codebook::from_bytes(&payload[entry(&payload, &mut at, "qoz codebook truncated")?])
+                .map_err(|_| CuszError::CorruptArchive("qoz codebook"))?;
+        let stream =
+            EncodedStream::from_bytes(&payload[entry(&payload, &mut at, "qoz stream truncated")?])
+                .ok_or(CuszError::CorruptArchive("qoz stream"))?;
         if stream.n as usize != shape.len() {
             return Err(CuszError::CorruptArchive("qoz stream length"));
         }
         let outliers = read_outliers(&payload, &mut at, shape.len())?;
-        let (codes, _) = decode_gpu_serial(&stream, &book, &Self::device())
-            .map_err(|e| CuszError::LosslessStage(e.msg))?;
+        let codes = decode_gpu(&stream, &book, &Self::device())?.syms;
         let data =
             cpu_interp::decompress(&codes, &anchors, &outliers, shape, eb, RADIUS, &cfg, params);
         Ok((data, CodecArtifacts { kernels: Vec::new() }))

@@ -36,6 +36,12 @@ use cuszi_tensor::Shape;
 
 use crate::error::CuszError;
 
+/// The little-endian readers and `[u64 len][body]` entry walker every
+/// container is parsed with, public so the baseline codecs use the same
+/// checked code. `entry` checks its own bounds; the readers index
+/// `b[at..at + N]` and expect the caller to have checked the length.
+pub use crate::wire::{entry, f32_le, f64_le, put_entry, u32_le, u64_le};
+
 /// Archive magic bytes.
 pub const MAGIC: [u8; 4] = *b"CSZI";
 /// Current format version (2: the Huffman section carries the gap

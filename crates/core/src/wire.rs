@@ -1,11 +1,14 @@
 //! Fixed-width little-endian readers for archive parsing, and the
 //! `[u64 len][body]` entry both container formats are made of.
 //!
-//! Every caller has already bounds-checked the slice it passes (the
-//! parsers validate lengths before indexing), so the `try_into` here
-//! cannot fail — this module is the one place in the crate allowed to
-//! `unwrap`, keeping the crate-level `unwrap_used`/`expect_used` deny
-//! honest everywhere else.
+//! Every caller bounds-checks the slice it passes before reading (the
+//! parsers validate lengths before indexing; a reader handed a short
+//! slice panics on the index), so the `try_into` here cannot fail —
+//! this module is the one place in the crate allowed to `unwrap`,
+//! keeping the crate-level `unwrap_used`/`expect_used` deny honest
+//! everywhere else. [`crate::archive`] re-exports the ones the baseline
+//! codecs parse with, since their archives are built from the same
+//! entries.
 
 #![allow(clippy::unwrap_used)]
 
@@ -19,27 +22,27 @@ pub(crate) fn u16_le(b: &[u8], at: usize) -> u16 {
 }
 
 /// Read a `u32` from `b[at..at + 4]`.
-pub(crate) fn u32_le(b: &[u8], at: usize) -> u32 {
+pub fn u32_le(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
 }
 
 /// Read a `u64` from `b[at..at + 8]`.
-pub(crate) fn u64_le(b: &[u8], at: usize) -> u64 {
+pub fn u64_le(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
 }
 
 /// Read an `f32` from `b[at..at + 4]`.
-pub(crate) fn f32_le(b: &[u8], at: usize) -> f32 {
+pub fn f32_le(b: &[u8], at: usize) -> f32 {
     f32::from_le_bytes(b[at..at + 4].try_into().unwrap())
 }
 
 /// Read an `f64` from `b[at..at + 8]`.
-pub(crate) fn f64_le(b: &[u8], at: usize) -> f64 {
+pub fn f64_le(b: &[u8], at: usize) -> f64 {
     f64::from_le_bytes(b[at..at + 8].try_into().unwrap())
 }
 
 /// Append a `[u64 len][body]` entry.
-pub(crate) fn put_entry(out: &mut Vec<u8>, body: &[u8]) {
+pub fn put_entry(out: &mut Vec<u8>, body: &[u8]) {
     out.extend_from_slice(&(body.len() as u64).to_le_bytes());
     out.extend_from_slice(body);
 }
@@ -48,7 +51,7 @@ pub(crate) fn put_entry(out: &mut Vec<u8>, body: &[u8]) {
 /// `at` past it. Checked in the `u64` domain: a crafted huge length
 /// surfaces as [`CuszError::CorruptArchive`], never a wrapped cursor or
 /// a panicking slice.
-pub(crate) fn entry(b: &[u8], at: &mut u64, what: &'static str) -> Result<Range<usize>, CuszError> {
+pub fn entry(b: &[u8], at: &mut u64, what: &'static str) -> Result<Range<usize>, CuszError> {
     let blen = b.len() as u64;
     let body = at.checked_add(8).filter(|&e| e <= blen).ok_or(CuszError::CorruptArchive(what))?;
     let end = body
@@ -76,5 +79,43 @@ mod tests {
         assert_eq!(u64_le(&b, 6), 0x0123_4567_89AB_CDEF);
         assert_eq!(f32_le(&b, 14), 1.5);
         assert_eq!(f64_le(&b, 18), -2.25);
+    }
+
+    #[test]
+    fn entries_roundtrip() {
+        let mut out = Vec::new();
+        put_entry(&mut out, b"hello");
+        put_entry(&mut out, b"");
+        put_entry(&mut out, &[1, 2, 3]);
+        let mut at = 0;
+        assert_eq!(&out[entry(&out, &mut at, "e").unwrap()], b"hello");
+        assert_eq!(&out[entry(&out, &mut at, "e").unwrap()], b"");
+        assert_eq!(&out[entry(&out, &mut at, "e").unwrap()], &[1, 2, 3]);
+        assert_eq!(at, out.len() as u64);
+        assert_eq!(entry(&out, &mut at, "end"), Err(CuszError::CorruptArchive("end")));
+    }
+
+    #[test]
+    fn truncated_entry_detected() {
+        let mut out = Vec::new();
+        put_entry(&mut out, &[9; 100]);
+        let mut at = 0;
+        assert!(entry(&out[..50], &mut at, "body").is_err());
+        assert!(entry(&out[..5], &mut at, "length").is_err());
+        assert_eq!(at, 0, "a failed read leaves the cursor in place");
+    }
+
+    #[test]
+    fn wrapping_entry_length_is_an_error() {
+        // A length that wraps the cursor (in u64 or usize) must not slip
+        // past the bounds check; a cursor near u64::MAX must not either.
+        for len in [u64::MAX, u64::MAX - 3, u64::MAX - 20] {
+            let mut b = len.to_le_bytes().to_vec();
+            b.extend_from_slice(&[0; 32]);
+            let mut at = 0;
+            assert!(entry(&b, &mut at, "wrap").is_err(), "len {len}");
+        }
+        let mut at = u64::MAX - 4;
+        assert!(entry(&[0; 16], &mut at, "cursor").is_err());
     }
 }

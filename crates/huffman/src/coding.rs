@@ -480,9 +480,9 @@ fn chunk_spans(stream: &EncodedStream) -> Result<Vec<(usize, usize)>, DecodeErro
 }
 
 /// Serial-within-chunk decode: one simulated thread walks each chunk's
-/// whole bitstream and never reads the gap array. Kept as the oracle
-/// [`decode_gpu`] must match bit-for-bit, and used by the baseline
-/// codecs.
+/// whole bitstream and never reads the gap array. Kept only as the
+/// oracle [`decode_gpu`] must match bit-for-bit; every codec, the
+/// cuSZ and QoZ baselines included, decodes with [`decode_gpu`].
 pub fn decode_gpu_serial(
     stream: &EncodedStream,
     book: &Codebook,
