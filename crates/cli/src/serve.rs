@@ -2,9 +2,10 @@
 //!
 //! The daemon is std-only: a length-prefixed binary frame protocol on
 //! a `TcpListener`, one thread per connection, every request funnelled
-//! into one shared [`cuszi_core::Engine`] (which provides the session
-//! cache, per-tenant fairness, and backpressure — see `docs/SERVING.md`
-//! for the architecture and knobs).
+//! into one shared [`cuszi_core::Engine`], which gives per-tenant
+//! fairness, admission backpressure and scoped metrics; each job runs
+//! the one-shot pipeline and nothing is cached across requests (see
+//! `docs/SERVING.md` for the architecture and knobs).
 //!
 //! # Frame protocol
 //!
@@ -460,7 +461,8 @@ impl Server {
     }
 
     /// The shared engine (for load generators and tests that need to
-    /// observe admission/cache counters while the daemon runs).
+    /// observe its admission counters and scoped metrics while the
+    /// daemon runs).
     pub fn engine(&self) -> Arc<Engine> {
         Arc::clone(&self.engine)
     }
